@@ -132,12 +132,10 @@ WindowEvidence evidence_from_events(std::size_t window_index,
   for (std::size_t i = 0; i < count; ++i) {
     const trace::PartitionedEvent& e = events[i];
     out.event_types.push_back(e.type);
-    for (std::string& lib :
-         trace::TokenTable::derive_lib_set(e.system_stack)) {
+    for (std::string& lib : trace::derive_lib_set(e.system_stack)) {
       out.libs.push_back(std::move(lib));
     }
-    for (std::string& func :
-         trace::TokenTable::derive_func_set(e.system_stack)) {
+    for (std::string& func : trace::derive_func_set(e.system_stack)) {
       out.funcs.push_back(std::move(func));
     }
   }

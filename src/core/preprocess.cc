@@ -107,27 +107,11 @@ std::vector<int> TupleVocabulary::encode(
 }
 
 ml::StringSet Preprocessor::lib_set(const trace::PartitionedEvent& event) {
-  ml::StringSet out;
-  out.reserve(event.system_stack.size());
-  for (const trace::StackFrame& f : event.system_stack) {
-    out.push_back(f.module);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+  return trace::derive_lib_set(event.system_stack);
 }
 
 ml::StringSet Preprocessor::func_set(const trace::PartitionedEvent& event) {
-  ml::StringSet out;
-  out.reserve(event.system_stack.size());
-  for (const trace::StackFrame& f : event.system_stack) {
-    // Function names are qualified by module: ReadFile exists in both
-    // kernel32 and kernelbase, and those are different functions.
-    out.push_back(f.module + "!" + f.function);
-  }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+  return trace::derive_func_set(event.system_stack);
 }
 
 void Preprocessor::fit(

@@ -2,9 +2,7 @@
 //
 // Shared by the serving layer (queue-wait / classify latencies) and the
 // observability metric registry. Lives in obs/ — the lowest layer that
-// both src/serve/ and the pipeline instrumentation can reach — but keeps
-// the exact semantics it had as serve::LatencyHistogram (src/serve/
-// re-exports it under that name for existing callers).
+// both src/serve/ and the pipeline instrumentation can reach.
 //
 // Every mutation is relaxed-atomic: record() is called from worker and
 // producer threads on the hot path; a snapshot is a best-effort consistent

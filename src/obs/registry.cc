@@ -66,21 +66,6 @@ void summary_prometheus(std::ostringstream& os, const MetricSample& s) {
   os << " " << s.summary.count << "\n";
 }
 
-void summary_json(std::ostringstream& os, const Summary::Snapshot& s) {
-  os << "\"count\":" << s.count << ",\"sum\":";
-  append_double(os, s.sum);
-  os << ",\"min\":";
-  append_double(os, s.min);
-  os << ",\"max\":";
-  append_double(os, s.max);
-  os << ",\"q50\":";
-  append_double(os, s.q50);
-  os << ",\"q90\":";
-  append_double(os, s.q90);
-  os << ",\"q99\":";
-  append_double(os, s.q99);
-}
-
 void histogram_prometheus(std::ostringstream& os, const std::string& name,
                           const LatencyHistogram::Snapshot& h) {
   std::uint64_t cumulative = 0;
@@ -98,30 +83,6 @@ void histogram_prometheus(std::ostringstream& os, const std::string& name,
   }
   os << name << "_sum " << h.total_us << "\n";
   os << name << "_count " << h.count << "\n";
-}
-
-void histogram_json(std::ostringstream& os,
-                    const LatencyHistogram::Snapshot& h) {
-  os << "\"count\":" << h.count << ",\"total_us\":" << h.total_us
-     << ",\"max_us\":" << h.max_us << ",\"p50_us\":" << h.quantile_us(0.50)
-     << ",\"p95_us\":" << h.quantile_us(0.95)
-     << ",\"p99_us\":" << h.quantile_us(0.99) << ",\"le_us\":[";
-  for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-    if (i > 0) os << ",";
-    // The saturated last bucket has no finite bound; emit -1 as the JSON
-    // stand-in for +Inf (the Prometheus rendering uses le="+Inf").
-    if (i + 1 == LatencyHistogram::kBuckets) {
-      os << -1;
-    } else {
-      os << LatencyHistogram::bucket_upper_us(i);
-    }
-  }
-  os << "],\"buckets\":[";
-  for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-    if (i > 0) os << ",";
-    os << h.buckets[i];
-  }
-  os << "]";
 }
 
 void append_json_escaped(std::ostringstream& os, const std::string& s) {
@@ -145,12 +106,9 @@ MetricRegistry& MetricRegistry::global() {
     } c;
     c.build_info = registry.register_collector(
         [](std::vector<MetricSample>& out) {
-          MetricSample s;
-          s.name = "leaps_build_info";
-          s.help =
-              "build identity: constant 1, labels carry version/SHA/type";
-          s.type = MetricType::kGauge;
-          s.gauge_value = 1;
+          MetricSample s = gauge_sample(
+              "leaps_build_info",
+              "build identity: constant 1, labels carry version/SHA/type", 1);
           s.labels = std::string("version=\"") + util::kVersion +
                      "\",git_sha=\"" + util::kGitSha + "\",build_type=\"" +
                      util::kBuildType + "\",sanitizer=\"" + util::kSanitizer +
@@ -158,12 +116,10 @@ MetricRegistry& MetricRegistry::global() {
           out.push_back(std::move(s));
         });
     c.tracer = registry.register_collector([](std::vector<MetricSample>& out) {
-      MetricSample s;
-      s.name = "leaps_trace_spans_dropped_total";
-      s.help = "spans lost because the tracer ring was full";
-      s.type = MetricType::kCounter;
-      s.counter_value = Tracer::instance().dropped();
-      out.push_back(std::move(s));
+      out.push_back(counter_sample(
+          "leaps_trace_spans_dropped_total",
+          "spans lost because the tracer ring was full",
+          Tracer::instance().dropped()));
     });
     return c;
   }();
@@ -273,6 +229,98 @@ std::vector<MetricSample> MetricRegistry::collect() const {
   return out;
 }
 
+MetricSample counter_sample(std::string name, std::string help,
+                            std::uint64_t value) {
+  MetricSample s;
+  s.name = std::move(name);
+  s.help = std::move(help);
+  s.type = MetricType::kCounter;
+  s.counter_value = value;
+  return s;
+}
+
+MetricSample gauge_sample(std::string name, std::string help,
+                          std::int64_t value) {
+  MetricSample s;
+  s.name = std::move(name);
+  s.help = std::move(help);
+  s.type = MetricType::kGauge;
+  s.gauge_value = value;
+  return s;
+}
+
+void append_json_number(std::ostream& os, double v) {
+  if (!std::isfinite(v)) {
+    os << 0;
+    return;
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%.9g", v);
+  os << buf;
+}
+
+void append_histogram_json(std::ostream& os,
+                           const LatencyHistogram::Snapshot& h) {
+  os << "\"count\":" << h.count << ",\"total_us\":" << h.total_us
+     << ",\"max_us\":" << h.max_us << ",\"p50_us\":" << h.quantile_us(0.50)
+     << ",\"p95_us\":" << h.quantile_us(0.95)
+     << ",\"p99_us\":" << h.quantile_us(0.99) << ",\"le_us\":[";
+  // Full bucket shape, not just three pre-chewed quantiles: consumers can
+  // compute any quantile. The saturated last bucket has no finite bound;
+  // -1 is the JSON stand-in for +Inf (the Prometheus rendering uses
+  // le="+Inf").
+  for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
+    if (i > 0) os << ",";
+    if (i + 1 == LatencyHistogram::kBuckets) {
+      os << -1;
+    } else {
+      os << LatencyHistogram::bucket_upper_us(i);
+    }
+  }
+  os << "],\"buckets\":[";
+  for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
+    if (i > 0) os << ",";
+    os << h.buckets[i];
+  }
+  os << "]";
+}
+
+void append_summary_json(std::ostream& os, const Summary::Snapshot& s) {
+  os << "\"count\":" << s.count << ",\"sum\":";
+  append_json_number(os, s.sum);
+  os << ",\"min\":";
+  append_json_number(os, s.min);
+  os << ",\"max\":";
+  append_json_number(os, s.max);
+  os << ",\"q50\":";
+  append_json_number(os, s.q50);
+  os << ",\"q90\":";
+  append_json_number(os, s.q90);
+  os << ",\"q99\":";
+  append_json_number(os, s.q99);
+}
+
+void append_sample_json(std::ostream& os, const MetricSample& s) {
+  switch (s.type) {
+    case MetricType::kCounter:
+      os << s.counter_value;
+      break;
+    case MetricType::kGauge:
+      os << s.gauge_value;
+      break;
+    case MetricType::kHistogram:
+      os << "{";
+      append_histogram_json(os, s.histogram);
+      os << "}";
+      break;
+    case MetricType::kSummary:
+      os << "{";
+      append_summary_json(os, s.summary);
+      os << "}";
+      break;
+  }
+}
+
 std::string samples_to_prometheus(const std::vector<MetricSample>& samples) {
   std::ostringstream os;
   for (const MetricSample& s : samples) {
@@ -321,10 +369,10 @@ std::string samples_to_json(const std::vector<MetricSample>& samples) {
         os << "\"value\":" << s.gauge_value;
         break;
       case MetricType::kHistogram:
-        histogram_json(os, s.histogram);
+        append_histogram_json(os, s.histogram);
         break;
       case MetricType::kSummary:
-        summary_json(os, s.summary);
+        append_summary_json(os, s.summary);
         break;
     }
     os << "}";

@@ -26,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -157,9 +158,27 @@ class MetricRegistry {
   std::uint64_t next_collector_id_ = 1;                // guarded by mu_
 };
 
+/// A counter or gauge reading (the common collector case).
+MetricSample counter_sample(std::string name, std::string help,
+                            std::uint64_t value);
+MetricSample gauge_sample(std::string name, std::string help,
+                          std::int64_t value);
+
 /// Renders samples without a registry (used by MetricsSnapshot-style
 /// holders that already have plain values in hand).
 std::string samples_to_prometheus(const std::vector<MetricSample>& samples);
 std::string samples_to_json(const std::vector<MetricSample>& samples);
+
+/// The one JSON spelling of each reading, shared by every JSON document
+/// the process writes (samples_to_json, MetricsSnapshot::to_json, the
+/// --status-json file). Numbers are %.9g with the non-finite values JSON
+/// cannot carry written as 0. Histograms and summaries are written as
+/// their object members without the braces; append_sample_json writes a
+/// sample's bare value: the number, or the braced object.
+void append_json_number(std::ostream& os, double v);
+void append_histogram_json(std::ostream& os,
+                           const LatencyHistogram::Snapshot& h);
+void append_summary_json(std::ostream& os, const Summary::Snapshot& s);
+void append_sample_json(std::ostream& os, const MetricSample& s);
 
 }  // namespace leaps::obs

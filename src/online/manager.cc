@@ -88,7 +88,7 @@ OnlineManager::OnlineManager(serve::DetectionServer* server,
 OnlineManager::~OnlineManager() { stop(); }
 
 void OnlineManager::install() {
-  server_->set_window_tap(
+  server_->add_window_tap(
       [this](const serve::SessionKey& /*key*/, std::size_t /*window_index*/,
              int label, double decision_value,
              const trace::PartitionedEvent* events, std::size_t count) {

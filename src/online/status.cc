@@ -1,72 +1,24 @@
 #include "online/status.h"
 
-#include <cmath>
-#include <cstdio>
 #include <sstream>
+#include <string>
 
+#include "obs/registry.h"
 #include "util/atomic_file.h"
 #include "util/check.h"
 
 namespace leaps::online {
 
-namespace {
-
-/// %.9g, with the non-finite values JSON cannot carry clamped to 0 (they
-/// cannot occur here — decision values and p-values are finite — but a
-/// status file that fails `python -m json.tool` would be worse than a
-/// clamped corner value).
-void append_double(std::ostream& os, double v) {
-  if (!std::isfinite(v)) {
-    os << 0;
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  os << buf;
-}
-
-void append_summary(std::ostream& os, const obs::Summary::Snapshot& s) {
-  os << "{\"count\":" << s.count << ",\"sum\":";
-  append_double(os, s.sum);
-  os << ",\"min\":";
-  append_double(os, s.min);
-  os << ",\"max\":";
-  append_double(os, s.max);
-  os << ",\"q50\":";
-  append_double(os, s.q50);
-  os << ",\"q90\":";
-  append_double(os, s.q90);
-  os << ",\"q99\":";
-  append_double(os, s.q99);
-  os << "}";
-}
-
-}  // namespace
-
 std::string render_status_json(const StatusInputs& inputs) {
   LEAPS_CHECK_MSG(inputs.server != nullptr, "status needs a server");
   const serve::MetricsSnapshot m = inputs.server->metrics().snapshot();
   std::ostringstream os;
-  os << "{\"sessions\":{\"active\":" << inputs.server->sessions().active()
-     << ",\"opened\":" << m.sessions_opened
-     << ",\"closed\":" << m.sessions_closed
-     << ",\"quarantined\":" << m.sessions_quarantined
-     << ",\"evicted\":" << m.sessions_evicted << "}";
-  os << ",\"events\":{\"ingested\":" << m.events_ingested
-     << ",\"processed\":" << m.events_processed
-     << ",\"dropped\":" << m.events_dropped
-     << ",\"rejected\":" << m.events_rejected
-     << ",\"quarantined\":" << m.events_quarantined
-     << ",\"shed\":" << m.events_shed << "}";
-  os << ",\"windows\":{\"scored\":" << m.windows_scored
-     << ",\"benign\":" << m.verdicts_benign
-     << ",\"malicious\":" << m.verdicts_malicious << "}";
-  os << ",\"queues\":{\"high_water\":" << m.queue_high_water
-     << ",\"batches\":" << m.batches_drained
-     << ",\"shed_activations\":" << m.shed_activations
-     << ",\"wait_p99_us\":" << m.queue_wait.quantile_us(0.99) << "}";
-  os << ",\"decision_value\":";
-  append_summary(os, m.decision_values);
+  os << "{";
+  m.append_json_members(
+      os, {{"sessions", "\"active\":" +
+                            std::to_string(inputs.server->sessions().active())},
+           {"queues", "\"wait_p99_us\":" +
+                          std::to_string(m.queue_wait.quantile_us(0.99))}});
 
   if (inputs.manager != nullptr) {
     const OnlineReport r = inputs.manager->report();
@@ -86,16 +38,16 @@ std::string render_status_json(const StatusInputs& inputs) {
        << ",\"reference_size\":" << d.reference_size
        << ",\"reference_frozen\":" << (d.reference_frozen ? "true" : "false")
        << ",\"live_size\":" << d.live_size << ",\"ks\":";
-    append_double(os, d.ks_statistic);
+    obs::append_json_number(os, d.ks_statistic);
     os << ",\"p_value\":";
-    append_double(os, d.p_value);
+    obs::append_json_number(os, d.p_value);
     os << ",\"evaluations\":" << d.evaluations
        << ",\"triggers\":" << d.triggers << ",\"trigger_pending\":"
        << (d.trigger_pending ? "true" : "false")
        << ",\"last_trigger_lsn\":" << r.last_drift_trigger_lsn
-       << ",\"sketch\":";
-    append_summary(os, d.sketch);
-    os << ",\"generations\":[";
+       << ",\"sketch\":{";
+    obs::append_summary_json(os, d.sketch);
+    os << "},\"generations\":[";
     for (std::size_t g = 0; g < d.generations.size(); ++g) {
       if (g > 0) os << ",";
       os << "{\"generation\":" << g
@@ -127,7 +79,7 @@ std::string render_status_json(const StatusInputs& inputs) {
         os << "{\"type\":\"AttributionVerdict\",\"session\":\""
            << s.key.to_string() << "\",\"signature\":\"" << v.signature
            << "\",\"score\":";
-        append_double(os, v.score);
+        obs::append_json_number(os, v.score);
         os << ",\"nodes_matched\":" << v.nodes_matched
            << ",\"nodes_total\":" << v.nodes_total
            << ",\"edges_satisfied\":" << v.edges_satisfied

@@ -32,12 +32,6 @@ obs::Counter& dropped_counter() {
   return c;
 }
 
-void append_double(std::ostringstream& os, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.9g", v);
-  os << buf;
-}
-
 void append_json_escaped(std::ostringstream& os, const std::string& s) {
   for (const char c : s) {
     if (c == '"' || c == '\\') os << '\\';
@@ -150,9 +144,9 @@ std::string AuditLog::format_record(
   os << "\",\"pid\":" << key.pid << ",\"profile\":\"";
   append_json_escaped(os, profile);
   os << "\",\"label\":" << label << ",\"decision_value\":";
-  append_double(os, decision_value);
+  obs::append_json_number(os, decision_value);
   os << ",\"threshold\":";
-  append_double(os, detector.decision_threshold());
+  obs::append_json_number(os, detector.decision_threshold());
   os << ",\"events\":" << events.size();
 
   // Top-k support-vector contributions to f(x), against the scaled window
@@ -172,11 +166,11 @@ std::string AuditLog::format_record(
     const auto& c = contributions[i];
     if (i > 0) os << ",";
     os << "{\"sv\":" << c.sv_index << ",\"coefficient\":";
-    append_double(os, c.coefficient);
+    obs::append_json_number(os, c.coefficient);
     os << ",\"kernel\":";
-    append_double(os, c.kernel_value);
+    obs::append_json_number(os, c.kernel_value);
     os << ",\"contribution\":";
-    append_double(os, c.contribution);
+    obs::append_json_number(os, c.contribution);
     os << "}";
   }
   os << "]";
@@ -208,7 +202,7 @@ std::string AuditLog::format_record(
       std::snprintf(addr, sizeof addr, "0x%llx",
                     static_cast<unsigned long long>(terms[i].first));
       os << "{\"address\":\"" << addr << "\",\"benignity\":";
-      append_double(os, terms[i].second);
+      obs::append_json_number(os, terms[i].second);
       os << "}";
     }
   }
@@ -223,11 +217,10 @@ std::string AuditLog::format_record(
   std::vector<std::string> funcs;
   for (const trace::PartitionedEvent& e : events) {
     types.emplace_back(trace::event_type_name(e.type));
-    for (std::string& lib : trace::TokenTable::derive_lib_set(e.system_stack)) {
+    for (std::string& lib : trace::derive_lib_set(e.system_stack)) {
       libs.push_back(std::move(lib));
     }
-    for (std::string& func :
-         trace::TokenTable::derive_func_set(e.system_stack)) {
+    for (std::string& func : trace::derive_func_set(e.system_stack)) {
       funcs.push_back(std::move(func));
     }
   }
@@ -251,6 +244,22 @@ std::string AuditLog::format_record(
   emit_set("funcs", funcs);
   os << "}}";
   return os.str();
+}
+
+WindowTap audit_tap(AuditLog* audit, const SessionManager* sessions) {
+  return [audit, sessions](const SessionKey& key, std::size_t window_index,
+                           int label, double decision_value,
+                           const trace::PartitionedEvent* events,
+                           std::size_t count) {
+    if (label != -1) return;
+    // Anomalous verdicts are the rare path; the session lookup (one
+    // shared-lock map find) buys the record the exact detector snapshot
+    // that scored the window.
+    if (const std::shared_ptr<Session> s = sessions->find(key)) {
+      audit->submit(key, s->profile(), window_index, label, decision_value,
+                    events, count, s->detector());
+    }
+  };
 }
 
 }  // namespace leaps::serve

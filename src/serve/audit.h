@@ -113,4 +113,11 @@ class AuditLog {
   std::thread writer_;
 };
 
+/// The audit hook as a window tap: submits every anomalous (label −1)
+/// window to `audit` with the profile and the exact detector snapshot of
+/// the session that scored it. Register it with
+/// DetectionServer::add_window_tap; `audit` and `sessions` must outlive
+/// the server's workers, and the caller starts and stops the log.
+WindowTap audit_tap(AuditLog* audit, const SessionManager* sessions);
+
 }  // namespace leaps::serve

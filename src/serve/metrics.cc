@@ -1,7 +1,9 @@
 #include "serve/metrics.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
+#include <string_view>
 
 namespace leaps::serve {
 
@@ -16,9 +18,9 @@ void atomic_max(std::atomic<std::uint64_t>& a, std::uint64_t value) {
   }
 }
 
-void histogram_text(std::ostringstream& os, const char* name,
-                    const LatencyHistogram::Snapshot& h) {
-  os << "  " << name << " us: count=" << h.count;
+void histogram_text(std::ostream& os,
+                    const obs::LatencyHistogram::Snapshot& h) {
+  os << " us: count=" << h.count;
   if (h.count > 0) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.1f", h.mean_us());
@@ -26,34 +28,17 @@ void histogram_text(std::ostringstream& os, const char* name,
        << " p95<=" << h.quantile_us(0.95) << " p99<=" << h.quantile_us(0.99)
        << " max=" << h.max_us;
   }
-  os << "\n";
 }
 
-void histogram_json(std::ostringstream& os, const char* name,
-                    const LatencyHistogram::Snapshot& h) {
-  os << "\"" << name << "\":{\"count\":" << h.count
-     << ",\"total_us\":" << h.total_us << ",\"max_us\":" << h.max_us
-     << ",\"p50_us\":" << h.quantile_us(0.50)
-     << ",\"p95_us\":" << h.quantile_us(0.95)
-     << ",\"p99_us\":" << h.quantile_us(0.99) << ",\"le_us\":[";
-  // Full bucket shape, not just three pre-chewed quantiles: downstream
-  // consumers can compute any quantile, and the Prometheus _bucket lines
-  // derive from the same arrays. le_us[i] is bucket i's inclusive upper
-  // bound (-1 = the saturated last bucket, le="+Inf" in Prometheus).
-  for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-    if (i > 0) os << ",";
-    if (i + 1 == LatencyHistogram::kBuckets) {
-      os << -1;
-    } else {
-      os << LatencyHistogram::bucket_upper_us(i);
-    }
+void summary_text(std::ostream& os, const obs::Summary::Snapshot& s) {
+  os << ": count=" << s.count;
+  if (s.count > 0) {
+    char buf[160];
+    std::snprintf(buf, sizeof buf,
+                  " min=%.4f q50=%.4f q90=%.4f q99=%.4f max=%.4f", s.min,
+                  s.q50, s.q90, s.q99, s.max);
+    os << buf;
   }
-  os << "],\"buckets\":[";
-  for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-    if (i > 0) os << ",";
-    os << h.buckets[i];
-  }
-  os << "]}";
 }
 
 }  // namespace
@@ -74,220 +59,124 @@ void ServerMetrics::restore_baseline(std::uint64_t ingested,
 
 MetricsSnapshot ServerMetrics::snapshot() const {
   MetricsSnapshot s;
-  s.events_ingested = events_ingested.load(kRelaxed);
-  s.events_processed = events_processed.load(kRelaxed);
-  s.events_dropped = events_dropped.load(kRelaxed);
-  s.events_rejected = events_rejected.load(kRelaxed);
-  s.events_quarantined = events_quarantined.load(kRelaxed);
-  s.events_failed = events_failed.load(kRelaxed);
-  s.events_shed = events_shed.load(kRelaxed);
-  s.windows_scored = windows_scored.load(kRelaxed);
-  s.verdicts_benign = verdicts_benign.load(kRelaxed);
-  s.verdicts_malicious = verdicts_malicious.load(kRelaxed);
-  s.batches_drained = batches_drained.load(kRelaxed);
-  s.sessions_opened = sessions_opened.load(kRelaxed);
-  s.sessions_closed = sessions_closed.load(kRelaxed);
-  s.sessions_quarantined = sessions_quarantined.load(kRelaxed);
-  s.sessions_evicted = sessions_evicted.load(kRelaxed);
-  s.registry_retries = registry_retries.load(kRelaxed);
-  s.shed_activations = shed_activations.load(kRelaxed);
-  s.queue_high_water = queue_high_water_.load(kRelaxed);
-  s.slab_sessions_in_use = session_slabs->in_use.load(kRelaxed);
-  s.slab_sessions_free = session_slabs->free.load(kRelaxed);
-  s.slab_chunks = session_slabs->chunks.load(kRelaxed);
-  s.slab_overflow = session_slabs->overflow.load(kRelaxed);
-  s.slab_batches_in_use = batch_buffers->in_use.load(kRelaxed);
-  s.slab_batches_free = batch_buffers->free.load(kRelaxed);
-  s.queue_wait = queue_wait.snapshot();
-  s.classify = classify.snapshot();
-  s.decision_values = decision_values.snapshot();
+#define LEAPS_READ_COUNTER(prom, group, key, field, name, help) \
+  s.field = field.load(kRelaxed);
+#define LEAPS_READ_GAUGE(prom, group, key, field, type, name, help, source) \
+  s.field = static_cast<type>(source.load(kRelaxed));
+#define LEAPS_READ_SNAPSHOT(prom, key, field, name, help) \
+  s.field = field.snapshot();
+  LEAPS_SERVE_METRICS(LEAPS_READ_COUNTER, LEAPS_READ_GAUGE,
+                      LEAPS_READ_SNAPSHOT, LEAPS_READ_SNAPSHOT)
+#undef LEAPS_READ_COUNTER
+#undef LEAPS_READ_GAUGE
+#undef LEAPS_READ_SNAPSHOT
   return s;
+}
+
+std::vector<MetricField> MetricsSnapshot::fields() const {
+  std::vector<MetricField> out;
+  const auto sample = [](const char* name, const char* help,
+                         obs::MetricType type) {
+    obs::MetricSample s;
+    s.name = name;
+    s.help = help;
+    s.type = type;
+    return s;
+  };
+#define LEAPS_FIELD_COUNTER(prom, group, key, field, name, help) \
+  out.push_back({group, key, prom, obs::counter_sample(name, help, field)});
+#define LEAPS_FIELD_GAUGE(prom, group, key, field, type, name, help, source) \
+  out.push_back({group, key, prom,                                          \
+                 obs::gauge_sample(name, help,                              \
+                                   static_cast<std::int64_t>(field))});
+#define LEAPS_FIELD_HISTOGRAM(prom, key, field, name, help)           \
+  out.push_back(                                                      \
+      {"", key, prom, sample(name, help, obs::MetricType::kHistogram)}); \
+  out.back().sample.histogram = field;
+#define LEAPS_FIELD_SUMMARY(prom, key, field, name, help)           \
+  out.push_back(                                                    \
+      {"", key, prom, sample(name, help, obs::MetricType::kSummary)}); \
+  out.back().sample.summary = field;
+  LEAPS_SERVE_METRICS(LEAPS_FIELD_COUNTER, LEAPS_FIELD_GAUGE,
+                      LEAPS_FIELD_HISTOGRAM, LEAPS_FIELD_SUMMARY)
+#undef LEAPS_FIELD_COUNTER
+#undef LEAPS_FIELD_GAUGE
+#undef LEAPS_FIELD_HISTOGRAM
+#undef LEAPS_FIELD_SUMMARY
+  return out;
 }
 
 std::string MetricsSnapshot::to_text() const {
   std::ostringstream os;
-  os << "serve metrics:\n"
-     << "  events: ingested=" << events_ingested
-     << " processed=" << events_processed << " dropped=" << events_dropped
-     << " rejected=" << events_rejected
-     << " quarantined=" << events_quarantined
-     << " failed=" << events_failed << " shed=" << events_shed << "\n"
-     << "  windows: scored=" << windows_scored
-     << " benign=" << verdicts_benign << " malicious=" << verdicts_malicious
-     << "\n"
-     << "  sessions: opened=" << sessions_opened
-     << " closed=" << sessions_closed
-     << " quarantined=" << sessions_quarantined
-     << " evicted=" << sessions_evicted << "\n"
-     << "  queues: high-water=" << queue_high_water
-     << " batches=" << batches_drained
-     << " shed-activations=" << shed_activations
-     << " registry-retries=" << registry_retries << "\n"
-     << "  slabs: sessions-in-use=" << slab_sessions_in_use
-     << " sessions-free=" << slab_sessions_free
-     << " chunks=" << slab_chunks << " overflow=" << slab_overflow
-     << " batch-buffers=" << slab_batches_in_use << "/"
-     << slab_batches_free << " (in-use/free)\n";
-  histogram_text(os, "queue-wait", queue_wait);
-  histogram_text(os, "classify ", classify);
-  os << "  decision-value: count=" << decision_values.count;
-  if (decision_values.count > 0) {
-    char buf[160];
-    std::snprintf(buf, sizeof buf,
-                  " min=%.4f q50=%.4f q90=%.4f q99=%.4f max=%.4f",
-                  decision_values.min, decision_values.q50,
-                  decision_values.q90, decision_values.q99,
-                  decision_values.max);
-    os << buf;
+  os << "serve metrics:";
+  std::string_view group;
+  for (const MetricField& f : fields()) {
+    if (*f.group == '\0') {
+      os << "\n  " << f.key;
+      if (f.sample.type == obs::MetricType::kHistogram) {
+        histogram_text(os, f.sample.histogram);
+      } else {
+        summary_text(os, f.sample.summary);
+      }
+      continue;
+    }
+    if (group != f.group) {
+      group = f.group;
+      os << "\n  " << group << ":";
+    }
+    os << " " << f.key << "=";
+    obs::append_sample_json(os, f.sample);
   }
   os << "\n";
   return os.str();
 }
 
+void MetricsSnapshot::append_json_members(
+    std::ostream& os, const std::map<std::string, std::string>& extras) const {
+  std::string_view group;
+  const auto close_group = [&] {
+    if (group.empty()) return;
+    const auto extra = extras.find(std::string(group));
+    if (extra != extras.end()) os << "," << extra->second;
+    os << "}";
+  };
+  bool first = true;
+  for (const MetricField& f : fields()) {
+    const bool new_group = first || group != f.group;
+    if (!first) {
+      if (new_group) close_group();
+      os << ",";
+    }
+    if (new_group) {
+      group = f.group;
+      if (!group.empty()) os << "\"" << group << "\":{";
+    }
+    first = false;
+    os << "\"" << f.key << "\":";
+    obs::append_sample_json(os, f.sample);
+  }
+  close_group();
+}
+
 std::string MetricsSnapshot::to_json() const {
   std::ostringstream os;
-  os << "{\"events\":{\"ingested\":" << events_ingested
-     << ",\"processed\":" << events_processed
-     << ",\"dropped\":" << events_dropped
-     << ",\"rejected\":" << events_rejected
-     << ",\"quarantined\":" << events_quarantined
-     << ",\"failed\":" << events_failed
-     << ",\"shed\":" << events_shed << "}"
-     << ",\"windows\":{\"scored\":" << windows_scored
-     << ",\"benign\":" << verdicts_benign
-     << ",\"malicious\":" << verdicts_malicious << "}"
-     << ",\"sessions\":{\"opened\":" << sessions_opened
-     << ",\"closed\":" << sessions_closed
-     << ",\"quarantined\":" << sessions_quarantined
-     << ",\"evicted\":" << sessions_evicted << "}"
-     << ",\"queues\":{\"high_water\":" << queue_high_water
-     << ",\"batches\":" << batches_drained
-     << ",\"shed_activations\":" << shed_activations
-     << ",\"registry_retries\":" << registry_retries << "}"
-     << ",\"slabs\":{\"sessions_in_use\":" << slab_sessions_in_use
-     << ",\"sessions_free\":" << slab_sessions_free
-     << ",\"chunks\":" << slab_chunks
-     << ",\"overflow\":" << slab_overflow
-     << ",\"batch_buffers_in_use\":" << slab_batches_in_use
-     << ",\"batch_buffers_free\":" << slab_batches_free << "},";
-  histogram_json(os, "queue_wait", queue_wait);
-  os << ",";
-  histogram_json(os, "classify", classify);
-  char dv[256];
-  std::snprintf(dv, sizeof dv,
-                ",\"decision_value\":{\"count\":%llu,\"sum\":%.9g,"
-                "\"min\":%.9g,\"max\":%.9g,\"q50\":%.9g,\"q90\":%.9g,"
-                "\"q99\":%.9g}",
-                static_cast<unsigned long long>(decision_values.count),
-                decision_values.sum, decision_values.min,
-                decision_values.max, decision_values.q50,
-                decision_values.q90, decision_values.q99);
-  os << dv << "}";
+  os << "{";
+  append_json_members(os);
+  os << "}";
   return os.str();
 }
 
 obs::MetricRegistry::Registration ServerMetrics::register_with(
     obs::MetricRegistry& registry) const {
-  return registry.register_collector([this](
-                                         std::vector<obs::MetricSample>& out) {
-    const auto counter = [&out](const char* name, const char* help,
-                                std::uint64_t value) {
-      obs::MetricSample s;
-      s.name = name;
-      s.help = help;
-      s.type = obs::MetricType::kCounter;
-      s.counter_value = value;
-      out.push_back(std::move(s));
-    };
-    const MetricsSnapshot snap = snapshot();
-    counter("leaps_serve_events_ingested_total", "events accepted by submit",
-            snap.events_ingested);
-    counter("leaps_serve_events_processed_total", "events classified",
-            snap.events_processed);
-    counter("leaps_serve_events_dropped_total",
-            "events evicted from a queue before feed", snap.events_dropped);
-    counter("leaps_serve_events_rejected_total",
-            "submits refused (unknown session / stopped server)",
-            snap.events_rejected);
-    counter("leaps_serve_events_quarantined_total",
-            "events failed or skipped in feed_run", snap.events_quarantined);
-    counter("leaps_serve_events_failed_total",
-            "events that threw during classification", snap.events_failed);
-    counter("leaps_serve_events_shed_total",
-            "events dropped while shedding engaged", snap.events_shed);
-    counter("leaps_serve_windows_scored_total", "windows classified",
-            snap.windows_scored);
-    counter("leaps_serve_verdicts_benign_total", "benign window verdicts",
-            snap.verdicts_benign);
-    counter("leaps_serve_verdicts_malicious_total",
-            "malicious window verdicts", snap.verdicts_malicious);
-    counter("leaps_serve_batches_drained_total", "worker batch drains",
-            snap.batches_drained);
-    counter("leaps_serve_sessions_opened_total", "sessions opened",
-            snap.sessions_opened);
-    counter("leaps_serve_sessions_closed_total", "sessions closed",
-            snap.sessions_closed);
-    counter("leaps_serve_sessions_quarantined_total",
-            "circuit-breaker trips", snap.sessions_quarantined);
-    counter("leaps_serve_sessions_evicted_total",
-            "sessions removed by the idle sweep", snap.sessions_evicted);
-    counter("leaps_serve_registry_retries_total",
-            "open_session registry re-lookups", snap.registry_retries);
-    counter("leaps_serve_shed_activations_total",
-            "times a shard entered shedding", snap.shed_activations);
-
-    obs::MetricSample hw;
-    hw.name = "leaps_serve_queue_high_water";
-    hw.help = "deepest any shard queue got (events)";
-    hw.type = obs::MetricType::kGauge;
-    hw.gauge_value = static_cast<std::int64_t>(snap.queue_high_water);
-    out.push_back(std::move(hw));
-
-    const auto gauge = [&out](const char* name, const char* help,
-                              std::int64_t value) {
-      obs::MetricSample s;
-      s.name = name;
-      s.help = help;
-      s.type = obs::MetricType::kGauge;
-      s.gauge_value = value;
-      out.push_back(std::move(s));
-    };
-    gauge("leaps_serve_slab_sessions_in_use",
-          "session slots handed out by the slab pool",
-          snap.slab_sessions_in_use);
-    gauge("leaps_serve_slab_sessions_free",
-          "recycled session slots on the freelist", snap.slab_sessions_free);
-    gauge("leaps_serve_slab_chunks", "slab chunks allocated",
-          snap.slab_chunks);
-    gauge("leaps_serve_slab_overflow_total",
-          "allocations served off-pool (size mismatch)",
-          snap.slab_overflow);
-    gauge("leaps_serve_slab_batch_buffers_in_use",
-          "event-batch buffers in flight", snap.slab_batches_in_use);
-    gauge("leaps_serve_slab_batch_buffers_free",
-          "event-batch buffers pooled for reuse", snap.slab_batches_free);
-
-    obs::MetricSample qw;
-    qw.name = "leaps_serve_queue_wait_us";
-    qw.help = "enqueue to worker dequeue latency";
-    qw.type = obs::MetricType::kHistogram;
-    qw.histogram = snap.queue_wait;
-    out.push_back(std::move(qw));
-
-    obs::MetricSample cl;
-    cl.name = "leaps_serve_classify_us";
-    cl.help = "per drained run of one session";
-    cl.type = obs::MetricType::kHistogram;
-    cl.histogram = snap.classify;
-    out.push_back(std::move(cl));
-
-    obs::MetricSample dv;
-    dv.name = "leaps_serve_decision_value";
-    dv.help = "SVM decision values over scored windows (quantile sketch)";
-    dv.type = obs::MetricType::kSummary;
-    dv.summary = snap.decision_values;
-    out.push_back(std::move(dv));
-  });
+  return registry.register_collector(
+      [this](std::vector<obs::MetricSample>& out) {
+        std::vector<MetricField> fields = snapshot().fields();
+        std::sort(fields.begin(), fields.end(),
+                  [](const MetricField& a, const MetricField& b) {
+                    return a.prom < b.prom;
+                  });
+        for (MetricField& f : fields) out.push_back(std::move(f.sample));
+      });
 }
 
 }  // namespace leaps::serve

@@ -10,8 +10,11 @@
 
 #include <atomic>
 #include <cstdint>
+#include <iosfwd>
+#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "obs/histogram.h"
 #include "obs/registry.h"
@@ -19,10 +22,107 @@
 
 namespace leaps::serve {
 
-/// The log₂-bucketed histogram now lives in obs/ (the metric registry
-/// needs it below the serving layer); this alias keeps every existing
-/// serve::LatencyHistogram user compiling unchanged.
-using LatencyHistogram = obs::LatencyHistogram;
+// Every serving metric, declared once. Each row expands into its
+// ServerMetrics storage, its MetricsSnapshot field, its snapshot() read
+// and its place in every rendering: to_text, to_json, register_with and
+// the serve part of --status-json (online/status.cc). Adding a metric is
+// one row here plus its increment site.
+//
+//   COUNTER(prom, group, key, field, name, help)
+//       a std::atomic<uint64_t> member, exposed as a Prometheus counter;
+//   GAUGE(prom, group, key, field, type, name, help, source)
+//       a reading of `source` (an atomic reachable from ServerMetrics),
+//       exposed as a Prometheus gauge;
+//   HISTOGRAM(prom, key, field, name, help)  an obs::LatencyHistogram;
+//   SUMMARY(prom, key, field, name, help)    an obs::Summary.
+//
+// Row order is the JSON and text order: scalar rows of one `group` form
+// one JSON object / text line under the JSON key `key`; histograms and
+// summaries are top-level JSON objects under `key`. `prom` is the row's
+// position in the Prometheus exposition, which keeps its historical
+// order (new rows take the next number).
+#define LEAPS_SERVE_METRICS(COUNTER, GAUGE, HISTOGRAM, SUMMARY)              \
+  COUNTER(0, "events", "ingested", events_ingested,                          \
+          "leaps_serve_events_ingested_total", "events accepted by submit")  \
+  COUNTER(1, "events", "processed", events_processed,                        \
+          "leaps_serve_events_processed_total", "events classified")         \
+  COUNTER(2, "events", "dropped", events_dropped,                            \
+          "leaps_serve_events_dropped_total",                                \
+          "events evicted from a queue before feed")                         \
+  COUNTER(3, "events", "rejected", events_rejected,                          \
+          "leaps_serve_events_rejected_total",                               \
+          "submits refused (unknown session / stopped server)")              \
+  COUNTER(4, "events", "quarantined", events_quarantined,                    \
+          "leaps_serve_events_quarantined_total",                            \
+          "events failed or skipped in feed_run")                            \
+  COUNTER(5, "events", "failed", events_failed,                              \
+          "leaps_serve_events_failed_total",                                 \
+          "events that threw during classification")                         \
+  COUNTER(6, "events", "shed", events_shed, "leaps_serve_events_shed_total", \
+          "events dropped while shedding engaged")                           \
+  COUNTER(7, "windows", "scored", windows_scored,                            \
+          "leaps_serve_windows_scored_total", "windows classified")          \
+  COUNTER(8, "windows", "benign", verdicts_benign,                           \
+          "leaps_serve_verdicts_benign_total", "benign window verdicts")     \
+  COUNTER(9, "windows", "malicious", verdicts_malicious,                     \
+          "leaps_serve_verdicts_malicious_total",                            \
+          "malicious window verdicts")                                       \
+  COUNTER(11, "sessions", "opened", sessions_opened,                         \
+          "leaps_serve_sessions_opened_total", "sessions opened")            \
+  COUNTER(12, "sessions", "closed", sessions_closed,                         \
+          "leaps_serve_sessions_closed_total", "sessions closed")            \
+  COUNTER(13, "sessions", "quarantined", sessions_quarantined,               \
+          "leaps_serve_sessions_quarantined_total",                          \
+          "circuit-breaker trips")                                           \
+  COUNTER(14, "sessions", "evicted", sessions_evicted,                       \
+          "leaps_serve_sessions_evicted_total",                              \
+          "sessions removed by the idle sweep")                              \
+  GAUGE(17, "queues", "high_water", queue_high_water, std::uint64_t,         \
+        "leaps_serve_queue_high_water",                                      \
+        "deepest any shard queue got (events)", queue_high_water_)           \
+  COUNTER(10, "queues", "batches", batches_drained,                          \
+          "leaps_serve_batches_drained_total", "worker batch drains")        \
+  COUNTER(16, "queues", "shed_activations", shed_activations,                \
+          "leaps_serve_shed_activations_total",                              \
+          "times a shard entered shedding")                                  \
+  COUNTER(15, "queues", "registry_retries", registry_retries,                \
+          "leaps_serve_registry_retries_total",                              \
+          "open_session registry re-lookups")                                \
+  GAUGE(18, "slabs", "sessions_in_use", slab_sessions_in_use, std::int64_t,  \
+        "leaps_serve_slab_sessions_in_use",                                  \
+        "session slots handed out by the slab pool", session_slabs->in_use)  \
+  GAUGE(19, "slabs", "sessions_free", slab_sessions_free, std::int64_t,      \
+        "leaps_serve_slab_sessions_free",                                    \
+        "recycled session slots on the freelist", session_slabs->free)       \
+  GAUGE(20, "slabs", "chunks", slab_chunks, std::int64_t,                    \
+        "leaps_serve_slab_chunks", "slab chunks allocated",                  \
+        session_slabs->chunks)                                               \
+  GAUGE(21, "slabs", "overflow", slab_overflow, std::int64_t,                \
+        "leaps_serve_slab_overflow_total",                                   \
+        "allocations served off-pool (size mismatch)",                       \
+        session_slabs->overflow)                                             \
+  GAUGE(22, "slabs", "batch_buffers_in_use", slab_batches_in_use,            \
+        std::int64_t, "leaps_serve_slab_batch_buffers_in_use",               \
+        "event-batch buffers in flight", batch_buffers->in_use)              \
+  GAUGE(23, "slabs", "batch_buffers_free", slab_batches_free, std::int64_t,  \
+        "leaps_serve_slab_batch_buffers_free",                               \
+        "event-batch buffers pooled for reuse", batch_buffers->free)         \
+  HISTOGRAM(24, "queue_wait", queue_wait, "leaps_serve_queue_wait_us",       \
+            "enqueue to worker dequeue latency")                             \
+  HISTOGRAM(25, "classify", classify, "leaps_serve_classify_us",             \
+            "per drained run of one session")                                \
+  SUMMARY(26, "decision_value", decision_values,                             \
+          "leaps_serve_decision_value",                                      \
+          "SVM decision values over scored windows (quantile sketch)")
+
+/// One table row's reading: where it renders, and the registry sample
+/// carrying its Prometheus name, help, type and value.
+struct MetricField {
+  const char* group = "";  // "" for the top-level histograms and summaries
+  const char* key = "";
+  int prom = 0;  // position in the Prometheus exposition
+  obs::MetricSample sample;
+};
 
 /// One coherent reading of every server counter (plain values).
 ///
@@ -33,67 +133,55 @@ using LatencyHistogram = obs::LatencyHistogram;
 /// quarantined, shed ⊆ dropped); rejected events were never accepted and
 /// sit outside the identity.
 struct MetricsSnapshot {
-  std::uint64_t events_ingested = 0;
-  std::uint64_t events_processed = 0;
-  std::uint64_t events_dropped = 0;   // evicted from a queue before feed
-  std::uint64_t events_rejected = 0;  // unknown session / server stopped
-  std::uint64_t events_quarantined = 0;  // failed or skipped in feed_run
-  std::uint64_t events_failed = 0;       // threw during classification
-  std::uint64_t events_shed = 0;         // dropped while shedding engaged
-  std::uint64_t windows_scored = 0;
-  std::uint64_t verdicts_benign = 0;
-  std::uint64_t verdicts_malicious = 0;
-  std::uint64_t batches_drained = 0;
-  std::uint64_t sessions_opened = 0;
-  std::uint64_t sessions_closed = 0;
-  std::uint64_t sessions_quarantined = 0;  // circuit-breaker trips
-  std::uint64_t sessions_evicted = 0;      // removed by the idle sweep
-  std::uint64_t registry_retries = 0;      // open_session re-lookups
-  std::uint64_t shed_activations = 0;      // shard entered shedding
-  std::uint64_t queue_high_water = 0;  // deepest any shard queue got (events)
-  // Slab fabric (see serve/slab.h): session slots and batch buffers.
-  std::int64_t slab_sessions_in_use = 0;
-  std::int64_t slab_sessions_free = 0;
-  std::int64_t slab_chunks = 0;
-  std::int64_t slab_overflow = 0;
-  std::int64_t slab_batches_in_use = 0;
-  std::int64_t slab_batches_free = 0;
-  LatencyHistogram::Snapshot queue_wait;  // enqueue → worker dequeue
-  LatencyHistogram::Snapshot classify;    // per drained run of one session
-  /// Distribution of SVM decision values over every scored window — the
-  /// model-health signal (quantiles from the streaming sketch).
-  obs::Summary::Snapshot decision_values;
+#define LEAPS_SNAPSHOT_COUNTER(prom, group, key, field, name, help) \
+  std::uint64_t field = 0;
+#define LEAPS_SNAPSHOT_GAUGE(prom, group, key, field, type, name, help, \
+                             source)                                    \
+  type field = 0;
+#define LEAPS_SNAPSHOT_HISTOGRAM(prom, key, field, name, help) \
+  obs::LatencyHistogram::Snapshot field;
+#define LEAPS_SNAPSHOT_SUMMARY(prom, key, field, name, help) \
+  obs::Summary::Snapshot field;
+  LEAPS_SERVE_METRICS(LEAPS_SNAPSHOT_COUNTER, LEAPS_SNAPSHOT_GAUGE,
+                      LEAPS_SNAPSHOT_HISTOGRAM, LEAPS_SNAPSHOT_SUMMARY)
+#undef LEAPS_SNAPSHOT_COUNTER
+#undef LEAPS_SNAPSHOT_GAUGE
+#undef LEAPS_SNAPSHOT_HISTOGRAM
+#undef LEAPS_SNAPSHOT_SUMMARY
 
+  /// Every row, in table order.
+  std::vector<MetricField> fields() const;
+
+  /// `group: key=value …` lines, one per group, then one per histogram
+  /// and summary.
   std::string to_text() const;
   std::string to_json() const;
+  /// to_json's members without the outer braces. `extras[group]` holds
+  /// pre-rendered `"key":value` members appended inside that group's
+  /// object (--status-json adds sessions.active and queues.wait_p99_us).
+  void append_json_members(
+      std::ostream& os,
+      const std::map<std::string, std::string>& extras = {}) const;
 };
 
 /// The live counters. Shared by the server, its workers, and any
 /// metrics-dumping thread; every member is individually atomic.
 class ServerMetrics {
  public:
-  std::atomic<std::uint64_t> events_ingested{0};
-  std::atomic<std::uint64_t> events_processed{0};
-  std::atomic<std::uint64_t> events_dropped{0};
-  std::atomic<std::uint64_t> events_rejected{0};
-  std::atomic<std::uint64_t> events_quarantined{0};
-  std::atomic<std::uint64_t> events_failed{0};
-  std::atomic<std::uint64_t> events_shed{0};
-  std::atomic<std::uint64_t> windows_scored{0};
-  std::atomic<std::uint64_t> verdicts_benign{0};
-  std::atomic<std::uint64_t> verdicts_malicious{0};
-  std::atomic<std::uint64_t> batches_drained{0};
-  std::atomic<std::uint64_t> sessions_opened{0};
-  std::atomic<std::uint64_t> sessions_closed{0};
-  std::atomic<std::uint64_t> sessions_quarantined{0};
-  std::atomic<std::uint64_t> sessions_evicted{0};
-  std::atomic<std::uint64_t> registry_retries{0};
-  std::atomic<std::uint64_t> shed_activations{0};
-  LatencyHistogram queue_wait;
-  LatencyHistogram classify;
-  /// Streaming quantile sketch of per-window decision values (mutex-
-  /// guarded internally; observed once per scored window, not per event).
-  obs::Summary decision_values;
+#define LEAPS_LIVE_COUNTER(prom, group, key, field, name, help) \
+  std::atomic<std::uint64_t> field{0};
+#define LEAPS_LIVE_GAUGE(prom, group, key, field, type, name, help, source)
+#define LEAPS_LIVE_HISTOGRAM(prom, key, field, name, help) \
+  obs::LatencyHistogram field;
+#define LEAPS_LIVE_SUMMARY(prom, key, field, name, help) obs::Summary field;
+  // Summaries are mutex-guarded internally; decision_values is observed
+  // once per scored window, not per event.
+  LEAPS_SERVE_METRICS(LEAPS_LIVE_COUNTER, LEAPS_LIVE_GAUGE,
+                      LEAPS_LIVE_HISTOGRAM, LEAPS_LIVE_SUMMARY)
+#undef LEAPS_LIVE_COUNTER
+#undef LEAPS_LIVE_GAUGE
+#undef LEAPS_LIVE_HISTOGRAM
+#undef LEAPS_LIVE_SUMMARY
   /// Gauge blocks the slab pools publish into (leaps_serve_slab_*).
   /// shared_ptr: the session pool — and its gauges — can outlive the
   /// server when queued events keep sessions alive past shutdown.
@@ -114,11 +202,11 @@ class ServerMetrics {
 
   MetricsSnapshot snapshot() const;
 
-  /// Contributes every counter and both histograms to `registry` under
-  /// `leaps_serve_*` names, so serving metrics share one scrape surface
-  /// with the pipeline/ingest metrics. Readings are taken at collect()
-  /// time from the live atomics. The returned handle unregisters on
-  /// destruction and must not outlive this object.
+  /// Contributes every table row to `registry` under its `leaps_serve_*`
+  /// name, so serving metrics share one scrape surface with the
+  /// pipeline/ingest metrics. Readings are taken at collect() time from
+  /// the live atomics. The returned handle unregisters on destruction and
+  /// must not outlive this object.
   [[nodiscard]] obs::MetricRegistry::Registration register_with(
       obs::MetricRegistry& registry) const;
 

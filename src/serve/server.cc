@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <span>
+#include <stdexcept>
 
 #include "obs/trace.h"
 #include "util/check.h"
@@ -45,23 +46,11 @@ void DetectionServer::set_verdict_sink(VerdictSink sink) {
   sink_ = std::move(sink);
 }
 
-void DetectionServer::set_window_tap(WindowTap tap) {
-  const std::lock_guard<std::mutex> lock(lifecycle_mu_);
-  LEAPS_CHECK_MSG(!started_, "set the window tap before start()");
-  tap_ = std::move(tap);
-}
-
-void DetectionServer::set_audit_log(AuditLog* audit) {
-  const std::lock_guard<std::mutex> lock(lifecycle_mu_);
-  LEAPS_CHECK_MSG(!started_, "set the audit log before start()");
-  audit_ = audit;
-}
-
 void DetectionServer::add_window_tap(WindowTap tap) {
   const std::lock_guard<std::mutex> lock(lifecycle_mu_);
   LEAPS_CHECK_MSG(!started_, "add window taps before start()");
   LEAPS_CHECK_MSG(tap, "add_window_tap needs a callable tap");
-  extra_taps_.push_back(std::move(tap));
+  taps_.push_back(std::move(tap));
 }
 
 bool DetectionServer::begin_shadow(
@@ -102,29 +91,17 @@ void DetectionServer::start() {
   const std::lock_guard<std::mutex> lock(lifecycle_mu_);
   if (started_) return;
   LEAPS_CHECK_MSG(!stopped_, "a stopped server cannot be restarted");
-  // Fold the user tap, the extra taps, and the audit hook into one window
-  // callback so feed_run buffers events whenever any consumer wants them.
-  if (audit_ != nullptr || !extra_taps_.empty()) {
-    effective_tap_ = [this](const SessionKey& key, std::size_t window_index,
-                            int label, double decision_value,
-                            const trace::PartitionedEvent* events,
-                            std::size_t count) {
-      if (tap_) tap_(key, window_index, label, decision_value, events, count);
-      for (const WindowTap& tap : extra_taps_) {
+  if (taps_.size() == 1) {
+    window_tap_ = taps_.front();
+  } else if (!taps_.empty()) {
+    window_tap_ = [this](const SessionKey& key, std::size_t window_index,
+                         int label, double decision_value,
+                         const trace::PartitionedEvent* events,
+                         std::size_t count) {
+      for (const WindowTap& tap : taps_) {
         tap(key, window_index, label, decision_value, events, count);
       }
-      if (audit_ != nullptr && label == -1) {
-        // Anomalous verdicts are the rare path; the session lookup (one
-        // shared-lock map find) buys the audit record the exact detector
-        // snapshot that scored the window.
-        if (const std::shared_ptr<Session> s = sessions_.find(key)) {
-          audit_->submit(key, s->profile(), window_index, label,
-                         decision_value, events, count, s->detector());
-        }
-      }
     };
-  } else {
-    effective_tap_ = tap_;
   }
   started_ = true;
   workers_.reserve(options_.workers);
@@ -245,9 +222,15 @@ bool DetectionServer::submit(const std::shared_ptr<Session>& session,
     return false;
   }
   // Ingest boundary: the event's strings die here; only the compact form
-  // (interned ids, see trace/intern.h) flows onward.
-  const trace::CompactEvent compact =
-      trace::TokenTable::global().compact(event);
+  // (interned ids, see trace/intern.h) flows onward. A token table whose
+  // id domain is full refuses the event before it is accepted.
+  trace::CompactEvent compact;
+  try {
+    compact = trace::TokenTable::global().compact(event);
+  } catch (const std::length_error&) {
+    metrics_.events_rejected.fetch_add(1, kRelaxed);
+    return false;
+  }
   accepted_.fetch_add(1, std::memory_order_release);
   metrics_.events_ingested.fetch_add(1, kRelaxed);
   {
@@ -393,7 +376,7 @@ void DetectionServer::worker_loop(std::size_t shard_index) {
         outcome = batches[i].session->feed_run(
             std::span<const trace::CompactEvent>(run), verdicts,
             options_.circuit_breaker,
-            effective_tap_ ? &effective_tap_ : nullptr);
+            window_tap_ ? &window_tap_ : nullptr);
       } catch (...) {
         // feed_run guards each event, so reaching here means something
         // escaped even that (e.g. a throwing verdict copy). Quarantine

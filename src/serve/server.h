@@ -80,7 +80,6 @@
 #include <thread>
 #include <vector>
 
-#include "serve/audit.h"
 #include "serve/metrics.h"
 #include "serve/queue.h"
 #include "serve/registry.h"
@@ -156,20 +155,11 @@ class DetectionServer {
   /// Install before start(); called from workers for every verdict.
   void set_verdict_sink(VerdictSink sink);
 
-  /// Install before start(); observes every completed window on the worker
-  /// path with its raw events (the online-learning feed, see WindowTap).
-  void set_window_tap(WindowTap tap);
-
-  /// Install before start(); every anomalous (label −1) completed window
-  /// is submitted to `audit` with its events and the session's pinned
-  /// detector (drop-not-block; see serve/audit.h). The log must outlive
-  /// the server and be started/stopped by the caller.
-  void set_audit_log(AuditLog* audit);
-
-  /// Install before start(); like set_window_tap but additive — each
-  /// registered tap observes every completed window after the primary
-  /// tap. This is how serve-agnostic consumers (the attribution matcher)
-  /// join the window stream without claiming the online-learning slot.
+  /// Install before start(); `tap` observes every completed window on the
+  /// worker path with its raw events (see WindowTap). Taps run in
+  /// registration order. This is the one hook for window consumers: the
+  /// online learner (OnlineManager::install), the attribution matcher and
+  /// the audit log (audit_tap) all join the window stream through it.
   void add_window_tap(WindowTap tap);
 
   /// Stages `candidate` as the shadow for `profile` (see
@@ -229,9 +219,10 @@ class DetectionServer {
   /// at every `coalesce`-th staged event — ships the stage to the
   /// session's shard queue as one batch. Returns false — and counts the
   /// event as rejected — when the session handle is null or quarantined,
-  /// or the server has been stopped. Under kDropOldest (or a shedding
-  /// shard) *older* queued events may be evicted (counted as dropped,
-  /// and as shed while shedding) to admit this one's batch.
+  /// the server has been stopped, or the token table is full. Under
+  /// kDropOldest (or a shedding shard) *older* queued events may be
+  /// evicted (counted as dropped, and as shed while shedding) to admit
+  /// this one's batch.
   bool submit(const std::shared_ptr<Session>& session,
               trace::PartitionedEvent event);
 
@@ -269,12 +260,11 @@ class DetectionServer {
                            metrics_.session_slabs};
   BufferPool<trace::CompactEvent> batch_pool_{1024, metrics_.batch_buffers};
   VerdictSink sink_;
-  WindowTap tap_;  // set before start(), then read-only from workers
-  AuditLog* audit_ = nullptr;  // set before start(); not owned
-  // tap_ and the audit hook folded into one callable for feed_run; built
-  // at start() so the per-window dispatch is a single call.
-  std::vector<WindowTap> extra_taps_;
-  WindowTap effective_tap_;
+  std::vector<WindowTap> taps_;  // added before start(), then read-only
+  // taps_ as the one callable feed_run takes, built at start(): the only
+  // tap itself, or a fold over all of them. Empty when no tap is added,
+  // so sessions skip buffering window events nobody reads.
+  WindowTap window_tap_;
   // Serializes begin/end shadow against the open_session auto-attach.
   mutable std::mutex shadow_mu_;
   std::map<std::string, std::shared_ptr<const ShadowSink>> shadow_sinks_;

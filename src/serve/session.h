@@ -9,7 +9,7 @@
 // Hot-path form: the worker path feeds trace::CompactEvent batches
 // (interned at the ingest boundary, see trace/intern.h); strings never
 // reach feed_run. Tapped windows are materialized — exactly — from the
-// TokenTable only when a WindowTap/audit consumer is installed.
+// TokenTable only when a WindowTap is installed.
 //
 // Failure model: classification runs against adversarial event streams,
 // so feed_run guards every event. An event that throws (poison input, an

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/registry.h"
-#include "util/check.h"
 
 namespace leaps::trace {
 
@@ -74,12 +73,8 @@ TokenTable& TokenTable::global() {
               const Stats s = t->stats();
               const auto gauge = [&out](const char* name, const char* help,
                                         std::uint64_t v) {
-                obs::MetricSample m;
-                m.name = name;
-                m.help = help;
-                m.type = obs::MetricType::kGauge;
-                m.gauge_value = static_cast<std::int64_t>(v);
-                out.push_back(std::move(m));
+                out.push_back(obs::gauge_sample(
+                    name, help, static_cast<std::int64_t>(v)));
               };
               gauge("leaps_trace_token_table_system_stacks",
                     "distinct system-stack sequences interned",
@@ -94,25 +89,19 @@ TokenTable& TokenTable::global() {
               gauge("leaps_trace_token_table_bytes_retained",
                     "approximate heap bytes pinned by interned tokens",
                     s.bytes_retained);
-              obs::MetricSample hits;
-              hits.name = "leaps_trace_token_table_hits_total";
-              hits.help = "compact() calls served fully from cache";
-              hits.type = obs::MetricType::kCounter;
-              hits.counter_value = s.hits;
-              out.push_back(std::move(hits));
-              obs::MetricSample interned;
-              interned.name = "leaps_trace_token_table_interned_total";
-              interned.help = "compact() calls that added a token";
-              interned.type = obs::MetricType::kCounter;
-              interned.counter_value = s.interned;
-              out.push_back(std::move(interned));
+              out.push_back(obs::counter_sample(
+                  "leaps_trace_token_table_hits_total",
+                  "compact() calls served fully from cache", s.hits));
+              out.push_back(obs::counter_sample(
+                  "leaps_trace_token_table_interned_total",
+                  "compact() calls that added a token", s.interned));
             });
     return t;
   }();
   return *table;
 }
 
-StringSet TokenTable::derive_lib_set(const std::vector<StackFrame>& frames) {
+StringSet derive_lib_set(const std::vector<StackFrame>& frames) {
   StringSet out;
   out.reserve(frames.size());
   for (const StackFrame& f : frames) out.push_back(f.module);
@@ -121,12 +110,12 @@ StringSet TokenTable::derive_lib_set(const std::vector<StackFrame>& frames) {
   return out;
 }
 
-StringSet TokenTable::derive_func_set(const std::vector<StackFrame>& frames) {
+StringSet derive_func_set(const std::vector<StackFrame>& frames) {
   StringSet out;
   out.reserve(frames.size());
   for (const StackFrame& f : frames) {
-    // Functions are module-qualified: ReadFile in kernel32 and in
-    // kernelbase are different functions (same rule as the preprocessor).
+    // Function names are qualified by module: ReadFile exists in both
+    // kernel32 and kernelbase, and those are different functions.
     out.push_back(f.module + "!" + f.function);
   }
   std::sort(out.begin(), out.end());
@@ -187,13 +176,9 @@ CompactEvent TokenTable::compact(const PartitionedEvent& event) {
         if (func_store_.size() > func_before) {
           bytes += set_bytes(func_store_[entry.func_id]);
         }
-        bytes_retained_.fetch_add(bytes, std::memory_order_relaxed);
         out.sys_id = sys_store_.append(std::move(entry));
+        bytes_retained_.fetch_add(bytes, std::memory_order_relaxed);
         sys_ids_.emplace(event.system_stack, out.sys_id);
-        LEAPS_CHECK_MSG(
-            out.sys_id < SegmentedStore<SysEntry>::kMaxSegments *
-                             SegmentedStore<SysEntry>::kSegSize,
-            "TokenTable system-stack domain exhausted");
       }
     }
     const SysEntry& entry = sys_store_[out.sys_id];
@@ -219,11 +204,11 @@ CompactEvent TokenTable::compact(const PartitionedEvent& event) {
         out.app_id = it->second;
       } else {
         missed = true;
+        out.app_id = app_store_.append(event.app_stack);
         bytes_retained_.fetch_add(
             sizeof(std::vector<std::uint64_t>) +
                 event.app_stack.size() * sizeof(std::uint64_t),
             std::memory_order_relaxed);
-        out.app_id = app_store_.append(event.app_stack);
         app_ids_.emplace(event.app_stack, out.app_id);
       }
     }

@@ -16,10 +16,9 @@
 // system-stack frame sequence (addresses included) and app-stack
 // address sequence verbatim, so materialize() reconstructs a
 // PartitionedEvent byte-identical to the original. The Lib/Func sets
-// derived at intern time use the same sort-and-deduplicate recipe as
-// core::Preprocessor::lib_set/func_set (asserted by tests), which is
-// what makes id-keyed feature caching downstream byte-identical to the
-// string path.
+// derived at intern time come from the same derive_lib_set/func_set
+// recipes core::Preprocessor::lib_set/func_set call, which is what makes
+// id-keyed feature caching downstream byte-identical to the string path.
 //
 // Thread safety: fully thread-safe. Lookups by id are lock-free
 // (append-only segmented storage, entries never move); interning takes
@@ -41,6 +40,7 @@
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -52,6 +52,12 @@ namespace leaps::trace {
 /// Sorted, deduplicated string set — mirrors ml::StringSet (trace sits
 /// below ml in the layering, so the alias is restated here).
 using StringSet = std::vector<std::string>;
+
+/// The Lib set (module names) / Func set ("module!function") of a system
+/// stack, sorted and deduplicated: the one recipe behind both
+/// core::Preprocessor::lib_set/func_set and the ids TokenTable derives.
+StringSet derive_lib_set(const std::vector<StackFrame>& frames);
+StringSet derive_func_set(const std::vector<StackFrame>& frames);
 
 /// The interned hot-path event: what PartitionedEvent becomes at the
 /// ingest boundary. Plain integers, no heap state — cheap to copy, to
@@ -91,10 +97,15 @@ class SegmentedStore {
     return seg[id & (kSegSize - 1)];
   }
 
-  /// Caller must hold the owning domain's exclusive lock.
+  /// Caller must hold the owning domain's exclusive lock. Throws
+  /// std::length_error, before writing anything, once the store holds
+  /// kMaxSegments * kSegSize values.
   std::uint32_t append(T value) {
     const std::uint32_t id = size_.load(std::memory_order_relaxed);
     const std::size_t seg_index = id >> kSegBits;
+    if (seg_index >= kMaxSegments) {
+      throw std::length_error("TokenTable id domain exhausted");
+    }
     T* seg = segments_[seg_index].load(std::memory_order_relaxed);
     if (seg == nullptr) {
       seg = new T[kSegSize];
@@ -150,12 +161,6 @@ class TokenTable {
     std::uint64_t bytes_retained = 0;
   };
   Stats stats() const;
-
-  /// The sort-and-deduplicate set recipes, restated from
-  /// core::Preprocessor::lib_set/func_set (which cannot be called from
-  /// this layer). tests/test_serve_fabric.cc asserts they agree.
-  static StringSet derive_lib_set(const std::vector<StackFrame>& frames);
-  static StringSet derive_func_set(const std::vector<StackFrame>& frames);
 
  private:
   struct SysEntry {

@@ -462,13 +462,21 @@ TEST(ServerShadow, WindowTapDeliversWholeWindowsWithLabels) {
 
   std::mutex mu;
   std::vector<std::pair<int, std::size_t>> taps;  // (label, event count)
-  server.set_window_tap([&](const serve::SessionKey&, std::size_t,
+  std::vector<int> order;  // which tap ran, in call order
+  server.add_window_tap([&](const serve::SessionKey&, std::size_t,
                             int label, double,
                             const trace::PartitionedEvent* events,
                             std::size_t count) {
     ASSERT_NE(events, nullptr);
     const std::lock_guard<std::mutex> lock(mu);
     taps.emplace_back(label, count);
+    order.push_back(1);
+  });
+  server.add_window_tap([&](const serve::SessionKey&, std::size_t, int,
+                            double, const trace::PartitionedEvent*,
+                            std::size_t) {
+    const std::lock_guard<std::mutex> lock(mu);
+    order.push_back(2);
   });
   server.start();
 
@@ -484,6 +492,12 @@ TEST(ServerShadow, WindowTapDeliversWholeWindowsWithLabels) {
   for (const auto& [label, count] : taps) {
     EXPECT_EQ(count, window) << "tap must only see whole windows";
     EXPECT_TRUE(label == 1 || label == -1);
+  }
+  // One session, so one worker: every window runs both taps, in
+  // registration order.
+  ASSERT_EQ(order.size(), 2 * taps.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], i % 2 == 0 ? 1 : 2) << "call " << i;
   }
   server.stop();
 }

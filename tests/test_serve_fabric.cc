@@ -20,6 +20,7 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -98,6 +99,19 @@ TEST(TokenTable, DerivedSetsMatchPreprocessorRecipes) {
     EXPECT_EQ(table.func_set(c.func_id), core::Preprocessor::func_set(e))
         << "Func recipe diverged from core::Preprocessor::func_set";
   }
+}
+
+TEST(SegmentedStore, RefusesAppendPastCapacityWithoutWriting) {
+  using Store = trace::SegmentedStore<std::uint8_t>;
+  constexpr std::size_t kCapacity = Store::kMaxSegments * Store::kSegSize;
+  auto store = std::make_unique<Store>();
+  for (std::size_t i = 0; i < kCapacity; ++i) {
+    store->append(static_cast<std::uint8_t>(i));
+  }
+  ASSERT_EQ(store->size(), kCapacity);
+  EXPECT_THROW(store->append(0xAB), std::length_error);
+  EXPECT_EQ(store->size(), kCapacity);
+  EXPECT_EQ((*store)[kCapacity - 1], static_cast<std::uint8_t>(kCapacity - 1));
 }
 
 TEST(TokenTable, ConcurrentInterningIsDeterministic) {

@@ -254,7 +254,6 @@ int main(int argc, char** argv) {
       }
     }
     serve::DetectionServer server(options);
-    if (audit != nullptr) server.set_audit_log(audit.get());
     // One scrape surface: the server's counters join the ingest/pipeline
     // metrics already living in the global registry, so --metrics-out
     // carries both. Held for the server's lifetime.
@@ -328,8 +327,7 @@ int main(int argc, char** argv) {
       });
     }
     // Campaign attribution: the signature library loads up front, the
-    // attributor joins the window stream as an extra tap (leaving the
-    // primary tap slot to the online manager).
+    // attributor joins the window stream as a window tap.
     std::unique_ptr<attrib::SignatureLibrary> signatures;
     std::unique_ptr<attrib::FleetAttributor> attributor;
     if (!attrib_dir.empty()) {
@@ -364,6 +362,9 @@ int main(int argc, char** argv) {
                                                         online_options);
       manager->install();
       if (recovered.has_value()) manager->restore(*recovered);
+    }
+    if (audit != nullptr) {
+      server.add_window_tap(serve::audit_tap(audit.get(), &server.sessions()));
     }
     server.start();
 
