@@ -386,8 +386,7 @@ Detector load_detector_v3(std::istream& is) {
 
 }  // namespace
 
-void save_detector(const Detector& detector, std::ostream& os,
-                   PersistVersion version) {
+void save_detector(const Detector& detector, std::ostream& os) {
   const Preprocessor& pre = detector.preprocessor();
   require(pre.fitted(), "detector preprocessor not fitted");
   const ContinualState* cs = detector.continual();
@@ -396,21 +395,7 @@ void save_detector(const Detector& detector, std::ostream& os,
             "continual state: alpha size disagrees with training set");
   }
 
-  if (version == PersistVersion::kV2) {
-    os << std::setprecision(17);
-    os << kMagic << ' ' << kVersionV2 << '\n';
-    write_options(os, pre.options());
-    write_clusterer(os, "LIB", pre.lib_clusterer());
-    write_clusterer(os, "FUNC", pre.func_clusterer());
-    write_scaler(os, detector.scaler());
-    write_svm(os, detector);
-    if (cs != nullptr) write_continual(os, *cs);
-    os << "END\n";
-    require(static_cast<bool>(os), "write failure");
-    return;
-  }
-
-  // v3: render each section once, frame it with size + CRC32C. The body
+  // Render each section once, frame it with size + CRC32C. The body
   // parser's END sentinel is supplied by the loader after it verifies and
   // concatenates the payloads; the outer END terminates the block stream.
   const auto render = [](const std::function<void(std::ostream&)>& fn) {
@@ -460,11 +445,9 @@ Detector load_detector(std::istream& is) {
   return load_detector_body(r, /*allow_continual=*/version == kVersionV2);
 }
 
-void save_detector_file(const Detector& detector, const std::string& path,
-                        PersistVersion version) {
+void save_detector_file(const Detector& detector, const std::string& path) {
   const util::Status status = util::atomic_write_file(
-      path,
-      [&](std::ostream& os) { save_detector(detector, os, version); });
+      path, [&](std::ostream& os) { save_detector(detector, os); });
   if (!status.ok()) {
     throw PersistError("atomic save of " + path + " failed: " +
                        status.to_string());

@@ -4,7 +4,8 @@
 // production logs elsewhere (the paper's deployment story for the Testing
 // Phase).
 //
-// v2 body sketch (all tokens whitespace-separated, doubles in %.17g):
+// Body sketch, the whole of a v1/v2 file (all tokens whitespace-separated,
+// doubles in %.17g):
 //   LEAPS-DETECTOR v2
 //   OPTIONS window=10 lib_cut=0.3 func_cut=0.35 lib_gap=10 func_gap=10
 //   CLUSTERER LIB <unique_sets> <clusters>
@@ -16,7 +17,7 @@
 //   SVM <kernel> <sigma2> <degree> <coef0> <bias> <sv_count> <dims>
 //   SV <coef> <x>...
 //   THRESHOLD <t>
-//   CONTINUAL            (v2, optional — continual-learning warm-start state)
+//   CONTINUAL            (v2 and v3, optional — continual-learning state)
 //   CFG <edge_count>
 //   E <from> <to>...
 //   TRAINSET <n> <dims>
@@ -34,10 +35,11 @@
 // reports failures as PersistError with the exact byte offset of the
 // damage ("truncated block", "checksum mismatch", "missing END").
 //
-// Version compatibility: v1 (pre-online-learning) and v2 files still
-// load — v1 carries no CONTINUAL block, so Detector::continual() is null
-// and retraining falls back to a cold start. save_detector defaults to v3;
-// pass PersistVersion::kV2 to emit a file older builds can read.
+// Version compatibility: the writer emits v3 only; v1 (pre-online-learning)
+// and v2 files still load. v1 carries no CONTINUAL block, so
+// Detector::continual() is null and retraining falls back to a cold start.
+// A v2 file is exactly "LEAPS-DETECTOR v2\n", the concatenated v3 block
+// payloads, and "END\n".
 #pragma once
 
 #include <iosfwd>
@@ -54,15 +56,9 @@ class PersistError : public std::runtime_error {
       : std::runtime_error("detector persistence: " + what) {}
 };
 
-enum class PersistVersion {
-  kV2,  // plain token stream, readable by pre-durability builds
-  kV3,  // CRC32C block framing (default)
-};
-
-/// Serializes a trained detector. Throws PersistError on unserializable
-/// state (e.g. set members containing whitespace).
-void save_detector(const Detector& detector, std::ostream& os,
-                   PersistVersion version = PersistVersion::kV3);
+/// Serializes a trained detector as v3. Throws PersistError on
+/// unserializable state (e.g. set members containing whitespace).
+void save_detector(const Detector& detector, std::ostream& os);
 
 /// Deserializes any supported version (v1/v2/v3); throws PersistError on
 /// malformed or version-mismatched input. v3 errors carry byte offsets.
@@ -71,8 +67,7 @@ Detector load_detector(std::istream& is);
 /// File-path wrappers. Saving goes through util::atomic_write_file
 /// (temp + fsync + rename): a crash mid-save can never leave a
 /// half-written model at `path`. Both throw PersistError on I/O failure.
-void save_detector_file(const Detector& detector, const std::string& path,
-                        PersistVersion version = PersistVersion::kV3);
+void save_detector_file(const Detector& detector, const std::string& path);
 Detector load_detector_file(const std::string& path);
 
 }  // namespace leaps::core

@@ -107,7 +107,7 @@ Detector::Detector(Preprocessor preprocessor, ml::MinMaxScaler scaler,
   LEAPS_CHECK_MSG(scaler_.fitted(), "Detector needs a fitted scaler");
 }
 
-double Detector::ScanResult::malicious_fraction() const {
+double Detector::WindowCounts::malicious_fraction() const {
   const std::size_t total = benign_windows + malicious_windows;
   return total == 0
              ? 0.0
@@ -122,7 +122,7 @@ Detector::ScanResult Detector::scan(const trace::PartitionedLog& log) const {
   for (const ml::FeatureVector& x : windows.X) {
     const int label = predict(x);
     result.window_labels.push_back(label);
-    (label == 1 ? result.benign_windows : result.malicious_windows) += 1;
+    result.add(label);
   }
   return result;
 }
@@ -192,8 +192,7 @@ std::optional<int> Detector::Stream::push_tuple(const EventTuple& t) {
   const int label = f >= detector_->decision_threshold() ? 1 : -1;
   last_decision_value_ = f;
   pending_.clear();
-  tally_.window_labels.push_back(label);
-  (label == 1 ? tally_.benign_windows : tally_.malicious_windows) += 1;
+  tally_.add(label);
   return label;
 }
 

@@ -110,11 +110,20 @@ class Detector {
   Detector(Preprocessor preprocessor, ml::MinMaxScaler scaler,
            ml::SvmModel model);
 
-  struct ScanResult {
-    std::vector<int> window_labels;  // +1 benign / -1 malicious per window
+  /// Verdict counts over a run of windows.
+  struct WindowCounts {
     std::size_t benign_windows = 0;
     std::size_t malicious_windows = 0;
+    std::size_t windows() const { return benign_windows + malicious_windows; }
     double malicious_fraction() const;
+    /// Counts one verdict (+1 benign / -1 malicious).
+    void add(int label) {
+      (label == 1 ? benign_windows : malicious_windows) += 1;
+    }
+  };
+
+  struct ScanResult : WindowCounts {
+    std::vector<int> window_labels;  // +1 benign / -1 malicious per window
   };
 
   /// Classifies every window of the log.
@@ -159,11 +168,12 @@ class Detector {
     return continual_.has_value() ? &*continual_ : nullptr;
   }
   void set_continual(ContinualState state) { continual_ = std::move(state); }
-  void clear_continual() { continual_.reset(); }
 
   /// Online scanning: feed events as the tracer produces them; a verdict
   /// (+1 benign / -1 malicious) pops out every `window` events. The stream
-  /// borrows the detector, which must outlive it.
+  /// keeps counters, never per-window state, so a stream that lives for
+  /// days stays the same size. It borrows the detector, which must
+  /// outlive it.
   class Stream {
    public:
     explicit Stream(const Detector& detector);
@@ -181,7 +191,7 @@ class Detector {
     /// Events buffered toward the next (incomplete) window. Mirrors batch
     /// scan() semantics: a trailing partial window is never classified.
     std::size_t pending_events() const { return pending_.size() / 3; }
-    const ScanResult& tally() const { return tally_; }
+    const WindowCounts& tally() const { return tally_; }
     /// Decision value of the most recently completed window (0 before the
     /// first verdict). Valid right after push() returned a label.
     double last_decision_value() const { return last_decision_value_; }
@@ -193,7 +203,7 @@ class Detector {
     ml::FeatureVector pending_;
     std::size_t events_seen_ = 0;
     double last_decision_value_ = 0.0;
-    ScanResult tally_;
+    WindowCounts tally_;
   };
   Stream stream() const { return Stream(*this); }
 

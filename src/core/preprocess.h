@@ -12,7 +12,6 @@
 // to the nearest training set's cluster.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -199,37 +198,28 @@ class TupleCodec {
     double coord = 0.0;
   };
 
-  /// Append-only id-indexed slot table (ids are dense, so segments fill
-  /// front to back; a segment is allocated the first time an id in its
-  /// range arrives).
+  /// Append-only id-indexed slot table over trace::SegmentArray, the
+  /// TokenTable's own geometry: every id the table can mint has a slot,
+  /// and an id past the cap throws std::length_error before any write.
   class IdCache {
    public:
-    static constexpr std::size_t kSegBits = 10;  // 1024 slots per segment
-    static constexpr std::size_t kSegSize = std::size_t{1} << kSegBits;
-    static constexpr std::size_t kMaxSegments = 4096;  // ~4.2M ids
-
-    IdCache() = default;
-    ~IdCache() {
-      for (auto& s : segments_) delete[] s.load(std::memory_order_relaxed);
-    }
-
     /// Returns the slot for `id`, computing it with `fill` under the
     /// cache mutex when absent. `fill` writes cluster/coord.
     template <typename Fill>
     const Slot& get(std::uint32_t id, Fill&& fill) const {
-      Slot* slot = find(id);
+      const Slot* slot = slots_.find(id);
       if (slot != nullptr &&
           slot->state.load(std::memory_order_acquire) == 1) {
         return *slot;
       }
       const std::lock_guard<std::mutex> lock(mu_);
-      slot = ensure(id);
-      if (slot->state.load(std::memory_order_relaxed) != 1) {
-        fill(*slot);
-        slot->state.store(1, std::memory_order_release);
+      Slot& fresh = slots_.ensure(id);
+      if (fresh.state.load(std::memory_order_relaxed) != 1) {
+        fill(fresh);
+        fresh.state.store(1, std::memory_order_release);
         size_.fetch_add(1, std::memory_order_relaxed);
       }
-      return *slot;
+      return fresh;
     }
 
     std::size_t size() const {
@@ -237,24 +227,13 @@ class TupleCodec {
     }
 
    private:
-    Slot* find(std::uint32_t id) const {
-      Slot* seg = segments_[id >> kSegBits].load(std::memory_order_acquire);
-      return seg == nullptr ? nullptr : &seg[id & (kSegSize - 1)];
-    }
-    Slot* ensure(std::uint32_t id) const {  // caller holds mu_
-      const std::size_t seg_index = id >> kSegBits;
-      Slot* seg = segments_[seg_index].load(std::memory_order_relaxed);
-      if (seg == nullptr) {
-        seg = new Slot[kSegSize];
-        segments_[seg_index].store(seg, std::memory_order_release);
-      }
-      return &seg[id & (kSegSize - 1)];
-    }
-
-    mutable std::array<std::atomic<Slot*>, kMaxSegments> segments_{};
+    mutable trace::SegmentArray<Slot> slots_;
     mutable std::atomic<std::size_t> size_{0};
     mutable std::mutex mu_;
   };
+  static_assert(trace::SegmentArray<Slot>::kCapacity ==
+                    trace::SegmentedStore<trace::StringSet>::kCapacity,
+                "the codec must hold a slot for every id a TokenTable mints");
 
   IdCache libs_;
   IdCache funcs_;

@@ -96,7 +96,7 @@ class Cursor {
 
 std::string detector_bytes(const core::Detector& detector) {
   std::ostringstream os;
-  core::save_detector(detector, os, core::PersistVersion::kV3);
+  core::save_detector(detector, os);
   return std::move(os).str();
 }
 

@@ -1,18 +1,19 @@
-// Bounded MPMC queue for the serving layer.
+// Bounded MPMC queue for the serving layer's batched hand-off.
 //
 // A classic mutex + two-condition-variable design: small, obviously correct,
 // and fast enough that the SVM classification (hundreds of kernel
-// evaluations per window) dominates by orders of magnitude. Producers are
-// subject to a backpressure policy when the queue is full:
+// evaluations per window) dominates by orders of magnitude. Items carry a
+// weight (events per batch), and capacity is counted in weight units.
+// Producers are subject to a backpressure policy when the queue is full:
 //
 //   kBlock      — push() waits for space (lossless; slows ingest to the
 //                 drain rate, the right default for replayed logs),
-//   kDropOldest — push() evicts the oldest queued item to make room
+//   kDropOldest — push() evicts the oldest queued items to make room
 //                 (lossy but bounded-latency, the right choice for live
 //                 tracers that must never stall the monitored host).
 //
 // close() wakes everyone; consumers then drain the remaining items and
-// pop() returns nullopt once the queue is both closed and empty.
+// pop_batch() returns 0 once the queue is both closed and empty.
 #pragma once
 
 #include <condition_variable>
@@ -35,141 +36,13 @@ const char* overflow_policy_name(OverflowPolicy policy);
 /// Parses "block" / "drop-oldest"; nullopt on anything else.
 std::optional<OverflowPolicy> parse_overflow_policy(std::string_view name);
 
-template <typename T>
-class BoundedQueue {
- public:
-  explicit BoundedQueue(std::size_t capacity,
-                        OverflowPolicy policy = OverflowPolicy::kBlock)
-      : capacity_(capacity == 0 ? 1 : capacity), policy_(policy) {}
-
-  BoundedQueue(const BoundedQueue&) = delete;
-  BoundedQueue& operator=(const BoundedQueue&) = delete;
-
-  /// Enqueues one item. Under kBlock, waits for space; under kDropOldest
-  /// — or kBlock with shedding engaged — never waits and instead evicts
-  /// the oldest queued item when full. Returns false (item discarded)
-  /// only when the queue is closed. `evicted`, when non-null, receives
-  /// the number of items dropped to make room (0 or 1).
-  bool push(T item, std::size_t* evicted = nullptr) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (evicted != nullptr) *evicted = 0;
-    if (policy_ == OverflowPolicy::kBlock) {
-      space_.wait(lock, [this] {
-        return closed_ || shedding_ || items_.size() < capacity_;
-      });
-    }
-    if (closed_) return false;
-    if (items_.size() >= capacity_) {
-      items_.pop_front();
-      ++dropped_;
-      if (evicted != nullptr) *evicted = 1;
-    }
-    items_.push_back(std::move(item));
-    if (items_.size() > high_water_) high_water_ = items_.size();
-    lock.unlock();
-    ready_.notify_one();
-    return true;
-  }
-
-  /// Overload shedding: while engaged, kBlock producers stop waiting and
-  /// full pushes evict the oldest item instead (drop-with-accounting, as
-  /// if the policy were kDropOldest). Engaging wakes blocked producers.
-  void set_shedding(bool on) {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      if (shedding_ == on) return;
-      shedding_ = on;
-    }
-    if (on) space_.notify_all();
-  }
-  bool shedding() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return shedding_;
-  }
-
-  /// Blocks until an item is available; nullopt once closed and drained.
-  std::optional<T> pop() {
-    std::unique_lock<std::mutex> lock(mu_);
-    ready_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    if (items_.empty()) return std::nullopt;
-    T item = std::move(items_.front());
-    items_.pop_front();
-    lock.unlock();
-    space_.notify_one();
-    return item;
-  }
-
-  /// Appends up to `max` items to `out`, blocking for the first one.
-  /// Returns the number appended; 0 means closed and drained.
-  std::size_t pop_batch(std::vector<T>& out, std::size_t max) {
-    std::unique_lock<std::mutex> lock(mu_);
-    ready_.wait(lock, [this] { return closed_ || !items_.empty(); });
-    std::size_t n = 0;
-    while (n < max && !items_.empty()) {
-      out.push_back(std::move(items_.front()));
-      items_.pop_front();
-      ++n;
-    }
-    lock.unlock();
-    if (n > 0) space_.notify_all();
-    return n;
-  }
-
-  /// No further pushes succeed; consumers drain what remains.
-  void close() {
-    {
-      const std::lock_guard<std::mutex> lock(mu_);
-      closed_ = true;
-    }
-    ready_.notify_all();
-    space_.notify_all();
-  }
-
-  std::size_t size() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return items_.size();
-  }
-  /// Deepest the queue has ever been (for metrics high-water marks).
-  std::size_t high_water() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return high_water_;
-  }
-  /// Items evicted by kDropOldest since construction.
-  std::size_t dropped() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return dropped_;
-  }
-  bool closed() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-  std::size_t capacity() const { return capacity_; }
-  OverflowPolicy policy() const { return policy_; }
-
- private:
-  const std::size_t capacity_;
-  const OverflowPolicy policy_;
-  mutable std::mutex mu_;
-  std::condition_variable ready_;  // items available
-  std::condition_variable space_;  // room available (kBlock producers)
-  std::deque<T> items_;
-  std::size_t high_water_ = 0;
-  std::size_t dropped_ = 0;
-  bool closed_ = false;
-  bool shedding_ = false;
-};
-
-/// Bounded MPMC queue for *weighted* items — the batched hand-off form.
-/// Each item carries a weight (events per batch) and capacity, size,
-/// high-water, and drop accounting are all in weight units, so a server
-/// configured for "4096 queued events" admits exactly that many whether
-/// they arrive one per item or thirty-two. Same backpressure policies and
-/// close semantics as BoundedQueue, with two differences forced by
-/// batching:
+/// Bounded MPMC queue for weighted items. Capacity, size, high-water, and
+/// drop accounting are all in weight units, so a server configured for
+/// "4096 queued events" admits exactly that many whether they arrive one
+/// per item or thirty-two. Two rules follow from batching:
 ///
-///   * eviction hands the evicted items back (via `evicted`) instead of
-///     returning a count — the caller must retire each evicted event and
-///     recycle the batch buffer,
+///   * eviction hands the evicted items back (via `evicted`) — the caller
+///     must retire each evicted event and recycle the batch buffer,
 ///   * an item heavier than the whole capacity is admitted when the
 ///     queue is empty (kBlock would otherwise deadlock); it simply
 ///     occupies the queue alone.
@@ -212,7 +85,9 @@ class WeightedQueue {
     return true;
   }
 
-  /// See BoundedQueue::set_shedding.
+  /// Overload shedding: while engaged, kBlock producers stop waiting and
+  /// full pushes evict the oldest items instead (drop-with-accounting, as
+  /// if the policy were kDropOldest). Engaging wakes blocked producers.
   void set_shedding(bool on) {
     {
       const std::lock_guard<std::mutex> lock(mu_);

@@ -39,16 +39,6 @@ Session::Session(SessionKey key, std::string profile,
           std::chrono::steady_clock::now().time_since_epoch().count()),
       stream_(detector_->stream()) {}
 
-std::optional<Verdict> Session::feed(const trace::PartitionedEvent& event) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (quarantined()) return std::nullopt;
-  touch();
-  const std::optional<int> label = stream_.push(event);
-  if (!label.has_value()) return std::nullopt;
-  return Verdict{stream_.tally().window_labels.size() - 1, *label,
-                 stream_.last_decision_value()};
-}
-
 RunOutcome Session::feed_run(std::span<const trace::CompactEvent> events,
                              std::vector<Verdict>& out,
                              std::size_t breaker_threshold,
@@ -103,8 +93,7 @@ RunOutcome Session::feed_run(std::span<const trace::CompactEvent> events,
       if (tap != nullptr) tap_buf_.push_back(event);
       if (label.has_value()) {
         const double decision = stream_.last_decision_value();
-        const std::size_t window_index =
-            stream_.tally().window_labels.size() - 1;
+        const std::size_t window_index = stream_.tally().windows() - 1;
         out.push_back(Verdict{window_index, *label, decision});
         if (shadow_ != nullptr && shadow_label.has_value()) {
           (*shadow_->sink)(key_, *label, *shadow_label, shadow_->active_ns,
@@ -148,20 +137,6 @@ RunOutcome Session::feed_run(std::span<const trace::CompactEvent> events,
   return outcome;
 }
 
-RunOutcome Session::feed_run(const trace::PartitionedEvent* const* events,
-                             std::size_t count, std::vector<Verdict>& out,
-                             std::size_t breaker_threshold,
-                             const WindowTap* tap) {
-  auto& table = trace::TokenTable::global();
-  std::vector<trace::CompactEvent> compact;
-  compact.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    compact.push_back(table.compact(*events[i]));
-  }
-  return feed_run(std::span<const trace::CompactEvent>(compact), out,
-                  breaker_threshold, tap);
-}
-
 bool Session::attach_shadow(std::shared_ptr<const core::Detector> candidate,
                             std::shared_ptr<const ShadowSink> sink) {
   LEAPS_CHECK_MSG(candidate != nullptr, "shadow needs a detector");
@@ -180,11 +155,6 @@ bool Session::detach_shadow() {
   return true;
 }
 
-bool Session::has_shadow() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return shadow_ != nullptr;
-}
-
 SessionReport Session::report() const {
   const std::lock_guard<std::mutex> lock(mu_);
   SessionReport r;
@@ -192,8 +162,8 @@ SessionReport Session::report() const {
   r.profile = profile_;
   r.events_seen = stream_.events_seen();
   r.pending_events = stream_.pending_events();
-  const core::Detector::ScanResult& tally = stream_.tally();
-  r.windows = tally.window_labels.size();
+  const core::Detector::WindowCounts& tally = stream_.tally();
+  r.windows = tally.windows();
   r.benign_windows = tally.benign_windows;
   r.malicious_windows = tally.malicious_windows;
   r.malicious_fraction = tally.malicious_fraction();
@@ -264,17 +234,6 @@ std::optional<SessionReport> SessionManager::close(const SessionKey& key) {
     shard.sessions.erase(it);
   }
   return session->report();
-}
-
-std::vector<SessionReport> SessionManager::evict_idle(
-    std::chrono::steady_clock::time_point cutoff) {
-  const std::vector<std::shared_ptr<Session>> evicted =
-      evict_idle_sessions(cutoff);
-  // Reports outside the shard locks: report() takes each session's mutex.
-  std::vector<SessionReport> reports;
-  reports.reserve(evicted.size());
-  for (const auto& s : evicted) reports.push_back(s->report());
-  return reports;
 }
 
 std::vector<std::shared_ptr<Session>> SessionManager::evict_idle_sessions(

@@ -121,28 +121,16 @@ class Session {
   Session(SessionKey key, std::string profile,
           std::shared_ptr<const core::Detector> detector);
 
-  /// Feeds one event; returns a verdict when it completes a window.
-  /// Unguarded (exceptions propagate) — the direct single-event path.
-  /// Quarantined sessions ignore the event and return nullopt.
-  std::optional<Verdict> feed(const trace::PartitionedEvent& event);
-
   /// Feeds a run of interned events under one lock (the worker batch
-  /// path), appending any completed-window verdicts to `out`. Every event
-  /// is individually guarded: one that throws is counted as failed, and
+  /// path, and the only way events reach a session), appending any
+  /// completed-window verdicts to `out`. Every event is individually
+  /// guarded: one that throws is counted as failed, and
   /// `breaker_threshold` consecutive failures quarantine the session
   /// (0 disables the breaker — failures never quarantine).
   /// `tap`, when non-null, observes every completed window (see WindowTap);
   /// the session buffers the window's events only while a tap is passed.
   RunOutcome feed_run(std::span<const trace::CompactEvent> events,
                       std::vector<Verdict>& out,
-                      std::size_t breaker_threshold,
-                      const WindowTap* tap = nullptr);
-
-  /// String-event compatibility shim (direct callers and tests): interns
-  /// each event through the global TokenTable, then runs the compact
-  /// path. Verdicts are byte-identical either way.
-  RunOutcome feed_run(const trace::PartitionedEvent* const* events,
-                      std::size_t count, std::vector<Verdict>& out,
                       std::size_t breaker_threshold,
                       const WindowTap* tap = nullptr);
 
@@ -158,14 +146,10 @@ class Session {
                      std::shared_ptr<const ShadowSink> sink);
   /// Drops the shadow stream, if any. Returns true if one was attached.
   bool detach_shadow();
-  bool has_shadow() const;
 
   SessionReport report() const;
   const SessionKey& key() const { return key_; }
   const std::string& profile() const { return profile_; }
-  /// Cached `key().to_string()` — use this on hot paths (fault-point
-  /// details, per-verdict logging) instead of rebuilding the string.
-  const std::string& key_string() const { return key_string_; }
   /// The detector snapshot pinned at open time (never changes; see class
   /// comment). The audit stream borrows it to explain this session's
   /// verdicts against the exact model that produced them.
@@ -184,7 +168,7 @@ class Session {
     state_.store(SessionState::kQuarantined, std::memory_order_release);
   }
 
-  /// Last time an event reached this session (feed/feed_run), for idle
+  /// Last time an event reached this session (feed_run), for idle
   /// eviction. Opening counts as activity.
   std::chrono::steady_clock::time_point last_active() const {
     return std::chrono::steady_clock::time_point(
@@ -227,7 +211,7 @@ class Session {
 
   const SessionKey key_;
   const std::string profile_;
-  const std::string key_string_;  // cached fault-point detail
+  const std::string key_string_;  // cached key().to_string(), fault detail
   const std::size_t shard_hash_;
   const std::shared_ptr<const core::Detector> detector_;
   const trace::TokenTable* table_;  // interning domain of compact events
@@ -251,8 +235,8 @@ class Session {
 /// Owns the live sessions; thread-safe open/find/close. Sharded: the key
 /// space is hash-split across independently-locked shards, so session
 /// table operations scale with the worker count instead of serializing
-/// on one map mutex. Iterating calls (reports, evict_idle, sessions_for)
-/// lock one shard at a time.
+/// on one map mutex. Iterating calls (reports, evict_idle_sessions,
+/// sessions_for) lock one shard at a time.
 class SessionManager {
  public:
   /// Shards are rounded up to a power of two (default 64). The registry
@@ -274,17 +258,12 @@ class SessionManager {
   /// to it has been processed (shared_ptr ownership).
   std::optional<SessionReport> close(const SessionKey& key);
 
-  /// Removes every session idle since before `cutoff` and returns their
-  /// final reports (the TTL sweep). Queued events for an evicted session
-  /// are still processed — the shared_ptr keeps it alive — but, as with
-  /// close(), the report is taken at eviction time. Sweeps shard by
-  /// shard; never holds more than one shard lock.
-  std::vector<SessionReport> evict_idle(
-      std::chrono::steady_clock::time_point cutoff);
-
-  /// evict_idle, but hands back the session objects instead of reports —
-  /// the server needs the handles to flush staged events so none strand
-  /// in an evicted session's stage.
+  /// Removes every session idle since before `cutoff` and hands back the
+  /// session objects (the TTL sweep) — the server needs the handles to
+  /// flush staged events so none strand in an evicted session's stage.
+  /// Queued events for an evicted session are still processed (the
+  /// shared_ptr keeps it alive). Sweeps shard by shard; never holds more
+  /// than one shard lock.
   std::vector<std::shared_ptr<Session>> evict_idle_sessions(
       std::chrono::steady_clock::time_point cutoff);
 

@@ -72,36 +72,40 @@ struct CompactEvent {
   EventType type = EventType::kSysCallEnter;
 };
 
-/// Append-only id -> value storage with lock-free reads: values live in
-/// fixed-size heap segments that never move or shrink, so a reference
-/// obtained by id stays valid for the store's lifetime. append() must be
-/// serialized externally (the TokenTable domain mutex); readers need no
-/// lock.
+/// Id-indexed slots in fixed-size heap segments, allocated on first use.
+/// Slots never move, so a reference obtained by id stays valid for the
+/// array's lifetime. Every id-indexed structure over TokenTable ids (the
+/// table's own stores and core::TupleCodec's caches) uses this geometry,
+/// so they all share one id cap.
 template <typename T>
-class SegmentedStore {
+class SegmentArray {
  public:
-  static constexpr std::size_t kSegBits = 12;  // 4096 entries per segment
+  static constexpr std::size_t kSegBits = 12;  // 4096 slots per segment
   static constexpr std::size_t kSegSize = std::size_t{1} << kSegBits;
-  static constexpr std::size_t kMaxSegments = 4096;  // ~16.7M ids per domain
+  static constexpr std::size_t kMaxSegments = 4096;
+  static constexpr std::size_t kCapacity =
+      kSegSize * kMaxSegments;  // ~16.7M ids
 
-  SegmentedStore() = default;
-  SegmentedStore(const SegmentedStore&) = delete;
-  SegmentedStore& operator=(const SegmentedStore&) = delete;
-  ~SegmentedStore() {
+  SegmentArray() = default;
+  SegmentArray(const SegmentArray&) = delete;
+  SegmentArray& operator=(const SegmentArray&) = delete;
+  ~SegmentArray() {
     for (auto& s : segments_) delete[] s.load(std::memory_order_relaxed);
   }
 
-  const T& operator[](std::uint32_t id) const {
-    const T* seg =
-        segments_[id >> kSegBits].load(std::memory_order_acquire);
-    return seg[id & (kSegSize - 1)];
+  /// Lock-free: the slot for `id`, or nullptr when `id` is past the cap or
+  /// its segment has not been allocated yet.
+  T* find(std::uint32_t id) const {
+    const std::size_t seg_index = id >> kSegBits;
+    if (seg_index >= kMaxSegments) return nullptr;
+    T* seg = segments_[seg_index].load(std::memory_order_acquire);
+    return seg == nullptr ? nullptr : &seg[id & (kSegSize - 1)];
   }
 
-  /// Caller must hold the owning domain's exclusive lock. Throws
-  /// std::length_error, before writing anything, once the store holds
-  /// kMaxSegments * kSegSize values.
-  std::uint32_t append(T value) {
-    const std::uint32_t id = size_.load(std::memory_order_relaxed);
+  /// The slot for `id`, allocating its segment on first use. Calls must
+  /// be serialized externally. Throws std::length_error, before allocating
+  /// or writing anything, when `id` is past the cap.
+  T& ensure(std::uint32_t id) {
     const std::size_t seg_index = id >> kSegBits;
     if (seg_index >= kMaxSegments) {
       throw std::length_error("TokenTable id domain exhausted");
@@ -111,7 +115,30 @@ class SegmentedStore {
       seg = new T[kSegSize];
       segments_[seg_index].store(seg, std::memory_order_release);
     }
-    seg[id & (kSegSize - 1)] = std::move(value);
+    return seg[id & (kSegSize - 1)];
+  }
+
+ private:
+  std::array<std::atomic<T*>, kMaxSegments> segments_{};
+};
+
+/// Append-only id -> value storage with lock-free reads. append() must be
+/// serialized externally (the TokenTable domain mutex); readers need no
+/// lock.
+template <typename T>
+class SegmentedStore {
+ public:
+  static constexpr std::size_t kCapacity = SegmentArray<T>::kCapacity;
+
+  /// `id` must be below size().
+  const T& operator[](std::uint32_t id) const { return *slots_.find(id); }
+
+  /// Caller must hold the owning domain's exclusive lock. Throws
+  /// std::length_error, before writing anything, once the store holds
+  /// kCapacity values.
+  std::uint32_t append(T value) {
+    const std::uint32_t id = size_.load(std::memory_order_relaxed);
+    slots_.ensure(id) = std::move(value);
     size_.store(id + 1, std::memory_order_release);
     return id;
   }
@@ -121,7 +148,7 @@ class SegmentedStore {
   }
 
  private:
-  std::array<std::atomic<T*>, kMaxSegments> segments_{};
+  SegmentArray<T> slots_;
   std::atomic<std::uint32_t> size_{0};
 };
 

@@ -48,7 +48,6 @@ class ModuleMap {
   Resolution resolve(std::uint64_t addr) const;
 
   const std::vector<ModuleInfo>& modules() const { return modules_list_; }
-  std::size_t symbol_count() const { return symbols_.size(); }
   /// All registered symbols, ascending by address.
   const std::map<std::uint64_t, std::string>& symbols() const {
     return symbols_;

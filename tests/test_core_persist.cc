@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "core/persist.h"
 #include "detector_fixture.h"
@@ -18,6 +19,30 @@ namespace {
 trace::PartitionedLog parse_and_partition(const trace::RawLog& raw) {
   const trace::ParsedTrace t = trace::RawLogParser().parse_raw(raw);
   return trace::StackPartitioner(t.log.process_name).partition(t.log);
+}
+
+/// A v2 file for `detector`: its v3 block payloads, concatenated under a
+/// v2 header and closed by END. The writer emits v3 only; v2 files (and
+/// v1, a v2 without CONTINUAL) must still load.
+std::string v2_text(const Detector& detector) {
+  std::stringstream v3;
+  save_detector(detector, v3);
+  std::string line;
+  std::getline(v3, line);
+  EXPECT_EQ(line, "LEAPS-DETECTOR v3");
+  std::string out = "LEAPS-DETECTOR v2\n";
+  while (std::getline(v3, line) && line != "END") {
+    std::istringstream header(line);  // BLOCK <name> <bytes> <crc32c>
+    std::string keyword;
+    std::string name;
+    std::size_t bytes = 0;
+    header >> keyword >> name >> bytes;
+    EXPECT_EQ(keyword, "BLOCK");
+    std::string payload(bytes, '\0');
+    v3.read(payload.data(), static_cast<std::streamsize>(bytes));
+    out += payload;
+  }
+  return out + "END\n";
 }
 
 struct Fixture {
@@ -97,13 +122,10 @@ TEST(Persist, SerializedFormIsStableText) {
   EXPECT_NE(a.str().find("BLOCK OPTIONS "), std::string::npos);
 }
 
-TEST(Persist, ExplicitV2StillWritesPlainTokenStream) {
-  // Interop escape hatch: a v2 save must be byte-compatible with what
-  // pre-durability builds read (no BLOCK framing), and still load here.
+TEST(Persist, V2PlainTokenStreamStillLoads) {
+  // Files written by pre-durability builds (no BLOCK framing) still load.
   const Fixture f = Fixture::make();
-  std::stringstream buffer;
-  save_detector(f.detector, buffer, PersistVersion::kV2);
-  EXPECT_EQ(buffer.str().rfind("LEAPS-DETECTOR v2", 0), 0u);
+  std::stringstream buffer(v2_text(f.detector));
   EXPECT_EQ(buffer.str().find("BLOCK"), std::string::npos);
   const Detector loaded = load_detector(buffer);
   EXPECT_EQ(loaded.scan(f.malicious).malicious_windows,
@@ -225,9 +247,7 @@ TEST(Persist, V1FileLoadsAsColdStartFallback) {
   // "retrain offline" (RetrainScheduler::can_retrain() == false).
   const Fixture f = Fixture::make();
   ASSERT_EQ(f.detector.continual(), nullptr);
-  std::stringstream buffer;
-  save_detector(f.detector, buffer, PersistVersion::kV2);
-  std::string text = buffer.str();
+  std::string text = v2_text(f.detector);
   ASSERT_EQ(text.rfind("LEAPS-DETECTOR v2", 0), 0u);
   text.replace(0, std::string("LEAPS-DETECTOR v2").size(),
                "LEAPS-DETECTOR v1");
@@ -279,9 +299,7 @@ TEST(Persist, ContinualBlockInV1FileIsRejected) {
   const leaps::testing::TrainedDetector t =
       leaps::testing::train_small_detector("vim_reverse_tcp_online", 1500, 7,
                                            /*with_continual=*/true);
-  std::stringstream buffer;
-  save_detector(*t.detector, buffer, PersistVersion::kV2);
-  std::string text = buffer.str();
+  std::string text = v2_text(*t.detector);
   ASSERT_NE(text.find("CONTINUAL"), std::string::npos);
   text.replace(0, std::string("LEAPS-DETECTOR v2").size(),
                "LEAPS-DETECTOR v1");
@@ -293,9 +311,7 @@ TEST(Persist, RejectsCorruptContinualRows) {
   const leaps::testing::TrainedDetector t =
       leaps::testing::train_small_detector("vim_reverse_tcp_online", 1500, 7,
                                            /*with_continual=*/true);
-  std::stringstream buffer;
-  save_detector(*t.detector, buffer, PersistVersion::kV2);
-  const std::string text = buffer.str();
+  const std::string text = v2_text(*t.detector);
 
   const auto corrupt = [&](const std::string& from, const std::string& to) {
     std::string bad = text;

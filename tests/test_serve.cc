@@ -1,9 +1,9 @@
-// Concurrency tests for the serving layer (src/serve/): queue backpressure
-// semantics, registry snapshot isolation, and — the load-bearing property —
-// that a DetectionServer classifying many interleaved sessions on many
-// workers produces exactly the verdicts a sequential Detector::Stream
-// produces per session, even while faults are injected into other
-// sessions (crash isolation, circuit breaker, idle eviction, shedding).
+// Concurrency tests for the serving layer (src/serve/): registry snapshot
+// isolation, and — the load-bearing property — that a DetectionServer
+// classifying many interleaved sessions on many workers produces exactly
+// the verdicts a sequential Detector::Stream produces per session, even
+// while faults are injected into other sessions (crash isolation, circuit
+// breaker, idle eviction, shedding).
 // Run under -DLEAPS_SANITIZE=thread in CI (ctest -L concurrency).
 #include <gtest/gtest.h>
 
@@ -36,72 +36,6 @@ const TrainedDetector& fixture() {
   static const TrainedDetector* f =
       new TrainedDetector(train_small_detector());
   return *f;
-}
-
-// --- BoundedQueue ---------------------------------------------------------
-
-TEST(BoundedQueue, BlockPolicyDeliversEverythingInOrder) {
-  BoundedQueue<int> q(2, OverflowPolicy::kBlock);
-  constexpr int kItems = 500;
-  std::thread producer([&q] {
-    for (int i = 0; i < kItems; ++i) ASSERT_TRUE(q.push(i));
-    q.close();
-  });
-  std::vector<int> got;
-  while (auto item = q.pop()) got.push_back(*item);
-  producer.join();
-  ASSERT_EQ(got.size(), static_cast<std::size_t>(kItems));
-  for (int i = 0; i < kItems; ++i) EXPECT_EQ(got[i], i);
-  EXPECT_LE(q.high_water(), 2u);
-  EXPECT_EQ(q.dropped(), 0u);
-}
-
-TEST(BoundedQueue, DropOldestEvictsFromTheFront) {
-  BoundedQueue<int> q(4, OverflowPolicy::kDropOldest);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_TRUE(q.push(i));  // never blocks, never fails while open
-  }
-  EXPECT_EQ(q.size(), 4u);
-  EXPECT_EQ(q.dropped(), 6u);
-  q.close();
-  // Survivors are the newest four, still in order.
-  for (int expected : {6, 7, 8, 9}) {
-    const auto item = q.pop();
-    ASSERT_TRUE(item.has_value());
-    EXPECT_EQ(*item, expected);
-  }
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(BoundedQueue, CloseUnblocksProducersAndDrainsConsumers) {
-  BoundedQueue<int> q(1, OverflowPolicy::kBlock);
-  ASSERT_TRUE(q.push(1));
-  std::atomic<bool> blocked_push_returned{false};
-  std::thread producer([&] {
-    const bool ok = q.push(2);  // blocks: queue is full
-    EXPECT_FALSE(ok);           // woken by close, item discarded
-    blocked_push_returned.store(true);
-  });
-  // Give the producer time to park on the condition variable.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(blocked_push_returned.load());
-  q.close();
-  producer.join();
-  EXPECT_TRUE(blocked_push_returned.load());
-  EXPECT_EQ(q.pop(), std::optional<int>(1));  // still drains
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(BoundedQueue, PopBatchTakesUpToMax) {
-  BoundedQueue<int> q(16);
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.push(i));
-  std::vector<int> out;
-  EXPECT_EQ(q.pop_batch(out, 4), 4u);
-  EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(q.pop_batch(out, 100), 6u);
-  q.close();
-  out.clear();
-  EXPECT_EQ(q.pop_batch(out, 4), 0u);
 }
 
 // --- DetectorRegistry -----------------------------------------------------
@@ -269,6 +203,16 @@ TEST(DetectionServer, SubmitAfterStopIsRejected) {
 
 // --- Crash isolation / self-healing ---------------------------------------
 
+/// The first `n` events of `log`, interned the way submit() interns them.
+std::vector<trace::CompactEvent> compact(const trace::PartitionedLog& log,
+                                         std::size_t n) {
+  std::vector<trace::CompactEvent> out;
+  for (std::size_t i = 0; i < n; ++i) {
+    out.push_back(trace::TokenTable::global().compact(log.events[i]));
+  }
+  return out;
+}
+
 void expect_accounting_identity(const MetricsSnapshot& m) {
   EXPECT_EQ(m.events_ingested,
             m.events_processed + m.events_dropped + m.events_quarantined);
@@ -280,11 +224,9 @@ TEST(SessionBreaker, ConsecutiveFailuresQuarantineMidRun) {
   const util::ScopedFault fault("serve.worker.classify",
                                 {.action = util::FaultAction::kThrow});
 
-  std::vector<const trace::PartitionedEvent*> run;
-  for (std::size_t i = 0; i < 5; ++i) run.push_back(&f.benign.events[i]);
+  const std::vector<trace::CompactEvent> run = compact(f.benign, 5);
   std::vector<Verdict> verdicts;
-  const RunOutcome o = session.feed_run(run.data(), run.size(), verdicts,
-                                        /*breaker_threshold=*/3);
+  const RunOutcome o = session.feed_run(run, verdicts, /*breaker_threshold=*/3);
   // Events 1-3 fail (tripping the breaker at the third), 4-5 are skipped.
   EXPECT_EQ(o.processed, 0u);
   EXPECT_EQ(o.failed, 3u);
@@ -305,20 +247,20 @@ TEST(SessionBreaker, SuccessResetsTheFailureStreak) {
 
   // Two failures, then clean events, then two more failures: the streak
   // resets in between, so a threshold of 3 never trips.
-  const trace::PartitionedEvent* one[] = {&f.benign.events[0]};
+  const std::vector<trace::CompactEvent> one = compact(f.benign, 1);
   {
     const util::ScopedFault fault("serve.worker.classify",
                                   {.action = util::FaultAction::kThrow});
     for (int i = 0; i < 2; ++i) {
-      session.feed_run(one, 1, verdicts, 3);
+      session.feed_run(one, verdicts, 3);
     }
   }
-  session.feed_run(one, 1, verdicts, 3);  // clean: resets the streak
+  session.feed_run(one, verdicts, 3);  // clean: resets the streak
   {
     const util::ScopedFault fault("serve.worker.classify",
                                   {.action = util::FaultAction::kThrow});
     for (int i = 0; i < 2; ++i) {
-      session.feed_run(one, 1, verdicts, 3);
+      session.feed_run(one, verdicts, 3);
     }
   }
   EXPECT_FALSE(session.quarantined());
@@ -327,7 +269,7 @@ TEST(SessionBreaker, SuccessResetsTheFailureStreak) {
   // Threshold 0 disables the breaker entirely.
   const util::ScopedFault fault("serve.worker.classify",
                                 {.action = util::FaultAction::kThrow});
-  for (int i = 0; i < 10; ++i) session.feed_run(one, 1, verdicts, 0);
+  for (int i = 0; i < 10; ++i) session.feed_run(one, verdicts, 0);
   EXPECT_FALSE(session.quarantined());
 }
 
@@ -424,7 +366,8 @@ TEST(DetectionServer, IdleSessionsAreEvictedByTheSweep) {
   EXPECT_EQ(server.sweep_idle_now(), 0u);  // both fresh
 
   std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  busy->feed(f.benign.events[0]);  // refreshes last_active
+  std::vector<Verdict> verdicts;
+  busy->feed_run(compact(f.benign, 1), verdicts, 0);  // refreshes last_active
   EXPECT_EQ(server.sweep_idle_now(), 1u);  // only "idle" crossed the TTL
   EXPECT_EQ(server.sessions().active(), 1u);
   EXPECT_NE(server.sessions().find({"busy", 2}), nullptr);

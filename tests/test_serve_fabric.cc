@@ -9,12 +9,14 @@
 //   * batched hand-off — windows assemble identically across any batch
 //     split: coalesce=1 vs coalesce=7 vs a sequential Detector::Stream
 //     produce byte-identical verdicts (decision values compared exactly),
-//   * WeightedQueue — event-granular capacity/drop accounting,
+//   * WeightedQueue — event-granular capacity/drop accounting, blocking
+//     backpressure and close semantics,
 //   * SlabPool / BufferPool — slot reuse, overflow fallback, gauges.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -103,7 +105,7 @@ TEST(TokenTable, DerivedSetsMatchPreprocessorRecipes) {
 
 TEST(SegmentedStore, RefusesAppendPastCapacityWithoutWriting) {
   using Store = trace::SegmentedStore<std::uint8_t>;
-  constexpr std::size_t kCapacity = Store::kMaxSegments * Store::kSegSize;
+  constexpr std::size_t kCapacity = Store::kCapacity;
   auto store = std::make_unique<Store>();
   for (std::size_t i = 0; i < kCapacity; ++i) {
     store->append(static_cast<std::uint8_t>(i));
@@ -112,6 +114,27 @@ TEST(SegmentedStore, RefusesAppendPastCapacityWithoutWriting) {
   EXPECT_THROW(store->append(0xAB), std::length_error);
   EXPECT_EQ(store->size(), kCapacity);
   EXPECT_EQ((*store)[kCapacity - 1], static_cast<std::uint8_t>(kCapacity - 1));
+}
+
+TEST(SegmentArray, LastIdResolvesAndFirstIdPastTheCapThrows) {
+  // The geometry TupleCodec's id caches share with the TokenTable stores:
+  // an id the table cannot mint must be refused, never indexed.
+  using Array = trace::SegmentArray<std::uint8_t>;
+  constexpr auto kLast = static_cast<std::uint32_t>(Array::kCapacity - 1);
+  constexpr auto kPast = static_cast<std::uint32_t>(Array::kCapacity);
+  auto slots = std::make_unique<Array>();
+  EXPECT_EQ(slots->find(kLast), nullptr);
+  slots->ensure(kLast) = 0x5A;
+  ASSERT_NE(slots->find(kLast), nullptr);
+  EXPECT_EQ(*slots->find(kLast), 0x5A);
+  // Only the last segment was allocated.
+  EXPECT_EQ(slots->find(kLast - Array::kSegSize), nullptr);
+  EXPECT_EQ(slots->find(0), nullptr);
+
+  EXPECT_THROW(slots->ensure(kPast), std::length_error);
+  EXPECT_THROW(slots->ensure(0xFFFFFFFFu), std::length_error);
+  EXPECT_EQ(slots->find(kPast), nullptr);
+  EXPECT_EQ(*slots->find(kLast), 0x5A);
 }
 
 TEST(TokenTable, ConcurrentInterningIsDeterministic) {
@@ -209,8 +232,8 @@ TEST(SessionManagerShards, OpenCloseFindSweepRaceHammer) {
   // every session is "idle") — open races must survive concurrent erasure.
   threads.emplace_back([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      (void)manager.evict_idle(std::chrono::steady_clock::now() +
-                               std::chrono::hours(1));
+      (void)manager.evict_idle_sessions(std::chrono::steady_clock::now() +
+                                        std::chrono::hours(1));
       std::this_thread::yield();
     }
   });
@@ -329,6 +352,44 @@ TEST(BatchedHandoff, WindowAssemblyIdenticalAcrossBatchSplits) {
 }
 
 // --- WeightedQueue --------------------------------------------------------
+
+TEST(WeightedQueue, BlockPolicyDeliversEverythingInOrder) {
+  WeightedQueue<int> q(2, OverflowPolicy::kBlock);
+  constexpr int kItems = 500;
+  std::thread producer([&q] {
+    for (int i = 0; i < kItems; ++i) ASSERT_TRUE(q.push(i, 1));
+    q.close();
+  });
+  std::vector<int> got;
+  while (q.pop_batch(got, 1) > 0) {
+  }
+  producer.join();
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kItems));
+  for (int i = 0; i < kItems; ++i) EXPECT_EQ(got[i], i);
+  EXPECT_LE(q.high_water(), 2u);
+  EXPECT_EQ(q.dropped(), 0u);
+}
+
+TEST(WeightedQueue, CloseUnblocksProducersAndDrainsConsumers) {
+  WeightedQueue<int> q(1, OverflowPolicy::kBlock);
+  ASSERT_TRUE(q.push(1, 1));
+  std::atomic<bool> blocked_push_returned{false};
+  std::thread producer([&] {
+    const bool ok = q.push(2, 1);  // blocks: queue is full
+    EXPECT_FALSE(ok);              // woken by close, item discarded
+    blocked_push_returned.store(true);
+  });
+  // Give the producer time to park on the condition variable.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(blocked_push_returned.load());
+  q.close();
+  producer.join();
+  EXPECT_TRUE(blocked_push_returned.load());
+  std::vector<int> out;
+  EXPECT_EQ(q.pop_batch(out, 1), 1u);  // still drains
+  EXPECT_EQ(out, (std::vector<int>{1}));
+  EXPECT_EQ(q.pop_batch(out, 1), 0u);
+}
 
 TEST(WeightedQueue, CapacityAndDropsAreInWeightUnits) {
   WeightedQueue<int> q(10, OverflowPolicy::kDropOldest);
