@@ -6,8 +6,13 @@
 //   * the fast paths beat the reference implementations on one thread
 //     (algorithmic win: flat memory, interned tokens, cached neighbors);
 //   * the parallel stages scale with threads while producing bit-identical
-//     results (the binary prints hardware_concurrency so a 1-core CI box's
-//     flat curve reads as what it is).
+//     results (the binary prints hardware_concurrency and the pool size
+//     each row actually ran with, so a 1-core CI box's flat curve reads as
+//     what it is).
+//
+// The tune column also records structure: Gram builds per tune_svm call,
+// read from the leaps_ml_kernel_evals_total delta (one full-dataset Gram
+// per σ², DESIGN.md §10).
 //
 // Knobs: LEAPS_EVENTS (end-to-end training-log size, default 3000),
 // LEAPS_RUNS (best-of repetitions per timing, default 5, fast 3),
@@ -33,6 +38,7 @@
 #include "ml/hcluster.h"
 #include "ml/kernel.h"
 #include "ml/svm.h"
+#include "obs/registry.h"
 #include "sim/scenario.h"
 #include "trace/parser.h"
 #include "trace/partition.h"
@@ -110,6 +116,8 @@ struct SingleThreadRow {
 
 struct ThreadRow {
   std::size_t threads = 0;
+  std::size_t pool_threads = 0;  // util::Parallel::threads() after set
+  double tune_grams = 0.0;       // Gram builds per tune_svm call
   double gram_ms = 0.0;
   double jaccard_ms = 0.0;
   double smo_ms = 0.0;
@@ -172,10 +180,12 @@ int main() {
       fast ? std::vector<std::size_t>{150, 300}
            : std::vector<std::size_t>{300, 600};
   const int reps = static_cast<int>(util::env_int("LEAPS_RUNS", fast ? 3 : 5));
+  const std::size_t default_threads = util::Parallel::threads();
 
   std::printf("LEAPS reproduction — training fast paths (bench_train)\n");
-  std::printf("config: train_events=%zu hardware_concurrency=%u\n\n",
-              train_events, std::thread::hardware_concurrency());
+  std::printf(
+      "config: train_events=%zu hardware_concurrency=%u pool_threads=%zu\n\n",
+      train_events, std::thread::hardware_concurrency(), default_threads);
 
   // ---- single-thread: fast path vs reference ----------------------------
   util::Parallel::set_threads(1);
@@ -237,20 +247,27 @@ int main() {
   const E2eInput e2e = build_e2e_input(train_events);
 
   std::printf("\nthread sweep (ms; same bytes out at every width)\n");
-  std::printf("%-8s %9s %12s %9s %9s %10s %9s\n", "threads", "gram",
-              "jaccard", "smo", "tune", "e2e", "speedup");
+  std::printf("%-8s %5s %9s %12s %9s %9s %6s %10s %9s\n", "threads",
+              "pool", "gram", "jaccard", "smo", "tune", "grams", "e2e",
+              "speedup");
+  const obs::Counter& kernel_evals =
+      obs::MetricRegistry::global().counter("leaps_ml_kernel_evals_total");
+  const double evals_per_gram =
+      static_cast<double>(smo_data.size() * (smo_data.size() + 1) / 2);
   std::vector<ThreadRow> rows;
   double base_e2e = 0.0;
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
     util::Parallel::set_threads(threads);
     ThreadRow row;
     row.threads = threads;
+    row.pool_threads = util::Parallel::threads();
     row.gram_ms =
         best_of_ms(reps, [&] { (void)ml::GramMatrix(Xg, kernel); });
     row.jaccard_ms =
         best_of_ms(reps, [&] { (void)ml::jaccard_condensed(sets); });
     row.smo_ms =
         best_of_ms(reps, [&] { (void)ml::SvmTrainer({}).train(smo_data); });
+    const std::uint64_t evals0 = kernel_evals.value();
     row.tune_ms = best_of_ms(reps, [&] {
       ml::CrossValidationOptions cv;
       cv.folds = 5;
@@ -259,12 +276,15 @@ int main() {
       util::Rng tune_rng(7);
       (void)ml::tune_svm(smo_data, {}, cv, tune_rng);
     });
+    row.tune_grams = static_cast<double>(kernel_evals.value() - evals0) /
+                     evals_per_gram / reps;
     row.e2e_ms = run_e2e(e2e);
     if (threads == 1) base_e2e = row.e2e_ms;
     rows.push_back(row);
-    std::printf("%-8zu %9.1f %12.1f %9.1f %9.1f %10.1f %8.2fx\n", threads,
-                row.gram_ms, row.jaccard_ms, row.smo_ms, row.tune_ms,
-                row.e2e_ms, base_e2e > 0.0 ? base_e2e / row.e2e_ms : 1.0);
+    std::printf("%-8zu %5zu %9.1f %12.1f %9.1f %9.1f %6.1f %10.1f %8.2fx\n",
+                threads, row.pool_threads, row.gram_ms, row.jaccard_ms,
+                row.smo_ms, row.tune_ms, row.tune_grams, row.e2e_ms,
+                base_e2e > 0.0 ? base_e2e / row.e2e_ms : 1.0);
   }
   if (std::thread::hardware_concurrency() < 4) {
     std::printf(
@@ -285,7 +305,9 @@ int main() {
        << "  \"config\": {\"train_events\": " << train_events
        << ", \"gram_n\": " << gram_n << ", \"cluster_n\": " << cluster_n
        << ", \"hardware_concurrency\": "
-       << std::thread::hardware_concurrency() << guard.annotation << "},\n"
+       << std::thread::hardware_concurrency()
+       << ", \"pool_threads\": " << default_threads << guard.annotation
+       << "},\n"
        << "  \"single_thread\": [\n";
     for (std::size_t i = 0; i < st_rows.size(); ++i) {
       char line[256];
@@ -305,11 +327,13 @@ int main() {
       char line[256];
       std::snprintf(
           line, sizeof line,
-          "    {\"threads\": %zu, \"gram_ms\": %.1f, \"jaccard_ms\": %.1f, "
-          "\"smo_ms\": %.1f, \"tune_ms\": %.1f, \"e2e_ms\": %.1f, "
+          "    {\"threads\": %zu, \"pool_threads\": %zu, \"gram_ms\": %.1f, "
+          "\"jaccard_ms\": %.1f, \"smo_ms\": %.1f, \"tune_ms\": %.1f, "
+          "\"tune_gram_builds\": %.1f, \"e2e_ms\": %.1f, "
           "\"speedup\": %.2f}%s\n",
-          rows[i].threads, rows[i].gram_ms, rows[i].jaccard_ms,
-          rows[i].smo_ms, rows[i].tune_ms, rows[i].e2e_ms,
+          rows[i].threads, rows[i].pool_threads, rows[i].gram_ms,
+          rows[i].jaccard_ms, rows[i].smo_ms, rows[i].tune_ms,
+          rows[i].tune_grams, rows[i].e2e_ms,
           base_e2e > 0.0 ? base_e2e / rows[i].e2e_ms : 1.0,
           i + 1 < rows.size() ? "," : "");
       os << line;

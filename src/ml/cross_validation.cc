@@ -1,9 +1,8 @@
 #include "ml/cross_validation.h"
 
-#include <algorithm>
 #include <numeric>
+#include <utility>
 
-#include "ml/metrics.h"
 #include "util/check.h"
 #include "util/parallel.h"
 
@@ -25,14 +24,33 @@ std::vector<std::vector<std::size_t>> make_folds(std::size_t n,
 
 namespace {
 
-bool has_both_classes(const Dataset& d) {
-  bool pos = false;
-  bool neg = false;
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    if (d.weight[i] <= 0.0) continue;
-    (d.y[i] > 0 ? pos : neg) = true;
+/// One held-out fold over the full dataset: which rows it leaves out, and
+/// whether it can be scored at all. A fold is skipped when its test set is
+/// empty or its training split lacks a positively-weighted row of either
+/// class — independent of λ and σ², so decided once per tune.
+struct Fold {
+  std::vector<std::size_t> test_idx;
+  std::vector<char> held_out;  // 1 = test row, pinned at Cᵢ = 0
+  bool trainable = false;
+};
+
+std::vector<Fold> plan_folds(const Dataset& data,
+                             std::vector<std::vector<std::size_t>> sets) {
+  std::vector<Fold> folds(sets.size());
+  for (std::size_t f = 0; f < sets.size(); ++f) {
+    Fold& fold = folds[f];
+    fold.test_idx = std::move(sets[f]);
+    fold.held_out.assign(data.size(), 0);
+    for (const std::size_t i : fold.test_idx) fold.held_out[i] = 1;
+    bool pos = false;
+    bool neg = false;
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      if (fold.held_out[i] || data.weight[i] <= 0.0) continue;
+      (data.y[i] > 0 ? pos : neg) = true;
+    }
+    fold.trainable = !fold.test_idx.empty() && pos && neg;
   }
-  return pos && neg;
+  return folds;
 }
 
 struct FoldOutcome {
@@ -40,32 +58,21 @@ struct FoldOutcome {
   bool used = false;  // false: empty test set, degenerate train, no weight
 };
 
-/// One held-out fold: train on the complement, score the fold. Pure —
-/// deterministic in its inputs, no shared state — so folds and grid points
-/// evaluate concurrently without changing any reported number. (SVM
-/// training itself has no randomness; the only RNG in CV is the fold
-/// shuffle, which happens up front on the caller's seed.)
-FoldOutcome run_fold(const Dataset& data, const SvmParams& params,
-                     const std::vector<std::size_t>& test_idx,
+/// One held-out fold: train on the complement against the shared Gram `K`
+/// of all of `data`, score the fold. Pure — deterministic in its inputs,
+/// no shared state — so folds and grid points evaluate concurrently
+/// without changing any reported number. (SVM training itself has no
+/// randomness; the only RNG in CV is the fold shuffle, which happens up
+/// front on the caller's seed.)
+FoldOutcome run_fold(const Dataset& data, const GramMatrix& K,
+                     const SvmParams& params, const Fold& fold,
                      bool weighted_validation) {
   FoldOutcome out;
-  if (test_idx.empty()) return out;
-  const std::size_t n = data.size();
-  std::vector<char> in_test(n, 0);
-  for (const std::size_t i : test_idx) in_test[i] = 1;
-  std::vector<std::size_t> train_idx;
-  train_idx.reserve(n - test_idx.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!in_test[i]) train_idx.push_back(i);
-  }
-  const Dataset train = data.subset(train_idx);
-  if (!has_both_classes(train)) return out;
-
-  const SvmTrainer trainer(params);
-  const SvmModel model = trainer.train(train);
+  if (!fold.trainable) return out;
+  const SvmModel model = SvmTrainer(params).train_fold(data, K, fold.held_out);
   double correct = 0.0;
   double total = 0.0;
-  for (const std::size_t i : test_idx) {
+  for (const std::size_t i : fold.test_idx) {
     const double w = weighted_validation ? data.weight[i] : 1.0;
     total += w;
     if (model.predict(data.X[i]) == data.y[i]) correct += w;
@@ -95,15 +102,16 @@ double reduce_folds(const FoldOutcome* outcomes, std::size_t folds) {
 double cross_validate(const Dataset& data, const SvmParams& params,
                       std::size_t folds, util::Rng& rng,
                       bool weighted_validation) {
-  const std::size_t n = data.size();
-  LEAPS_CHECK_MSG(n >= folds, "fewer samples than folds");
-  const auto fold_sets = make_folds(n, folds, rng);
+  data.validate();
+  LEAPS_CHECK_MSG(data.size() >= folds, "fewer samples than folds");
+  const std::vector<Fold> plan =
+      plan_folds(data, make_folds(data.size(), folds, rng));
 
-  std::vector<FoldOutcome> outcomes(fold_sets.size());
-  util::parallel_for(0, fold_sets.size(), 1, [&](std::size_t b,
-                                                 std::size_t e) {
+  const GramMatrix K(data.X, params.kernel);
+  std::vector<FoldOutcome> outcomes(plan.size());
+  util::parallel_for(0, plan.size(), 1, [&](std::size_t b, std::size_t e) {
     for (std::size_t f = b; f < e; ++f) {
-      outcomes[f] = run_fold(data, params, fold_sets[f], weighted_validation);
+      outcomes[f] = run_fold(data, K, params, plan[f], weighted_validation);
     }
   });
   return reduce_folds(outcomes.data(), outcomes.size());
@@ -114,48 +122,54 @@ GridSearchResult tune_svm(const Dataset& data, const SvmParams& base,
                           util::Rng& rng) {
   LEAPS_CHECK_MSG(!options.lambdas.empty() && !options.sigma2s.empty(),
                   "empty hyper-parameter grid");
+  data.validate();
   LEAPS_CHECK_MSG(data.size() >= options.folds, "fewer samples than folds");
 
   // Identical fold split for every grid point: comparisons stay fair. The
   // fork is const on rng, so this matches the historic per-point fork.
   util::Rng fold_rng = rng.fork(0xF01D5);
-  const auto fold_sets = make_folds(data.size(), options.folds, fold_rng);
+  const std::vector<Fold> plan =
+      plan_folds(data, make_folds(data.size(), options.folds, fold_rng));
+  const std::size_t folds = plan.size();
+  const std::size_t n_lambda = options.lambdas.size();
+  const std::size_t n_sigma2 = options.sigma2s.size();
 
-  std::vector<std::pair<double, double>> grid;  // (λ, σ²) in trial order
-  grid.reserve(options.lambdas.size() * options.sigma2s.size());
-  for (const double lambda : options.lambdas) {
-    for (const double sigma2 : options.sigma2s) {
-      grid.emplace_back(lambda, sigma2);
-    }
+  // Trial g = l·|σ²| + s (λ outer, σ² inner); outcome slot g·folds + f.
+  // The walk is σ²-major: one full-dataset Gram per σ², built by the
+  // pool at the top level, then that σ²'s λ × fold tasks drain through
+  // the pool against it. One Gram is live at a time.
+  std::vector<FoldOutcome> outcomes(n_lambda * n_sigma2 * folds);
+  for (std::size_t s = 0; s < n_sigma2; ++s) {
+    KernelParams kernel = base.kernel;
+    kernel.sigma2 = options.sigma2s[s];
+    const GramMatrix K(data.X, kernel);
+    util::parallel_for(
+        0, n_lambda * folds, 1, [&](std::size_t b, std::size_t e) {
+          for (std::size_t task = b; task < e; ++task) {
+            const std::size_t l = task / folds;
+            const std::size_t f = task % folds;
+            SvmParams p = base;
+            p.lambda = options.lambdas[l];
+            p.kernel = kernel;
+            outcomes[(l * n_sigma2 + s) * folds + f] = run_fold(
+                data, K, p, plan[f], options.weighted_validation);
+          }
+        });
   }
-
-  // One task per (grid point × fold): the whole tuning run drains through
-  // the pool as a flat list, so wall-clock drops near-linearly in threads
-  // even when a single grid point's folds are imbalanced.
-  const std::size_t folds = fold_sets.size();
-  std::vector<FoldOutcome> outcomes(grid.size() * folds);
-  util::parallel_for(
-      0, outcomes.size(), 1, [&](std::size_t b, std::size_t e) {
-        for (std::size_t task = b; task < e; ++task) {
-          SvmParams p = base;
-          p.lambda = grid[task / folds].first;
-          p.kernel.sigma2 = grid[task / folds].second;
-          outcomes[task] = run_fold(data, p, fold_sets[task % folds],
-                                    options.weighted_validation);
-        }
-      });
 
   GridSearchResult result;
   result.best = base;
   result.best_accuracy = -1.0;
-  for (std::size_t g = 0; g < grid.size(); ++g) {
+  for (std::size_t g = 0; g < n_lambda * n_sigma2; ++g) {
+    const double lambda = options.lambdas[g / n_sigma2];
+    const double sigma2 = options.sigma2s[g % n_sigma2];
     const double acc = reduce_folds(&outcomes[g * folds], folds);
-    result.trials.push_back({grid[g].first, grid[g].second, acc});
+    result.trials.push_back({lambda, sigma2, acc});
     if (acc > result.best_accuracy) {
       result.best_accuracy = acc;
       result.best = base;
-      result.best.lambda = grid[g].first;
-      result.best.kernel.sigma2 = grid[g].second;
+      result.best.lambda = lambda;
+      result.best.kernel.sigma2 = sigma2;
     }
   }
   return result;

@@ -2,9 +2,15 @@
 // (Section IV: "we use 10-fold cross validation to tune the model parameter
 // λ and σ² on the training set").
 //
-// Fold × grid-point evaluations run in parallel on the shared pool
+// One kernel per σ² per tune: the Gram of the full dataset is built once
+// per σ², and every (λ, fold) fit of that σ² trains against it with the
+// fold's test rows pinned at box bound Cᵢ = 0 (SvmTrainer::train_fold) —
+// no per-fold row copy, no per-fold Gram, bit-identical to fitting each
+// fold's subset (DESIGN.md §10).
+//
+// Fold × λ evaluations run in parallel on the shared pool
 // (util/parallel.h): the fold split is drawn up front from the caller's
-// seed, each task is a pure function of (data, params, fold), and the
+// seed, each task is a pure function of (data, Gram, params, fold), and the
 // per-point reduction happens serially in fold order — so every accuracy,
 // trial row, and the winning (λ, σ²) are byte-identical for --threads 1
 // and --threads N.

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "obs/registry.h"
+#include "obs/trace.h"
 #include "util/check.h"
 #include "util/parallel.h"
 
@@ -74,6 +76,13 @@ inline double dot(const double* a, const double* b, std::size_t d) {
 GramMatrix::GramMatrix(const std::vector<std::vector<double>>& X,
                        const KernelParams& kernel)
     : n_(X.size()) {
+  LEAPS_SPAN("svm.gram");
+  // Each unique pair is evaluated once (the mirror write is free), so the
+  // metric counts the upper triangle: n(n+1)/2 per build.
+  static obs::Counter& kernel_evals = obs::MetricRegistry::global().counter(
+      "leaps_ml_kernel_evals_total",
+      "kernel evaluations spent building SVM gram matrices");
+  kernel_evals.inc(n_ * (n_ + 1) / 2);
   const std::size_t d = n_ == 0 ? 0 : X.front().size();
   // One contiguous n×d block: the pair loop below reads rows without
   // pointer chasing, and the same dot product serves every kernel type.

@@ -48,7 +48,8 @@ std::vector<std::vector<double>> gram_matrix(
 /// linear/polynomial reuse the same dot. Agreement with the direct
 /// KernelParams evaluation is a property-test contract (≤ 1e-12), and the
 /// result is bit-identical for every thread count: entry values depend only
-/// on the inputs, and each entry is written exactly once.
+/// on the inputs, and each entry is written exactly once. Every build is
+/// one `svm.gram` span and adds n(n+1)/2 to leaps_ml_kernel_evals_total.
 class GramMatrix {
  public:
   GramMatrix() = default;

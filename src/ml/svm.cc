@@ -85,19 +85,21 @@ std::vector<SvmModel::Contribution> SvmModel::top_contributions(
   return all;
 }
 
-SvmModel SvmTrainer::train(const Dataset& data, TrainStats* stats,
-                           const std::vector<double>* warm_alpha) const {
-  LEAPS_SPAN("svm.train");
-  data.validate();
-  const std::size_t n = data.size();
-  LEAPS_CHECK_MSG(n >= 2, "SVM needs at least two samples");
+namespace {
 
-  // Per-sample box bounds C_i = λ c_i. A zero weight pins α_i = 0.
+/// Per-sample box bounds Cᵢ = λ·cᵢ. A zero weight pins αᵢ = 0, and so does
+/// a `held_out` flag — a cross-validation row left out of the fit is a row
+/// the solver may never move. Throws unless both classes keep a positive
+/// bound.
+std::vector<double> box_bounds(double lambda, const Dataset& data,
+                               const std::vector<char>* held_out) {
+  const std::size_t n = data.size();
   std::vector<double> C(n);
   bool has_pos = false;
   bool has_neg = false;
   for (std::size_t i = 0; i < n; ++i) {
-    C[i] = params_.lambda * data.weight[i];
+    const bool out = held_out != nullptr && (*held_out)[i] != 0;
+    C[i] = out ? 0.0 : lambda * data.weight[i];
     if (C[i] > 0.0) {
       (data.y[i] > 0 ? has_pos : has_neg) = true;
     }
@@ -106,14 +108,20 @@ SvmModel SvmTrainer::train(const Dataset& data, TrainStats* stats,
     throw std::invalid_argument(
         "SvmTrainer: need positively-weighted samples of both classes");
   }
+  return C;
+}
 
-  const GramMatrix K(data.X, params_.kernel);
-  // The gram matrix evaluates each unique pair once (the mirror write is
-  // free), so the metric still counts the upper triangle.
-  static obs::Counter& kernel_evals = obs::MetricRegistry::global().counter(
-      "leaps_ml_kernel_evals_total",
-      "kernel evaluations spent building SVM gram matrices");
-  kernel_evals.inc(n * (n + 1) / 2);
+/// The one SMO loop. `K` is the Gram of every row of `data`; rows with
+/// Cᵢ = 0 are in neither I_up nor I_low, so they are never selected and
+/// never become support vectors. `rows` is the size of the training set
+/// the automatic iteration cap is derived from: all of `data` for a full
+/// fit, the fold's training rows for a cross-validation fit.
+SvmModel solve(const SvmParams& params, const Dataset& data,
+               const GramMatrix& K, const std::vector<double>& C,
+               std::size_t rows, TrainStats* stats,
+               const std::vector<double>* warm_alpha) {
+  LEAPS_SPAN("svm.solve");
+  const std::size_t n = data.size();
   // Diagonal entries feed the curvature terms of every working-set scan;
   // lift them out of the flat matrix once so the scan reads a contiguous
   // array instead of striding n doubles per element.
@@ -164,9 +172,8 @@ SvmModel SvmTrainer::train(const Dataset& data, TrainStats* stats,
   }
 
   const std::size_t max_iter =
-      params_.max_iterations > 0
-          ? params_.max_iterations
-          : std::max<std::size_t>(100000, 200 * n);
+      params.max_iterations > 0 ? params.max_iterations
+                                : std::max<std::size_t>(100000, 200 * rows);
 
   const auto in_up = [&](std::size_t t) {
     return (y[t] > 0 && alpha[t] < C[t]) || (y[t] < 0 && alpha[t] > 0.0);
@@ -215,8 +222,8 @@ SvmModel SvmTrainer::train(const Dataset& data, TrainStats* stats,
     }
     m_final = m;
     M_final = M;
-    if (i == n || j == n || m - M < params_.epsilon) {
-      converged = (i == n || j == n) ? true : (m - M < params_.epsilon);
+    if (i == n || j == n || m - M < params.epsilon) {
+      converged = (i == n || j == n) ? true : (m - M < params.epsilon);
       break;
     }
 
@@ -311,7 +318,31 @@ SvmModel SvmTrainer::train(const Dataset& data, TrainStats* stats,
   static obs::Gauge& last_iters = obs::MetricRegistry::global().gauge(
       "leaps_ml_svm_iterations", "SMO iterations of the last SVM training");
   last_iters.set(static_cast<std::int64_t>(iter));
-  return SvmModel(std::move(svs), std::move(coef), b, params_.kernel);
+  return SvmModel(std::move(svs), std::move(coef), b, params.kernel);
+}
+
+}  // namespace
+
+SvmModel SvmTrainer::train(const Dataset& data, TrainStats* stats,
+                           const std::vector<double>* warm_alpha) const {
+  LEAPS_SPAN("svm.train");
+  data.validate();
+  const std::size_t n = data.size();
+  LEAPS_CHECK_MSG(n >= 2, "SVM needs at least two samples");
+  const std::vector<double> C = box_bounds(params_.lambda, data, nullptr);
+  const GramMatrix K(data.X, params_.kernel);
+  return solve(params_, data, K, C, n, stats, warm_alpha);
+}
+
+SvmModel SvmTrainer::train_fold(const Dataset& data, const GramMatrix& gram,
+                                const std::vector<char>& held_out) const {
+  LEAPS_SPAN("svm.train");
+  const std::size_t n = data.size();
+  LEAPS_CHECK(gram.size() == n && held_out.size() == n);
+  const std::vector<double> C = box_bounds(params_.lambda, data, &held_out);
+  const auto rows = static_cast<std::size_t>(
+      std::count(held_out.begin(), held_out.end(), char{0}));
+  return solve(params_, data, gram, C, rows, nullptr, nullptr);
 }
 
 }  // namespace leaps::ml

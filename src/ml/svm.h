@@ -31,7 +31,8 @@ struct SvmParams {
   double lambda = 10.0;
   /// KKT violation tolerance for convergence.
   double epsilon = 1e-3;
-  /// Hard iteration cap; 0 = automatic (max(10⁵, 200·n)).
+  /// Hard iteration cap; 0 = automatic (max(10⁵, 200·n), n the training
+  /// rows).
   std::size_t max_iterations = 0;
 };
 
@@ -112,6 +113,18 @@ class SvmTrainer {
   /// converges to — only how many iterations it takes to get there.
   SvmModel train(const Dataset& data, TrainStats* stats = nullptr,
                  const std::vector<double>* warm_alpha = nullptr) const;
+
+  /// Cross-validation fit: trains on the rows of `data` whose `held_out`
+  /// flag is 0, against `gram` — the Gram of *all* of `data` under
+  /// params().kernel, built once and shared by every fold and λ of that
+  /// kernel. A held-out row gets box bound Cᵢ = 0, the same pin a zero
+  /// weight gets, so the model is bit-identical to
+  /// train(data.subset(training rows)) without copying rows or building a
+  /// fold-sized Gram (DESIGN.md §10). `data` must already be valid. The
+  /// same both-classes requirement as train() applies to the training
+  /// rows.
+  SvmModel train_fold(const Dataset& data, const GramMatrix& gram,
+                      const std::vector<char>& held_out) const;
 
   const SvmParams& params() const { return params_; }
 

@@ -8,6 +8,8 @@
 #include "ml/kernel.h"
 #include "ml/metrics.h"
 #include "ml/scaler.h"
+#include "ml/svm.h"
+#include "obs/registry.h"
 #include "util/rng.h"
 
 namespace leaps::ml {
@@ -298,6 +300,185 @@ TEST(CrossValidation, GridSearchRejectsEmptyGrid) {
   CrossValidationOptions opt;
   opt.lambdas = {};
   EXPECT_THROW(tune_svm(d, {}, opt, rng), std::logic_error);
+}
+
+// --------------------- shared-Gram folds vs per-fold subset reference ----
+
+constexpr std::size_t kRefFolds = 4;
+
+/// Overlapping blobs over a fixed fold split. Every other malicious row has
+/// weight 0, and the only positively-weighted malicious rows sit in fold
+/// 0's test set — so fold 0's training split lacks a class and must be
+/// skipped, while every other fold trains on them.
+Dataset reference_dataset(const std::vector<std::vector<std::size_t>>& folds,
+                          util::Rng& rng) {
+  std::size_t n = 0;
+  for (const auto& f : folds) n += f.size();
+  std::vector<char> in_fold0(n, 0);
+  for (const std::size_t i : folds[0]) in_fold0[i] = 1;
+  Dataset d;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool benign = i % 3 != 0;
+    const double c = benign ? 0.0 : 1.5;
+    double w = 1.0;
+    if (!benign) w = in_fold0[i] ? 0.3 + 0.7 * rng.next_double() : 0.0;
+    d.add({c + rng.next_gaussian(), c + rng.next_gaussian()},
+          benign ? 1 : -1, w);
+  }
+  return d;
+}
+
+/// The per-fold recipe the shared Gram replaced: copy the training rows
+/// with Dataset::subset, train on the copy, mean the held-out accuracies
+/// in fold order. `skipped` counts folds left out of the mean.
+double reference_cv(const Dataset& data, const SvmParams& params,
+                    const std::vector<std::vector<std::size_t>>& folds,
+                    bool weighted, std::size_t* skipped) {
+  double acc_sum = 0.0;
+  std::size_t used = 0;
+  for (const auto& test : folds) {
+    std::vector<char> in_test(data.size(), 0);
+    for (const std::size_t i : test) in_test[i] = 1;
+    std::vector<std::size_t> train_idx;
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      if (!in_test[i]) train_idx.push_back(i);
+    }
+    const Dataset train = data.subset(train_idx);
+    bool pos = false;
+    bool neg = false;
+    for (std::size_t i = 0; i < train.size(); ++i) {
+      if (train.weight[i] > 0.0) (train.y[i] > 0 ? pos : neg) = true;
+    }
+    double correct = 0.0;
+    double total = 0.0;
+    if (!test.empty() && pos && neg) {
+      const SvmModel model = SvmTrainer(params).train(train);
+      for (const std::size_t i : test) {
+        const double w = weighted ? data.weight[i] : 1.0;
+        total += w;
+        if (model.predict(data.X[i]) == data.y[i]) correct += w;
+      }
+    }
+    if (total <= 0.0) {
+      ++*skipped;
+      continue;
+    }
+    acc_sum += correct / total;
+    ++used;
+  }
+  return used == 0 ? 0.0 : acc_sum / static_cast<double>(used);
+}
+
+TEST(CrossValidation, TuneSvmEqualsPerFoldSubsetReference) {
+  CrossValidationOptions opt;
+  opt.lambdas = {0.5, 4.0, 50.0};
+  opt.sigma2s = {0.5, 2.0, 8.0};
+  opt.folds = kRefFolds;
+  util::Rng rng(21);
+  // tune_svm draws its split from this fork of the caller's generator.
+  util::Rng fold_rng = rng.fork(0xF01D5);
+  const auto folds = make_folds(60, kRefFolds, fold_rng);
+  util::Rng data_rng(22);
+  const Dataset data = reference_dataset(folds, data_rng);
+
+  for (const bool weighted : {false, true}) {
+    opt.weighted_validation = weighted;
+    const GridSearchResult res = tune_svm(data, {}, opt, rng);
+    ASSERT_EQ(res.trials.size(), 9u);
+    double best = -1.0;
+    for (std::size_t g = 0; g < res.trials.size(); ++g) {
+      SvmParams p;
+      p.lambda = opt.lambdas[g / 3];
+      p.kernel.sigma2 = opt.sigma2s[g % 3];
+      std::size_t skipped = 0;
+      const double want = reference_cv(data, p, folds, weighted, &skipped);
+      EXPECT_EQ(skipped, 1u) << "fold 0 lacks a malicious training row";
+      EXPECT_EQ(res.trials[g].lambda, p.lambda);
+      EXPECT_EQ(res.trials[g].sigma2, p.kernel.sigma2);
+      EXPECT_EQ(res.trials[g].accuracy, want) << "trial " << g;
+      best = std::max(best, want);
+    }
+    EXPECT_EQ(res.best_accuracy, best);
+  }
+}
+
+TEST(CrossValidation, CrossValidateEqualsPerFoldSubsetReference) {
+  util::Rng rng(31);
+  util::Rng split_rng = rng;  // cross_validate splits on the caller's rng
+  const auto folds = make_folds(60, kRefFolds, split_rng);
+  util::Rng data_rng(32);
+  const Dataset data = reference_dataset(folds, data_rng);
+  SvmParams p;
+  p.lambda = 8.0;
+  p.kernel.sigma2 = 2.0;
+  for (const bool weighted : {false, true}) {
+    util::Rng cv_rng = rng;
+    std::size_t skipped = 0;
+    EXPECT_EQ(cross_validate(data, p, kRefFolds, cv_rng, weighted),
+              reference_cv(data, p, folds, weighted, &skipped));
+    EXPECT_EQ(skipped, 1u);
+  }
+}
+
+TEST(SvmTrainer, FoldFitOnSharedGramEqualsSubsetFit) {
+  util::Rng rng(41);
+  const auto folds = make_folds(90, 5, rng);
+  Dataset data;
+  for (std::size_t i = 0; i < 90; ++i) {
+    const bool benign = i % 2 == 0;
+    const double c = benign ? 0.0 : 1.2;
+    // A zero-weight row every seventh: pinned both ways.
+    const double w = i % 7 == 0 ? 0.0 : 0.2 + 0.8 * rng.next_double();
+    data.add({c + rng.next_gaussian(), c + rng.next_gaussian(),
+              rng.next_gaussian()},
+             benign ? 1 : -1, w);
+  }
+  for (const double sigma2 : {0.5, 4.0}) {
+    SvmParams p;
+    p.kernel.sigma2 = sigma2;
+    const GramMatrix gram(data.X, p.kernel);
+    for (const double lambda : {1.0, 100.0}) {
+      p.lambda = lambda;
+      for (const auto& test : folds) {
+        std::vector<char> held_out(data.size(), 0);
+        for (const std::size_t i : test) held_out[i] = 1;
+        std::vector<std::size_t> train_idx;
+        for (std::size_t i = 0; i < data.size(); ++i) {
+          if (!held_out[i]) train_idx.push_back(i);
+        }
+        const SvmModel shared =
+            SvmTrainer(p).train_fold(data, gram, held_out);
+        const SvmModel subset = SvmTrainer(p).train(data.subset(train_idx));
+        ASSERT_GT(subset.support_vector_count(), 0u);
+        EXPECT_EQ(shared.support_vectors(), subset.support_vectors());
+        EXPECT_EQ(shared.coefficients(), subset.coefficients());
+        EXPECT_EQ(shared.bias(), subset.bias());
+      }
+    }
+  }
+}
+
+TEST(CrossValidation, TuneBuildsOneGramPerSigma2) {
+  util::Rng rng(51);
+  const Dataset d = easy_dataset(rng);
+  CrossValidationOptions opt;
+  opt.lambdas = {1.0, 10.0};
+  opt.sigma2s = {0.5, 1.0, 4.0};
+  opt.folds = 5;
+  obs::Counter& evals =
+      obs::MetricRegistry::global().counter("leaps_ml_kernel_evals_total");
+  const std::uint64_t n = d.size();
+  const std::uint64_t before = evals.value();
+  util::Rng tune_rng(52);
+  (void)tune_svm(d, {}, opt, tune_rng);
+  // |σ²| full-dataset Grams, each counting its upper triangle — not one
+  // fold-sized Gram per (λ, σ², fold) task.
+  EXPECT_EQ(evals.value() - before, 3 * n * (n + 1) / 2);
+
+  const std::uint64_t mid = evals.value();
+  util::Rng cv_rng(53);
+  (void)cross_validate(d, {}, 5, cv_rng);
+  EXPECT_EQ(evals.value() - mid, n * (n + 1) / 2);
 }
 
 }  // namespace

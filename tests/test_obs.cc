@@ -499,7 +499,8 @@ TEST_F(TracerTest, PipelinePrepareEmitsANestedStageTree) {
   for (const char* stage :
        {"pipeline.prepare", "pipeline.preprocess", "pipeline.cfg_infer",
         "pipeline.weight_assess", "pipeline.assemble", "preprocess.fit",
-        "cfg.infer", "cfg.assess_weights", "svm.train"}) {
+        "cfg.infer", "cfg.assess_weights", "svm.train", "svm.gram",
+        "svm.solve"}) {
     EXPECT_NE(by_name.find(stage), by_name.end())
         << "missing span " << stage;
   }
