@@ -18,7 +18,7 @@
 #include "ml/hmm.h"
 #include "ml/logreg.h"
 #include "sim/scenario.h"
-#include "trace/parser.h"
+#include "trace/partition.h"
 #include "util/stats.h"
 
 namespace {
@@ -28,11 +28,6 @@ using namespace leaps;
 struct Row {
   util::RunningStats lr, tree, forest, svm, hmm;
 };
-
-trace::PartitionedLog split_log(const trace::RawLog& raw) {
-  const trace::ParsedTrace t = trace::RawLogParser().parse_raw(raw);
-  return trace::StackPartitioner(t.log.process_name).partition(t.log);
-}
 
 }  // namespace
 
@@ -51,9 +46,10 @@ int main() {
   for (const char* name : kScenarios) {
     const sim::ScenarioLogs logs =
         sim::generate_scenario(sim::find_scenario(name), opt.sim);
-    const trace::PartitionedLog benign = split_log(logs.benign);
-    const trace::PartitionedLog mixed = split_log(logs.mixed);
-    const trace::PartitionedLog malicious = split_log(logs.malicious);
+    const trace::PartitionedLog benign = trace::partition_raw(logs.benign);
+    const trace::PartitionedLog mixed = trace::partition_raw(logs.mixed);
+    const trace::PartitionedLog malicious =
+        trace::partition_raw(logs.malicious);
 
     const core::LeapsPipeline pipeline(opt.pipeline);
     const core::TrainingData td = pipeline.prepare(benign, mixed);

@@ -10,7 +10,6 @@
 #include "attrib/signature.h"
 #include "bench_common.h"
 #include "sim/campaign.h"
-#include "trace/parser.h"
 #include "trace/partition.h"
 
 namespace {
@@ -24,9 +23,7 @@ struct AttributionRow {
 AttributionRow attribution_row(const leaps::sim::CampaignSpec& spec,
                                const leaps::sim::CampaignLogs& logs) {
   using namespace leaps;
-  const trace::ParsedTrace t = trace::RawLogParser().parse_raw(logs.malicious);
-  const trace::PartitionedLog mal =
-      trace::StackPartitioner(t.log.process_name).partition(t.log);
+  const trace::PartitionedLog mal = trace::partition_raw(logs.malicious);
 
   std::vector<attrib::WindowEvidence> flagged;
   constexpr std::size_t kWindow = 10;

@@ -76,9 +76,9 @@ BENCHMARK(BM_SerializeRawLog);
 void BM_ParseRawLogText(benchmark::State& state) {
   const auto& logs = cached_logs(2000);
   const std::string text = trace::raw_log_to_string(logs.benign);
-  const trace::RawLogParser parser;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(parser.parse_string(text));
+    std::istringstream is(text);
+    benchmark::DoNotOptimize(trace::read_raw_log_any(is));
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(text.size()));
@@ -101,11 +101,7 @@ const trace::PartitionedLog& cached_partitioned(std::size_t events) {
   static std::map<std::size_t, trace::PartitionedLog> cache;
   auto it = cache.find(events);
   if (it == cache.end()) {
-    const auto& logs = cached_logs(events);
-    const trace::ParsedTrace t = trace::RawLogParser().parse_raw(logs.mixed);
-    it = cache
-             .emplace(events, trace::StackPartitioner(t.log.process_name)
-                                  .partition(t.log))
+    it = cache.emplace(events, trace::partition_raw(cached_logs(events).mixed))
              .first;
   }
   return it->second;
@@ -125,14 +121,11 @@ BENCHMARK(BM_CfgInference)->Arg(1000)->Arg(4000);
 
 void BM_WeightAssessment(benchmark::State& state) {
   const auto& logs = cached_logs(4000);
-  const trace::RawLogParser parser;
-  const auto split = [&parser](const trace::RawLog& raw) {
-    const trace::ParsedTrace t = parser.parse_raw(raw);
-    return trace::StackPartitioner(t.log.process_name).partition(t.log);
-  };
   const cfg::CfgInference inference;
-  const cfg::InferredCfg bcfg = inference.infer(split(logs.benign));
-  const cfg::InferredCfg mcfg = inference.infer(split(logs.mixed));
+  const cfg::InferredCfg bcfg =
+      inference.infer(trace::partition_raw(logs.benign));
+  const cfg::InferredCfg mcfg =
+      inference.infer(trace::partition_raw(logs.mixed));
   for (auto _ : state) {
     const cfg::WeightAssessor assessor(bcfg.graph);
     benchmark::DoNotOptimize(assessor.assess(mcfg));
@@ -268,13 +261,8 @@ void BM_CfgAlignment(benchmark::State& state) {
   cfg.malicious_events = 100;
   const auto logs =
       sim::generate_source_trojan_scenario("winscp", "reverse_tcp", cfg);
-  const trace::RawLogParser parser;
-  const auto split = [&parser](const trace::RawLog& raw) {
-    const trace::ParsedTrace t = parser.parse_raw(raw);
-    return trace::StackPartitioner(t.log.process_name).partition(t.log);
-  };
-  const auto benign = split(logs.benign);
-  const auto mixed = split(logs.mixed);
+  const auto benign = trace::partition_raw(logs.benign);
+  const auto mixed = trace::partition_raw(logs.mixed);
   const cfg::CfgInference inference;
   const auto bcfg = inference.infer(benign);
   const auto mcfg = inference.infer(mixed);
@@ -406,13 +394,8 @@ BENCHMARK(BM_SketchMerge);
 
 void BM_DetectorPersistRoundTrip(benchmark::State& state) {
   const auto& logs = cached_logs(2000);
-  const trace::RawLogParser parser;
-  const auto split = [&parser](const trace::RawLog& raw) {
-    const trace::ParsedTrace t = parser.parse_raw(raw);
-    return trace::StackPartitioner(t.log.process_name).partition(t.log);
-  };
-  const auto benign = split(logs.benign);
-  const auto mixed = split(logs.mixed);
+  const auto benign = trace::partition_raw(logs.benign);
+  const auto mixed = trace::partition_raw(logs.mixed);
   const core::TrainingData td = core::LeapsPipeline().prepare(benign, mixed);
   ml::Dataset train = td.benign;
   train.append(td.mixed);
@@ -456,9 +439,7 @@ BENCHMARK(BM_SessionKeyCachedString);
 // hits). This is the submit()-side cost that buys string-free workers.
 void BM_TokenTableCompact(benchmark::State& state) {
   const auto& logs = cached_logs(1000);
-  const trace::ParsedTrace t = trace::RawLogParser().parse_raw(logs.benign);
-  const trace::PartitionedLog log =
-      trace::StackPartitioner(t.log.process_name).partition(t.log);
+  const trace::PartitionedLog log = trace::partition_raw(logs.benign);
   trace::TokenTable table;  // private table: the benchmark stays hermetic
   std::size_t i = 0;
   const std::size_t n = log.events.size();

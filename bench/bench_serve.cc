@@ -35,18 +35,12 @@
 #include "online/manager.h"
 #include "serve/server.h"
 #include "sim/scenario.h"
-#include "trace/parser.h"
 #include "trace/partition.h"
 #include "util/env.h"
 
 namespace {
 
 using namespace leaps;
-
-trace::PartitionedLog partition_raw(const trace::RawLog& raw) {
-  const trace::ParsedTrace t = trace::RawLogParser().parse_raw(raw);
-  return trace::StackPartitioner(t.log.process_name).partition(t.log);
-}
 
 struct Workload {
   std::shared_ptr<const core::Detector> detector;
@@ -62,8 +56,8 @@ Workload build_workload(std::size_t train_events) {
       sim::find_scenario("vim_reverse_tcp_online"), cfg);
 
   Workload w;
-  const trace::PartitionedLog benign = partition_raw(logs.benign);
-  const trace::PartitionedLog mixed = partition_raw(logs.mixed);
+  const trace::PartitionedLog benign = trace::partition_raw(logs.benign);
+  const trace::PartitionedLog mixed = trace::partition_raw(logs.mixed);
   const core::TrainingData td = core::LeapsPipeline().prepare(benign, mixed);
   ml::Dataset train = td.benign;
   train.append(td.mixed);

@@ -40,7 +40,6 @@
 #include "ml/svm.h"
 #include "obs/registry.h"
 #include "sim/scenario.h"
-#include "trace/parser.h"
 #include "trace/partition.h"
 #include "util/env.h"
 #include "util/parallel.h"
@@ -130,11 +129,6 @@ struct E2eInput {
   trace::PartitionedLog mixed;
 };
 
-trace::PartitionedLog partition_raw(const trace::RawLog& raw) {
-  const trace::ParsedTrace t = trace::RawLogParser().parse_raw(raw);
-  return trace::StackPartitioner(t.log.process_name).partition(t.log);
-}
-
 E2eInput build_e2e_input(std::size_t train_events) {
   sim::SimConfig cfg;
   cfg.benign_events = train_events;
@@ -142,7 +136,7 @@ E2eInput build_e2e_input(std::size_t train_events) {
   cfg.malicious_events = train_events / 2;
   const sim::ScenarioLogs logs = sim::generate_scenario(
       sim::find_scenario("vim_reverse_tcp_online"), cfg);
-  return {partition_raw(logs.benign), partition_raw(logs.mixed)};
+  return {trace::partition_raw(logs.benign), trace::partition_raw(logs.mixed)};
 }
 
 /// prepare (cluster-heavy) + CV tune (fold×grid fan-out) + final train

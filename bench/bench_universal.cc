@@ -8,16 +8,11 @@
 #include "bench_common.h"
 #include "core/universal.h"
 #include "sim/scenario.h"
-#include "trace/parser.h"
+#include "trace/partition.h"
 
 namespace {
 
 using namespace leaps;
-
-trace::PartitionedLog split_log(const trace::RawLog& raw) {
-  const trace::ParsedTrace t = trace::RawLogParser().parse_raw(raw);
-  return trace::StackPartitioner(t.log.process_name).partition(t.log);
-}
 
 }  // namespace
 
@@ -50,8 +45,9 @@ int main() {
   for (const char* name : kScenarios) {
     const sim::ScenarioLogs logs =
         sim::generate_scenario(sim::find_scenario(name), opt.sim);
-    apps.push_back({name, split_log(logs.benign), split_log(logs.mixed),
-                    split_log(logs.malicious)});
+    apps.push_back({name, trace::partition_raw(logs.benign),
+                    trace::partition_raw(logs.mixed),
+                    trace::partition_raw(logs.malicious)});
   }
   core::UniversalOptions uopt;
   uopt.svm.kernel.sigma2 = 8.0;

@@ -14,7 +14,6 @@
 #include "cfg/inference.h"
 #include "cfg/weight.h"
 #include "sim/scenario.h"
-#include "trace/parser.h"
 #include "trace/partition.h"
 #include "util/strings.h"
 
@@ -49,11 +48,6 @@ void figure3_micro_example() {
   std::printf("\n");
 }
 
-trace::PartitionedLog parse_and_partition(const trace::RawLog& raw) {
-  const trace::ParsedTrace t = trace::RawLogParser().parse_raw(raw);
-  return trace::StackPartitioner(t.log.process_name).partition(t.log);
-}
-
 }  // namespace
 
 int main() {
@@ -68,8 +62,8 @@ int main() {
   const sim::ScenarioLogs logs =
       sim::generate_scenario(sim::find_scenario("vim_reverse_tcp"), cfg);
 
-  const trace::PartitionedLog benign = parse_and_partition(logs.benign);
-  const trace::PartitionedLog mixed = parse_and_partition(logs.mixed);
+  const trace::PartitionedLog benign = trace::partition_raw(logs.benign);
+  const trace::PartitionedLog mixed = trace::partition_raw(logs.mixed);
   const cfg::CfgInference inference;
   const cfg::InferredCfg bcfg = inference.infer(benign);
   const cfg::InferredCfg mcfg = inference.infer(mixed);

@@ -9,7 +9,6 @@
 
 #include "core/preprocess.h"
 #include "sim/scenario.h"
-#include "trace/parser.h"
 #include "trace/partition.h"
 #include "util/strings.h"
 
@@ -23,10 +22,7 @@ int main() {
   const sim::ScenarioLogs logs =
       sim::generate_scenario(sim::find_scenario("putty_reverse_tcp"), cfg);
 
-  const trace::ParsedTrace parsed =
-      trace::RawLogParser().parse_raw(logs.benign);
-  const trace::PartitionedLog part =
-      trace::StackPartitioner(parsed.log.process_name).partition(parsed.log);
+  const trace::PartitionedLog part = trace::partition_raw(logs.benign);
 
   core::Preprocessor pre;
   pre.fit({&part});

@@ -13,17 +13,11 @@
 #include "core/pipeline.h"
 #include "ml/cross_validation.h"
 #include "sim/scenario.h"
-#include "trace/parser.h"
 #include "trace/partition.h"
 
 using namespace leaps;
 
 namespace {
-
-trace::PartitionedLog parse_and_partition(const trace::RawLog& raw) {
-  const trace::ParsedTrace t = trace::RawLogParser().parse_raw(raw);
-  return trace::StackPartitioner(t.log.process_name).partition(t.log);
-}
 
 void report(const char* what, const core::Detector::ScanResult& r) {
   std::printf("  %-38s %4zu windows benign, %4zu malicious  (%.1f%% flagged)\n",
@@ -40,8 +34,8 @@ int main() {
   std::printf("Training on scenario %s (%s)\n", spec.name.c_str(),
               std::string(sim::attack_method_name(spec.method)).c_str());
   const sim::ScenarioLogs train_logs = sim::generate_scenario(spec, train_cfg);
-  const trace::PartitionedLog benign = parse_and_partition(train_logs.benign);
-  const trace::PartitionedLog mixed = parse_and_partition(train_logs.mixed);
+  const trace::PartitionedLog benign = trace::partition_raw(train_logs.benign);
+  const trace::PartitionedLog mixed = trace::partition_raw(train_logs.mixed);
 
   // --- training phase ----------------------------------------------------
   const core::LeapsPipeline pipeline;
@@ -78,11 +72,11 @@ int main() {
   const sim::ScenarioLogs fresh_logs = sim::generate_scenario(spec, fresh);
 
   report("clean putty session",
-         detector.scan(parse_and_partition(fresh_logs.benign)));
+         detector.scan(trace::partition_raw(fresh_logs.benign)));
   report("putty with injected backdoor (mixed)",
-         detector.scan(parse_and_partition(fresh_logs.mixed)));
+         detector.scan(trace::partition_raw(fresh_logs.mixed)));
   report("standalone recompiled payload",
-         detector.scan(parse_and_partition(fresh_logs.malicious)));
+         detector.scan(trace::partition_raw(fresh_logs.malicious)));
 
   std::printf("\nA clean trace should stay mostly green; the infected "
               "process lights up in proportion\nto the adversary's backdoor "

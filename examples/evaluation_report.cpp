@@ -10,7 +10,6 @@
 
 #include "core/experiment.h"
 #include "ml/metrics.h"
-#include "trace/parser.h"
 #include "trace/partition.h"
 #include "util/strings.h"
 
@@ -45,14 +44,9 @@ int main(int argc, char** argv) {
   // A ROC curve for the WSVM from one extra evaluation pass: train on one
   // split, score the held-out windows.
   const sim::ScenarioLogs logs = sim::generate_scenario(spec, opt.sim);
-  const trace::RawLogParser parser;
-  const auto split = [&parser](const trace::RawLog& raw) {
-    const trace::ParsedTrace t = parser.parse_raw(raw);
-    return trace::StackPartitioner(t.log.process_name).partition(t.log);
-  };
-  const trace::PartitionedLog benign = split(logs.benign);
-  const trace::PartitionedLog mixed = split(logs.mixed);
-  const trace::PartitionedLog malicious = split(logs.malicious);
+  const trace::PartitionedLog benign = trace::partition_raw(logs.benign);
+  const trace::PartitionedLog mixed = trace::partition_raw(logs.mixed);
+  const trace::PartitionedLog malicious = trace::partition_raw(logs.malicious);
   const core::TrainingData td =
       core::LeapsPipeline(opt.pipeline).prepare(benign, mixed);
   const core::WindowedData mal_windows =

@@ -14,18 +14,12 @@
 #include "core/pipeline.h"
 #include "ml/cross_validation.h"
 #include "sim/scenario.h"
-#include "trace/parser.h"
 #include "trace/partition.h"
 #include "trace/system_log.h"
 
 using namespace leaps;
 
 namespace {
-
-trace::PartitionedLog split(const trace::RawLog& raw) {
-  const trace::ParsedTrace t = trace::RawLogParser().parse_raw(raw);
-  return trace::StackPartitioner(t.log.process_name).partition(t.log);
-}
 
 }  // namespace
 
@@ -51,9 +45,9 @@ int main() {
 
   // --- train on the target application ------------------------------------
   const sim::ScenarioLogs reference = sim::generate_scenario(spec, cfg);
-  const trace::PartitionedLog benign = split(reference.benign);
+  const trace::PartitionedLog benign = trace::partition_raw(reference.benign);
   const trace::PartitionedLog mixed =
-      split(trace::slice_process(cap.capture, cap.target_pid));
+      trace::partition_raw(trace::slice_process(cap.capture, cap.target_pid));
   const core::TrainingData td = core::LeapsPipeline().prepare(benign, mixed);
 
   ml::Dataset train = td.benign;
@@ -73,7 +67,7 @@ int main() {
   std::printf("scanning all process slices:\n");
   for (const std::uint32_t pid : trace::capture_pids(cap.capture)) {
     const trace::RawLog sliced = trace::slice_process(cap.capture, pid);
-    const auto result = detector.scan(split(sliced));
+    const auto result = detector.scan(trace::partition_raw(sliced));
     std::printf("  pid %-6u %-16s %5.1f%% windows flagged%s\n", pid,
                 sliced.process_name.c_str(),
                 100.0 * result.malicious_fraction(),

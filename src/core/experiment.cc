@@ -7,7 +7,7 @@
 #include <thread>
 #include <tuple>
 
-#include "trace/parser.h"
+#include "trace/partition.h"
 #include "util/check.h"
 #include "util/stats.h"
 #include "util/strings.h"
@@ -72,20 +72,10 @@ ExperimentResult ExperimentRunner::run_on_logs(
   result.spec = logs.spec;
 
   // --- parse + partition (Raw Log Parser, Stack Partition Module) -------
-  const trace::RawLogParser parser;
-  const trace::ParsedTrace benign_trace = parser.parse_raw(logs.benign);
-  const trace::ParsedTrace mixed_trace = parser.parse_raw(logs.mixed);
-  const trace::ParsedTrace malicious_trace = parser.parse_raw(logs.malicious);
-
-  const trace::PartitionedLog benign_part =
-      trace::StackPartitioner(benign_trace.log.process_name)
-          .partition(benign_trace.log);
-  const trace::PartitionedLog mixed_part =
-      trace::StackPartitioner(mixed_trace.log.process_name)
-          .partition(mixed_trace.log);
+  const trace::PartitionedLog benign_part = trace::partition_raw(logs.benign);
+  const trace::PartitionedLog mixed_part = trace::partition_raw(logs.mixed);
   const trace::PartitionedLog malicious_part =
-      trace::StackPartitioner(malicious_trace.log.process_name)
-          .partition(malicious_trace.log);
+      trace::partition_raw(logs.malicious);
 
   // --- pipeline: features + CFG-guided weights (once per scenario) ------
   const LeapsPipeline pipeline(options_.pipeline);

@@ -5,12 +5,10 @@
 #include <optional>
 #include <ostream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "obs/registry.h"
-#include "util/fault.h"
+#include "trace/decode.h"
 #include "util/strings.h"
 
 namespace leaps::trace {
@@ -28,35 +26,6 @@ using util::trim;
 // serial from a fixed epoch. The parser never reads the timestamp.
 constexpr std::uint64_t kEpoch = 1700000000;
 
-/// Internal parse error; converted to kCorruptInput at the API boundary.
-/// Carries both the 1-based line number and the byte offset of the start
-/// of the offending line (the binary dialect's offset discipline).
-class AuditdError : public std::runtime_error {
- public:
-  AuditdError(std::size_t line, std::size_t byte, const std::string& what)
-      : std::runtime_error("auditd log parse error at line " +
-                           std::to_string(line) + " (byte " +
-                           std::to_string(byte) + "): " + what) {}
-};
-
-obs::Counter& ingest_events_counter() {
-  static obs::Counter& c = obs::MetricRegistry::global().counter(
-      "leaps_ingest_events_total", "raw events decoded from ingested logs");
-  return c;
-}
-
-obs::Counter& ingest_bytes_counter() {
-  static obs::Counter& c = obs::MetricRegistry::global().counter(
-      "leaps_ingest_bytes_total", "bytes consumed decoding ingested logs");
-  return c;
-}
-
-obs::Counter& ingest_corrupt_counter() {
-  static obs::Counter& c = obs::MetricRegistry::global().counter(
-      "leaps_ingest_corrupt_total", "ingest attempts rejected as corrupt");
-  return c;
-}
-
 void append_record_prefix(std::ostream& os, const char* kind,
                           std::uint64_t& serial) {
   const std::uint64_t s = serial++;
@@ -70,10 +39,7 @@ void append_record_prefix(std::ostream& os, const char* kind,
 /// Line-by-line state machine over the auditd record grammar.
 class AuditdParserState {
  public:
-  RawLog finish() && {
-    flush_event();
-    return std::move(log_);
-  }
+  RawLog finish() && { return std::move(log_); }
 
   void consume(std::string_view line, std::size_t lineno, std::size_t byte) {
     lineno_ = lineno;
@@ -112,18 +78,18 @@ class AuditdParserState {
       m.base = parse_addr(field(fields, "addr"));
       m.size = parse_addr(field(fields, "len"));
       m.name = std::string(field(fields, "name"));
-      require(m.size > 0, "MMAP with zero len");
+      if (std::string why = check_.admit(m); !why.empty()) fail(why);
       log_.modules.push_back(std::move(m));
     } else if (kind == "SYM") {
       RawSymbol s;
       s.address = parse_addr(field(fields, "addr"));
       s.function = std::string(field(fields, "name"));
+      if (std::string why = check_.admit(s); !why.empty()) fail(why);
       log_.symbols.push_back(std::move(s));
     } else if (kind == "SYSCALL") {
-      flush_event();
-      current_.emplace();
-      current_->seq = parse_dec(field(fields, "seq"));
-      current_->tid = static_cast<std::uint32_t>(
+      RawEvent e;
+      e.seq = parse_dec(field(fields, "seq"));
+      e.tid = static_cast<std::uint32_t>(
           parse_dec(field(fields, "tid")));
       // The audit filter key carries the exact event-type name; the
       // syscall number is the fallback for foreign captures without keys.
@@ -131,19 +97,20 @@ class AuditdParserState {
       if (!key.empty()) {
         const auto type = event_type_from_name(key);
         require(type.has_value(), "unknown audit key");
-        current_->type = *type;
+        e.type = *type;
       } else {
         const auto type = auditd_event_type(static_cast<int>(
             parse_dec(field(fields, "syscall"))));
         require(type.has_value(), "unmapped syscall number");
-        current_->type = *type;
+        e.type = *type;
       }
+      log_.events.push_back(std::move(e));
     } else if (kind == "BACKTRACE") {
-      require(current_.has_value(), "BACKTRACE before any SYSCALL");
+      require(!log_.events.empty(), "BACKTRACE before any SYSCALL");
       const std::string_view frames = field(fields, "frames");
       if (!frames.empty()) {
         for (const std::string_view f : split(frames, ',')) {
-          current_->stack.push_back(parse_addr(f));
+          log_.events.back().stack.push_back(parse_addr(f));
         }
       }
     } else {
@@ -152,13 +119,6 @@ class AuditdParserState {
   }
 
  private:
-  void flush_event() {
-    if (current_.has_value()) {
-      log_.events.push_back(std::move(*current_));
-      current_.reset();
-    }
-  }
-
   std::string_view field(
       const std::vector<std::pair<std::string_view, std::string_view>>& fs,
       std::string_view key, bool required = true) {
@@ -190,11 +150,13 @@ class AuditdParserState {
   }
 
   [[noreturn]] void fail(const std::string& what) {
-    throw AuditdError(lineno_, byte_, what);
+    throw decode::DecodeError("line " + std::to_string(lineno_) + " (byte " +
+                                  std::to_string(byte_) + ")",
+                              what);
   }
 
+  decode::RecordCheck check_;
   RawLog log_;
-  std::optional<RawEvent> current_;
   std::size_t lineno_ = 0;
   std::size_t byte_ = 0;
 };
@@ -289,29 +251,15 @@ std::string raw_log_to_auditd_string(const RawLog& log) {
 }
 
 util::StatusOr<RawLog> read_raw_log_auditd(std::istream& is) {
-  LEAPS_FAULT_POINT_STATUS("trace.ingest.read");
-  std::size_t bytes = 0;
-  try {
+  return decode::decode_log(is, "auditd", [](std::istream& in) {
     AuditdParserState state;
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(is, line)) {
-      ++lineno;
-      state.consume(line, lineno, bytes);
-      bytes += line.size() + 1;  // + the newline getline consumed
-    }
-    RawLog log = std::move(state).finish();
-    ingest_events_counter().inc(log.events.size());
-    ingest_bytes_counter().inc(bytes);
-    return log;
-  } catch (const AuditdError& e) {
-    ingest_corrupt_counter().inc(1);
-    return util::corrupt_input(e.what());
-  } catch (const std::bad_alloc&) {
-    return util::resource_exhausted("auditd log parse: allocation failed");
-  } catch (const std::length_error&) {
-    return util::resource_exhausted("auditd log parse: implausible allocation");
-  }
+    const std::size_t bytes = decode::for_each_line(
+        in, [&state](std::string_view line, std::size_t lineno,
+                     std::size_t offset) {
+          state.consume(line, lineno, offset);
+        });
+    return decode::Decoded{std::move(state).finish(), bytes};
+  });
 }
 
 }  // namespace leaps::trace

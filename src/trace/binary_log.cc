@@ -3,12 +3,8 @@
 #include <algorithm>
 #include <istream>
 #include <ostream>
-#include <stdexcept>
 
-#include "obs/registry.h"
-#include "trace/auditd_log.h"
-#include "trace/parser.h"
-#include "util/fault.h"
+#include "trace/decode.h"
 
 namespace leaps::trace {
 
@@ -31,14 +27,6 @@ void capped_reserve(Vec& v, std::uint64_t count) {
   v.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(count, kSaneReserve)));
 }
-
-/// Internal decode error; converted to Status at the API boundary.
-class BinaryLogError : public std::runtime_error {
- public:
-  BinaryLogError(std::size_t offset, const std::string& what)
-      : std::runtime_error("binary log error at byte " +
-                           std::to_string(offset) + ": " + what) {}
-};
 
 std::uint64_t zigzag_encode(std::int64_t v) {
   return (static_cast<std::uint64_t>(v) << 1) ^
@@ -129,7 +117,7 @@ class Reader {
     return s;
   }
   [[noreturn]] void fail(const std::string& what) {
-    throw BinaryLogError(offset_, what);
+    throw decode::DecodeError("byte " + std::to_string(offset_), what);
   }
 
  private:
@@ -137,28 +125,7 @@ class Reader {
   std::size_t offset_ = 0;
 };
 
-// Ingest counters shared with the text parser (the registry dedups by
-// name). Incremented in bulk per decoded log, never per event, so the
-// decode loop stays free of shared-cache-line traffic.
-obs::Counter& ingest_events_counter() {
-  static obs::Counter& c = obs::MetricRegistry::global().counter(
-      "leaps_ingest_events_total", "raw events decoded from ingested logs");
-  return c;
-}
-
-obs::Counter& ingest_bytes_counter() {
-  static obs::Counter& c = obs::MetricRegistry::global().counter(
-      "leaps_ingest_bytes_total", "bytes consumed decoding ingested logs");
-  return c;
-}
-
-obs::Counter& ingest_corrupt_counter() {
-  static obs::Counter& c = obs::MetricRegistry::global().counter(
-      "leaps_ingest_corrupt_total", "ingest attempts rejected as corrupt");
-  return c;
-}
-
-RawLog read_binary_impl(std::istream& is) {
+decode::Decoded decode_binary(std::istream& is) {
   Reader r(is);
   char magic[sizeof(kBinaryLogMagic)];
   for (char& c : magic) c = static_cast<char>(r.byte());
@@ -166,6 +133,7 @@ RawLog read_binary_impl(std::istream& is) {
                   std::begin(kBinaryLogMagic))) {
     r.fail("bad magic");
   }
+  decode::RecordCheck check;
   RawLog log;
   log.process_name = r.string();
   const std::uint64_t modules = r.count("modules");
@@ -175,6 +143,7 @@ RawLog read_binary_impl(std::istream& is) {
     m.base = r.varint();
     m.size = r.varint();
     m.name = r.string();
+    if (std::string why = check.admit(m); !why.empty()) r.fail(why);
     log.modules.push_back(std::move(m));
   }
   const std::uint64_t symbols = r.count("symbols");
@@ -183,6 +152,7 @@ RawLog read_binary_impl(std::istream& is) {
     RawSymbol s;
     s.address = r.varint();
     s.function = r.string();
+    if (std::string why = check.admit(s); !why.empty()) r.fail(why);
     log.symbols.push_back(std::move(s));
   }
   const std::uint64_t events = r.count("events");
@@ -203,9 +173,7 @@ RawLog read_binary_impl(std::istream& is) {
     }
     log.events.push_back(std::move(e));
   }
-  ingest_events_counter().inc(log.events.size());
-  ingest_bytes_counter().inc(r.offset());
-  return log;
+  return {std::move(log), r.offset()};
 }
 
 }  // namespace
@@ -241,17 +209,7 @@ void write_raw_log_binary(const RawLog& log, std::ostream& os) {
 }
 
 util::StatusOr<RawLog> read_raw_log_binary(std::istream& is) {
-  LEAPS_FAULT_POINT_STATUS("trace.ingest.read");
-  try {
-    return read_binary_impl(is);
-  } catch (const BinaryLogError& e) {
-    ingest_corrupt_counter().inc(1);
-    return util::corrupt_input(e.what());
-  } catch (const std::bad_alloc&) {
-    return util::resource_exhausted("binary log: allocation failed");
-  } catch (const std::length_error&) {
-    return util::resource_exhausted("binary log: implausible allocation");
-  }
+  return decode::decode_log(is, "binary", decode_binary);
 }
 
 bool is_binary_log(std::istream& is) {
@@ -271,58 +229,6 @@ bool is_binary_log(std::istream& is) {
   is.clear();
   is.seekg(pos);
   return ok;
-}
-
-namespace {
-
-// The auditd dialect is the only format whose records start with 't'
-// ("type="): the text grammar's records start with '#', P, M, S or E and
-// the binary magic starts with 'L', so — like is_binary_log — a one-byte
-// peek suffices on pipes and a short prefix read on seekable streams.
-bool is_auditd_log(std::istream& is) {
-  const std::streampos pos = is.tellg();
-  if (pos == std::streampos(-1)) {
-    is.clear();
-    return is.peek() == std::char_traits<char>::to_int_type('t');
-  }
-  constexpr char kPrefix[] = {'t', 'y', 'p', 'e', '='};
-  char head[sizeof(kPrefix)];
-  is.read(head, sizeof(head));
-  const bool ok = is.gcount() == sizeof(head) &&
-                  std::equal(std::begin(head), std::end(head),
-                             std::begin(kPrefix));
-  is.clear();
-  is.seekg(pos);
-  return ok;
-}
-
-}  // namespace
-
-util::StatusOr<RawLog> read_raw_log_any(std::istream& is) {
-  if (is_binary_log(is)) return read_raw_log_binary(is);
-  if (is_auditd_log(is)) return read_raw_log_auditd(is);
-  // Text: run the grammar parser, then project back to raw records.
-  LEAPS_FAULT_POINT_STATUS("trace.ingest.read");
-  util::StatusOr<ParsedTrace> parsed = RawLogParser().parse(is);
-  if (!parsed.ok()) return parsed.status();
-  RawLog out;
-  out.process_name = parsed->log.process_name;
-  for (const ModuleInfo& m : parsed->modules.modules()) {
-    out.modules.push_back({m.base, m.size, m.name});
-  }
-  for (const auto& [addr, function] : parsed->modules.symbols()) {
-    out.symbols.push_back({addr, function});
-  }
-  for (const Event& e : parsed->log.events) {
-    RawEvent re;
-    re.seq = e.seq;
-    re.tid = e.tid;
-    re.type = e.type;
-    re.stack.reserve(e.stack.size());
-    for (const StackFrame& f : e.stack) re.stack.push_back(f.address);
-    out.events.push_back(std::move(re));
-  }
-  return out;
 }
 
 }  // namespace leaps::trace

@@ -17,8 +17,9 @@
 //
 // The readers are an untrusted boundary — the bytes may come from an
 // attacker trying to blind the collector — so they return StatusOr
-// instead of throwing: kCorruptInput for malformed bytes (message carries
-// the byte offset), kResourceExhausted for inputs demanding implausible
+// instead of throwing: kCorruptInput for malformed bytes or module/symbol
+// records that break the rules in trace/decode.h (message carries the
+// byte offset), kResourceExhausted for inputs demanding implausible
 // allocations. They never crash, hang, or silently partial-parse.
 #pragma once
 
@@ -44,9 +45,9 @@ util::StatusOr<RawLog> read_raw_log_binary(std::istream& is);
 /// begins with 'L'.
 bool is_binary_log(std::istream& is);
 
-/// Reads a raw log in either format (binary detected by magic, otherwise
-/// parsed as text via RawLogParser). Works on non-seekable streams such
-/// as piped stdin.
+/// Reads a raw log in any dialect — binary (detected by magic), auditd
+/// (detected by "type="), otherwise text — through that dialect's reader.
+/// Works on non-seekable streams such as piped stdin.
 util::StatusOr<RawLog> read_raw_log_any(std::istream& is);
 
 }  // namespace leaps::trace

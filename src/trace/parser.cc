@@ -1,156 +1,6 @@
 #include "trace/parser.h"
 
-#include <istream>
-#include <optional>
-#include <sstream>
-#include <stdexcept>
-#include <string>
-
-#include "obs/registry.h"
-#include "util/strings.h"
-
 namespace leaps::trace {
-
-namespace {
-
-using util::parse_hex_u64;
-using util::split_ws;
-using util::starts_with;
-using util::trim;
-
-/// Line-by-line state machine over the raw-log grammar.
-class ParserState {
- public:
-  ParsedTrace finish() && {
-    flush_event();
-    return std::move(result_);
-  }
-
-  void consume(std::string_view line, std::size_t lineno) {
-    lineno_ = lineno;
-    line = trim(line);
-    if (line.empty() || line.front() == '#') return;
-    const auto fields = split_ws(line);
-    const std::string_view kind = fields.front();
-    if (kind == "PROCESS") {
-      require(fields.size() == 2, "PROCESS expects 1 field");
-      result_.log.process_name = std::string(fields[1]);
-    } else if (kind == "MODULE") {
-      require(fields.size() == 4, "MODULE expects 3 fields");
-      ModuleInfo m;
-      m.base = parse_addr(fields[1]);
-      m.size = parse_addr(fields[2]);
-      m.name = std::string(fields[3]);
-      require(m.size > 0, "MODULE with zero size");
-      try {
-        result_.modules.add_module(std::move(m));
-      } catch (const std::logic_error& e) {
-        fail(e.what());  // overlapping module ranges
-      }
-    } else if (kind == "SYMBOL") {
-      require(fields.size() == 3, "SYMBOL expects 2 fields");
-      const std::uint64_t addr = parse_addr(fields[1]);
-      require(result_.modules.find_module(addr) != nullptr,
-              "SYMBOL outside any MODULE");
-      result_.modules.add_symbol(addr, std::string(fields[2]));
-    } else if (kind == "EVENT") {
-      require(fields.size() == 4, "EVENT expects 3 fields");
-      flush_event();
-      current_.emplace();
-      current_->seq = parse_dec(fields[1]);
-      current_->tid = static_cast<std::uint32_t>(parse_dec(fields[2]));
-      const auto type = event_type_from_name(fields[3]);
-      require(type.has_value(), "unknown event type");
-      current_->type = *type;
-    } else if (kind == "STACK") {
-      require(fields.size() == 2, "STACK expects 1 field");
-      require(current_.has_value(), "STACK before any EVENT");
-      StackFrame frame;
-      frame.address = parse_addr(fields[1]);
-      const Resolution r = result_.modules.resolve(frame.address);
-      if (r.module != nullptr) frame.module = r.module->name;
-      frame.function = r.function;
-      current_->stack.push_back(std::move(frame));
-    } else {
-      fail("unknown record kind '" + std::string(kind) + "'");
-    }
-  }
-
- private:
-  void flush_event() {
-    if (current_.has_value()) {
-      result_.log.events.push_back(std::move(*current_));
-      current_.reset();
-    }
-  }
-
-  std::uint64_t parse_addr(std::string_view s) {
-    std::uint64_t v = 0;
-    if (!parse_hex_u64(s, v)) fail("bad hex address '" + std::string(s) + "'");
-    return v;
-  }
-
-  std::uint64_t parse_dec(std::string_view s) {
-    std::uint64_t v = 0;
-    for (char c : s) {
-      if (c < '0' || c > '9') fail("bad decimal '" + std::string(s) + "'");
-      v = v * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    return v;
-  }
-
-  void require(bool cond, const std::string& what) {
-    if (!cond) fail(what);
-  }
-
-  [[noreturn]] void fail(const std::string& what) {
-    throw ParseError(lineno_, what);
-  }
-
-  ParsedTrace result_;
-  std::optional<Event> current_;
-  std::size_t lineno_ = 0;
-};
-
-}  // namespace
-
-util::StatusOr<ParsedTrace> RawLogParser::parse(std::istream& is) const {
-  // Same names as the binary decoder's counters (the registry dedups), so
-  // both ingest formats land on one scrape surface. Incremented in bulk
-  // per parsed log, never per line.
-  static obs::Counter& ingest_events = obs::MetricRegistry::global().counter(
-      "leaps_ingest_events_total", "raw events decoded from ingested logs");
-  static obs::Counter& ingest_bytes = obs::MetricRegistry::global().counter(
-      "leaps_ingest_bytes_total", "bytes consumed decoding ingested logs");
-  static obs::Counter& ingest_corrupt = obs::MetricRegistry::global().counter(
-      "leaps_ingest_corrupt_total", "ingest attempts rejected as corrupt");
-  std::size_t bytes = 0;
-  try {
-    ParserState state;
-    std::string line;
-    std::size_t lineno = 0;
-    while (std::getline(is, line)) {
-      ++lineno;
-      bytes += line.size() + 1;  // + the newline getline consumed
-      state.consume(line, lineno);
-    }
-    ParsedTrace parsed = std::move(state).finish();
-    ingest_events.inc(parsed.log.events.size());
-    ingest_bytes.inc(bytes);
-    return parsed;
-  } catch (const ParseError& e) {
-    ingest_corrupt.inc(1);
-    return util::corrupt_input(e.what());
-  } catch (const std::bad_alloc&) {
-    return util::resource_exhausted("raw log parse: allocation failed");
-  }
-}
-
-util::StatusOr<ParsedTrace> RawLogParser::parse_string(
-    std::string_view text) const {
-  std::istringstream is{std::string(text)};
-  return parse(is);
-}
 
 ParsedTrace RawLogParser::parse_raw(const RawLog& raw) const {
   ParsedTrace out;

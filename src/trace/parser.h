@@ -2,35 +2,18 @@
 // correlated log, resolving each frame address against the module map and
 // symbol table carried in the log header — the same correlate-and-slice role
 // Introperf's front end plays for ETW traces in the paper.
+//
+// Symbolication only: the log dialects' readers (raw_log.h, binary_log.h,
+// auditd_log.h) decode bytes into a RawLog and validate its module and
+// symbol records on the way in, so every RawLog they return satisfies
+// parse_raw's preconditions.
 #pragma once
-
-#include <iosfwd>
-#include <stdexcept>
-#include <string>
-#include <string_view>
 
 #include "trace/event.h"
 #include "trace/module_map.h"
 #include "trace/raw_log.h"
-#include "util/status.h"
 
 namespace leaps::trace {
-
-/// Parse failure: malformed line, unknown record kind, etc. Carries the
-/// 1-based line number of the offending record. RawLogParser converts
-/// these to kCorruptInput statuses at its API boundary; the system-log
-/// capture parser (system_log.h) still throws it directly.
-class ParseError : public std::runtime_error {
- public:
-  ParseError(std::size_t line, const std::string& what)
-      : std::runtime_error("raw log parse error at line " +
-                           std::to_string(line) + ": " + what),
-        line_(line) {}
-  std::size_t line() const { return line_; }
-
- private:
-  std::size_t line_;
-};
 
 /// Result of parsing: the correlated log plus the module map built from the
 /// log's MODULE/SYMBOL records (needed downstream by the stack partitioner).
@@ -41,16 +24,9 @@ struct ParsedTrace {
 
 class RawLogParser {
  public:
-  /// Parses the textual raw-log format — an untrusted boundary. Malformed
-  /// input yields kCorruptInput (the message carries the 1-based line
-  /// number of the offending record), never an exception.
-  util::StatusOr<ParsedTrace> parse(std::istream& is) const;
-  util::StatusOr<ParsedTrace> parse_string(std::string_view text) const;
-
-  /// Parses an in-memory RawLog (skipping serialization) — used by the
-  /// pipeline when simulator output stays in memory. A trusted path: the
-  /// RawLog came from the simulator or an already-validated read, so
-  /// invariant violations here throw (LEAPS_CHECK semantics).
+  /// Symbolicates a RawLog from the simulator or a successful read. A
+  /// trusted path: module/symbol records that break ModuleMap's invariants
+  /// throw (LEAPS_CHECK semantics), which no decoded log can trigger.
   ParsedTrace parse_raw(const RawLog& raw) const;
 };
 

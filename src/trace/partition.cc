@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "trace/parser.h"
+
 namespace leaps::trace {
 
 PartitionedEvent StackPartitioner::partition(const Event& event) const {
@@ -29,6 +31,11 @@ PartitionedLog StackPartitioner::partition(const CorrelatedLog& log) const {
   out.events.reserve(log.events.size());
   for (const Event& e : log.events) out.events.push_back(partition(e));
   return out;
+}
+
+PartitionedLog partition_raw(const RawLog& raw) {
+  const ParsedTrace t = RawLogParser().parse_raw(raw);
+  return StackPartitioner(t.log.process_name).partition(t.log);
 }
 
 }  // namespace leaps::trace

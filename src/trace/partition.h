@@ -16,6 +16,7 @@
 
 #include "trace/event.h"
 #include "trace/module_map.h"
+#include "trace/raw_log.h"
 
 namespace leaps::trace {
 
@@ -27,6 +28,8 @@ struct PartitionedEvent {
   std::vector<std::uint64_t> app_stack;
   /// System-side frames (shared libraries + kernel), innermost first.
   std::vector<StackFrame> system_stack;
+
+  bool operator==(const PartitionedEvent&) const = default;
 };
 
 struct PartitionedLog {
@@ -47,5 +50,9 @@ class StackPartitioner {
  private:
   std::string app_module_;
 };
+
+/// The paper's front end in one call: RawLogParser::parse_raw, then a
+/// StackPartitioner for the log's own process image.
+PartitionedLog partition_raw(const RawLog& raw);
 
 }  // namespace leaps::trace

@@ -2,8 +2,8 @@
 //
 // A raw log is what the simulated tracing engine writes: image-load records,
 // system symbols, and events whose stack walks are raw addresses only. The
-// textual format is deliberately line-oriented so that the Raw Log Parser has
-// real parsing work to do, mirroring LEAPS's front end:
+// textual format is line-oriented and meant for inspection; binary_log.h is
+// its compact wire twin and auditd_log.h the Linux provenance dialect:
 //
 //   # LEAPS raw event trace v1
 //   PROCESS putty.exe
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "trace/event.h"
+#include "util/status.h"
 
 namespace leaps::trace {
 
@@ -65,5 +66,12 @@ void write_raw_log(const RawLog& log, std::ostream& os);
 
 /// Convenience: serialize to a string.
 std::string raw_log_to_string(const RawLog& log);
+
+/// Reads the textual format — an untrusted boundary, syntax only (frames
+/// stay raw addresses; RawLogParser::parse_raw symbolicates). Malformed
+/// input, including module/symbol records that break the rules in
+/// trace/decode.h, yields kCorruptInput whose message carries the 1-based
+/// line number ("line N:"), never an exception.
+util::StatusOr<RawLog> read_raw_log_text(std::istream& is);
 
 }  // namespace leaps::trace

@@ -1,12 +1,6 @@
 #include "trace/system_log.h"
 
-#include <istream>
-#include <ostream>
-#include <sstream>
 #include <stdexcept>
-
-#include "trace/parser.h"
-#include "util/strings.h"
 
 namespace leaps::trace {
 
@@ -36,146 +30,6 @@ RawLog slice_process(const SystemRawLog& capture, std::uint32_t pid) {
     if (e.pid == pid) out.events.push_back(e.event);
   }
   return out;
-}
-
-void write_system_log(const SystemRawLog& capture, std::ostream& os) {
-  os << "# LEAPS system event trace v1\n";
-  for (const RawModule& m : capture.shared_modules) {
-    os << "SYSMODULE " << util::hex_addr(m.base) << ' '
-       << util::hex_addr(m.size) << ' ' << m.name << '\n';
-  }
-  for (const RawSymbol& s : capture.symbols) {
-    os << "SYMBOL " << util::hex_addr(s.address) << ' ' << s.function
-       << '\n';
-  }
-  for (const auto& [pid, name] : capture.process_names) {
-    os << "PROCESSENTRY " << pid << ' ' << name << '\n';
-    const auto it = capture.process_modules.find(pid);
-    if (it == capture.process_modules.end()) continue;
-    for (const RawModule& m : it->second) {
-      os << "PROCMODULE " << pid << ' ' << util::hex_addr(m.base) << ' '
-         << util::hex_addr(m.size) << ' ' << m.name << '\n';
-    }
-  }
-  for (const SystemRawLog::Entry& e : capture.entries) {
-    os << "SYSEVENT " << e.pid << ' ' << e.event.seq << ' ' << e.event.tid
-       << ' ' << event_type_name(e.event.type) << '\n';
-    for (const std::uint64_t addr : e.event.stack) {
-      os << "STACK " << util::hex_addr(addr) << '\n';
-    }
-  }
-}
-
-std::string system_log_to_string(const SystemRawLog& capture) {
-  std::ostringstream os;
-  write_system_log(capture, os);
-  return os.str();
-}
-
-namespace {
-
-using util::parse_hex_u64;
-using util::split_ws;
-using util::trim;
-
-std::uint64_t parse_addr(std::string_view s, std::size_t line) {
-  std::uint64_t v = 0;
-  if (!parse_hex_u64(s, v)) {
-    throw ParseError(line, "bad hex address '" + std::string(s) + "'");
-  }
-  return v;
-}
-
-std::uint64_t parse_dec(std::string_view s, std::size_t line) {
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') {
-      throw ParseError(line, "bad decimal '" + std::string(s) + "'");
-    }
-    v = v * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return v;
-}
-
-}  // namespace
-
-SystemRawLog parse_system_log(std::istream& is) {
-  SystemRawLog out;
-  std::string line;
-  std::size_t lineno = 0;
-  bool have_event = false;
-  SystemRawLog::Entry current;
-
-  const auto flush = [&] {
-    if (have_event) {
-      out.entries.push_back(std::move(current));
-      current = {};
-      have_event = false;
-    }
-  };
-
-  while (std::getline(is, line)) {
-    ++lineno;
-    const std::string_view text = trim(line);
-    if (text.empty() || text.front() == '#') continue;
-    const auto fields = split_ws(text);
-    const std::string_view kind = fields.front();
-    const auto require = [&](bool cond, const char* what) {
-      if (!cond) throw ParseError(lineno, what);
-    };
-    if (kind == "SYSMODULE") {
-      require(fields.size() == 4, "SYSMODULE expects 3 fields");
-      out.shared_modules.push_back({parse_addr(fields[1], lineno),
-                                    parse_addr(fields[2], lineno),
-                                    std::string(fields[3])});
-    } else if (kind == "SYMBOL") {
-      require(fields.size() == 3, "SYMBOL expects 2 fields");
-      out.symbols.push_back(
-          {parse_addr(fields[1], lineno), std::string(fields[2])});
-    } else if (kind == "PROCESSENTRY") {
-      require(fields.size() == 3, "PROCESSENTRY expects 2 fields");
-      const auto pid =
-          static_cast<std::uint32_t>(parse_dec(fields[1], lineno));
-      out.process_names[pid] = std::string(fields[2]);
-    } else if (kind == "PROCMODULE") {
-      require(fields.size() == 5, "PROCMODULE expects 4 fields");
-      const auto pid =
-          static_cast<std::uint32_t>(parse_dec(fields[1], lineno));
-      require(out.process_names.count(pid) > 0,
-              "PROCMODULE before PROCESSENTRY");
-      out.process_modules[pid].push_back({parse_addr(fields[2], lineno),
-                                          parse_addr(fields[3], lineno),
-                                          std::string(fields[4])});
-    } else if (kind == "SYSEVENT") {
-      require(fields.size() == 5, "SYSEVENT expects 4 fields");
-      flush();
-      current.pid =
-          static_cast<std::uint32_t>(parse_dec(fields[1], lineno));
-      require(out.process_names.count(current.pid) > 0,
-              "SYSEVENT for unknown pid");
-      current.event.seq = parse_dec(fields[2], lineno);
-      current.event.tid =
-          static_cast<std::uint32_t>(parse_dec(fields[3], lineno));
-      const auto type = event_type_from_name(fields[4]);
-      require(type.has_value(), "unknown event type");
-      current.event.type = *type;
-      have_event = true;
-    } else if (kind == "STACK") {
-      require(fields.size() == 2, "STACK expects 1 field");
-      require(have_event, "STACK before any SYSEVENT");
-      current.event.stack.push_back(parse_addr(fields[1], lineno));
-    } else {
-      throw ParseError(lineno,
-                       "unknown record kind '" + std::string(kind) + "'");
-    }
-  }
-  flush();
-  return out;
-}
-
-SystemRawLog parse_system_log_string(std::string_view text) {
-  std::istringstream is{std::string(text)};
-  return parse_system_log(is);
 }
 
 }  // namespace leaps::trace

@@ -7,19 +7,9 @@
 // ids, per-process image records (each process maps its own image at the
 // same base — separate address spaces), and the shared system modules.
 // slice_process() recovers the familiar single-process RawLog.
-//
-// Text format (shares STACK/SYMBOL grammar with the single-process format):
-//   # LEAPS system event trace v1
-//   SYSMODULE <base> <size> <name>
-//   SYMBOL <addr> <name>
-//   PROCESSENTRY <pid> <name>
-//   PROCMODULE <pid> <base> <size> <name>
-//   SYSEVENT <pid> <seq> <tid> <Type>
-//   STACK <addr>
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <string>
 #include <vector>
@@ -56,13 +46,5 @@ std::vector<std::uint32_t> capture_pids(const SystemRawLog& capture);
 /// records + the shared modules + its events, capture order preserved).
 /// Throws std::invalid_argument for unknown pids.
 RawLog slice_process(const SystemRawLog& capture, std::uint32_t pid);
-
-void write_system_log(const SystemRawLog& capture, std::ostream& os);
-std::string system_log_to_string(const SystemRawLog& capture);
-
-/// Parses the textual format; throws ParseError (from trace/parser.h) with
-/// line numbers on malformed input.
-SystemRawLog parse_system_log(std::istream& is);
-SystemRawLog parse_system_log_string(std::string_view text);
 
 }  // namespace leaps::trace

@@ -14,7 +14,8 @@
 // Fault-point catalog (grep LEAPS_FAULT_POINT for ground truth):
 //   serve.worker.classify          per-event, inside Session::feed_run
 //   serve.registry.find            DetectorRegistry lookup (kError → miss)
-//   trace.ingest.read              read_raw_log_binary / read_raw_log_any
+//   trace.ingest.read              trace::decode::decode_log, once per
+//                                  decode in any log dialect
 //   durable.snapshot.pre_rename    after temp fsync, before rename
 //   durable.wal.append.mid         after a WAL record header is on disk,
 //                                  before its body (torn-record drill)

@@ -10,7 +10,6 @@
 #include "core/pipeline.h"
 #include "ml/svm.h"
 #include "sim/scenario.h"
-#include "trace/parser.h"
 #include "trace/partition.h"
 
 namespace leaps::testing {
@@ -21,11 +20,6 @@ struct TrainedDetector {
   trace::PartitionedLog malicious;
   std::shared_ptr<const core::Detector> detector;
 };
-
-inline trace::PartitionedLog partition_raw(const trace::RawLog& raw) {
-  const trace::ParsedTrace t = trace::RawLogParser().parse_raw(raw);
-  return trace::StackPartitioner(t.log.process_name).partition(t.log);
-}
 
 /// `with_continual` attaches the ContinualState (benign CFG + scaled train
 /// set + dual solution) that the online-learning tests retrain from.
@@ -42,9 +36,9 @@ inline TrainedDetector train_small_detector(
       sim::generate_scenario(sim::find_scenario(scenario), cfg);
 
   TrainedDetector out;
-  out.benign = partition_raw(logs.benign);
-  out.mixed = partition_raw(logs.mixed);
-  out.malicious = partition_raw(logs.malicious);
+  out.benign = trace::partition_raw(logs.benign);
+  out.mixed = trace::partition_raw(logs.mixed);
+  out.malicious = trace::partition_raw(logs.malicious);
 
   const core::TrainingData td =
       core::LeapsPipeline().prepare(out.benign, out.mixed);

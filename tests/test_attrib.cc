@@ -23,7 +23,7 @@
 namespace leaps::attrib {
 namespace {
 
-using leaps::testing::partition_raw;
+using trace::partition_raw;
 using leaps::testing::TrainedDetector;
 using leaps::testing::train_small_detector;
 

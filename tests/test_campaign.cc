@@ -19,7 +19,6 @@
 #include "trace/auditd_log.h"
 #include "trace/binary_log.h"
 #include "trace/intern.h"
-#include "trace/parser.h"
 #include "trace/partition.h"
 #include "trace/raw_log.h"
 #include "util/status.h"
@@ -262,9 +261,7 @@ TEST(TokenTableGauges, RegistryExportsInternAndRetentionGauges) {
         cfg.malicious_events = 100;
         return cfg;
       }());
-  const ParsedTrace t = RawLogParser().parse_raw(logs.benign);
-  const PartitionedLog plog =
-      StackPartitioner(t.log.process_name).partition(t.log);
+  const PartitionedLog plog = partition_raw(logs.benign);
   for (const PartitionedEvent& e : plog.events) {
     TokenTable::global().compact(e);
   }

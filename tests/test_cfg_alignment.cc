@@ -9,7 +9,6 @@
 #include "sim/executor.h"
 #include "sim/profiles.h"
 #include "sim/scenario.h"
-#include "trace/parser.h"
 #include "trace/partition.h"
 #include "util/rng.h"
 
@@ -144,14 +143,10 @@ TEST(CfgAligner, PivotMapIsMonotone) {
       sim::make_source_trojan(app, payload, rng);
   const sim::LibraryRegistry registry = sim::LibraryRegistry::standard();
   const sim::Executor ex(registry, {});
-  const auto split = [](const trace::RawLog& raw) {
-    const trace::ParsedTrace t = trace::RawLogParser().parse_raw(raw);
-    return trace::StackPartitioner(t.log.process_name).partition(t.log);
-  };
   const auto benign_part =
-      split(ex.run_benign(app, 4000, util::Rng(1)));
-  const auto mixed_part =
-      split(ex.run_source_trojan(trojan, 3000, util::Rng(2)).log);
+      trace::partition_raw(ex.run_benign(app, 4000, util::Rng(1)));
+  const auto mixed_part = trace::partition_raw(
+      ex.run_source_trojan(trojan, 3000, util::Rng(2)).log);
   const CfgInference inference;
   const auto bcfg = inference.infer(benign_part);
   const auto mcfg = inference.infer(mixed_part);
@@ -217,12 +212,8 @@ TEST(CfgAligner, PipelineAlignmentSeparatesSourceTrojanTruth) {
   cfg.malicious_events = 500;
   const sim::ScenarioLogs logs =
       sim::generate_source_trojan_scenario("winscp", "reverse_tcp", cfg);
-  const auto split = [](const trace::RawLog& raw) {
-    const trace::ParsedTrace t = trace::RawLogParser().parse_raw(raw);
-    return trace::StackPartitioner(t.log.process_name).partition(t.log);
-  };
-  const auto benign = split(logs.benign);
-  const auto mixed = split(logs.mixed);
+  const auto benign = trace::partition_raw(logs.benign);
+  const auto mixed = trace::partition_raw(logs.mixed);
 
   core::PipelineOptions opt;
   opt.align_cfgs = true;

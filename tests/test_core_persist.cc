@@ -10,16 +10,10 @@
 #include "detector_fixture.h"
 #include "ml/cross_validation.h"
 #include "sim/scenario.h"
-#include "trace/parser.h"
 #include "trace/partition.h"
 
 namespace leaps::core {
 namespace {
-
-trace::PartitionedLog parse_and_partition(const trace::RawLog& raw) {
-  const trace::ParsedTrace t = trace::RawLogParser().parse_raw(raw);
-  return trace::StackPartitioner(t.log.process_name).partition(t.log);
-}
 
 /// A v2 file for `detector`: its v3 block payloads, concatenated under a
 /// v2 header and closed by END. The writer emits v3 only; v2 files (and
@@ -59,9 +53,9 @@ struct Fixture {
     cfg.malicious_events = 1000;
     sim::ScenarioLogs logs =
         sim::generate_scenario(sim::find_scenario("vim_reverse_tcp"), cfg);
-    trace::PartitionedLog benign = parse_and_partition(logs.benign);
-    trace::PartitionedLog mixed = parse_and_partition(logs.mixed);
-    trace::PartitionedLog malicious = parse_and_partition(logs.malicious);
+    trace::PartitionedLog benign = trace::partition_raw(logs.benign);
+    trace::PartitionedLog mixed = trace::partition_raw(logs.mixed);
+    trace::PartitionedLog malicious = trace::partition_raw(logs.malicious);
 
     const TrainingData td = LeapsPipeline().prepare(benign, mixed);
     ml::Dataset train = td.benign;

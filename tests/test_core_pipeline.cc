@@ -8,7 +8,6 @@
 #include "core/pipeline.h"
 #include "ml/svm.h"
 #include "sim/scenario.h"
-#include "trace/parser.h"
 #include "trace/partition.h"
 
 namespace leaps::core {
@@ -29,14 +28,9 @@ PreparedScenario prepare(const std::string& name, std::size_t events = 3000) {
   cfg.mixed_events = events;
   cfg.malicious_events = events / 2;
   out.logs = sim::generate_scenario(sim::find_scenario(name), cfg);
-  const trace::RawLogParser parser;
-  const auto parse_and_split = [&parser](const trace::RawLog& raw) {
-    const trace::ParsedTrace t = parser.parse_raw(raw);
-    return trace::StackPartitioner(t.log.process_name).partition(t.log);
-  };
-  out.benign = parse_and_split(out.logs.benign);
-  out.mixed = parse_and_split(out.logs.mixed);
-  out.malicious = parse_and_split(out.logs.malicious);
+  out.benign = trace::partition_raw(out.logs.benign);
+  out.mixed = trace::partition_raw(out.logs.mixed);
+  out.malicious = trace::partition_raw(out.logs.malicious);
   out.td = LeapsPipeline().prepare(out.benign, out.mixed);
   return out;
 }

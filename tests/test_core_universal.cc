@@ -3,16 +3,10 @@
 
 #include "core/universal.h"
 #include "sim/scenario.h"
-#include "trace/parser.h"
 #include "trace/partition.h"
 
 namespace leaps::core {
 namespace {
-
-trace::PartitionedLog split(const trace::RawLog& raw) {
-  const trace::ParsedTrace t = trace::RawLogParser().parse_raw(raw);
-  return trace::StackPartitioner(t.log.process_name).partition(t.log);
-}
 
 std::vector<AppLogs> make_apps(std::size_t events = 3000) {
   sim::SimConfig cfg;
@@ -23,8 +17,9 @@ std::vector<AppLogs> make_apps(std::size_t events = 3000) {
   for (const char* name : {"vim_reverse_tcp", "putty_reverse_https_online"}) {
     const sim::ScenarioLogs logs =
         sim::generate_scenario(sim::find_scenario(name), cfg);
-    apps.push_back({name, split(logs.benign), split(logs.mixed),
-                    split(logs.malicious)});
+    apps.push_back({name, trace::partition_raw(logs.benign),
+                    trace::partition_raw(logs.mixed),
+                    trace::partition_raw(logs.malicious)});
   }
   return apps;
 }

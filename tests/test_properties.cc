@@ -21,7 +21,6 @@
 #include "sim/profiles.h"
 #include "sim/scenario.h"
 #include "trace/binary_log.h"
-#include "trace/parser.h"
 #include "trace/partition.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -44,12 +43,9 @@ class ScenarioProperty : public ::testing::TestWithParam<sim::ScenarioSpec> {
 
 TEST_P(ScenarioProperty, LogsParsePartitionAndCover) {
   const sim::ScenarioLogs logs = sim::generate_scenario(GetParam(), config());
-  const trace::RawLogParser parser;
   for (const trace::RawLog* raw : {&logs.benign, &logs.mixed,
                                    &logs.malicious}) {
-    const trace::ParsedTrace t = parser.parse_raw(*raw);
-    const trace::PartitionedLog part =
-        trace::StackPartitioner(t.log.process_name).partition(t.log);
+    const trace::PartitionedLog part = trace::partition_raw(*raw);
     ASSERT_EQ(part.events.size(), raw->events.size());
     for (const trace::PartitionedEvent& e : part.events) {
       // Every event has both an application and a system side.
@@ -91,13 +87,8 @@ TEST_P(ScenarioProperty, MixedTruthIsConsistentWithPayloadFrames) {
 
 TEST_P(ScenarioProperty, WeightAssessmentSeparatesTruth) {
   const sim::ScenarioLogs logs = sim::generate_scenario(GetParam(), config());
-  const trace::RawLogParser parser;
-  const auto split = [&parser](const trace::RawLog& raw) {
-    const trace::ParsedTrace t = parser.parse_raw(raw);
-    return trace::StackPartitioner(t.log.process_name).partition(t.log);
-  };
-  const trace::PartitionedLog benign = split(logs.benign);
-  const trace::PartitionedLog mixed = split(logs.mixed);
+  const trace::PartitionedLog benign = trace::partition_raw(logs.benign);
+  const trace::PartitionedLog mixed = trace::partition_raw(logs.mixed);
   const cfg::CfgInference inference;
   const cfg::InferredCfg bcfg = inference.infer(benign);
   const cfg::InferredCfg mcfg = inference.infer(mixed);
@@ -136,9 +127,7 @@ TEST_P(InferenceProperty, ExplicitEdgesAreGroundTruthCallEdges) {
   const sim::LibraryRegistry registry = sim::LibraryRegistry::standard();
   const sim::Executor ex(registry, {});
   const trace::RawLog raw = ex.run_benign(app, 2500, rng.fork(1));
-  const trace::ParsedTrace t = trace::RawLogParser().parse_raw(raw);
-  const trace::PartitionedLog part =
-      trace::StackPartitioner("putty.exe").partition(t.log);
+  const trace::PartitionedLog part = trace::partition_raw(raw);
 
   // Ground-truth static call edges by address.
   std::set<std::pair<std::uint64_t, std::uint64_t>> truth;
@@ -467,9 +456,7 @@ TEST_P(WindowProperty, WindowCountAndDims) {
   cfg.malicious_events = 300;
   const sim::ScenarioLogs logs =
       sim::generate_scenario(sim::find_scenario("vim_reverse_tcp"), cfg);
-  const trace::ParsedTrace t = trace::RawLogParser().parse_raw(logs.benign);
-  const trace::PartitionedLog part =
-      trace::StackPartitioner("vim.exe").partition(t.log);
+  const trace::PartitionedLog part = trace::partition_raw(logs.benign);
   core::PreprocessOptions opt;
   opt.window = window;
   core::Preprocessor pre(opt);

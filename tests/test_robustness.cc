@@ -11,16 +11,10 @@
 #include "sim/address_space.h"
 #include "sim/profiles.h"
 #include "sim/scenario.h"
-#include "trace/parser.h"
 #include "trace/partition.h"
 
 namespace leaps {
 namespace {
-
-trace::PartitionedLog split(const trace::RawLog& raw) {
-  const trace::ParsedTrace t = trace::RawLogParser().parse_raw(raw);
-  return trace::StackPartitioner(t.log.process_name).partition(t.log);
-}
 
 // A "mixed" log that is actually clean: CFG weights go to ~0 everywhere and
 // WSVM training must refuse with an actionable error instead of fitting a
@@ -38,8 +32,8 @@ TEST(Robustness, CleanMixedLogRefusesToTrainAWeightedModel) {
   clean_cfg.seed = cfg.seed + 17;
   const sim::ScenarioLogs clean = sim::generate_scenario(spec, clean_cfg);
 
-  const trace::PartitionedLog benign = split(logs.benign);
-  const trace::PartitionedLog fake_mixed = split(clean.benign);
+  const trace::PartitionedLog benign = trace::partition_raw(logs.benign);
+  const trace::PartitionedLog fake_mixed = trace::partition_raw(clean.benign);
   const core::TrainingData td =
       core::LeapsPipeline().prepare(benign, fake_mixed);
 
@@ -69,8 +63,8 @@ TEST(Robustness, TinyLogsFlowThroughThePipeline) {
   cfg.malicious_events = 20;
   const sim::ScenarioLogs logs =
       sim::generate_scenario(sim::find_scenario("putty_codeinject"), cfg);
-  const trace::PartitionedLog benign = split(logs.benign);
-  const trace::PartitionedLog mixed = split(logs.mixed);
+  const trace::PartitionedLog benign = trace::partition_raw(logs.benign);
+  const trace::PartitionedLog mixed = trace::partition_raw(logs.mixed);
   const core::TrainingData td = core::LeapsPipeline().prepare(benign, mixed);
   EXPECT_EQ(td.benign.size(), 4u);
   EXPECT_EQ(td.mixed.size(), 3u);
@@ -97,8 +91,8 @@ TEST(Robustness, ScanOnShortLogYieldsNoWindows) {
   cfg.malicious_events = 100;
   const sim::ScenarioLogs logs =
       sim::generate_scenario(sim::find_scenario("vim_reverse_tcp"), cfg);
-  const trace::PartitionedLog benign = split(logs.benign);
-  const trace::PartitionedLog mixed = split(logs.mixed);
+  const trace::PartitionedLog benign = trace::partition_raw(logs.benign);
+  const trace::PartitionedLog mixed = trace::partition_raw(logs.mixed);
   const core::TrainingData td = core::LeapsPipeline().prepare(benign, mixed);
   ml::Dataset train = td.benign;
   train.append(td.mixed);
@@ -125,8 +119,8 @@ TEST(Robustness, DetectorHandlesForeignApplicationLogs) {
       sim::generate_scenario(sim::find_scenario("vim_reverse_tcp"), cfg);
   const sim::ScenarioLogs chrome = sim::generate_scenario(
       sim::find_scenario("chrome_reverse_https"), cfg);
-  const trace::PartitionedLog benign = split(vim.benign);
-  const trace::PartitionedLog mixed = split(vim.mixed);
+  const trace::PartitionedLog benign = trace::partition_raw(vim.benign);
+  const trace::PartitionedLog mixed = trace::partition_raw(vim.mixed);
   const core::TrainingData td = core::LeapsPipeline().prepare(benign, mixed);
   ml::Dataset train = td.benign;
   train.append(td.mixed);
@@ -135,7 +129,7 @@ TEST(Robustness, DetectorHandlesForeignApplicationLogs) {
   scaler.transform_in_place(train);
   const core::Detector detector(td.preprocessor, scaler,
                                 ml::SvmTrainer({}).train(train));
-  const auto result = detector.scan(split(chrome.benign));
+  const auto result = detector.scan(trace::partition_raw(chrome.benign));
   EXPECT_EQ(result.window_labels.size(), 150u);
 }
 
@@ -156,7 +150,7 @@ TEST(Robustness, DeepStackEventsSurviveTheFullFrontEnd) {
     }
     log.events.push_back(std::move(e));
   }
-  const trace::PartitionedLog part = split(log);
+  const trace::PartitionedLog part = trace::partition_raw(log);
   EXPECT_EQ(part.events[0].app_stack.size(), 500u);
   const cfg::InferredCfg inferred = cfg::CfgInference().infer(part);
   EXPECT_GT(inferred.graph.edge_count(), 0u);

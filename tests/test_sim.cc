@@ -13,7 +13,6 @@
 #include "sim/profiles.h"
 #include "sim/program.h"
 #include "sim/scenario.h"
-#include "trace/parser.h"
 #include "trace/partition.h"
 
 namespace leaps::sim {

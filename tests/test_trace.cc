@@ -1,5 +1,5 @@
-// Unit tests for the trace module: event model, module map, raw-log
-// serialization, the Raw Log Parser, and the Stack Partition Module.
+// Unit tests for the trace module: event model, module map, the text
+// raw-log format, the Raw Log Parser, and the Stack Partition Module.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -76,6 +76,11 @@ TEST(ModuleMap, RejectsOverlapsAndStraySymbols) {
 
 // -------------------------------------------------- raw log + parser ----
 
+util::StatusOr<RawLog> read_text(const std::string& text) {
+  std::istringstream is(text);
+  return read_raw_log_text(is);
+}
+
 RawLog make_raw_log() {
   RawLog log;
   log.process_name = "app.exe";
@@ -100,7 +105,7 @@ TEST(RawLogParser, TextRoundTripMatchesInMemoryParse) {
   const RawLog raw = make_raw_log();
   const RawLogParser parser;
   const ParsedTrace from_text =
-      parser.parse_string(raw_log_to_string(raw)).value();
+      parser.parse_raw(read_text(raw_log_to_string(raw)).value());
   const ParsedTrace from_raw = parser.parse_raw(raw);
   EXPECT_EQ(from_text.log.process_name, from_raw.log.process_name);
   ASSERT_EQ(from_text.log.events.size(), from_raw.log.events.size());
@@ -135,17 +140,16 @@ TEST(RawLogParser, PreservesEventMetadata) {
 TEST(RawLogParser, IgnoresCommentsAndBlankLines) {
   const std::string text =
       "# comment\n\nPROCESS a.exe\n# another\nEVENT 0 1 FileRead\n";
-  const ParsedTrace t = RawLogParser().parse_string(text).value();
-  EXPECT_EQ(t.log.process_name, "a.exe");
-  ASSERT_EQ(t.log.events.size(), 1u);
-  EXPECT_TRUE(t.log.events[0].stack.empty());
+  const RawLog t = read_text(text).value();
+  EXPECT_EQ(t.process_name, "a.exe");
+  ASSERT_EQ(t.events.size(), 1u);
+  EXPECT_TRUE(t.events[0].stack.empty());
 }
 
 TEST(RawLogParser, ReportsErrorsWithLineNumbers) {
-  const RawLogParser p;
-  const auto expect_error_at = [&p](const std::string& text,
-                                    std::size_t line) {
-    const util::StatusOr<ParsedTrace> got = p.parse_string(text);
+  const auto expect_error_at = [](const std::string& text,
+                                  std::size_t line) {
+    const util::StatusOr<RawLog> got = read_text(text);
     ASSERT_FALSE(got.ok()) << "expected kCorruptInput for: " << text;
     EXPECT_EQ(got.status().code(), util::StatusCode::kCorruptInput) << text;
     EXPECT_NE(got.status().message().find(
@@ -163,8 +167,8 @@ TEST(RawLogParser, ReportsErrorsWithLineNumbers) {
 }
 
 TEST(RawLogParser, RejectsOverlappingModules) {
-  const util::StatusOr<ParsedTrace> got = RawLogParser().parse_string(
-      "MODULE 0x1000 0x1000 a\nMODULE 0x1800 0x1000 b\n");
+  const util::StatusOr<RawLog> got =
+      read_text("MODULE 0x1000 0x1000 a\nMODULE 0x1800 0x1000 b\n");
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), util::StatusCode::kCorruptInput);
 }

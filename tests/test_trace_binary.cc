@@ -10,7 +10,6 @@
 
 #include "sim/scenario.h"
 #include "trace/binary_log.h"
-#include "trace/parser.h"
 #include "util/rng.h"
 #include "util/status.h"
 

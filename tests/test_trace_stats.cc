@@ -3,7 +3,6 @@
 
 #include "sim/scenario.h"
 #include "trace/log_stats.h"
-#include "trace/parser.h"
 #include "trace/partition.h"
 
 namespace leaps::trace {
@@ -16,8 +15,7 @@ PartitionedLog sample_partitioned() {
   cfg.malicious_events = 100;
   const sim::ScenarioLogs logs = sim::generate_scenario(
       sim::find_scenario("putty_reverse_tcp_online"), cfg);
-  const ParsedTrace t = RawLogParser().parse_raw(logs.mixed);
-  return StackPartitioner(t.log.process_name).partition(t.log);
+  return partition_raw(logs.mixed);
 }
 
 TEST(LogStats, CountsAddUp) {

@@ -5,7 +5,6 @@
 
 #include "core/pipeline.h"
 #include "sim/scenario.h"
-#include "trace/parser.h"
 #include "trace/partition.h"
 #include "trace/system_log.h"
 
@@ -59,36 +58,12 @@ TEST(SystemLog, SliceUnknownPidThrows) {
 
 TEST(SystemLog, SlicedLogParsesAndPartitions) {
   const RawLog sliced = slice_process(tiny_capture(), 20);
-  const ParsedTrace t = RawLogParser().parse_raw(sliced);
-  const PartitionedLog part = StackPartitioner("b.exe").partition(t.log);
+  const PartitionedLog part = partition_raw(sliced);
   ASSERT_EQ(part.events.size(), 3u);
   for (const PartitionedEvent& e : part.events) {
     EXPECT_EQ(e.app_stack.size(), 1u);
     EXPECT_EQ(e.system_stack.size(), 1u);
   }
-}
-
-TEST(SystemLog, TextRoundTrip) {
-  const SystemRawLog cap = tiny_capture();
-  const SystemRawLog back = parse_system_log_string(system_log_to_string(cap));
-  EXPECT_EQ(back, cap);
-}
-
-TEST(SystemLog, ParserRejectsMalformedInput) {
-  const auto reject = [](const std::string& text, std::size_t line) {
-    try {
-      parse_system_log_string(text);
-      FAIL() << text;
-    } catch (const ParseError& e) {
-      EXPECT_EQ(e.line(), line);
-    }
-  };
-  reject("STACK 0x10\n", 1);                                     // orphan
-  reject("SYSEVENT 5 0 1 FileRead\n", 1);                        // no pid
-  reject("PROCESSENTRY 5 a.exe\nSYSEVENT 5 0 1 NoType\n", 2);    // type
-  reject("PROCMODULE 9 0x0 0x10 x\n", 1);                        // no entry
-  reject("FROB\n", 1);
-  reject("SYSMODULE 0x0 zz m\n", 1);
 }
 
 TEST(SystemLog, GeneratedCaptureSlicesCleanly) {
@@ -128,13 +103,9 @@ TEST(SystemLog, SlicedTargetStillSeparatesTruth) {
   // Benign reference log for the same target app (clean run).
   const sim::ScenarioLogs ref = sim::generate_scenario(spec, cfg);
 
-  const auto split = [](const RawLog& raw) {
-    const ParsedTrace t = RawLogParser().parse_raw(raw);
-    return StackPartitioner(t.log.process_name).partition(t.log);
-  };
-  const PartitionedLog benign = split(ref.benign);
+  const PartitionedLog benign = partition_raw(ref.benign);
   const PartitionedLog mixed =
-      split(slice_process(cap.capture, cap.target_pid));
+      partition_raw(slice_process(cap.capture, cap.target_pid));
 
   const core::TrainingData td = core::LeapsPipeline().prepare(benign, mixed);
   double sum_b = 0.0, sum_m = 0.0;

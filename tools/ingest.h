@@ -1,6 +1,6 @@
 // Shared untrusted-log ingest for the leaps tools.
 //
-// Opens `path` — "-" means stdin — autodetects text vs binary (the
+// Opens `path` — "-" means stdin — autodetects the log dialect (the
 // detector peeks a single byte, so pipes work), and surfaces corruption
 // as a Status the tool turns into a diagnostic + exit code instead of an
 // uncaught exception.
@@ -12,13 +12,12 @@
 #include <utility>
 
 #include "trace/binary_log.h"
-#include "trace/parser.h"
 #include "trace/partition.h"
 #include "util/status.h"
 
 namespace leaps::cli {
 
-/// Reads a raw log (text or binary) from `path`; "-" reads stdin.
+/// Reads a raw log (any dialect) from `path`; "-" reads stdin.
 inline util::StatusOr<trace::RawLog> read_raw_log_path(
     const std::string& path) {
   if (path == "-") return trace::read_raw_log_any(std::cin);
@@ -32,8 +31,7 @@ inline util::StatusOr<trace::PartitionedLog> load_partitioned_log(
     const std::string& path) {
   util::StatusOr<trace::RawLog> raw = read_raw_log_path(path);
   if (!raw.ok()) return raw.status();
-  const trace::ParsedTrace t = trace::RawLogParser().parse_raw(*raw);
-  return trace::StackPartitioner(t.log.process_name).partition(t.log);
+  return trace::partition_raw(*raw);
 }
 
 }  // namespace leaps::cli

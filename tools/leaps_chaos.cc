@@ -1,7 +1,7 @@
 // leaps_chaos — chaos harness for the detection service.
 //
 // Replays simulator logs through the serving stack while arming fault
-// points (util/fault.h) and feeding the binary-log reader corrupted
+// points (util/fault.h) and feeding every log dialect's reader corrupted
 // bytes, then asserts the service's robustness contract:
 //
 //   * no crash, no abort, no deadlock (a per-phase watchdog converts a
@@ -29,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -48,7 +49,6 @@
 #include "sim/scenario.h"
 #include "trace/auditd_log.h"
 #include "trace/binary_log.h"
-#include "trace/parser.h"
 #include "trace/partition.h"
 #include "util/fault.h"
 #include "util/rng.h"
@@ -133,11 +133,6 @@ class Watchdog {
   std::thread thread_;
 };
 
-trace::PartitionedLog partition_raw(const trace::RawLog& raw) {
-  const trace::ParsedTrace t = trace::RawLogParser().parse_raw(raw);
-  return trace::StackPartitioner(t.log.process_name).partition(t.log);
-}
-
 struct Trained {
   trace::RawLog raw_benign;  // serialization fodder for the ingest phase
   trace::PartitionedLog benign;
@@ -159,9 +154,9 @@ Trained train_detector(std::size_t sim_events, std::uint64_t seed) {
 
   Trained out;
   out.raw_benign = logs.benign;
-  out.benign = partition_raw(logs.benign);
-  out.mixed = partition_raw(logs.mixed);
-  out.malicious = partition_raw(logs.malicious);
+  out.benign = trace::partition_raw(logs.benign);
+  out.mixed = trace::partition_raw(logs.mixed);
+  out.malicious = trace::partition_raw(logs.malicious);
 
   const core::TrainingData td =
       core::LeapsPipeline().prepare(out.benign, out.mixed);
@@ -200,113 +195,129 @@ void check_identity(const serve::MetricsSnapshot& m, const char* phase) {
   }
 }
 
-/// Phase: every truncation of a valid binary log must be rejected as
-/// corrupt, and every bit-flipped variant must come back as a Status —
-/// ok or error — never an escaped exception, crash, or hang.
+/// A copy of `log` with one module or symbol record broken the way a
+/// hostile header would be: a module moved onto another, stretched past
+/// the address space or shrunk to nothing, or a symbol moved to a random
+/// address. Byte-level flips rarely land in these few header records.
+trace::RawLog mutate_header(const trace::RawLog& log, util::Rng& rng) {
+  trace::RawLog out = log;
+  if (out.modules.empty()) return out;
+  trace::RawModule& m = out.modules[rng.next_below(out.modules.size())];
+  switch (rng.next_below(4)) {
+    case 0:
+      m.base = out.modules[rng.next_below(out.modules.size())].base +
+               rng.next_below(0x1000);
+      break;
+    case 1:
+      m.size = ~0ULL - rng.next_below(0x1000);
+      break;
+    case 2:
+      m.size = 0;
+      break;
+    default:
+      if (!out.symbols.empty()) {
+        out.symbols[rng.next_below(out.symbols.size())].address =
+            rng.next_u64();
+      }
+  }
+  return out;
+}
+
+/// Phase: the whole ingest boundary under hostile bytes, in every log
+/// dialect. Each variant goes through read_raw_log_any (format sniffing
+/// included) and, when it decodes, through partition_raw: a decoded log
+/// must symbolicate and partition without throwing, whatever the bytes.
+/// Binary declares its counts up front, so every truncation must be
+/// rejected; the line dialects (auditd, text) can be cut at a record
+/// boundary into a structurally complete shorter log, which must then
+/// carry no more events than the original — any other cut is
+/// kCorruptInput. Bit flips and header mutations may decode or be
+/// rejected; neither may crash, hang, or throw.
 void ingest_chaos(const trace::RawLog& log, std::size_t corpus,
                   util::Rng& rng) {
   const Watchdog watchdog("ingest", std::chrono::seconds(120));
-  std::ostringstream encoded;
-  trace::write_raw_log_binary(log, encoded);
-  const std::string bytes = encoded.str();
-  {
-    std::istringstream is(bytes);
-    check(trace::read_raw_log_binary(is).ok(),
-          "ingest: pristine binary log must read back");
-  }
-
-  for (std::size_t i = 0; i < corpus; ++i) {
-    const std::size_t cut = rng.next_below(bytes.size());
-    std::istringstream is(bytes.substr(0, cut));
-    const util::StatusOr<trace::RawLog> got = trace::read_raw_log_binary(is);
-    check(!got.ok(), "ingest: a truncated log must not parse");
-  }
-
-  std::size_t flips_ok = 0;
-  std::size_t flips_rejected = 0;
-  for (std::size_t i = 0; i < corpus; ++i) {
-    std::string mutated = bytes;
-    // 1-3 independent bit flips per variant.
-    const std::size_t flips = 1 + rng.next_below(3);
-    for (std::size_t f = 0; f < flips; ++f) {
-      const std::size_t at = rng.next_below(mutated.size());
-      mutated[at] = static_cast<char>(
-          static_cast<unsigned char>(mutated[at]) ^
-          (1u << rng.next_below(8)));
-    }
-    std::istringstream is(mutated);
-    try {
-      // read_raw_log_any also exercises format sniffing on hostile bytes.
-      const util::StatusOr<trace::RawLog> got = trace::read_raw_log_any(is);
-      got.ok() ? ++flips_ok : ++flips_rejected;
-    } catch (...) {
-      check(false, "ingest: reader let an exception escape on corrupt bytes");
-    }
-  }
-  std::printf("ingest chaos: %zu truncations rejected, bit-flips "
-              "%zu ok / %zu rejected, 0 crashes\n",
-              corpus, flips_ok, flips_rejected);
-
-  // Same drill against the auditd/provenance dialect. Auditd is a line
-  // format, so a truncation at a record boundary can still be
-  // structurally complete — it must then parse to strictly fewer events,
-  // never crash; any other outcome is kCorruptInput.
-  std::ostringstream audit_encoded;
-  trace::write_raw_log_auditd(log, audit_encoded);
-  const std::string audit_bytes = audit_encoded.str();
-  {
-    std::istringstream is(audit_bytes);
-    const util::StatusOr<trace::RawLog> got = trace::read_raw_log_any(is);
-    check(got.ok() && *got == log,
-          "ingest: pristine auditd log must round-trip through sniffing");
-  }
-  std::size_t audit_cut_rejected = 0;
-  std::size_t audit_cut_shorter = 0;
-  for (std::size_t i = 0; i < corpus; ++i) {
-    const std::size_t cut = rng.next_below(audit_bytes.size());
-    std::istringstream is(audit_bytes.substr(0, cut));
-    try {
-      const util::StatusOr<trace::RawLog> got = trace::read_raw_log_any(is);
-      if (!got.ok()) {
-        check(got.status().code() == util::StatusCode::kCorruptInput,
-              "ingest: a truncated auditd log must reject as CORRUPT_INPUT");
-        ++audit_cut_rejected;
-      } else {
-        // A cut that strips only the trailing newline (or the tail of
-        // the final token) can keep every event; it can never invent
-        // new ones.
-        check(got->events.size() <= log.events.size(),
-              "ingest: a truncated auditd log cannot gain events");
-        ++audit_cut_shorter;
+  struct Dialect {
+    const char* name;
+    void (*write)(const trace::RawLog&, std::ostream&);
+    bool every_cut_rejected;
+  };
+  static constexpr Dialect kDialects[] = {
+      {"binary", trace::write_raw_log_binary, true},
+      {"auditd", trace::write_raw_log_auditd, false},
+      {"text", trace::write_raw_log, false},
+  };
+  for (const Dialect& d : kDialects) {
+    std::ostringstream encoded;
+    d.write(log, encoded);
+    const std::string bytes = encoded.str();
+    const std::string tag = std::string("ingest (") + d.name + "): ";
+    const auto fail = [&tag](const char* what) {
+      check(false, (tag + what).c_str());
+    };
+    // Returns the decoded log, or nullopt after checking the rejection.
+    const auto ingest =
+        [&](const std::string& input) -> std::optional<trace::RawLog> {
+      std::istringstream is(input);
+      try {
+        util::StatusOr<trace::RawLog> got = trace::read_raw_log_any(is);
+        if (!got.ok()) {
+          if (got.status().code() != util::StatusCode::kCorruptInput) {
+            fail("rejection must be CORRUPT_INPUT");
+          }
+          return std::nullopt;
+        }
+        (void)trace::partition_raw(*got);
+        return std::move(*got);
+      } catch (...) {
+        fail("an exception escaped the ingest boundary");
+        return std::nullopt;
       }
-    } catch (...) {
-      check(false, "ingest: auditd reader let an exception escape on a cut");
+    };
+
+    const std::optional<trace::RawLog> pristine = ingest(bytes);
+    if (!pristine.has_value() || *pristine != log) {
+      fail("pristine log must round-trip");
     }
+
+    std::size_t cuts_rejected = 0;
+    for (std::size_t i = 0; i < corpus; ++i) {
+      const std::size_t cut = rng.next_below(bytes.size());
+      const std::optional<trace::RawLog> got = ingest(bytes.substr(0, cut));
+      if (!got.has_value()) {
+        ++cuts_rejected;
+      } else if (d.every_cut_rejected) {
+        fail("a truncated log must not decode");
+      } else if (got->events.size() > log.events.size()) {
+        fail("a truncated log cannot gain events");
+      }
+    }
+
+    std::size_t flips_ok = 0;
+    for (std::size_t i = 0; i < corpus; ++i) {
+      std::string mutated = bytes;
+      // 1-3 independent bit flips per variant.
+      const std::size_t flips = 1 + rng.next_below(3);
+      for (std::size_t f = 0; f < flips; ++f) {
+        const std::size_t at = rng.next_below(mutated.size());
+        mutated[at] = static_cast<char>(
+            static_cast<unsigned char>(mutated[at]) ^
+            (1u << rng.next_below(8)));
+      }
+      if (ingest(mutated).has_value()) ++flips_ok;
+    }
+
+    std::size_t headers_ok = 0;
+    for (std::size_t i = 0; i < corpus; ++i) {
+      std::ostringstream mutated;
+      d.write(mutate_header(log, rng), mutated);
+      if (ingest(mutated.str()).has_value()) ++headers_ok;
+    }
+    std::printf("ingest chaos (%s): cuts %zu rejected / %zu decoded, "
+                "bit-flips %zu ok / %zu rejected, header mutations %zu ok "
+                "/ %zu rejected, 0 crashes\n",
+                d.name, cuts_rejected, corpus - cuts_rejected, flips_ok,
+                corpus - flips_ok, headers_ok, corpus - headers_ok);
   }
-  std::size_t audit_flips_ok = 0;
-  std::size_t audit_flips_rejected = 0;
-  for (std::size_t i = 0; i < corpus; ++i) {
-    std::string mutated = audit_bytes;
-    const std::size_t flips = 1 + rng.next_below(3);
-    for (std::size_t f = 0; f < flips; ++f) {
-      const std::size_t at = rng.next_below(mutated.size());
-      mutated[at] = static_cast<char>(
-          static_cast<unsigned char>(mutated[at]) ^
-          (1u << rng.next_below(8)));
-    }
-    std::istringstream is(mutated);
-    try {
-      const util::StatusOr<trace::RawLog> got = trace::read_raw_log_any(is);
-      got.ok() ? ++audit_flips_ok : ++audit_flips_rejected;
-    } catch (...) {
-      check(false,
-            "ingest: auditd reader let an exception escape on corrupt bytes");
-    }
-  }
-  std::printf("ingest chaos (auditd): cuts %zu rejected / %zu shortened, "
-              "bit-flips %zu ok / %zu rejected, 0 crashes\n",
-              audit_cut_rejected, audit_cut_shorter, audit_flips_ok,
-              audit_flips_rejected);
 }
 
 /// Phase: fault-free sequential replay — the per-session ground truth.
