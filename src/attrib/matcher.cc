@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <istream>
 #include <stdexcept>
 #include <string>
@@ -105,6 +106,18 @@ std::vector<std::string> parse_string_array(std::string_view v) {
           case 'n': s.push_back('\n'); break;
           case 't': s.push_back('\t'); break;
           case 'r': s.push_back('\r'); break;
+          case 'u': {  // obs::json_string's \u00XX for bytes below 0x20
+            const char* hex = v.data() + i + 1;
+            const char* last = hex + std::min<std::size_t>(4, v.size() - i - 1);
+            unsigned code = 0;
+            const auto [end, ec] = std::from_chars(hex, last, code, 16);
+            if (ec != std::errc() || end != hex + 4 || code >= 0x80) {
+              throw JsonScanError{"unsupported \\u escape"};
+            }
+            s.push_back(static_cast<char>(code));
+            i += 4;
+            break;
+          }
           default: s.push_back(v[i]); break;  // \" \\ \/ pass through
         }
       } else {

@@ -6,11 +6,12 @@
 #include <functional>
 #include <iomanip>
 #include <istream>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 
 #include "util/atomic_file.h"
-#include "util/crc32c.h"
+#include "util/bytes.h"
 
 namespace leaps::core {
 
@@ -109,16 +110,14 @@ void write_continual(std::ostream& os, const ContinualState& cs) {
 
 void write_block(std::ostream& os, const char* name,
                  const std::string& payload) {
-  os << "BLOCK " << name << ' ' << payload.size() << ' ' << std::hex
-     << std::setw(8) << std::setfill('0') << util::crc32c(payload)
-     << std::dec << std::setfill(' ') << '\n'
-     << payload;
+  util::write_framed(os, std::string("BLOCK ") + name, payload);
 }
 
-/// Token-stream reader with error context.
+/// Token reader over the whole body, with error context.
 class Reader {
  public:
-  explicit Reader(std::istream& is) : is_(is) {}
+  explicit Reader(std::string text)
+      : size_(text.size()), is_(std::move(text)) {}
 
   std::string word() {
     std::string w;
@@ -151,17 +150,29 @@ class Reader {
       throw PersistError("bad number '" + w + "'");
     }
   }
+  /// An item count that the unread text can back with at least
+  /// `min_bytes` per item: nothing is sized from a count the input lacks.
+  std::size_t count(std::size_t min_bytes) {
+    const long long n = integer();
+    const std::streamoff pos = is_.tellg();
+    const std::size_t left =
+        pos < 0 ? 0 : size_ - static_cast<std::size_t>(pos);
+    require(n >= 0 && static_cast<unsigned long long>(n) <= left / min_bytes,
+            "implausible count " + std::to_string(n));
+    return static_cast<std::size_t>(n);
+  }
 
  private:
-  std::istream& is_;
+  std::size_t size_;
+  std::istringstream is_;
 };
 
 SetClusterer read_clusterer(Reader& r, const char* tag,
                             ml::ClusterOptions options) {
   r.expect("CLUSTERER");
   r.expect(tag);
-  const auto set_count = static_cast<std::size_t>(r.integer());
-  const auto cluster_count = static_cast<std::size_t>(r.integer());
+  const std::size_t set_count = r.count(8);      // "SET <id> <n>\n"
+  const std::size_t cluster_count = r.count(8);  // "POS <id> <x>\n"
   require(cluster_count > 0 && set_count >= cluster_count,
           "implausible clusterer sizes");
 
@@ -183,7 +194,7 @@ SetClusterer read_clusterer(Reader& r, const char* tag,
     require(id >= 0 && static_cast<std::size_t>(id) < cluster_count,
             "SET cluster id out of range");
     result.assignment.push_back(static_cast<int>(id));
-    const auto members = static_cast<std::size_t>(r.integer());
+    const std::size_t members = r.count(2);
     ml::StringSet set;
     set.reserve(members);
     for (std::size_t m = 0; m < members; ++m) set.push_back(r.word());
@@ -217,8 +228,9 @@ Detector load_detector_body(Reader& r, bool allow_continual) {
       Preprocessor::from_state(popt, std::move(libs), std::move(funcs));
 
   r.expect("SCALER");
-  const auto dims = static_cast<std::size_t>(r.integer());
-  require(dims == 3 * popt.window, "scaler dims disagree with window");
+  const std::size_t dims = r.count(4);  // a MIN and a RANGE value each
+  require(dims % 3 == 0 && dims / 3 == popt.window,
+          "scaler dims disagree with window");
   std::vector<double> mins(dims);
   std::vector<double> ranges(dims);
   r.expect("MIN");
@@ -245,7 +257,7 @@ Detector load_detector_body(Reader& r, bool allow_continual) {
   kernel.degree = static_cast<int>(r.integer());
   kernel.coef0 = r.real();
   const double bias = r.real();
-  const auto sv_count = static_cast<std::size_t>(r.integer());
+  const std::size_t sv_count = r.count(5);  // "SV <coef>\n" at least
   const auto sv_dims = static_cast<std::size_t>(r.integer());
   require(sv_count == 0 || sv_dims == dims, "SV dims disagree with scaler");
   std::vector<ml::FeatureVector> svs;
@@ -281,7 +293,7 @@ Detector load_detector_body(Reader& r, bool allow_continual) {
     require(cs.benign_cfg.edge_count() == edges,
             "CONTINUAL CFG edge count disagrees (duplicate edges?)");
     r.expect("TRAINSET");
-    const auto rows = static_cast<std::size_t>(r.integer());
+    const std::size_t rows = r.count(10);  // "ROW <y> <c> <alpha>\n"
     const auto row_dims = static_cast<std::size_t>(r.integer());
     require(rows == 0 || row_dims == dims,
             "TRAINSET dims disagree with scaler");
@@ -311,18 +323,13 @@ Detector load_detector_body(Reader& r, bool allow_continual) {
   return detector;
 }
 
-std::size_t offset_of(std::istream& is) {
-  const std::streampos pos = is.tellg();
-  return pos < 0 ? 0 : static_cast<std::size_t>(pos);
-}
-
 /// v3: verify every BLOCK's CRC32C before parsing a single token, then
 /// parse the concatenated payloads with the shared body parser. Every
 /// failure names the damaged block and the byte offset of the damage.
 Detector load_detector_v3(std::istream& is) {
   std::string body;
   for (;;) {
-    const std::size_t line_offset = offset_of(is);
+    const std::size_t line_offset = util::stream_offset(is);
     std::string line;
     if (!std::getline(is, line)) {
       throw PersistError("truncated v3 file: missing END at byte offset " +
@@ -341,46 +348,17 @@ Detector load_detector_v3(std::istream& is) {
     }
     require(nbytes <= kMaxBlockBytes,
             "implausible block size in '" + name + "'");
-    std::size_t crc_len = 0;
-    unsigned long stored_crc = 0;
-    try {
-      stored_crc = std::stoul(crc_hex, &crc_len, 16);
-    } catch (const std::logic_error&) {
-      crc_len = 0;
+    const util::StatusOr<std::string> block =
+        util::read_framed(is, nbytes, crc_hex);
+    if (!block.ok()) {
+      throw PersistError("block '" + name + "' " + block.status().message());
     }
-    if (crc_len != crc_hex.size() || crc_hex.empty()) {
-      throw PersistError("bad v3 block checksum field at byte offset " +
-                         std::to_string(line_offset) + ": '" + crc_hex +
-                         "'");
-    }
-
-    const std::size_t payload_offset = offset_of(is);
-    std::string payload(static_cast<std::size_t>(nbytes), '\0');
-    is.read(payload.data(), static_cast<std::streamsize>(nbytes));
-    const auto got = static_cast<std::size_t>(is.gcount());
-    if (got != nbytes) {
-      throw PersistError(
-          "truncated block '" + name + "': expected " +
-          std::to_string(nbytes) + " payload bytes at byte offset " +
-          std::to_string(payload_offset) + ", file ends after " +
-          std::to_string(got));
-    }
-    const std::uint32_t computed = util::crc32c(payload);
-    if (computed != static_cast<std::uint32_t>(stored_crc)) {
-      std::ostringstream msg;
-      msg << "block '" << name << "' checksum mismatch at byte offset "
-          << payload_offset << " (stored " << std::hex << std::setw(8)
-          << std::setfill('0') << stored_crc << ", computed " << std::setw(8)
-          << computed << ")";
-      throw PersistError(msg.str());
-    }
-    body += payload;
+    body += *block;
   }
   // Every block's CRC checked out; parse the concatenation as one v2-style
   // body with the END sentinel the framing made redundant.
   body += "END\n";
-  std::istringstream body_stream(body);
-  Reader r(body_stream);
+  Reader r(std::move(body));
   return load_detector_body(r, /*allow_continual=*/true);
 }
 
@@ -441,7 +419,7 @@ Detector load_detector(std::istream& is) {
   if (version == kVersionV3) return load_detector_v3(is);
   require(version == kVersionV1 || version == kVersionV2,
           "unsupported version '" + version + "'");
-  Reader r(is);
+  Reader r(std::string(std::istreambuf_iterator<char>(is), {}));
   return load_detector_body(r, /*allow_continual=*/version == kVersionV2);
 }
 

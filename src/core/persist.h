@@ -33,7 +33,7 @@
 //   END
 // The loader verifies every block CRC before parsing a single token and
 // reports failures as PersistError with the exact byte offset of the
-// damage ("truncated block", "checksum mismatch", "missing END").
+// damage ("block 'SVM' truncated", "checksum mismatch", "missing END").
 //
 // Version compatibility: the writer emits v3 only; v1 (pre-online-learning)
 // and v2 files still load. v1 carries no CONTINUAL block, so

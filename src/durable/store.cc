@@ -7,12 +7,11 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
-#include <iomanip>
 #include <sstream>
 #include <utility>
 
 #include "util/atomic_file.h"
-#include "util/crc32c.h"
+#include "util/bytes.h"
 #include "util/fault.h"
 
 namespace leaps::durable {
@@ -26,73 +25,16 @@ constexpr std::size_t kMaxWindowEvents = 1u << 20;
 constexpr std::size_t kMaxStackFrames = 1u << 16;
 constexpr std::size_t kMaxSymbolBytes = 1u << 16;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
+// The smallest encoding of a window event (no frames) and of a system
+// frame (empty names): the floors ByteReader::count() checks counts against.
+constexpr std::size_t kMinEventBytes = 8 + 4 + 1 + 4 + 4;
+constexpr std::size_t kMinFrameBytes = 8 + 4 + 4;
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_f64(std::string& out, double v) {
-  std::uint64_t raw;
-  std::memcpy(&raw, &v, sizeof raw);
-  put_u64(out, raw);
-}
-
-/// Bounds-checked little-endian cursor over a window payload.
-class Cursor {
- public:
-  explicit Cursor(std::string_view bytes) : bytes_(bytes) {}
-
-  bool u8(std::uint8_t& v) {
-    if (pos_ + 1 > bytes_.size()) return false;
-    v = static_cast<std::uint8_t>(bytes_[pos_++]);
-    return true;
-  }
-  bool u32(std::uint32_t& v) {
-    if (pos_ + 4 > bytes_.size()) return false;
-    v = 0;
-    for (int i = 3; i >= 0; --i) {
-      v = (v << 8) | static_cast<unsigned char>(bytes_[pos_ + i]);
-    }
-    pos_ += 4;
-    return true;
-  }
-  bool u64(std::uint64_t& v) {
-    if (pos_ + 8 > bytes_.size()) return false;
-    v = 0;
-    for (int i = 7; i >= 0; --i) {
-      v = (v << 8) | static_cast<unsigned char>(bytes_[pos_ + i]);
-    }
-    pos_ += 8;
-    return true;
-  }
-  bool f64(double& v) {
-    std::uint64_t raw = 0;
-    if (!u64(raw)) return false;
-    std::memcpy(&v, &raw, sizeof v);
-    return true;
-  }
-  bool str(std::string& v, std::size_t max_len) {
-    std::uint32_t len = 0;
-    if (!u32(len) || len > max_len || pos_ + len > bytes_.size()) {
-      return false;
-    }
-    v.assign(bytes_.data() + pos_, len);
-    pos_ += len;
-    return true;
-  }
-  bool exhausted() const { return pos_ == bytes_.size(); }
-
- private:
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
+using util::put_bytes;
+using util::put_f64;
+using util::put_u32;
+using util::put_u64;
+using util::put_u8;
 
 std::string detector_bytes(const core::Detector& detector) {
   std::ostringstream os;
@@ -108,10 +50,8 @@ std::shared_ptr<const core::Detector> detector_from_bytes(
 
 void write_blob(std::ostream& os, const char* kind,
                 const std::string& payload) {
-  os << kind << ' ' << payload.size() << ' ' << std::hex << std::setw(8)
-     << std::setfill('0') << util::crc32c(payload) << std::dec
-     << std::setfill(' ') << '\n'
-     << payload << '\n';
+  util::write_framed(os, kind, payload);
+  os << '\n';
 }
 
 /// Parses everything after the magic line of a snapshot. Throws
@@ -124,11 +64,6 @@ struct SnapshotData {
   std::vector<DurableWindow> windows;
   std::string drift;  // empty: no DRIFT blob (pre-drift snapshot)
 };
-
-std::size_t offset_of(std::istream& is) {
-  const std::streampos pos = is.tellg();
-  return pos < 0 ? 0 : static_cast<std::size_t>(pos);
-}
 
 /// Reads a blob whose header line has already been consumed (the caller
 /// peeked it to dispatch on the kind keyword).
@@ -149,44 +84,21 @@ std::string read_blob_body(std::istream& is, const std::string& kind,
     throw core::PersistError("snapshot: implausible " + kind + " size at " +
                              "byte offset " + std::to_string(line_offset));
   }
-  std::size_t crc_len = 0;
-  unsigned long stored_crc = 0;
-  try {
-    stored_crc = std::stoul(crc_hex, &crc_len, 16);
-  } catch (const std::logic_error&) {
-    crc_len = 0;
-  }
-  if (crc_len != crc_hex.size() || crc_hex.empty()) {
-    throw core::PersistError("snapshot: bad " + kind +
-                             " checksum field at byte offset " +
-                             std::to_string(line_offset));
-  }
-  const std::size_t payload_offset = offset_of(is);
-  std::string payload(static_cast<std::size_t>(nbytes), '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(nbytes));
-  const auto got = static_cast<std::size_t>(is.gcount());
-  if (got != nbytes) {
-    throw core::PersistError(
-        "snapshot: truncated " + kind + " blob: expected " +
-        std::to_string(nbytes) + " bytes at byte offset " +
-        std::to_string(payload_offset) + ", file ends after " +
-        std::to_string(got));
-  }
-  if (util::crc32c(payload) != static_cast<std::uint32_t>(stored_crc)) {
-    throw core::PersistError("snapshot: " + kind +
-                             " checksum mismatch at byte offset " +
-                             std::to_string(payload_offset));
+  util::StatusOr<std::string> blob = util::read_framed(is, nbytes, crc_hex);
+  if (!blob.ok()) {
+    throw core::PersistError("snapshot: " + kind + " blob " +
+                             blob.status().message());
   }
   if (is.get() != '\n') {
     throw core::PersistError("snapshot: missing newline after " + kind +
                              " blob at byte offset " +
-                             std::to_string(offset_of(is)));
+                             std::to_string(util::stream_offset(is)));
   }
-  return payload;
+  return *std::move(blob);
 }
 
 std::string read_blob(std::istream& is, const std::string& kind) {
-  const std::size_t line_offset = offset_of(is);
+  const std::size_t line_offset = util::stream_offset(is);
   std::string line;
   if (!std::getline(is, line)) {
     throw core::PersistError("snapshot truncated: missing " + kind +
@@ -271,7 +183,7 @@ SnapshotData load_snapshot(const std::string& path) {
   // The DRIFT blob is optional (absent when drift is disabled, and from
   // snapshots written before drift existed): peek the next line and
   // dispatch on its keyword.
-  std::size_t end_offset = offset_of(is);
+  std::size_t end_offset = util::stream_offset(is);
   if (!std::getline(is, line)) {
     throw core::PersistError("snapshot truncated: missing END at byte "
                              "offset " +
@@ -279,7 +191,7 @@ SnapshotData load_snapshot(const std::string& path) {
   }
   if (line.rfind("DRIFT ", 0) == 0) {
     data.drift = read_blob_body(is, "DRIFT", line, end_offset);
-    end_offset = offset_of(is);
+    end_offset = util::stream_offset(is);
     if (!std::getline(is, line)) {
       throw core::PersistError("snapshot truncated: missing END at byte "
                                "offset " +
@@ -324,16 +236,14 @@ std::string encode_window(const trace::PartitionedEvent* events,
     const trace::PartitionedEvent& e = events[i];
     put_u64(out, e.seq);
     put_u32(out, e.tid);
-    out.push_back(static_cast<char>(e.type));
+    put_u8(out, static_cast<std::uint8_t>(e.type));
     put_u32(out, static_cast<std::uint32_t>(e.app_stack.size()));
     for (const std::uint64_t addr : e.app_stack) put_u64(out, addr);
     put_u32(out, static_cast<std::uint32_t>(e.system_stack.size()));
     for (const trace::StackFrame& f : e.system_stack) {
       put_u64(out, f.address);
-      put_u32(out, static_cast<std::uint32_t>(f.module.size()));
-      out.append(f.module);
-      put_u32(out, static_cast<std::uint32_t>(f.function.size()));
-      out.append(f.function);
+      put_bytes(out, f.module);
+      put_bytes(out, f.function);
     }
   }
   return out;
@@ -341,45 +251,47 @@ std::string encode_window(const trace::PartitionedEvent* events,
 
 util::StatusOr<std::vector<trace::PartitionedEvent>> decode_window(
     std::string_view payload) {
-  Cursor c(payload);
-  std::uint32_t count = 0;
-  if (!c.u32(count) || count > kMaxWindowEvents) {
+  util::ByteReader r(payload);
+  const std::uint32_t count = r.u32();
+  if (!r.ok() || count > kMaxWindowEvents || !r.count(count, kMinEventBytes)) {
     return util::corrupt_input("window payload: bad event count");
   }
   std::vector<trace::PartitionedEvent> events;
   events.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     trace::PartitionedEvent e;
-    std::uint8_t type = 0;
-    std::uint32_t app_n = 0;
-    if (!c.u64(e.seq) || !c.u32(e.tid) || !c.u8(type) ||
-        type >= trace::kEventTypeCount || !c.u32(app_n) ||
+    e.seq = r.u64();
+    e.tid = r.u32();
+    const std::uint8_t type = r.u8();
+    const std::uint32_t app_n = r.u32();
+    if (!r.ok() || type >= trace::kEventTypeCount ||
         app_n > kMaxStackFrames) {
       return util::corrupt_input("window payload: bad event " +
                                  std::to_string(i));
     }
     e.type = static_cast<trace::EventType>(type);
-    e.app_stack.resize(app_n);
-    for (std::uint32_t a = 0; a < app_n; ++a) {
-      if (!c.u64(e.app_stack[a])) {
-        return util::corrupt_input("window payload: truncated app stack");
-      }
+    if (!r.count(app_n, 8)) {
+      return util::corrupt_input("window payload: truncated app stack");
     }
-    std::uint32_t sys_n = 0;
-    if (!c.u32(sys_n) || sys_n > kMaxStackFrames) {
+    e.app_stack.resize(app_n);
+    for (std::uint64_t& addr : e.app_stack) addr = r.u64();
+    const std::uint32_t sys_n = r.u32();
+    if (!r.ok() || sys_n > kMaxStackFrames ||
+        !r.count(sys_n, kMinFrameBytes)) {
       return util::corrupt_input("window payload: bad system stack count");
     }
     e.system_stack.resize(sys_n);
-    for (std::uint32_t s = 0; s < sys_n; ++s) {
-      trace::StackFrame& f = e.system_stack[s];
-      if (!c.u64(f.address) || !c.str(f.module, kMaxSymbolBytes) ||
-          !c.str(f.function, kMaxSymbolBytes)) {
-        return util::corrupt_input("window payload: truncated system stack");
-      }
+    for (trace::StackFrame& f : e.system_stack) {
+      f.address = r.u64();
+      f.module = r.bytes(kMaxSymbolBytes);
+      f.function = r.bytes(kMaxSymbolBytes);
+    }
+    if (!r.ok()) {
+      return util::corrupt_input("window payload: truncated system stack");
     }
     events.push_back(std::move(e));
   }
-  if (!c.exhausted()) {
+  if (!r.done()) {
     return util::corrupt_input("window payload: trailing bytes");
   }
   return events;
@@ -472,10 +384,9 @@ util::Status DurableStore::journal_retrain(std::uint64_t drain_lsn, bool ok,
                                            const std::string& detail) {
   std::string payload;
   put_u64(payload, drain_lsn);
-  payload.push_back(ok ? 1 : 0);
+  put_u8(payload, ok ? 1 : 0);
   put_u64(payload, new_samples);
-  put_u32(payload, static_cast<std::uint32_t>(detail.size()));
-  payload.append(detail);
+  put_bytes(payload, detail);
   return journal(WalRecordType::kRetrain, payload);
 }
 
@@ -496,7 +407,7 @@ util::Status DurableStore::journal_drift_batch(const DriftSample* samples,
   put_u32(payload, static_cast<std::uint32_t>(count));
   for (std::size_t i = 0; i < count; ++i) {
     put_f64(payload, samples[i].value);
-    payload.push_back(static_cast<char>(samples[i].label));
+    put_u8(payload, static_cast<std::uint8_t>(samples[i].label));
   }
   return journal(WalRecordType::kDriftBatch, payload);
 }
@@ -633,9 +544,9 @@ util::StatusOr<RecoveredState> DurableStore::recover() {
         // boundary into the candidate; those must not be re-observed as
         // still pending. Windows journaled while the retrain was training
         // (boundary < lsn < this record) were not drained — keep them.
-        Cursor c(record.payload);
-        std::uint64_t boundary = 0;
-        if (!c.u64(boundary)) {
+        util::ByteReader r(record.payload);
+        const std::uint64_t boundary = r.u64();
+        if (!r.ok()) {
           return util::corrupt_input("WAL retrain record (lsn " +
                                      std::to_string(record.lsn) +
                                      "): short payload");
@@ -650,9 +561,9 @@ util::StatusOr<RecoveredState> DurableStore::recover() {
         break;
       }
       case WalRecordType::kDriftBatch: {
-        Cursor c(record.payload);
-        std::uint32_t n = 0;
-        if (!c.u32(n) || n > (1u << 20)) {
+        util::ByteReader r(record.payload);
+        const std::uint32_t n = r.u32();
+        if (!r.ok() || n > (1u << 20)) {
           return util::corrupt_input("WAL drift batch (lsn " +
                                      std::to_string(record.lsn) +
                                      "): bad sample count");
@@ -660,16 +571,16 @@ util::StatusOr<RecoveredState> DurableStore::recover() {
         for (std::uint32_t i = 0; i < n; ++i) {
           DriftReplayOp op;
           op.kind = DriftReplayOp::Kind::kObserve;
-          std::uint8_t label = 0;
-          if (!c.f64(op.value) || !c.u8(label)) {
+          op.value = r.f64();
+          op.label = static_cast<int>(static_cast<std::int8_t>(r.u8()));
+          if (!r.ok()) {
             return util::corrupt_input("WAL drift batch (lsn " +
                                        std::to_string(record.lsn) +
                                        "): truncated sample");
           }
-          op.label = static_cast<int>(static_cast<std::int8_t>(label));
           out.drift_ops.push_back(op);
         }
-        if (!c.exhausted()) {
+        if (!r.done()) {
           return util::corrupt_input("WAL drift batch (lsn " +
                                      std::to_string(record.lsn) +
                                      "): trailing bytes");

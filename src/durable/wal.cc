@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "core/persist.h"
+#include "util/bytes.h"
 #include "util/crc32c.h"
 #include "util/fault.h"
 
@@ -23,30 +24,6 @@ constexpr std::size_t kMaxRecordBytes = std::size_t{64} << 20;
 
 std::string errno_text(const char* what, const std::string& path) {
   return std::string(what) + " " + path + ": " + std::strerror(errno);
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-std::uint32_t get_u32(const unsigned char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::uint64_t get_u64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
 }
 
 util::Status write_all(int fd, const char* data, std::size_t size,
@@ -130,13 +107,13 @@ util::Status WalWriter::append(WalRecordType type, std::string_view payload,
   if (start < 0) return util::unavailable(errno_text("lseek", path_));
   std::string body;
   body.reserve(kBodyPrefixBytes + payload.size());
-  body.push_back(static_cast<char>(type));
-  put_u64(body, next_lsn_);
+  util::put_u8(body, static_cast<std::uint8_t>(type));
+  util::put_u64(body, next_lsn_);
   body.append(payload);
 
   std::string header;
-  put_u32(header, static_cast<std::uint32_t>(body.size()));
-  put_u32(header, util::crc32c(body));
+  util::put_u32(header, static_cast<std::uint32_t>(body.size()));
+  util::put_u32(header, util::crc32c(body));
 
   // Header first, as its own write: a crash between the two leaves a
   // valid-header/short-body torn tail — the exact shape recovery must
@@ -194,63 +171,48 @@ util::Status scan_into(const std::string& path, WalScan& scan) {
 
   std::uint64_t offset = kWalMagic.size();
   std::uint64_t prev_lsn = 0;
+  const auto tear = [&](std::string reason) {
+    scan.torn = true;
+    scan.torn_offset = offset;
+    scan.torn_reason = std::move(reason);
+  };
   for (;;) {
-    unsigned char header[kFrameHeaderBytes];
-    is.read(reinterpret_cast<char*>(header),
-            static_cast<std::streamsize>(kFrameHeaderBytes));
+    char header[kFrameHeaderBytes];
+    is.read(header, static_cast<std::streamsize>(kFrameHeaderBytes));
     const auto header_got = static_cast<std::size_t>(is.gcount());
     if (header_got == 0) break;  // clean end
     if (header_got < kFrameHeaderBytes) {
-      scan.torn = true;
-      scan.torn_offset = offset;
-      scan.torn_reason = "torn WAL record header at byte offset " +
-                         std::to_string(offset) + ": " +
-                         std::to_string(header_got) + " of 8 bytes";
+      tear("torn WAL record header at byte offset " +
+           std::to_string(offset) + ": " + std::to_string(header_got) +
+           " of 8 bytes");
       break;
     }
-    const std::uint32_t body_len = get_u32(header);
-    const std::uint32_t stored_crc = get_u32(header + 4);
+    util::ByteReader frame({header, kFrameHeaderBytes});
+    const std::uint32_t body_len = frame.u32();
+    const std::uint32_t stored_crc = frame.u32();
     if (body_len < kBodyPrefixBytes || body_len > kMaxRecordBytes) {
-      scan.torn = true;
-      scan.torn_offset = offset;
-      scan.torn_reason = "implausible WAL record length " +
-                         std::to_string(body_len) + " at byte offset " +
-                         std::to_string(offset);
+      tear("implausible WAL record length " + std::to_string(body_len) +
+           " at byte offset " + std::to_string(offset));
       break;
     }
-    std::string body(body_len, '\0');
-    is.read(body.data(), static_cast<std::streamsize>(body_len));
-    const auto body_got = static_cast<std::size_t>(is.gcount());
-    if (body_got < body_len) {
-      scan.torn = true;
-      scan.torn_offset = offset;
-      scan.torn_reason =
-          "torn WAL record at byte offset " + std::to_string(offset) +
-          ": header promises " + std::to_string(body_len) +
-          " body bytes, file ends after " + std::to_string(body_got);
+    const util::StatusOr<std::string> body =
+        util::read_framed(is, body_len, stored_crc);
+    if (!body.ok()) {
+      tear("torn WAL record at byte offset " + std::to_string(offset) + ": " +
+           body.status().message());
       break;
     }
-    if (util::crc32c(body) != stored_crc) {
-      scan.torn = true;
-      scan.torn_offset = offset;
-      scan.torn_reason = "WAL record checksum mismatch at byte offset " +
-                         std::to_string(offset);
-      break;
-    }
-    const auto* bytes = reinterpret_cast<const unsigned char*>(body.data());
+    util::ByteReader prefix(*body);
     WalRecord record;
-    record.type = static_cast<WalRecordType>(bytes[0]);
-    record.lsn = get_u64(bytes + 1);
+    record.type = static_cast<WalRecordType>(prefix.u8());
+    record.lsn = prefix.u64();
     if (record.lsn <= prev_lsn) {
-      scan.torn = true;
-      scan.torn_offset = offset;
-      scan.torn_reason = "non-monotonic WAL LSN " +
-                         std::to_string(record.lsn) + " at byte offset " +
-                         std::to_string(offset);
+      tear("non-monotonic WAL LSN " + std::to_string(record.lsn) +
+           " at byte offset " + std::to_string(offset));
       break;
     }
     prev_lsn = record.lsn;
-    record.payload = body.substr(kBodyPrefixBytes);
+    record.payload = body->substr(kBodyPrefixBytes);
     scan.records.push_back(std::move(record));
     offset += kFrameHeaderBytes + body_len;
   }

@@ -85,13 +85,6 @@ void histogram_prometheus(std::ostringstream& os, const std::string& name,
   os << name << "_count " << h.count << "\n";
 }
 
-void append_json_escaped(std::ostringstream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-}
-
 }  // namespace
 
 MetricRegistry& MetricRegistry::global() {
@@ -249,6 +242,21 @@ MetricSample gauge_sample(std::string name, std::string help,
   return s;
 }
 
+std::string json_string(std::string_view s) {
+  std::string out = "\"";
+  for (const char c : s) {
+    if (static_cast<unsigned char>(c) < 0x20) {
+      char hex[8];
+      std::snprintf(hex, sizeof hex, "\\u%04x", static_cast<unsigned>(c));
+      out += hex;
+      continue;
+    }
+    if (c == '"' || c == '\\') out.push_back('\\');
+    out.push_back(c);
+  }
+  return out + "\"";
+}
+
 void append_json_number(std::ostream& os, double v) {
   if (!std::isfinite(v)) {
     os << 0;
@@ -353,14 +361,9 @@ std::string samples_to_json(const std::vector<MetricSample>& samples) {
   for (const MetricSample& s : samples) {
     if (!first) os << ",";
     first = false;
-    os << "\n\"";
-    append_json_escaped(os, s.name);
-    os << "\":{\"type\":\"" << type_name(s.type) << "\",";
-    if (!s.labels.empty()) {
-      os << "\"labels\":\"";
-      append_json_escaped(os, s.labels);
-      os << "\",";
-    }
+    os << "\n" << json_string(s.name) << ":{\"type\":\"" << type_name(s.type)
+       << "\",";
+    if (!s.labels.empty()) os << "\"labels\":" << json_string(s.labels) << ",";
     switch (s.type) {
       case MetricType::kCounter:
         os << "\"value\":" << s.counter_value;

@@ -28,6 +28,7 @@
 #include <mutex>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/histogram.h"
@@ -180,5 +181,9 @@ void append_histogram_json(std::ostream& os,
                            const LatencyHistogram::Snapshot& h);
 void append_summary_json(std::ostream& os, const Summary::Snapshot& s);
 void append_sample_json(std::ostream& os, const MetricSample& s);
+/// The one JSON spelling of a string: quoted, with the quote and the
+/// backslash escaped and every byte below 0x20 written as \u00XX (symbol
+/// names from binary logs may hold any byte); other bytes pass through.
+std::string json_string(std::string_view s);
 
 }  // namespace leaps::obs

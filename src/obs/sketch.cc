@@ -1,8 +1,9 @@
 #include "obs/sketch.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
+
+#include "util/bytes.h"
 
 namespace leaps::obs {
 
@@ -11,67 +12,10 @@ namespace {
 constexpr char kSketchMagic[] = "LPQS1";  // 5 bytes, no NUL in stream
 constexpr char kWindowMagic[] = "LPRW1";
 
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void put_f64(std::string& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-/// Little-endian reader over a byte string; sets `fail` instead of
-/// throwing (hostile bytes may arrive via checkpoint files).
-struct Cursor {
-  std::string_view bytes;
-  std::size_t pos = 0;
-  bool fail = false;
-
-  bool take(std::size_t n) {
-    if (fail || bytes.size() - pos < n) {
-      fail = true;
-      return false;
-    }
-    return true;
-  }
-  std::uint16_t u16() {
-    if (!take(2)) return 0;
-    const auto* p = reinterpret_cast<const unsigned char*>(bytes.data() + pos);
-    pos += 2;
-    return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-  }
-  std::uint32_t u32() {
-    if (!take(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(bytes[pos + i]))
-           << (8 * i);
-    }
-    pos += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    if (!take(8)) return 0;
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(
-               static_cast<unsigned char>(bytes[pos + i]))
-           << (8 * i);
-    }
-    pos += 8;
-    return v;
-  }
-  double f64() { return std::bit_cast<double>(u64()); }
-};
+using util::put_f64;
+using util::put_u16;
+using util::put_u32;
+using util::put_u64;
 
 }  // namespace
 
@@ -195,33 +139,30 @@ util::StatusOr<QuantileSketch> QuantileSketch::deserialize(
       bytes.substr(0, kMagicLen) != kSketchMagic) {
     return util::corrupt_input("quantile sketch: bad magic");
   }
-  Cursor c{bytes.substr(kMagicLen)};
-  QuantileSketch s(c.u16());
-  s.count_ = c.u64();
-  s.sum_ = c.f64();
-  s.min_ = c.f64();
-  s.max_ = c.f64();
-  const std::uint32_t n_levels = c.u32();
-  if (c.fail || n_levels > 64) {
+  util::ByteReader r(bytes.substr(kMagicLen));
+  QuantileSketch s(r.u16());
+  s.count_ = r.u64();
+  s.sum_ = r.f64();
+  s.min_ = r.f64();
+  s.max_ = r.f64();
+  const std::uint32_t n_levels = r.u32();
+  if (!r.ok() || n_levels > 64) {
     return util::corrupt_input("quantile sketch: truncated header");
   }
   std::uint64_t retained = 0;
   for (std::uint32_t lvl = 0; lvl < n_levels; ++lvl) {
-    if (!c.take(1)) break;
-    const auto flag = static_cast<std::uint8_t>(c.bytes[c.pos++]);
-    const std::uint32_t n = c.u32();
-    if (c.fail || flag > 1 || n > 4u * s.k_ ||
-        (c.bytes.size() - c.pos) / 8 < n) {
+    const std::uint8_t flag = r.u8();
+    const std::uint32_t n = r.u32();
+    if (!r.ok() || flag > 1 || n > 4u * s.k_ || !r.count(n, 8)) {
       return util::corrupt_input("quantile sketch: implausible level");
     }
     s.keep_odd_.push_back(flag);
-    std::vector<double> level;
-    level.reserve(n);
-    for (std::uint32_t i = 0; i < n; ++i) level.push_back(c.f64());
+    std::vector<double> level(n);
+    for (double& v : level) v = r.f64();
     retained += (std::uint64_t{1} << lvl) * n;
     s.levels_.push_back(std::move(level));
   }
-  if (c.fail || c.pos != c.bytes.size() || retained != s.count_) {
+  if (!r.done() || retained != s.count_) {
     return util::corrupt_input("quantile sketch: truncated or inconsistent");
   }
   return s;
@@ -275,20 +216,21 @@ util::StatusOr<ReservoirWindow> ReservoirWindow::deserialize(
       bytes.substr(0, kMagicLen) != kWindowMagic) {
     return util::corrupt_input("reservoir window: bad magic");
   }
-  Cursor c{bytes.substr(kMagicLen)};
-  const std::uint64_t capacity = c.u64();
-  const std::uint64_t total = c.u64();
-  const std::uint32_t n = c.u32();
-  if (c.fail || capacity == 0 || n > capacity || n > total ||
-      (c.bytes.size() - c.pos) / 8 < n) {
+  util::ByteReader r(bytes.substr(kMagicLen));
+  const std::uint64_t capacity = r.u64();
+  const std::uint64_t total = r.u64();
+  const std::uint32_t n = r.u32();
+  if (!r.ok() || capacity == 0 || capacity > kMaxCapacity || n > capacity ||
+      n > total || !r.count(n, 8)) {
     return util::corrupt_input("reservoir window: implausible header");
   }
-  ReservoirWindow w(static_cast<std::size_t>(capacity));
-  for (std::uint32_t i = 0; i < n; ++i) w.ring_.push_back(c.f64());
+  // Reserve for the values present, not for the declared capacity.
+  ReservoirWindow w(1);
+  w.capacity_ = static_cast<std::size_t>(capacity);
+  w.ring_.reserve(n);
+  for (std::uint32_t i = 0; i < n; ++i) w.ring_.push_back(r.f64());
   w.total_ = total;
-  if (c.fail || c.pos != c.bytes.size()) {
-    return util::corrupt_input("reservoir window: truncated");
-  }
+  if (!r.done()) return util::corrupt_input("reservoir window: truncated");
   return w;
 }
 

@@ -82,6 +82,9 @@ class QuantileSketch {
 /// Exact sliding window: the last `capacity` values in arrival order.
 class ReservoirWindow {
  public:
+  /// Largest capacity deserialize() accepts.
+  static constexpr std::size_t kMaxCapacity = std::size_t{1} << 24;
+
   explicit ReservoirWindow(std::size_t capacity = 256);
 
   void insert(double v);

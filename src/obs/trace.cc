@@ -6,6 +6,8 @@
 #include <map>
 #include <sstream>
 
+#include "obs/registry.h"
+
 namespace leaps::obs {
 
 namespace {
@@ -30,13 +32,6 @@ std::chrono::steady_clock::time_point& epoch() {
   static std::chrono::steady_clock::time_point t =
       std::chrono::steady_clock::now();
   return t;
-}
-
-void append_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') out.push_back('\\');
-    out.push_back(*s);
-  }
 }
 
 }  // namespace
@@ -106,10 +101,9 @@ std::string Tracer::chrome_trace_json() const {
   for (const SpanRecord& s : spans) {
     if (!first) out += ",";
     first = false;
-    out += "\n{\"name\":\"";
-    append_escaped(out, s.name);
+    out += "\n{\"name\":" + json_string(s.name);
     std::snprintf(buf, sizeof buf,
-                  "\",\"cat\":\"leaps\",\"ph\":\"X\",\"ts\":%.3f,"
+                  ",\"cat\":\"leaps\",\"ph\":\"X\",\"ts\":%.3f,"
                   "\"dur\":%.3f,\"pid\":1,\"tid\":%u,"
                   "\"args\":{\"depth\":%u}}",
                   static_cast<double>(s.start_ns) / 1000.0,

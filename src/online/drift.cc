@@ -1,9 +1,10 @@
 #include "online/drift.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <utility>
+
+#include "util/bytes.h"
 
 namespace leaps::online {
 
@@ -11,72 +12,10 @@ namespace {
 
 constexpr std::string_view kMagic = "LPDM1";
 
-void put_u8(std::string& out, std::uint8_t v) {
-  out.push_back(static_cast<char>(v));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_f64(std::string& out, double v) {
-  put_u64(out, std::bit_cast<std::uint64_t>(v));
-}
-
-void put_bytes(std::string& out, const std::string& bytes) {
-  put_u32(out, static_cast<std::uint32_t>(bytes.size()));
-  out.append(bytes);
-}
-
-struct Cursor {
-  std::string_view bytes;
-  std::size_t pos = 0;
-
-  bool u8(std::uint8_t& v) {
-    if (pos + 1 > bytes.size()) return false;
-    v = static_cast<std::uint8_t>(bytes[pos++]);
-    return true;
-  }
-  bool u32(std::uint32_t& v) {
-    if (pos + 4 > bytes.size()) return false;
-    v = 0;
-    for (int i = 3; i >= 0; --i) {
-      v = (v << 8) | static_cast<unsigned char>(bytes[pos + i]);
-    }
-    pos += 4;
-    return true;
-  }
-  bool u64(std::uint64_t& v) {
-    if (pos + 8 > bytes.size()) return false;
-    v = 0;
-    for (int i = 7; i >= 0; --i) {
-      v = (v << 8) | static_cast<unsigned char>(bytes[pos + i]);
-    }
-    pos += 8;
-    return true;
-  }
-  bool f64(double& v) {
-    std::uint64_t raw = 0;
-    if (!u64(raw)) return false;
-    v = std::bit_cast<double>(raw);
-    return true;
-  }
-  bool blob(std::string_view& v) {
-    std::uint32_t len = 0;
-    if (!u32(len) || pos + len > bytes.size()) return false;
-    v = bytes.substr(pos, len);
-    pos += len;
-    return true;
-  }
-};
+using util::put_f64;
+using util::put_u32;
+using util::put_u64;
+using util::put_u8;
 
 }  // namespace
 
@@ -195,8 +134,8 @@ std::string DriftMonitor::serialize() const {
   put_u64(out, triggers_);
   put_u32(out, static_cast<std::uint32_t>(reference_.size()));
   for (const double v : reference_) put_f64(out, v);
-  put_bytes(out, live_.serialize());
-  put_bytes(out, sketch_.serialize());
+  util::put_bytes(out, live_.serialize());
+  util::put_bytes(out, sketch_.serialize());
   put_u32(out, static_cast<std::uint32_t>(generations_.size()));
   for (const GenerationMix& mix : generations_) {
     put_u64(out, mix.benign);
@@ -209,48 +148,44 @@ util::Status DriftMonitor::deserialize(std::string_view bytes) {
   if (bytes.substr(0, kMagic.size()) != kMagic) {
     return util::corrupt_input("drift state: bad magic");
   }
-  Cursor c{bytes, kMagic.size()};
-  std::uint32_t generation = 0;
-  std::uint64_t observed = 0;
-  std::uint8_t frozen = 0;
-  std::uint8_t pending = 0;
-  double last_ks = 0.0;
-  double last_p = 1.0;
-  std::uint64_t evaluations = 0;
-  std::uint64_t triggers = 0;
-  std::uint32_t ref_n = 0;
-  if (!c.u32(generation) || !c.u64(observed) || !c.u8(frozen) ||
-      !c.u8(pending) || !c.f64(last_ks) || !c.f64(last_p) ||
-      !c.u64(evaluations) || !c.u64(triggers) || !c.u32(ref_n) ||
-      ref_n > (1u << 24)) {
+  util::ByteReader r(bytes.substr(kMagic.size()));
+  const std::uint32_t generation = r.u32();
+  const std::uint64_t observed = r.u64();
+  const std::uint8_t frozen = r.u8();
+  const std::uint8_t pending = r.u8();
+  const double last_ks = r.f64();
+  const double last_p = r.f64();
+  const std::uint64_t evaluations = r.u64();
+  const std::uint64_t triggers = r.u64();
+  const std::uint32_t ref_n = r.u32();
+  if (!r.ok() || ref_n > DriftOptions::kMaxWindow) {
     return util::corrupt_input("drift state: truncated header");
   }
-  std::vector<double> reference(ref_n);
-  for (std::uint32_t i = 0; i < ref_n; ++i) {
-    if (!c.f64(reference[i])) {
-      return util::corrupt_input("drift state: truncated reference");
-    }
+  if (!r.count(ref_n, 8)) {
+    return util::corrupt_input("drift state: truncated reference");
   }
-  std::string_view live_bytes;
-  std::string_view sketch_bytes;
-  std::uint32_t gen_n = 0;
-  if (!c.blob(live_bytes) || !c.blob(sketch_bytes) || !c.u32(gen_n) ||
-      gen_n == 0 || gen_n > (1u << 20) || gen_n != generation + 1) {
+  std::vector<double> reference(ref_n);
+  for (double& v : reference) v = r.f64();
+  const std::string_view live_bytes = r.bytes();
+  const std::string_view sketch_bytes = r.bytes();
+  const std::uint32_t gen_n = r.u32();
+  if (!r.ok() || gen_n == 0 || gen_n > (1u << 20) ||
+      gen_n != generation + 1) {
     return util::corrupt_input("drift state: truncated windows");
   }
   auto live = obs::ReservoirWindow::deserialize(live_bytes);
   if (!live.ok()) return live.status();
   auto sketch = obs::QuantileSketch::deserialize(sketch_bytes);
   if (!sketch.ok()) return sketch.status();
+  if (!r.count(gen_n, 16)) {
+    return util::corrupt_input("drift state: truncated generation mix");
+  }
   std::vector<GenerationMix> generations(gen_n);
-  for (std::uint32_t i = 0; i < gen_n; ++i) {
-    if (!c.u64(generations[i].benign) || !c.u64(generations[i].malicious)) {
-      return util::corrupt_input("drift state: truncated generation mix");
-    }
+  for (GenerationMix& mix : generations) {
+    mix.benign = r.u64();
+    mix.malicious = r.u64();
   }
-  if (c.pos != bytes.size()) {
-    return util::corrupt_input("drift state: trailing bytes");
-  }
+  if (!r.done()) return util::corrupt_input("drift state: trailing bytes");
   const std::lock_guard<std::mutex> lock(mu_);
   generation_ = generation;
   observed_ = observed;

@@ -38,6 +38,10 @@
 namespace leaps::online {
 
 struct DriftOptions {
+  /// Largest reference_target and live_window whose state a checkpoint
+  /// can restore (deserialize() rejects longer windows).
+  static constexpr std::size_t kMaxWindow = obs::ReservoirWindow::kMaxCapacity;
+
   /// Master switch; a disabled monitor observes nothing and never fires.
   bool enabled = false;
   /// Values that freeze the reference window (per generation).

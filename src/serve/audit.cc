@@ -32,13 +32,6 @@ obs::Counter& dropped_counter() {
   return c;
 }
 
-void append_json_escaped(std::ostringstream& os, const std::string& s) {
-  for (const char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-}
-
 }  // namespace
 
 AuditLog::AuditLog(AuditOptions options) : options_(std::move(options)) {}
@@ -139,11 +132,10 @@ std::string AuditLog::format_record(
     const std::vector<trace::PartitionedEvent>& events,
     const core::Detector& detector, std::size_t top_k) {
   std::ostringstream os;
-  os << "{\"window\":" << window_index << ",\"host\":\"";
-  append_json_escaped(os, key.host);
-  os << "\",\"pid\":" << key.pid << ",\"profile\":\"";
-  append_json_escaped(os, profile);
-  os << "\",\"label\":" << label << ",\"decision_value\":";
+  os << "{\"window\":" << window_index
+     << ",\"host\":" << obs::json_string(key.host) << ",\"pid\":" << key.pid
+     << ",\"profile\":" << obs::json_string(profile)
+     << ",\"label\":" << label << ",\"decision_value\":";
   obs::append_json_number(os, decision_value);
   os << ",\"threshold\":";
   obs::append_json_number(os, detector.decision_threshold());
@@ -230,9 +222,7 @@ std::string AuditLog::format_record(
     os << "\"" << name << "\":[";
     for (std::size_t i = 0; i < v.size(); ++i) {
       if (i > 0) os << ",";
-      os << "\"";
-      append_json_escaped(os, v[i]);
-      os << "\"";
+      os << obs::json_string(v[i]);
     }
     os << "]";
   };

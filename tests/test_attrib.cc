@@ -5,6 +5,7 @@
 // a live DetectionServer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -15,6 +16,7 @@
 #include "attrib/matcher.h"
 #include "attrib/signature.h"
 #include "detector_fixture.h"
+#include "serve/audit.h"
 #include "serve/server.h"
 #include "sim/campaign.h"
 #include "trace/partition.h"
@@ -295,6 +297,33 @@ const TrainedDetector& fixture_for_attrib() {
   static const TrainedDetector* f =
       new TrainedDetector(train_small_detector());
   return *f;
+}
+
+// The binary dialect accepts symbol names with any bytes; the audit record
+// must stay one line and hand them back to the reader unchanged.
+TEST(Evidence, AuditRecordKeepsControlBytesInSymbolNames) {
+  const TrainedDetector& f = fixture_for_attrib();
+  const std::size_t win = f.detector->preprocessor().window();
+  ASSERT_GE(f.malicious.events.size(), win);
+  std::vector<trace::PartitionedEvent> events(
+      f.malicious.events.begin(),
+      f.malicious.events.begin() + static_cast<std::ptrdiff_t>(win));
+  const std::string function = "ev\nil\t\x01 \"quoted\" back\\slash";
+  events[0].system_stack.push_back({0x7f00dead0000, "evil.so", function});
+  const std::string line = serve::AuditLog::format_record(
+      serve::SessionKey{"host\n2", 7}, "default", 3, -1, -0.5, events,
+      *f.detector, /*top_k=*/2);
+  EXPECT_EQ(line.find('\n'), std::string::npos) << line;
+
+  std::istringstream is(line + "\n");
+  const util::StatusOr<std::vector<WindowEvidence>> got =
+      evidence_from_audit_jsonl(is);
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  ASSERT_EQ(got->size(), 1u);
+  const std::vector<std::string>& funcs = (*got)[0].funcs;
+  EXPECT_NE(std::find(funcs.begin(), funcs.end(), "evil.so!" + function),
+            funcs.end())
+      << line;
 }
 
 // The load-bearing serving property: attribution output is a pure

@@ -226,6 +226,13 @@ int main(int argc, char** argv) {
   if (options.workers == 0) args.usage_error("%s must be >= 1", "--workers");
   if (options.coalesce == 0) args.usage_error("%s must be >= 1", "--coalesce");
   if (drift && !online) args.usage_error("%s requires --online", "--drift");
+  constexpr std::size_t kMaxDriftWindow = online::DriftOptions::kMaxWindow;
+  if (online_options.drift.reference_target > kMaxDriftWindow) {
+    args.usage_error("%s must be <= 16777216", "--drift-reference");
+  }
+  if (online_options.drift.live_window > kMaxDriftWindow) {
+    args.usage_error("%s must be <= 16777216", "--drift-live");
+  }
   online_options.drift.enabled = drift;
   options.idle_ttl = std::chrono::milliseconds(idle_ttl_ms);
   options.shed_queue_wait_us = shed_wait_us;
