@@ -396,14 +396,7 @@ void BM_DetectorPersistRoundTrip(benchmark::State& state) {
   const auto& logs = cached_logs(2000);
   const auto benign = trace::partition_raw(logs.benign);
   const auto mixed = trace::partition_raw(logs.mixed);
-  const core::TrainingData td = core::LeapsPipeline().prepare(benign, mixed);
-  ml::Dataset train = td.benign;
-  train.append(td.mixed);
-  ml::MinMaxScaler scaler;
-  scaler.fit(train.X);
-  scaler.transform_in_place(train);
-  const core::Detector detector(
-      td.preprocessor, scaler, ml::SvmTrainer({}).train(train));
+  const core::Detector detector = core::fit_detector(benign, mixed).detector;
   for (auto _ : state) {
     std::stringstream buffer;
     core::save_detector(detector, buffer);

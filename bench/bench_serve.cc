@@ -31,7 +31,6 @@
 #include "bench_common.h"
 #include "core/pipeline.h"
 #include "durable/store.h"
-#include "ml/svm.h"
 #include "online/manager.h"
 #include "serve/server.h"
 #include "sim/scenario.h"
@@ -58,15 +57,8 @@ Workload build_workload(std::size_t train_events) {
   Workload w;
   const trace::PartitionedLog benign = trace::partition_raw(logs.benign);
   const trace::PartitionedLog mixed = trace::partition_raw(logs.mixed);
-  const core::TrainingData td = core::LeapsPipeline().prepare(benign, mixed);
-  ml::Dataset train = td.benign;
-  train.append(td.mixed);
-  ml::MinMaxScaler scaler;
-  scaler.fit(train.X);
-  scaler.transform_in_place(train);
-  const ml::SvmModel model = ml::SvmTrainer({}).train(train);
-  w.detector = std::make_shared<const core::Detector>(td.preprocessor,
-                                                      scaler, model);
+  w.detector = std::make_shared<const core::Detector>(
+      core::fit_detector(benign, mixed).detector);
   w.replay = mixed;
   return w;
 }

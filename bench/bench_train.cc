@@ -143,21 +143,10 @@ E2eInput build_e2e_input(std::size_t train_events) {
 /// (Gram + SMO) — the whole leaps-train hot path minus file I/O.
 double run_e2e(const E2eInput& in) {
   const auto t0 = std::chrono::steady_clock::now();
-  const core::TrainingData td =
-      core::LeapsPipeline().prepare(in.benign, in.mixed);
-  ml::Dataset train = td.benign;
-  train.append(td.mixed);
-  ml::MinMaxScaler scaler;
-  scaler.fit(train.X);
-  scaler.transform_in_place(train);
-  ml::CrossValidationOptions cv;
-  cv.folds = 5;
-  cv.lambdas = {1.0, 10.0};
-  cv.sigma2s = {2.0, 8.0};
-  cv.weighted_validation = true;
-  util::Rng rng(7);
-  const ml::GridSearchResult grid = ml::tune_svm(train, {}, cv, rng);
-  (void)ml::SvmTrainer(grid.best).train(train);
+  core::FitOptions options;
+  options.tune = ml::CrossValidationOptions{
+      .lambdas = {1.0, 10.0}, .sigma2s = {2.0, 8.0}, .folds = 5};
+  (void)core::fit_detector(in.benign, in.mixed, options);
   return ms_since(t0);
 }
 

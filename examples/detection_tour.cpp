@@ -38,32 +38,19 @@ int main() {
   const trace::PartitionedLog mixed = trace::partition_raw(train_logs.mixed);
 
   // --- training phase ----------------------------------------------------
-  const core::LeapsPipeline pipeline;
-  const core::TrainingData td = pipeline.prepare(benign, mixed);
+  core::FitOptions options;
+  options.tune = ml::CrossValidationOptions{};
+  const core::FitResult fit = core::fit_detector(benign, mixed, options);
   std::printf("  %zu benign windows (+1), %zu mixed windows (-1, CFG "
               "weights)\n",
-              td.benign.size(), td.mixed.size());
-
-  ml::Dataset train = td.benign;
-  train.append(td.mixed);
-  ml::MinMaxScaler scaler;
-  scaler.fit(train.X);
-  scaler.transform_in_place(train);
-
-  ml::CrossValidationOptions cv;
-  cv.weighted_validation = true;
-  util::Rng rng(7);
-  const ml::GridSearchResult grid = ml::tune_svm(train, {}, cv, rng);
+              fit.data.benign.size(), fit.data.mixed.size());
   std::printf("  tuned by weighted %zu-fold CV: lambda=%g sigma2=%g "
               "(validation accuracy %.3f)\n",
-              cv.folds, grid.best.lambda, grid.best.kernel.sigma2,
-              grid.best_accuracy);
-
-  ml::TrainStats stats;
-  const ml::SvmModel model = ml::SvmTrainer(grid.best).train(train, &stats);
+              options.tune->folds, fit.grid->best.lambda,
+              fit.grid->best.kernel.sigma2, fit.grid->best_accuracy);
   std::printf("  WSVM trained: %zu support vectors, %zu SMO iterations\n\n",
-              stats.support_vectors, stats.iterations);
-  const core::Detector detector(td.preprocessor, scaler, model);
+              fit.stats.support_vectors, fit.stats.iterations);
+  const core::Detector& detector = fit.detector;
 
   // --- testing phase on fresh traces --------------------------------------
   std::printf("Scanning fresh traces (unseen seeds):\n");

@@ -12,16 +12,11 @@
 #include <cstdio>
 
 #include "core/pipeline.h"
-#include "ml/cross_validation.h"
 #include "sim/scenario.h"
 #include "trace/partition.h"
 #include "trace/system_log.h"
 
 using namespace leaps;
-
-namespace {
-
-}  // namespace
 
 int main() {
   const sim::ScenarioSpec& spec = sim::find_scenario("winscp_reverse_tcp");
@@ -48,20 +43,12 @@ int main() {
   const trace::PartitionedLog benign = trace::partition_raw(reference.benign);
   const trace::PartitionedLog mixed =
       trace::partition_raw(trace::slice_process(cap.capture, cap.target_pid));
-  const core::TrainingData td = core::LeapsPipeline().prepare(benign, mixed);
-
-  ml::Dataset train = td.benign;
-  train.append(td.mixed);
-  ml::MinMaxScaler scaler;
-  scaler.fit(train.X);
-  scaler.transform_in_place(train);
-  ml::SvmParams params;
-  params.lambda = 10.0;
-  params.kernel.sigma2 = 8.0;
-  const ml::SvmModel model = ml::SvmTrainer(params).train(train);
-  const core::Detector detector(td.preprocessor, scaler, model);
+  core::FitOptions options;
+  options.svm.kernel.sigma2 = 8.0;
+  const core::Detector detector =
+      core::fit_detector(benign, mixed, options).detector;
   std::printf("\ntrained WSVM detector for %s (%zu support vectors)\n\n",
-              spec.app.c_str(), model.support_vector_count());
+              spec.app.c_str(), detector.model().support_vector_count());
 
   // --- scan every slice on the machine ------------------------------------
   std::printf("scanning all process slices:\n");

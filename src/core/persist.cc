@@ -229,7 +229,8 @@ Detector load_detector_body(Reader& r, bool allow_continual) {
 
   r.expect("SCALER");
   const std::size_t dims = r.count(4);  // a MIN and a RANGE value each
-  require(dims % 3 == 0 && dims / 3 == popt.window,
+  require(dims % kFeaturesPerEvent == 0 &&
+              dims / kFeaturesPerEvent == popt.window,
           "scaler dims disagree with window");
   std::vector<double> mins(dims);
   std::vector<double> ranges(dims);

@@ -4,6 +4,7 @@
 
 #include "obs/trace.h"
 #include "util/check.h"
+#include "util/rng.h"
 
 namespace leaps::core {
 
@@ -30,22 +31,42 @@ TrainingData LeapsPipeline::prepare(
     out.mixed_cfg = inference.infer(mixed_log);
   }
 
+  for (const ml::FeatureVector& x : out.benign_windows.X) {
+    out.benign.add(x, /*label=*/1, /*weight=*/1.0);
+  }
+  MixedSamples mixed =
+      assess_mixed_windows(benign_log, mixed_log, out.benign_cfg,
+                           out.mixed_cfg, out.mixed_windows, options_);
+  out.mixed = std::move(mixed.samples);
+  out.event_benignity = std::move(mixed.event_benignity);
+  out.alignment = std::move(mixed.alignment);
+  return out;
+}
+
+MixedSamples assess_mixed_windows(const trace::PartitionedLog& benign_log,
+                                  const trace::PartitionedLog& mixed_log,
+                                  const cfg::InferredCfg& benign_cfg,
+                                  const cfg::InferredCfg& mixed_cfg,
+                                  const WindowedData& mixed_windows,
+                                  const PipelineOptions& options) {
+  MixedSamples out;
+
   // --- CFG Alignment (Section VI-A extension, optional) -----------------
-  const cfg::CfgAligner aligner(options_.alignment);
-  const cfg::InferredCfg* assessed_mixed = &out.mixed_cfg;
+  const cfg::CfgAligner aligner(options.alignment);
+  const cfg::InferredCfg* assessed_mixed = &mixed_cfg;
   cfg::InferredCfg translated;
-  if (options_.align_cfgs) {
+  if (options.align_cfgs) {
     LEAPS_SPAN("pipeline.align");
     const cfg::NodeFingerprints benign_fp = cfg::node_fingerprints(benign_log);
     const cfg::NodeFingerprints mixed_fp = cfg::node_fingerprints(mixed_log);
-    out.alignment = aligner.align(out.benign_cfg.graph, out.mixed_cfg.graph,
+    out.alignment = aligner.align(benign_cfg.graph, mixed_cfg.graph,
                                   &benign_fp, &mixed_fp);
-    translated = aligner.translate_cfg(out.alignment, out.mixed_cfg);
+    translated = aligner.translate_cfg(out.alignment, mixed_cfg);
     assessed_mixed = &translated;
   }
 
   // --- Weight Assessment -------------------------------------------------
-  const cfg::WeightAssessor assessor(out.benign_cfg.graph);
+  const cfg::WeightAssessor assessor(benign_cfg.graph);
   {
     LEAPS_SPAN("pipeline.weight_assess");
     out.event_benignity = assessor.assess(*assessed_mixed);
@@ -56,12 +77,12 @@ TrainingData LeapsPipeline::prepare(
     for (const trace::PartitionedEvent& e : mixed_log.events) {
       if (out.event_benignity.count(e.seq) > 0) continue;
       if (e.app_stack.empty()) {
-        out.event_benignity[e.seq] = options_.default_benignity;
+        out.event_benignity[e.seq] = options.default_benignity;
         continue;
       }
       double sum = 0.0;
       for (std::uint64_t addr : e.app_stack) {
-        if (options_.align_cfgs) {
+        if (options.align_cfgs) {
           const auto t = aligner.translate(out.alignment, addr);
           // Untranslatable = inserted or unknown code: benignity 0.
           if (!t.has_value()) continue;
@@ -74,28 +95,65 @@ TrainingData LeapsPipeline::prepare(
     }
   }
 
-  // --- assemble datasets ---------------------------------------------------
+  // --- per-window cᵢ -------------------------------------------------------
   LEAPS_SPAN("pipeline.assemble");
-  for (const ml::FeatureVector& x : out.benign_windows.X) {
-    out.benign.add(x, /*label=*/1, /*weight=*/1.0);
-  }
-  for (std::size_t w = 0; w < out.mixed_windows.X.size(); ++w) {
+  for (std::size_t w = 0; w < mixed_windows.X.size(); ++w) {
     double malice_sum = 0.0;
-    const auto& indices = out.mixed_windows.event_indices[w];
+    const auto& indices = mixed_windows.event_indices[w];
     for (const std::size_t idx : indices) {
       const std::uint64_t seq = mixed_log.events[idx].seq;
       const auto it = out.event_benignity.find(seq);
       const double benignity = it == out.event_benignity.end()
-                                   ? options_.default_benignity
+                                   ? options.default_benignity
                                    : it->second;
       malice_sum += 1.0 - std::clamp(benignity, 0.0, 1.0);
     }
     const double weight =
         indices.empty() ? 0.0
                         : malice_sum / static_cast<double>(indices.size());
-    out.mixed.add(out.mixed_windows.X[w], /*label=*/-1, weight);
+    out.samples.add(mixed_windows.X[w], /*label=*/-1, weight);
   }
   return out;
+}
+
+Detector fit_model(Preprocessor preprocessor, ml::Dataset& train,
+                   const FitOptions& options, ml::TrainStats* stats,
+                   std::optional<ml::GridSearchResult>* grid) {
+  if (!options.weighted) {
+    std::fill(train.weight.begin(), train.weight.end(), 1.0);
+  }
+  ml::MinMaxScaler scaler;
+  scaler.fit(train.X);
+  scaler.transform_in_place(train);
+  ml::SvmParams params = options.svm;
+  if (options.tune.has_value()) {
+    ml::CrossValidationOptions cv = *options.tune;
+    cv.weighted_validation = options.weighted;
+    util::Rng rng(7);
+    ml::GridSearchResult result = ml::tune_svm(train, options.svm, cv, rng);
+    params = result.best;
+    if (grid != nullptr) *grid = std::move(result);
+  }
+  ml::SvmModel model = ml::SvmTrainer(params).train(train, stats);
+  return Detector(std::move(preprocessor), std::move(scaler),
+                  std::move(model));
+}
+
+FitResult fit_detector(const trace::PartitionedLog& benign_log,
+                       const trace::PartitionedLog& mixed_log,
+                       const FitOptions& options) {
+  TrainingData data =
+      LeapsPipeline(options.pipeline).prepare(benign_log, mixed_log);
+  ml::Dataset train = data.benign;
+  train.append(data.mixed);
+  ml::TrainStats stats;
+  std::optional<ml::GridSearchResult> grid;
+  Detector detector =
+      fit_model(data.preprocessor, train, options, &stats, &grid);
+  detector.set_continual(
+      {data.benign_cfg.graph, std::move(train), stats.alpha});
+  return {std::move(data), std::move(detector), std::move(stats),
+          std::move(grid)};
 }
 
 Detector::Detector(Preprocessor preprocessor, ml::MinMaxScaler scaler,
@@ -166,7 +224,7 @@ double Detector::calibrate(const trace::PartitionedLog& clean_log,
 }
 
 Detector::Stream::Stream(const Detector& detector) : detector_(&detector) {
-  pending_.reserve(3 * detector.preprocessor().window());
+  pending_.reserve(kFeaturesPerEvent * detector.preprocessor().window());
 }
 
 std::optional<int> Detector::Stream::push(
@@ -181,11 +239,10 @@ std::optional<int> Detector::Stream::push(const trace::CompactEvent& event,
 }
 
 std::optional<int> Detector::Stream::push_tuple(const EventTuple& t) {
-  pending_.push_back(static_cast<double>(t.event_type));
-  pending_.push_back(t.lib_coord);
-  pending_.push_back(t.func_coord);
+  append_features(t, pending_);
   ++events_seen_;
-  if (pending_.size() < 3 * detector_->preprocessor().window()) {
+  if (pending_.size() <
+      kFeaturesPerEvent * detector_->preprocessor().window()) {
     return std::nullopt;
   }
   const double f = detector_->decision_value(pending_);

@@ -9,6 +9,9 @@
 //     → Weight Assessment mixed-vs-benign (Alg. 2)              → benignity
 //     → per-window SVM weights  c = 1 − mean benignity.
 //
+// fit_detector() adds the rest of the Training Phase: scaler → optional CV
+// tune → (W)SVM → Detector.
+//
 // The benignity→c flip is deliberate (see DESIGN.md): Algorithm 2 measures
 // *benignity*, while Eqn. 2's cᵢ is the importance of a *negative* training
 // sample — a mixed-log window that the CFG proves benign must not act as a
@@ -24,6 +27,7 @@
 #include "cfg/inference.h"
 #include "cfg/weight.h"
 #include "core/preprocess.h"
+#include "ml/cross_validation.h"
 #include "ml/dataset.h"
 #include "ml/scaler.h"
 #include "ml/svm.h"
@@ -61,6 +65,22 @@ struct TrainingData {
   /// Populated when PipelineOptions::align_cfgs is set.
   cfg::Alignment alignment;
 };
+
+struct MixedSamples {
+  ml::Dataset samples;  // one row per mixed window: label -1, weight cᵢ
+  std::map<std::uint64_t, double> event_benignity;  // seq → [0,1]
+  cfg::Alignment alignment;  // populated when align_cfgs is set
+};
+
+/// The one copy of the weight rule, for prepare() and train_universal():
+/// optional CFG alignment, Algorithm 2, a frame-density score for events no
+/// path maps to, then cᵢ = mean over a window of 1 − clamp(benignity).
+MixedSamples assess_mixed_windows(const trace::PartitionedLog& benign_log,
+                                  const trace::PartitionedLog& mixed_log,
+                                  const cfg::InferredCfg& benign_cfg,
+                                  const cfg::InferredCfg& mixed_cfg,
+                                  const WindowedData& mixed_windows,
+                                  const PipelineOptions& options);
 
 class LeapsPipeline {
  public:
@@ -190,7 +210,9 @@ class Detector {
     std::size_t events_seen() const { return events_seen_; }
     /// Events buffered toward the next (incomplete) window. Mirrors batch
     /// scan() semantics: a trailing partial window is never classified.
-    std::size_t pending_events() const { return pending_.size() / 3; }
+    std::size_t pending_events() const {
+      return pending_.size() / kFeaturesPerEvent;
+    }
     const WindowCounts& tally() const { return tally_; }
     /// Decision value of the most recently completed window (0 before the
     /// first verdict). Valid right after push() returned a label.
@@ -217,5 +239,34 @@ class Detector {
   // non-copyable (its cache is address-stable, not its identity).
   std::shared_ptr<TupleCodec> codec_ = std::make_shared<TupleCodec>();
 };
+
+struct FitOptions {
+  PipelineOptions pipeline;
+  bool weighted = true;  // false: plain SVM, every training weight 1
+  /// Fixed parameters, or the base that `tune` fills λ and σ² into.
+  ml::SvmParams svm;
+  /// k-fold CV over this grid, seed 7; weighted_validation = `weighted`.
+  std::optional<ml::CrossValidationOptions> tune;
+};
+
+/// The model half of fit_detector(), for a caller with its own training
+/// set (train_universal): weights → 1 unless `weighted`, MinMaxScaler fit
+/// on `train` and applied in place, the optional tune, then SMO.
+Detector fit_model(Preprocessor preprocessor, ml::Dataset& train,
+                   const FitOptions& options, ml::TrainStats* stats = nullptr,
+                   std::optional<ml::GridSearchResult>* grid = nullptr);
+
+struct FitResult {
+  TrainingData data;
+  Detector detector;  // with ContinualState (benign CFG, scaled set, α)
+  ml::TrainStats stats;
+  std::optional<ml::GridSearchResult> grid;  // when a tune ran
+};
+
+/// The one way to fit a detector: prepare(), then fit_model() on the
+/// benign windows followed by the mixed windows, then the ContinualState.
+FitResult fit_detector(const trace::PartitionedLog& benign_log,
+                       const trace::PartitionedLog& mixed_log,
+                       const FitOptions& options = {});
 
 }  // namespace leaps::core

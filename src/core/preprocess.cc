@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <utility>
 
 #include "obs/trace.h"
@@ -175,6 +176,14 @@ EventTuple TupleCodec::tuple(const Preprocessor& preprocessor,
   return t;
 }
 
+ml::FeatureVector Preprocessor::window_features(
+    std::span<const trace::PartitionedEvent> events) const {
+  ml::FeatureVector x;
+  x.reserve(kFeaturesPerEvent * events.size());
+  for (const trace::PartitionedEvent& e : events) append_features(tuple(e), x);
+  return x;
+}
+
 WindowedData Preprocessor::make_windows(
     const trace::PartitionedLog& log) const {
   LEAPS_SPAN("preprocess.windows");
@@ -186,19 +195,10 @@ WindowedData Preprocessor::make_windows(
   out.X.reserve(count);
   out.event_indices.reserve(count);
   for (std::size_t win = 0; win < count; ++win) {
-    ml::FeatureVector x;
-    x.reserve(3 * w);
-    std::vector<std::size_t> indices;
-    indices.reserve(w);
-    for (std::size_t k = 0; k < w; ++k) {
-      const std::size_t idx = win * w + k;
-      const EventTuple t = tuple(log.events[idx]);
-      x.push_back(static_cast<double>(t.event_type));
-      x.push_back(t.lib_coord);
-      x.push_back(t.func_coord);
-      indices.push_back(idx);
-    }
-    out.X.push_back(std::move(x));
+    out.X.push_back(window_features(
+        std::span(log.events).subspan(win * w, w)));
+    std::vector<std::size_t> indices(w);
+    std::iota(indices.begin(), indices.end(), win * w);
     out.event_indices.push_back(std::move(indices));
   }
   return out;

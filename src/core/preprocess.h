@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -81,6 +82,19 @@ struct EventTuple {
   double func_coord = 0.0;
 };
 
+/// Features per event in a window (Section V-A-2: 10 events → 30 dims).
+inline constexpr std::size_t kFeaturesPerEvent = 3;
+
+/// Appends one event's features to a window in the layout
+/// {Event_Type, Lib coordinate, Func coordinate}: the one place that layout
+/// is written. Inline and allocation-free once `x` has capacity, because the
+/// serving stream calls it per event.
+inline void append_features(const EventTuple& t, ml::FeatureVector& x) {
+  x.push_back(static_cast<double>(t.event_type));
+  x.push_back(t.lib_coord);
+  x.push_back(t.func_coord);
+}
+
 /// Feature windows with provenance back to the source events (needed by the
 /// CGraph baseline and by weight aggregation).
 struct WindowedData {
@@ -136,6 +150,11 @@ class Preprocessor {
   static ml::StringSet func_set(const trace::PartitionedEvent& event);
 
   EventTuple tuple(const trace::PartitionedEvent& event) const;
+
+  /// The unscaled feature window of consecutive events (append_features
+  /// over each event's tuple). Must be fitted.
+  ml::FeatureVector window_features(
+      std::span<const trace::PartitionedEvent> events) const;
 
   /// Non-overlapping windows over the log. A trailing partial window is
   /// dropped. Must be fitted.

@@ -3,7 +3,6 @@
 #include <numeric>
 
 #include "cfg/inference.h"
-#include "cfg/weight.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -41,14 +40,6 @@ UniversalEvaluation train_universal(const std::vector<AppLogs>& apps,
     LEAPS_CHECK_MSG(benign_w.X.size() >= 4,
                     "too few benign windows for " + app.name);
 
-    // The application's own benign CFG is its oracle (Algorithm 2 is
-    // inherently per-application — CFGs of different binaries share no
-    // address space).
-    const cfg::InferredCfg bcfg = inference.infer(app.benign);
-    const cfg::InferredCfg mcfg = inference.infer(app.mixed);
-    const cfg::WeightAssessor assessor(bcfg.graph);
-    const auto benignity = assessor.assess(mcfg);
-
     // Benign windows: half train (+1, weight 1), half evaluate.
     std::vector<std::size_t> order(benign_w.X.size());
     std::iota(order.begin(), order.end(), 0);
@@ -62,34 +53,24 @@ UniversalEvaluation train_universal(const std::vector<AppLogs>& apps,
         eval[app.name].benign_test.push_back(benign_w.X[order[k]]);
       }
     }
-    // Mixed windows: negatives with CFG-derived weights.
-    for (std::size_t w = 0; w < mixed_w.X.size(); ++w) {
-      double malice = 0.0;
-      for (const std::size_t idx : mixed_w.event_indices[w]) {
-        const auto it = benignity.find(app.mixed.events[idx].seq);
-        const double b =
-            it == benignity.end() ? options.pipeline.default_benignity
-                                  : it->second;
-        malice += 1.0 - std::clamp(b, 0.0, 1.0);
-      }
-      train.add(mixed_w.X[w], -1,
-                malice / static_cast<double>(
-                             mixed_w.event_indices[w].size()));
-    }
+    // Mixed windows: negatives with CFG-derived weights. The application's
+    // own benign CFG is its oracle (Algorithm 2 is inherently
+    // per-application — CFGs of different binaries share no address space).
+    train.append(assess_mixed_windows(app.benign, app.mixed,
+                                      inference.infer(app.benign),
+                                      inference.infer(app.mixed), mixed_w,
+                                      options.pipeline)
+                     .samples);
     for (const ml::FeatureVector& x : malicious_w.X) {
       eval[app.name].malicious_test.push_back(x);
     }
   }
 
   // --- one detector for the whole machine --------------------------------
-  ml::MinMaxScaler scaler;
-  scaler.fit(train.X);
-  ml::Dataset scaled = train;
-  scaler.transform_in_place(scaled);
-  const ml::SvmModel model = ml::SvmTrainer(options.svm).train(scaled);
-
+  FitOptions fit_options;
+  fit_options.svm = options.svm;
   UniversalEvaluation result{
-      {}, {}, Detector(std::move(preprocessor), scaler, model)};
+      {}, {}, fit_model(std::move(preprocessor), train, fit_options)};
 
   ml::ConfusionMatrix pooled;
   for (const auto& [name, slice] : eval) {

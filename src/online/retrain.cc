@@ -77,15 +77,7 @@ RetrainResult RetrainScheduler::retrain(std::vector<PendingWindow> windows) {
   ml::Dataset grown = state->train;
   for (const PendingWindow& w : windows) {
     if (w.events.size() != window) continue;  // tap guarantees this; belt
-    ml::FeatureVector raw;
-    raw.reserve(3 * window);
-    for (const trace::PartitionedEvent& e : w.events) {
-      const core::EventTuple t = pre.tuple(e);
-      raw.push_back(static_cast<double>(t.event_type));
-      raw.push_back(t.lib_coord);
-      raw.push_back(t.func_coord);
-    }
-    grown.add(base->scaler().transform(raw), +1,
+    grown.add(base->scaler().transform(pre.window_features(w.events)), +1,
               std::clamp(w.benignity, 0.0, 1.0));
     ++result.new_samples;
   }

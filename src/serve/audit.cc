@@ -143,16 +143,9 @@ std::string AuditLog::format_record(
 
   // Top-k support-vector contributions to f(x), against the scaled window
   // features — the same x the model scored.
-  ml::FeatureVector raw;
-  raw.reserve(3 * events.size());
-  for (const trace::PartitionedEvent& e : events) {
-    const core::EventTuple t = detector.preprocessor().tuple(e);
-    raw.push_back(static_cast<double>(t.event_type));
-    raw.push_back(t.lib_coord);
-    raw.push_back(t.func_coord);
-  }
   os << ",\"sv_contributions\":[";
-  const ml::FeatureVector x = detector.scaler().transform(raw);
+  const ml::FeatureVector x = detector.scaler().transform(
+      detector.preprocessor().window_features(events));
   const auto contributions = detector.model().top_contributions(x, top_k);
   for (std::size_t i = 0; i < contributions.size(); ++i) {
     const auto& c = contributions[i];

@@ -57,19 +57,14 @@ struct Fixture {
     trace::PartitionedLog mixed = trace::partition_raw(logs.mixed);
     trace::PartitionedLog malicious = trace::partition_raw(logs.malicious);
 
-    const TrainingData td = LeapsPipeline().prepare(benign, mixed);
-    ml::Dataset train = td.benign;
-    train.append(td.mixed);
-    ml::MinMaxScaler scaler;
-    scaler.fit(train.X);
-    scaler.transform_in_place(train);
-    ml::SvmParams params;
-    params.lambda = 10.0;
-    params.kernel.sigma2 = 8.0;
-    const ml::SvmModel model = ml::SvmTrainer(params).train(train);
+    FitOptions options;
+    options.svm.kernel.sigma2 = 8.0;
+    const Detector fitted = fit_detector(benign, mixed, options).detector;
+    // Without its ContinualState: the shape of a pre-v2 model file.
+    Detector detector(fitted.preprocessor(), fitted.scaler(),
+                      fitted.model());
     return Fixture{std::move(logs), std::move(benign), std::move(mixed),
-                   std::move(malicious),
-                   Detector(td.preprocessor, scaler, model)};
+                   std::move(malicious), std::move(detector)};
   }
 };
 
@@ -130,8 +125,7 @@ TEST(Persist, V3ChecksumFlipInEveryBlockIsDetectedWithOffset) {
   // Flip one payload byte inside each BLOCK in turn; every flip must be a
   // typed PersistError naming a byte offset — never a silent mis-parse.
   const leaps::testing::TrainedDetector t =
-      leaps::testing::train_small_detector("vim_reverse_tcp_online", 1500, 7,
-                                           /*with_continual=*/true);
+      leaps::testing::train_small_detector();
   std::stringstream buffer;
   save_detector(*t.detector, buffer);
   const std::string text = buffer.str();
@@ -160,8 +154,7 @@ TEST(Persist, V3ChecksumFlipInEveryBlockIsDetectedWithOffset) {
 
 TEST(Persist, V3TruncatedTailIsTypedWithOffset) {
   const leaps::testing::TrainedDetector t =
-      leaps::testing::train_small_detector("vim_reverse_tcp_online", 1500, 7,
-                                           /*with_continual=*/true);
+      leaps::testing::train_small_detector();
   std::stringstream buffer;
   save_detector(*t.detector, buffer);
   const std::string text = buffer.str();
@@ -255,8 +248,7 @@ TEST(Persist, V1FileLoadsAsColdStartFallback) {
 
 TEST(Persist, ContinualStateRoundTripsExactly) {
   const leaps::testing::TrainedDetector t =
-      leaps::testing::train_small_detector("vim_reverse_tcp_online", 1500, 7,
-                                           /*with_continual=*/true);
+      leaps::testing::train_small_detector();
   const ContinualState* before = t.detector->continual();
   ASSERT_NE(before, nullptr);
   ASSERT_GT(before->benign_cfg.edge_count(), 0u);
@@ -291,8 +283,7 @@ TEST(Persist, ContinualStateRoundTripsExactly) {
 
 TEST(Persist, ContinualBlockInV1FileIsRejected) {
   const leaps::testing::TrainedDetector t =
-      leaps::testing::train_small_detector("vim_reverse_tcp_online", 1500, 7,
-                                           /*with_continual=*/true);
+      leaps::testing::train_small_detector();
   std::string text = v2_text(*t.detector);
   ASSERT_NE(text.find("CONTINUAL"), std::string::npos);
   text.replace(0, std::string("LEAPS-DETECTOR v2").size(),
@@ -303,8 +294,7 @@ TEST(Persist, ContinualBlockInV1FileIsRejected) {
 
 TEST(Persist, RejectsCorruptContinualRows) {
   const leaps::testing::TrainedDetector t =
-      leaps::testing::train_small_detector("vim_reverse_tcp_online", 1500, 7,
-                                           /*with_continual=*/true);
+      leaps::testing::train_small_detector();
   const std::string text = v2_text(*t.detector);
 
   const auto corrupt = [&](const std::string& from, const std::string& to) {

@@ -3,12 +3,18 @@
 // malicious events, and a trained detector must flag payload activity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <sstream>
+#include <string>
 
+#include "core/persist.h"
 #include "core/pipeline.h"
+#include "ml/cross_validation.h"
 #include "ml/svm.h"
 #include "sim/scenario.h"
 #include "trace/partition.h"
+#include "util/rng.h"
 
 namespace leaps::core {
 namespace {
@@ -21,7 +27,8 @@ struct PreparedScenario {
   TrainingData td;
 };
 
-PreparedScenario prepare(const std::string& name, std::size_t events = 3000) {
+/// The scenario's logs, without running the pipeline (`td` stays empty).
+PreparedScenario simulate(const std::string& name, std::size_t events) {
   PreparedScenario out;
   sim::SimConfig cfg;
   cfg.benign_events = events;
@@ -31,8 +38,20 @@ PreparedScenario prepare(const std::string& name, std::size_t events = 3000) {
   out.benign = trace::partition_raw(out.logs.benign);
   out.mixed = trace::partition_raw(out.logs.mixed);
   out.malicious = trace::partition_raw(out.logs.malicious);
+  return out;
+}
+
+PreparedScenario prepare(const std::string& name, std::size_t events = 3000) {
+  PreparedScenario out = simulate(name, events);
   out.td = LeapsPipeline().prepare(out.benign, out.mixed);
   return out;
+}
+
+/// A WSVM detector fitted on the scenario with λ = 10 and the given σ².
+Detector fit(const PreparedScenario& s, double sigma2 = 8.0) {
+  FitOptions options;
+  options.svm.kernel.sigma2 = sigma2;
+  return fit_detector(s.benign, s.mixed, options).detector;
 }
 
 TEST(Pipeline, BenignDatasetIsAllPositiveWeightOne) {
@@ -144,20 +163,8 @@ TEST(Pipeline, MemapCoversMostMixedEvents) {
 }
 
 TEST(Detector, FlagsPayloadLogAndPassesBenignLog) {
-  const PreparedScenario s = prepare("vim_reverse_tcp_online", 4000);
-
-  // Train a WSVM on the pipeline's output (no subsampling — small logs).
-  ml::Dataset train = s.td.benign;
-  train.append(s.td.mixed);
-  ml::MinMaxScaler scaler;
-  scaler.fit(train.X);
-  scaler.transform_in_place(train);
-  ml::SvmParams params;
-  params.lambda = 10.0;
-  params.kernel.sigma2 = 8.0;
-  const ml::SvmModel model = ml::SvmTrainer(params).train(train);
-
-  const Detector detector(s.td.preprocessor, scaler, model);
+  const PreparedScenario s = simulate("vim_reverse_tcp_online", 4000);
+  const Detector detector = fit(s);
   const auto benign_scan = detector.scan(s.benign);
   const auto malicious_scan = detector.scan(s.malicious);
   ASSERT_GT(benign_scan.window_labels.size(), 0u);
@@ -167,17 +174,8 @@ TEST(Detector, FlagsPayloadLogAndPassesBenignLog) {
 }
 
 TEST(Detector, StreamMatchesBatchScan) {
-  const PreparedScenario s = prepare("vim_reverse_tcp_online", 3000);
-  ml::Dataset train = s.td.benign;
-  train.append(s.td.mixed);
-  ml::MinMaxScaler scaler;
-  scaler.fit(train.X);
-  scaler.transform_in_place(train);
-  ml::SvmParams params;
-  params.lambda = 10.0;
-  params.kernel.sigma2 = 8.0;
-  const Detector detector(s.td.preprocessor, scaler,
-                          ml::SvmTrainer(params).train(train));
+  const PreparedScenario s = simulate("vim_reverse_tcp_online", 3000);
+  const Detector detector = fit(s);
 
   const auto batch = detector.scan(s.malicious);
   Detector::Stream stream = detector.stream();
@@ -191,15 +189,8 @@ TEST(Detector, StreamMatchesBatchScan) {
 }
 
 TEST(Detector, StreamEmitsOnlyOnWindowBoundaries) {
-  const PreparedScenario s = prepare("vim_reverse_tcp", 2000);
-  ml::Dataset train = s.td.benign;
-  train.append(s.td.mixed);
-  ml::MinMaxScaler scaler;
-  scaler.fit(train.X);
-  scaler.transform_in_place(train);
-  const Detector detector(
-      s.td.preprocessor, scaler,
-      ml::SvmTrainer(ml::SvmParams{}).train(train));
+  const PreparedScenario s = simulate("vim_reverse_tcp", 2000);
+  const Detector detector = fit(s, ml::KernelParams{}.sigma2);
   Detector::Stream stream = detector.stream();
   const std::size_t window = detector.preprocessor().window();
   for (std::size_t i = 0; i < 3 * window; ++i) {
@@ -209,17 +200,8 @@ TEST(Detector, StreamEmitsOnlyOnWindowBoundaries) {
 }
 
 TEST(Detector, CalibrationBoundsFalseAlarms) {
-  const PreparedScenario s = prepare("putty_reverse_https_online", 4000);
-  ml::Dataset train = s.td.benign;
-  train.append(s.td.mixed);
-  ml::MinMaxScaler scaler;
-  scaler.fit(train.X);
-  scaler.transform_in_place(train);
-  ml::SvmParams params;
-  params.lambda = 10.0;
-  params.kernel.sigma2 = 8.0;
-  Detector detector(s.td.preprocessor, scaler,
-                    ml::SvmTrainer(params).train(train));
+  const PreparedScenario s = simulate("putty_reverse_https_online", 4000);
+  Detector detector = fit(s);
 
   for (const double target : {0.0, 0.02, 0.10}) {
     const double achieved = detector.calibrate(s.benign, target);
@@ -237,6 +219,54 @@ TEST(Detector, CalibrationBoundsFalseAlarms) {
   detector.calibrate(s.benign, 0.02);
   EXPECT_GT(detector.scan(s.malicious).malicious_fraction(), 0.5);
   EXPECT_THROW(detector.calibrate(s.benign, 1.5), std::logic_error);
+}
+
+// The one step-by-step copy of the fitting recipe, kept as the reference
+// fit_detector must reproduce byte for byte.
+TEST(FitDetector, MatchesTheExplicitRecipe) {
+  const PreparedScenario s = prepare("vim_reverse_tcp_online", 1200);
+  ml::CrossValidationOptions grid;
+  grid.folds = 3;
+  grid.lambdas = {1.0, 10.0};
+  grid.sigma2s = {2.0, 8.0};
+  for (const bool weighted : {true, false}) {
+    for (const bool tuned : {false, true}) {
+      SCOPED_TRACE(std::string(weighted ? "weighted" : "plain") +
+                   (tuned ? ", tuned" : ", fixed"));
+      FitOptions options;
+      options.weighted = weighted;
+      options.svm.kernel.sigma2 = 8.0;
+      if (tuned) options.tune = grid;
+
+      ml::Dataset train = s.td.benign;
+      train.append(s.td.mixed);
+      if (!weighted) {
+        std::fill(train.weight.begin(), train.weight.end(), 1.0);
+      }
+      ml::MinMaxScaler scaler;
+      scaler.fit(train.X);
+      scaler.transform_in_place(train);
+      ml::SvmParams params = options.svm;
+      if (tuned) {
+        ml::CrossValidationOptions cv = grid;
+        cv.weighted_validation = weighted;
+        util::Rng rng(7);
+        params = ml::tune_svm(train, options.svm, cv, rng).best;
+      }
+      ml::TrainStats stats;
+      const ml::SvmModel model = ml::SvmTrainer(params).train(train, &stats);
+      Detector reference(s.td.preprocessor, scaler, model);
+      reference.set_continual({s.td.benign_cfg.graph, train, stats.alpha});
+
+      const FitResult fitted = fit_detector(s.benign, s.mixed, options);
+      EXPECT_EQ(fitted.grid.has_value(), tuned);
+      std::stringstream want;
+      std::stringstream got;
+      save_detector(reference, want);
+      save_detector(fitted.detector, got);
+      EXPECT_EQ(got.str(), want.str());
+    }
+  }
 }
 
 TEST(Detector, RequiresFittedComponents) {

@@ -66,6 +66,39 @@ TEST(Universal, DeterministicForFixedSeed) {
   EXPECT_EQ(a.per_app.begin()->second.tpr, b.per_app.begin()->second.tpr);
 }
 
+// The universal classifier weighs each application with the same rule as
+// prepare(), so PipelineOptions::align_cfgs reaches its weights: on a
+// source-level trojan, alignment moves the weights and so the model.
+TEST(Universal, HonoursCfgAlignment) {
+  sim::SimConfig cfg;
+  cfg.benign_events = 3000;
+  cfg.mixed_events = 2250;
+  cfg.malicious_events = 1000;
+  const sim::ScenarioLogs logs =
+      sim::generate_source_trojan_scenario("winscp", "reverse_tcp", cfg);
+  const std::vector<AppLogs> apps = {
+      {"winscp", trace::partition_raw(logs.benign),
+       trace::partition_raw(logs.mixed), trace::partition_raw(logs.malicious)}};
+
+  const auto decision_values = [&](bool align) {
+    UniversalOptions opt;
+    opt.pipeline.align_cfgs = align;
+    opt.svm.kernel.sigma2 = 8.0;
+    const Detector detector = train_universal(apps, opt).detector;
+    std::vector<double> values;
+    for (const ml::FeatureVector& x :
+         detector.preprocessor().make_windows(apps[0].malicious).X) {
+      values.push_back(detector.decision_value(x));
+    }
+    return values;
+  };
+  const std::vector<double> aligned = decision_values(true);
+  const std::vector<double> unaligned = decision_values(false);
+  ASSERT_FALSE(aligned.empty());
+  ASSERT_EQ(aligned.size(), unaligned.size());
+  EXPECT_NE(aligned, unaligned);
+}
+
 TEST(Universal, RejectsEmptyInput) {
   EXPECT_THROW(train_universal({}, {}), std::logic_error);
 }

@@ -27,7 +27,7 @@ using testing::train_small_detector;
 
 const TrainedDetector& fixture() {
   static const TrainedDetector f = train_small_detector(
-      "vim_reverse_tcp_online", 1200, 7, /*with_continual=*/true);
+      "vim_reverse_tcp_online", 1200, 7);
   return f;
 }
 

@@ -28,8 +28,7 @@ using leaps::testing::TrainedDetector;
 
 const TrainedDetector& fixture() {
   static const TrainedDetector* f = new TrainedDetector(
-      leaps::testing::train_small_detector("vim_reverse_tcp_online", 1200, 7,
-                                           /*with_continual=*/true));
+      leaps::testing::train_small_detector("vim_reverse_tcp_online", 1200, 7));
   return *f;
 }
 

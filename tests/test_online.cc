@@ -35,8 +35,7 @@ using leaps::testing::train_small_detector;
 /// Fixture detector carrying ContinualState (the online path needs it).
 const TrainedDetector& fixture() {
   static const TrainedDetector* f = new TrainedDetector(
-      train_small_detector("vim_reverse_tcp_online", 1500, 7,
-                           /*with_continual=*/true));
+      train_small_detector("vim_reverse_tcp_online", 1500, 7));
   return *f;
 }
 
@@ -279,13 +278,13 @@ TEST(Accumulator, RetentionBoundEvictsOldest) {
 
 TEST(Retrain, PreV2DetectorCannotRetrainOnline) {
   // A detector without ContinualState (anything loaded from a v1 file).
-  static const TrainedDetector* plain = new TrainedDetector(
-      train_small_detector("vim_reverse_tcp_online", 1500, 7,
-                           /*with_continual=*/false));
+  const core::Detector& trained = *fixture().detector;
+  auto plain = std::make_shared<const core::Detector>(
+      trained.preprocessor(), trained.scaler(), trained.model());
   OnlineCfgAccumulator acc(cfg::AddressGraph{}, {});
   RetrainConfig config;
   config.min_new_events = 1;
-  RetrainScheduler scheduler(plain->detector, &acc, config);
+  RetrainScheduler scheduler(plain, &acc, config);
   EXPECT_FALSE(scheduler.can_retrain());
   EXPECT_FALSE(scheduler.due());
   const RetrainResult result = scheduler.retrain();

@@ -93,14 +93,7 @@ TEST(Robustness, ScanOnShortLogYieldsNoWindows) {
       sim::generate_scenario(sim::find_scenario("vim_reverse_tcp"), cfg);
   const trace::PartitionedLog benign = trace::partition_raw(logs.benign);
   const trace::PartitionedLog mixed = trace::partition_raw(logs.mixed);
-  const core::TrainingData td = core::LeapsPipeline().prepare(benign, mixed);
-  ml::Dataset train = td.benign;
-  train.append(td.mixed);
-  ml::MinMaxScaler scaler;
-  scaler.fit(train.X);
-  scaler.transform_in_place(train);
-  const core::Detector detector(td.preprocessor, scaler,
-                                ml::SvmTrainer({}).train(train));
+  const core::Detector detector = core::fit_detector(benign, mixed).detector;
   trace::PartitionedLog stub;
   stub.events.assign(benign.events.begin(), benign.events.begin() + 7);
   const auto result = detector.scan(stub);  // < one window
@@ -121,14 +114,7 @@ TEST(Robustness, DetectorHandlesForeignApplicationLogs) {
       sim::find_scenario("chrome_reverse_https"), cfg);
   const trace::PartitionedLog benign = trace::partition_raw(vim.benign);
   const trace::PartitionedLog mixed = trace::partition_raw(vim.mixed);
-  const core::TrainingData td = core::LeapsPipeline().prepare(benign, mixed);
-  ml::Dataset train = td.benign;
-  train.append(td.mixed);
-  ml::MinMaxScaler scaler;
-  scaler.fit(train.X);
-  scaler.transform_in_place(train);
-  const core::Detector detector(td.preprocessor, scaler,
-                                ml::SvmTrainer({}).train(train));
+  const core::Detector detector = core::fit_detector(benign, mixed).detector;
   const auto result = detector.scan(trace::partition_raw(chrome.benign));
   EXPECT_EQ(result.window_labels.size(), 150u);
 }

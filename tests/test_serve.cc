@@ -539,11 +539,9 @@ bool looks_like_one_json_object(const std::string& s) {
 }
 
 TEST(AuditLog, FormatRecordExplainsTheVerdict) {
-  // cfg_terms come from the ContinualState's benign CFG, so this test
-  // needs a continual-enabled model (the shared fixture trains without).
+  // cfg_terms come from the ContinualState's benign CFG.
   static const TrainedDetector* trained = new TrainedDetector(
-      train_small_detector("vim_reverse_tcp_online", 1200, 7,
-                           /*with_continual=*/true));
+      train_small_detector("vim_reverse_tcp_online", 1200, 7));
   const TrainedDetector& f = *trained;
   // The explanation re-featurizes the events, so the slice must be exactly
   // one detector window — the same contract the server's tap honors.

@@ -2,7 +2,8 @@
 #
 # Drives the tools exactly as a user would:
 #   leaps-sim   → raw logs (text and binary)
-#   leaps-train → detector file (with calibration)
+#   leaps-train → detector file (with calibration), byte-identical across
+#                 log dialects and thread counts
 #   leaps-scan  → exit 3 on the malicious log, exit 0 on the benign log
 #   leaps-serve → concurrent replay of both logs, same verdict contract
 # Any deviation fails the test.
@@ -37,6 +38,24 @@ run_checked(0 ${LEAPS_SIM} vim_reverse_tcp_online ${WORK_DIR}/bin
             --events 3000 --seed 99 --binary)
 run_checked(3 ${LEAPS_SCAN} ${WORK_DIR}/detector.txt
             ${WORK_DIR}/bin/malicious.log)
+
+# --- determinism: one detector file, byte for byte ---------------------------
+# Training on the binary dialect of the same logs, or on one thread instead
+# of the pool, must write exactly the text round's detector file.
+run_checked(0 ${LEAPS_TRAIN} ${WORK_DIR}/bin/benign.log
+            ${WORK_DIR}/bin/mixed.log ${WORK_DIR}/bin/detector.txt
+            --folds 5 --max-false-alarms 0.05)
+run_checked(0 ${LEAPS_TRAIN} ${WORK_DIR}/benign.log ${WORK_DIR}/mixed.log
+            ${WORK_DIR}/detector_t1.txt --folds 5 --max-false-alarms 0.05
+            --threads 1)
+file(SHA256 ${WORK_DIR}/detector.txt text_sha)
+foreach(other ${WORK_DIR}/bin/detector.txt ${WORK_DIR}/detector_t1.txt)
+  file(SHA256 ${other} other_sha)
+  if(NOT other_sha STREQUAL text_sha)
+    message(FATAL_ERROR "${other} differs from ${WORK_DIR}/detector.txt "
+                        "(${other_sha} vs ${text_sha})")
+  endif()
+endforeach()
 
 # --- stats tool over both formats -------------------------------------------
 run_checked(0 ${LEAPS_STAT} ${WORK_DIR}/benign.log ${WORK_DIR}/bin/mixed.log)

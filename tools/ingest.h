@@ -6,6 +6,8 @@
 // uncaught exception.
 #pragma once
 
+#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -32,6 +34,19 @@ inline util::StatusOr<trace::PartitionedLog> load_partitioned_log(
   util::StatusOr<trace::RawLog> raw = read_raw_log_path(path);
   if (!raw.ok()) return raw.status();
   return trace::partition_raw(*raw);
+}
+
+/// load_partitioned_log for a tool's command line: on failure prints
+/// "<tool>: <path>: <status>" to stderr and exits 1 (the I/O-error code).
+inline trace::PartitionedLog load_log_or_exit(const std::string& tool,
+                                              const std::string& path) {
+  util::StatusOr<trace::PartitionedLog> log = load_partitioned_log(path);
+  if (!log.ok()) {
+    std::fprintf(stderr, "%s: %s: %s\n", tool.c_str(), path.c_str(),
+                 log.status().to_string().c_str());
+    std::exit(1);
+  }
+  return *std::move(log);
 }
 
 }  // namespace leaps::cli

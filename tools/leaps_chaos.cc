@@ -41,7 +41,6 @@
 #include "core/pipeline.h"
 #include "durable/store.h"
 #include "durable/wal.h"
-#include "ml/svm.h"
 #include "online/manager.h"
 #include "online/shadow.h"
 #include "online/verdict_diff.h"
@@ -158,25 +157,10 @@ Trained train_detector(std::size_t sim_events, std::uint64_t seed) {
   out.mixed = trace::partition_raw(logs.mixed);
   out.malicious = trace::partition_raw(logs.malicious);
 
-  const core::TrainingData td =
-      core::LeapsPipeline().prepare(out.benign, out.mixed);
-  ml::Dataset train = td.benign;
-  train.append(td.mixed);
-  ml::MinMaxScaler scaler;
-  scaler.fit(train.X);
-  scaler.transform_in_place(train);
-  ml::TrainStats stats;
-  const ml::SvmModel model = ml::SvmTrainer({}).train(train, &stats);
-  auto detector =
-      std::make_shared<core::Detector>(td.preprocessor, scaler, model);
-  // Continual state makes the detector warm-retrainable (the --rollover
-  // phase needs it; harmless otherwise).
-  core::ContinualState continual;
-  continual.benign_cfg = td.benign_cfg.graph;
-  continual.train = std::move(train);
-  continual.alpha = std::move(stats.alpha);
-  detector->set_continual(std::move(continual));
-  out.detector = std::move(detector);
+  // The attached continual state makes the detector warm-retrainable (the
+  // --rollover phase needs it).
+  out.detector = std::make_shared<const core::Detector>(
+      core::fit_detector(out.benign, out.mixed).detector);
   return out;
 }
 

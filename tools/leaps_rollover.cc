@@ -75,16 +75,6 @@ constexpr const char* kUsage =
     "0.01)\n"
     "exit: 0 ok/promote/stable, 4 rollback/drift, 1 error, 2 usage\n";
 
-trace::PartitionedLog load_log(const std::string& path) {
-  util::StatusOr<trace::PartitionedLog> log = cli::load_partitioned_log(path);
-  if (!log.ok()) {
-    std::fprintf(stderr, "leaps-rollover: %s: %s\n", path.c_str(),
-                 log.status().to_string().c_str());
-    std::exit(1);
-  }
-  return *std::move(log);
-}
-
 core::Detector load_detector(const std::string& path) {
   try {
     return core::load_detector_file(path);
@@ -116,10 +106,10 @@ Replayed replay(const core::Detector& detector,
   return out;
 }
 
-int cmd_retrain(const std::vector<std::string>& pos, double admit_floor,
-                bool cold_baseline) {
+int cmd_retrain(const std::string& tool, const std::vector<std::string>& pos,
+                double admit_floor, bool cold_baseline) {
   const core::Detector base = load_detector(pos[1]);
-  const trace::PartitionedLog log = load_log(pos[2]);
+  const trace::PartitionedLog log = cli::load_log_or_exit(tool, pos[2]);
   if (base.continual() == nullptr) {
     std::fprintf(stderr,
                  "leaps-rollover: %s carries no continual state (pre-v2 "
@@ -185,11 +175,11 @@ int cmd_retrain(const std::vector<std::string>& pos, double admit_floor,
   return 0;
 }
 
-int cmd_shadow(const std::vector<std::string>& pos,
+int cmd_shadow(const std::string& tool, const std::vector<std::string>& pos,
                const online::RolloverGates& gates) {
   const core::Detector incumbent = load_detector(pos[1]);
   const core::Detector candidate = load_detector(pos[2]);
-  const trace::PartitionedLog log = load_log(pos[3]);
+  const trace::PartitionedLog log = cli::load_log_or_exit(tool, pos[3]);
   const Replayed active = replay(incumbent, log);
   const Replayed shadow = replay(candidate, log);
 
@@ -245,10 +235,10 @@ int cmd_drill(const std::vector<std::string>& pos) {
   return 0;
 }
 
-int cmd_diff(const std::vector<std::string>& pos) {
+int cmd_diff(const std::string& tool, const std::vector<std::string>& pos) {
   const core::Detector a = load_detector(pos[1]);
   const core::Detector b = load_detector(pos[2]);
-  const trace::PartitionedLog log = load_log(pos[3]);
+  const trace::PartitionedLog log = cli::load_log_or_exit(tool, pos[3]);
   const online::SequenceDiff diff =
       online::diff_sequences(replay(a, log).verdicts,
                              replay(b, log).verdicts);
@@ -278,12 +268,13 @@ std::vector<double> decision_values(const core::Detector& detector,
   return values;
 }
 
-int cmd_drift(const std::vector<std::string>& pos, double p_threshold) {
+int cmd_drift(const std::string& tool, const std::vector<std::string>& pos,
+              double p_threshold) {
   const core::Detector detector = load_detector(pos[1]);
   const std::vector<double> reference =
-      decision_values(detector, load_log(pos[2]));
+      decision_values(detector, cli::load_log_or_exit(tool, pos[2]));
   const std::vector<double> live =
-      decision_values(detector, load_log(pos[3]));
+      decision_values(detector, cli::load_log_or_exit(tool, pos[3]));
   if (reference.empty() || live.empty()) {
     std::fprintf(stderr,
                  "leaps-rollover: drift needs at least one complete window "
@@ -395,11 +386,11 @@ int main(int argc, char** argv) {
     const std::string& sub = pos[0];
     if (sub == "retrain") {
       if (pos.size() != 4) args.usage_error("%s", "retrain takes 3 arguments");
-      return cmd_retrain(pos, admit_floor, !no_cold);
+      return cmd_retrain(args.tool(), pos, admit_floor, !no_cold);
     }
     if (sub == "shadow") {
       if (pos.size() != 4) args.usage_error("%s", "shadow takes 3 arguments");
-      return cmd_shadow(pos, gates);
+      return cmd_shadow(args.tool(), pos, gates);
     }
     if (sub == "drill") {
       if (pos.size() != 3) args.usage_error("%s", "drill takes 2 arguments");
@@ -407,11 +398,11 @@ int main(int argc, char** argv) {
     }
     if (sub == "diff") {
       if (pos.size() != 4) args.usage_error("%s", "diff takes 3 arguments");
-      return cmd_diff(pos);
+      return cmd_diff(args.tool(), pos);
     }
     if (sub == "drift") {
       if (pos.size() != 4) args.usage_error("%s", "drift takes 3 arguments");
-      return cmd_drift(pos, drift_p);
+      return cmd_drift(args.tool(), pos, drift_p);
     }
     if (sub == "recover") {
       if (pos.size() != 2) args.usage_error("%s", "recover takes 1 argument");

@@ -119,16 +119,6 @@ constexpr const char* kUsage =
     "                        --metrics-every, final on exit\n"
     "exit: 0 all sessions clean, 3 any suspicious, 1 error, 2 usage\n";
 
-trace::PartitionedLog load_log(const std::string& path) {
-  util::StatusOr<trace::PartitionedLog> log = cli::load_partitioned_log(path);
-  if (!log.ok()) {
-    std::fprintf(stderr, "leaps-serve: %s: %s\n", path.c_str(),
-                 log.status().to_string().c_str());
-    std::exit(1);
-  }
-  return *std::move(log);
-}
-
 /// Feeds one session's events, pacing to `rate` events/sec when positive.
 void replay(serve::DetectionServer& server,
             const std::shared_ptr<serve::Session>& session,
@@ -319,7 +309,7 @@ int main(int argc, char** argv) {
     for (std::size_t i = 1; i < pos.size(); ++i) {
       if (logs.count(pos[i]) == 0) {
         logs[pos[i]] = std::make_shared<const trace::PartitionedLog>(
-            load_log(pos[i]));
+            cli::load_log_or_exit(args.tool(), pos[i]));
       }
     }
     const std::size_t log_count = pos.size() - 1;

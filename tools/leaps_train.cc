@@ -16,25 +16,6 @@
 #include "ingest.h"
 #include "ml/cross_validation.h"
 #include "trace/partition.h"
-#include "util/rng.h"
-
-namespace {
-
-leaps::trace::PartitionedLog read_log(const std::string& path) {
-  // Accepts both the textual and the binary log format; "-" reads stdin.
-  leaps::util::StatusOr<leaps::trace::PartitionedLog> log =
-      leaps::cli::load_partitioned_log(path);
-  if (!log.ok()) {
-    std::fprintf(stderr, "leaps-train: %s: %s\n", path.c_str(),
-                 log.status().to_string().c_str());
-    std::exit(1);
-  }
-  std::printf("parsed %-26s %zu events, process %s\n", path.c_str(),
-              log->events.size(), log->process_name.c_str());
-  return *std::move(log);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   using namespace leaps;
@@ -75,14 +56,23 @@ int main(int argc, char** argv) {
   const std::vector<std::string> pos = args.parse(3, 3);
   obs_flags.activate();
   threads_flag.apply();
-  const bool weighted = !plain_svm;
 
   try {
+    const auto read_log = [&](const std::string& path) {
+      trace::PartitionedLog log = cli::load_log_or_exit(args.tool(), path);
+      std::printf("parsed %-26s %zu events, process %s\n", path.c_str(),
+                  log.events.size(), log.process_name.c_str());
+      return log;
+    };
     const trace::PartitionedLog benign = read_log(pos[0]);
     const trace::PartitionedLog mixed = read_log(pos[1]);
 
-    const core::LeapsPipeline pipeline(pipeline_options);
-    const core::TrainingData td = pipeline.prepare(benign, mixed);
+    core::FitOptions fit_options;
+    fit_options.pipeline = pipeline_options;
+    fit_options.weighted = !plain_svm;
+    fit_options.tune = ml::CrossValidationOptions{.folds = folds};
+    core::FitResult fit = core::fit_detector(benign, mixed, fit_options);
+    const core::TrainingData& td = fit.data;
     std::printf("pipeline: %zu benign windows, %zu mixed windows",
                 td.benign.size(), td.mixed.size());
     if (pipeline_options.align_cfgs) {
@@ -90,40 +80,17 @@ int main(int argc, char** argv) {
                   td.alignment.pivots.size(), td.alignment.mixed_nodes);
     }
     std::printf("\n");
-
-    ml::Dataset train = td.benign;
-    train.append(td.mixed);
-    if (!weighted) {
-      std::fill(train.weight.begin(), train.weight.end(), 1.0);
-    }
-    ml::MinMaxScaler scaler;
-    scaler.fit(train.X);
-    scaler.transform_in_place(train);
-
-    ml::CrossValidationOptions cv;
-    cv.folds = folds;
-    cv.weighted_validation = weighted;
-    util::Rng rng(7);
-    const ml::GridSearchResult grid = ml::tune_svm(train, {}, cv, rng);
     std::printf("tuned (%zu-fold%s CV): lambda=%g sigma2=%g (val acc %.3f)\n",
-                cv.folds, weighted ? " weighted" : "", grid.best.lambda,
-                grid.best.kernel.sigma2, grid.best_accuracy);
-
-    ml::TrainStats stats;
-    const ml::SvmModel model = ml::SvmTrainer(grid.best).train(train, &stats);
+                folds, fit_options.weighted ? " weighted" : "",
+                fit.grid->best.lambda, fit.grid->best.kernel.sigma2,
+                fit.grid->best_accuracy);
     std::printf("trained %s: %zu support vectors, %zu iterations\n",
-                weighted ? "WSVM" : "SVM", stats.support_vectors,
-                stats.iterations);
+                fit_options.weighted ? "WSVM" : "SVM",
+                fit.stats.support_vectors, fit.stats.iterations);
 
-    core::Detector detector(td.preprocessor, scaler, model);
-    // Carry the continual-learning state (benign CFG, scaled training set,
-    // full dual solution) so leaps-serve --online can retrain this
-    // detector incrementally with a warm-started solver.
-    core::ContinualState continual;
-    continual.benign_cfg = td.benign_cfg.graph;
-    continual.train = train;
-    continual.alpha = stats.alpha;
-    detector.set_continual(std::move(continual));
+    // fit_detector attaches the continual-learning state, so leaps-serve
+    // --online can retrain this detector with a warm-started solver.
+    core::Detector& detector = fit.detector;
     if (max_false_alarms >= 0.0) {
       const double achieved = detector.calibrate(benign, max_false_alarms);
       std::printf("calibrated threshold %.4f (%.2f%% of clean windows "
