@@ -27,58 +27,10 @@ cfg::AddressGraph seed_cfg(const core::Detector& detector) {
 
 }  // namespace
 
-OnlineManager::Metrics::Metrics()
-    : windows_observed(obs::MetricRegistry::global().counter(
-          "leaps_online_windows_observed_total",
-          "classified-benign windows fed to the online accumulator")),
-      windows_rejected(obs::MetricRegistry::global().counter(
-          "leaps_online_windows_rejected_total",
-          "windows rejected by the CFG admission floor (poisoning guard)")),
-      retrain_cycles(obs::MetricRegistry::global().counter(
-          "leaps_online_retrain_cycles_total",
-          "completed incremental retrain cycles")),
-      retrain_failures(obs::MetricRegistry::global().counter(
-          "leaps_online_retrain_failures_total",
-          "retrain cycles that produced no candidate")),
-      warm_iterations_saved(obs::MetricRegistry::global().counter(
-          "leaps_online_warm_iterations_saved_total",
-          "SMO iterations saved by warm starts vs measured cold baselines")),
-      shadow_windows(obs::MetricRegistry::global().counter(
-          "leaps_online_shadow_windows_total",
-          "window verdict pairs compared during shadow evaluation")),
-      shadow_disagreements(obs::MetricRegistry::global().counter(
-          "leaps_online_shadow_disagreements_total",
-          "shadow verdict pairs where candidate and incumbent disagreed")),
-      promotions(obs::MetricRegistry::global().counter(
-          "leaps_online_promotions_total",
-          "candidates promoted to active via the registry snapshot swap")),
-      rollbacks(obs::MetricRegistry::global().counter(
-          "leaps_online_rollbacks_total",
-          "candidates rolled back into quarantine")),
-      cfg_edges(obs::MetricRegistry::global().gauge(
-          "leaps_online_cfg_edges_added",
-          "edges the accumulator has merged into the benign CFG")),
-      drift_triggers(obs::MetricRegistry::global().counter(
-          "leaps_online_drift_triggers_total",
-          "decision-value drift triggers fired by the KS test")),
-      drift_retrains(obs::MetricRegistry::global().counter(
-          "leaps_online_drift_retrains_total",
-          "retrain cycles scheduled by a drift trigger")),
-      drift_p_value_ppm(obs::MetricRegistry::global().gauge(
-          "leaps_online_drift_p_value_ppm",
-          "latest two-sample KS p-value, parts per million")),
-      drift_ks_ppm(obs::MetricRegistry::global().gauge(
-          "leaps_online_drift_ks_ppm",
-          "latest two-sample KS statistic, parts per million")),
-      drift_generation(obs::MetricRegistry::global().gauge(
-          "leaps_online_drift_generation",
-          "detector generation the drift monitor is watching")) {}
-
 OnlineManager::OnlineManager(serve::DetectionServer* server,
                              OnlineOptions options)
     : server_(server),
       options_(std::move(options)),
-      metrics_(),
       accumulator_(seed_cfg(*required_detector(server, options_.profile)),
                    options_.accumulator),
       scheduler_(required_detector(server, options_.profile), &accumulator_,
@@ -105,7 +57,6 @@ void OnlineManager::install() {
           }
         }
         if (!learnable(label)) return;
-        metrics_.windows_observed.inc();
         if (options_.durable == nullptr) {
           accumulator_.observe_window(events, count);
           return;
@@ -175,13 +126,6 @@ void OnlineManager::run() {
 
 void OnlineManager::poll_once() {
   const std::lock_guard<std::mutex> poll_lock(poll_mu_);
-  // Export accumulator progress (counters advance by delta; see header).
-  const AccumulatorStats acc = accumulator_.stats();
-  if (acc.windows_rejected > synced_rejected_) {
-    metrics_.windows_rejected.inc(acc.windows_rejected - synced_rejected_);
-    synced_rejected_ = acc.windows_rejected;
-  }
-  metrics_.cfg_edges.set(static_cast<std::int64_t>(acc.edges_added));
   if (options_.drift.enabled) poll_drift();
 
   std::shared_ptr<ShadowEvaluator> evaluator;
@@ -190,16 +134,6 @@ void OnlineManager::poll_once() {
     evaluator = evaluator_;
   }
   if (evaluator != nullptr) {
-    const DiffStats s = evaluator->stats();
-    if (s.compared > synced_shadow_windows_) {
-      metrics_.shadow_windows.inc(s.compared - synced_shadow_windows_);
-      synced_shadow_windows_ = s.compared;
-    }
-    if (s.disagreements > synced_shadow_disagreements_) {
-      metrics_.shadow_disagreements.inc(s.disagreements -
-                                        synced_shadow_disagreements_);
-      synced_shadow_disagreements_ = s.disagreements;
-    }
     const RolloverDecision decision = evaluator->decision();
     if (decision != RolloverDecision::kUndecided) {
       conclude_shadow(decision == RolloverDecision::kPromote);
@@ -221,30 +155,22 @@ void OnlineManager::poll_drift() {
     const std::lock_guard<std::mutex> tap_lock(tap_mu_);
     flush_drift_locked();
   }
+  const std::uint64_t triggers_before = drift_.status().triggers;
   drift_.evaluate();
   const DriftStatus ds = drift_.status();
-  metrics_.drift_p_value_ppm.set(
-      static_cast<std::int64_t>(ds.p_value * 1e6));
-  metrics_.drift_ks_ppm.set(
-      static_cast<std::int64_t>(ds.ks_statistic * 1e6));
-  metrics_.drift_generation.set(static_cast<std::int64_t>(ds.generation));
-  if (ds.triggers > synced_drift_triggers_) {
-    metrics_.drift_triggers.inc(ds.triggers - synced_drift_triggers_);
-    synced_drift_triggers_ = ds.triggers;
-    if (options_.durable != nullptr) {
-      // Fault point for the kill-restart drill: dying here leaves the
-      // flushed samples but no trigger record — recovery re-observes
-      // them, re-evaluates, and must re-fire at the same LSN.
-      LEAPS_FAULT_POINT("online.drift.pre_trigger");
-      std::uint64_t lsn = 0;
-      const util::Status status = options_.durable->journal_drift_trigger(
-          ds.generation, ds.p_value, &lsn);
-      if (!status.ok()) {
-        note_durable_failure(status);
-      } else {
-        const std::lock_guard<std::mutex> lock(mu_);
-        last_drift_trigger_lsn_ = lsn;
-      }
+  if (options_.durable != nullptr && ds.triggers > triggers_before) {
+    // Fault point for the kill-restart drill: dying here leaves the
+    // flushed samples but no trigger record — recovery re-observes them,
+    // re-evaluates, and must re-fire at the same LSN.
+    LEAPS_FAULT_POINT("online.drift.pre_trigger");
+    std::uint64_t lsn = 0;
+    const util::Status status = options_.durable->journal_drift_trigger(
+        ds.generation, ds.p_value, &lsn);
+    if (!status.ok()) {
+      note_durable_failure(status);
+    } else {
+      const std::lock_guard<std::mutex> lock(mu_);
+      last_drift_trigger_lsn_ = lsn;
     }
   }
 }
@@ -262,7 +188,6 @@ void OnlineManager::maybe_retrain() {
   if (!scheduler_.due() && !drift_due) return;
   if (drift_due) {
     drift_.consume_trigger();
-    metrics_.drift_retrains.inc();
     const std::lock_guard<std::mutex> lock(mu_);
     ++drift_retrains_;
   }
@@ -294,14 +219,11 @@ void OnlineManager::maybe_retrain() {
     if (!status.ok()) note_durable_failure(status);
   }
   if (result.candidate == nullptr) {
-    metrics_.retrain_failures.inc();
     const std::lock_guard<std::mutex> lock(mu_);
     ++retrain_failures_;
     last_error_ = result.error;
     return;
   }
-  metrics_.retrain_cycles.inc();
-  metrics_.warm_iterations_saved.inc(result.iterations_saved);
   auto evaluator = std::make_shared<ShadowEvaluator>(options_.gates);
   serve::ShadowSink sink =
       [evaluator](const serve::SessionKey& key, int active_label,
@@ -312,7 +234,6 @@ void OnlineManager::maybe_retrain() {
       };
   if (!server_->begin_shadow(options_.profile, result.candidate,
                              std::move(sink))) {
-    metrics_.retrain_failures.inc();
     const std::lock_guard<std::mutex> lock(mu_);
     ++retrain_failures_;
     last_error_ = "begin_shadow refused (profile gone or already shadowing)";
@@ -324,8 +245,6 @@ void OnlineManager::maybe_retrain() {
   last_cold_ = result.cold_iterations;
   evaluator_ = std::move(evaluator);
   candidate_ = result.candidate;
-  synced_shadow_windows_ = 0;
-  synced_shadow_disagreements_ = 0;
 }
 
 void OnlineManager::conclude_shadow(bool promote) {
@@ -337,17 +256,6 @@ void OnlineManager::conclude_shadow(bool promote) {
     candidate = candidate_;
   }
   if (evaluator == nullptr) return;
-  const DiffStats final_stats = evaluator->stats();
-  if (final_stats.compared > synced_shadow_windows_) {
-    metrics_.shadow_windows.inc(final_stats.compared -
-                                synced_shadow_windows_);
-    synced_shadow_windows_ = final_stats.compared;
-  }
-  if (final_stats.disagreements > synced_shadow_disagreements_) {
-    metrics_.shadow_disagreements.inc(final_stats.disagreements -
-                                      synced_shadow_disagreements_);
-    synced_shadow_disagreements_ = final_stats.disagreements;
-  }
   // end_shadow retakes every session mutex to detach — this is why the
   // decision is acted on here (manager thread) and never in the sink.
   server_->end_shadow(options_.profile, promote);
@@ -365,14 +273,17 @@ void OnlineManager::conclude_shadow(bool promote) {
     if (!status.ok()) note_durable_failure(status);
   }
   {
+    // Read after end_shadow detached every sink, and folded in the step
+    // that drops the evaluator: report() never counts a pair twice.
+    const DiffStats final_stats = evaluator->stats();
     const std::lock_guard<std::mutex> lock(mu_);
     last_shadow_ = final_stats;
+    shadow_windows_ += final_stats.compared;
+    shadow_disagreements_ += final_stats.disagreements;
     if (promote) {
       ++promotions_;
-      metrics_.promotions.inc();
     } else {
       ++rollbacks_;
-      metrics_.rollbacks.inc();
     }
     evaluator_.reset();
     candidate_.reset();
@@ -454,7 +365,6 @@ void OnlineManager::restore(const durable::RecoveredState& recovered) {
           break;
       }
     }
-    synced_drift_triggers_ = drift_.status().triggers;
   }
   // Fold the replayed state into a fresh snapshot immediately: a crash
   // right after restart must recover to this same point, not re-replay a
@@ -483,8 +393,54 @@ OnlineReport OnlineManager::report() const {
   r.promotions = promotions_;
   r.rollbacks = rollbacks_;
   r.shadow = evaluator_ != nullptr ? evaluator_->stats() : last_shadow_;
+  r.shadow_windows = shadow_windows_;
+  r.shadow_disagreements = shadow_disagreements_;
+  if (evaluator_ != nullptr) {
+    r.shadow_windows += r.shadow.compared;
+    r.shadow_disagreements += r.shadow.disagreements;
+  }
   r.last_error = last_error_;
   return r;
+}
+
+obs::MetricRegistry::Registration OnlineManager::register_with(
+    obs::MetricRegistry& registry) const {
+  return registry.register_collector(
+      [this](std::vector<obs::MetricSample>& out) {
+        for (const OnlineScalar& s : report().scalars()) {
+          if (s.name == nullptr) continue;
+          out.push_back(s.type == obs::MetricType::kCounter
+                            ? obs::counter_sample(s.name, s.help, s.value)
+                            : obs::gauge_sample(
+                                  s.name, s.help,
+                                  static_cast<std::int64_t>(s.value)));
+        }
+      });
+}
+
+std::vector<OnlineScalar> OnlineReport::scalars() const {
+  const OnlineReport& r = *this;
+#define LEAPS_ONLINE_COUNTER(key, name, help, value) \
+  {key, name, help, obs::MetricType::kCounter, value},
+#define LEAPS_ONLINE_GAUGE(key, name, help, value) \
+  {key, name, help, obs::MetricType::kGauge, value},
+#define LEAPS_ONLINE_VALUE(key, value) \
+  {key, nullptr, "", obs::MetricType::kCounter, value},
+  return {LEAPS_ONLINE_METRICS(LEAPS_ONLINE_COUNTER, LEAPS_ONLINE_GAUGE,
+                               LEAPS_ONLINE_VALUE)};
+#undef LEAPS_ONLINE_COUNTER
+#undef LEAPS_ONLINE_GAUGE
+#undef LEAPS_ONLINE_VALUE
+}
+
+std::string OnlineReport::to_text() const {
+  std::string out = "phase=" + phase;
+  for (const OnlineScalar& s : scalars()) {
+    out += " ";
+    out += s.key;
+    out += "=" + std::to_string(s.value);
+  }
+  return out;
 }
 
 }  // namespace leaps::online

@@ -15,9 +15,12 @@
 // mutex to detach, so acting in the sink would deadlock. The manager
 // thread is the only place promote/rollback happens.
 //
-// Every counter is created eagerly in the constructor so a metrics dump
-// taken before any retrain still shows the online subsystem at zero —
-// absence of a metric and a zero metric must not look the same.
+// Every count lives once, in the state report() reads; the metrics, the
+// --status-json "online" object and leaps-serve's `online:` lines all
+// render from report() through LEAPS_ONLINE_METRICS. The owner calls
+// register_with() right after construction, so a metrics dump taken
+// before any retrain shows the online subsystem at zero — absence of a
+// metric and a zero metric must not look the same.
 #pragma once
 
 #include <atomic>
@@ -28,6 +31,7 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "durable/store.h"
 #include "obs/registry.h"
@@ -59,6 +63,72 @@ struct OnlineOptions {
   durable::DurableStore* durable = nullptr;
 };
 
+// Every online scalar, declared once, in JSON and text order: its key,
+// then for COUNTER and GAUGE rows its Prometheus name and help, then the
+// expression reading it off an OnlineReport `r`. VALUE rows are not
+// exported to a registry. The phase, the current shadow's rates and the
+// drift sketch are not scalar counts and stay hand-written.
+#define LEAPS_ONLINE_METRICS(COUNTER, GAUGE, VALUE)                          \
+  COUNTER("retrain_cycles", "leaps_online_retrain_cycles_total",             \
+          "completed incremental retrain cycles", r.retrain_cycles)          \
+  COUNTER("retrain_failures", "leaps_online_retrain_failures_total",         \
+          "retrain cycles that produced no candidate", r.retrain_failures)   \
+  COUNTER("promotions", "leaps_online_promotions_total",                     \
+          "candidates promoted to active via the registry snapshot swap",    \
+          r.promotions)                                                      \
+  COUNTER("rollbacks", "leaps_online_rollbacks_total",                       \
+          "candidates rolled back into quarantine", r.rollbacks)             \
+  COUNTER("drift_retrains", "leaps_online_drift_retrains_total",             \
+          "retrain cycles scheduled by a drift trigger", r.drift_retrains)   \
+  COUNTER("windows_observed", "leaps_online_windows_observed_total",         \
+          "classified-benign windows fed to the online accumulator",         \
+          r.accumulator.windows_observed)                                    \
+  VALUE("windows_admitted", r.accumulator.windows_admitted)                  \
+  COUNTER("windows_rejected", "leaps_online_windows_rejected_total",         \
+          "windows rejected by the CFG admission floor (poisoning guard)",   \
+          r.accumulator.windows_rejected)                                    \
+  GAUGE("cfg_edges_added", "leaps_online_cfg_edges_added",                   \
+        "edges the accumulator has merged into the benign CFG",              \
+        r.accumulator.edges_added)                                           \
+  COUNTER("warm_iterations_saved", "leaps_online_warm_iterations_saved_total",\
+          "SMO iterations saved by warm starts vs measured cold baselines",  \
+          r.warm_iterations_saved)                                           \
+  VALUE("last_warm_iterations", r.last_warm_iterations)                      \
+  VALUE("last_cold_iterations", r.last_cold_iterations)                      \
+  COUNTER("shadow_windows", "leaps_online_shadow_windows_total",             \
+          "window verdict pairs compared during shadow evaluation",          \
+          r.shadow_windows)                                                  \
+  COUNTER("shadow_disagreements", "leaps_online_shadow_disagreements_total", \
+          "shadow verdict pairs where candidate and incumbent disagreed",    \
+          r.shadow_disagreements)                                            \
+  COUNTER("drift_triggers", "leaps_online_drift_triggers_total",             \
+          "decision-value drift triggers fired by the KS test",              \
+          r.drift.triggers)                                                  \
+  GAUGE("drift_p_value_ppm", "leaps_online_drift_p_value_ppm",               \
+        "latest two-sample KS p-value, parts per million",                   \
+        drift_ppm(r.drift, r.drift.p_value))                                 \
+  GAUGE("drift_ks_ppm", "leaps_online_drift_ks_ppm",                         \
+        "latest two-sample KS statistic, parts per million",                 \
+        drift_ppm(r.drift, r.drift.ks_statistic))                            \
+  GAUGE("drift_generation", "leaps_online_drift_generation",                 \
+        "detector generation the drift monitor is watching",                 \
+        r.drift.generation)
+
+/// A drift reading in parts per million; 0 while drift is disabled (a
+/// disabled monitor's p-value rests at 1).
+inline std::uint64_t drift_ppm(const DriftStatus& drift, double v) {
+  return drift.enabled ? static_cast<std::uint64_t>(v * 1e6) : 0;
+}
+
+/// One LEAPS_ONLINE_METRICS row's reading.
+struct OnlineScalar {
+  const char* key = "";
+  const char* name = nullptr;  // nullptr for a VALUE row
+  const char* help = "";
+  obs::MetricType type = obs::MetricType::kCounter;
+  std::uint64_t value = 0;
+};
+
 struct OnlineReport {
   std::string phase;  // "accumulating" | "shadowing"
   AccumulatorStats accumulator;
@@ -70,12 +140,20 @@ struct OnlineReport {
   std::uint64_t promotions = 0;
   std::uint64_t rollbacks = 0;
   DiffStats shadow;  // current (or final) shadow comparison
+  /// Verdict pairs compared and disagreeing over every shadow so far.
+  std::uint64_t shadow_windows = 0;
+  std::uint64_t shadow_disagreements = 0;
   DriftStatus drift;
   /// LSN of the most recent journaled drift trigger (0 = none); the drift
   /// drill asserts a recovered run re-fires at the same one.
   std::uint64_t last_drift_trigger_lsn = 0;
   std::uint64_t drift_retrains = 0;  // retrains caused by a drift trigger
   std::string last_error;
+
+  /// One reading per LEAPS_ONLINE_METRICS row, in row order.
+  std::vector<OnlineScalar> scalars() const;
+  /// `phase=<phase>` then `key=value` for every row, space-separated.
+  std::string to_text() const;
 };
 
 class OnlineManager {
@@ -117,29 +195,16 @@ class OnlineManager {
   void restore(const durable::RecoveredState& recovered);
 
   OnlineReport report() const;
+
+  /// Contributes every COUNTER and GAUGE row of LEAPS_ONLINE_METRICS to
+  /// `registry`, read from report() at collect() time. The returned
+  /// handle unregisters on destruction and must not outlive this object.
+  [[nodiscard]] obs::MetricRegistry::Registration register_with(
+      obs::MetricRegistry& registry) const;
   bool shadowing() const { return server_->shadowing(options_.profile); }
   const OnlineOptions& options() const { return options_; }
 
  private:
-  struct Metrics {
-    obs::Counter& windows_observed;
-    obs::Counter& windows_rejected;
-    obs::Counter& retrain_cycles;
-    obs::Counter& retrain_failures;
-    obs::Counter& warm_iterations_saved;
-    obs::Counter& shadow_windows;
-    obs::Counter& shadow_disagreements;
-    obs::Counter& promotions;
-    obs::Counter& rollbacks;
-    obs::Gauge& cfg_edges;
-    obs::Counter& drift_triggers;
-    obs::Counter& drift_retrains;
-    obs::Gauge& drift_p_value_ppm;
-    obs::Gauge& drift_ks_ppm;
-    obs::Gauge& drift_generation;
-    Metrics();
-  };
-
   void run();
   void maybe_retrain();                  // accumulating → shadowing
   void conclude_shadow(bool promote);    // shadowing → accumulating
@@ -150,7 +215,6 @@ class OnlineManager {
 
   serve::DetectionServer* const server_;
   const OnlineOptions options_;
-  Metrics metrics_;
   OnlineCfgAccumulator accumulator_;
   RetrainScheduler scheduler_;
   DriftMonitor drift_;
@@ -184,14 +248,10 @@ class OnlineManager {
   std::uint64_t promotions_ = 0;                         // guarded by mu_
   std::uint64_t rollbacks_ = 0;                          // guarded by mu_
   DiffStats last_shadow_;                                // guarded by mu_
+  // Verdict pairs of the concluded shadows (report() adds the live one).
+  std::uint64_t shadow_windows_ = 0;                     // guarded by mu_
+  std::uint64_t shadow_disagreements_ = 0;               // guarded by mu_
   std::string last_error_;                               // guarded by mu_
-  // Counter sync marks (counters only increment; these remember how much
-  // of each underlying stat has already been exported). Manager thread /
-  // poll_once callers only.
-  std::uint64_t synced_rejected_ = 0;
-  std::uint64_t synced_shadow_windows_ = 0;
-  std::uint64_t synced_shadow_disagreements_ = 0;
-  std::uint64_t synced_drift_triggers_ = 0;
   std::uint64_t last_drift_trigger_lsn_ = 0;  // guarded by mu_
   std::uint64_t drift_retrains_ = 0;          // guarded by mu_
 

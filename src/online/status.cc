@@ -22,15 +22,11 @@ std::string render_status_json(const StatusInputs& inputs) {
 
   if (inputs.manager != nullptr) {
     const OnlineReport r = inputs.manager->report();
-    os << ",\"online\":{\"phase\":\"" << r.phase << "\""
-       << ",\"retrain_cycles\":" << r.retrain_cycles
-       << ",\"retrain_failures\":" << r.retrain_failures
-       << ",\"promotions\":" << r.promotions
-       << ",\"rollbacks\":" << r.rollbacks
-       << ",\"drift_retrains\":" << r.drift_retrains
-       << ",\"windows_observed\":" << r.accumulator.windows_observed
-       << ",\"windows_admitted\":" << r.accumulator.windows_admitted
-       << ",\"windows_rejected\":" << r.accumulator.windows_rejected << "}";
+    os << ",\"online\":{\"phase\":\"" << r.phase << "\"";
+    for (const OnlineScalar& s : r.scalars()) {
+      os << ",\"" << s.key << "\":" << s.value;
+    }
+    os << "}";
     const DriftStatus& d = r.drift;
     os << ",\"drift\":{\"enabled\":" << (d.enabled ? "true" : "false")
        << ",\"generation\":" << d.generation

@@ -18,20 +18,6 @@ namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
 
-obs::Counter& records_counter() {
-  static obs::Counter& c = obs::MetricRegistry::global().counter(
-      "leaps_serve_audit_records_total",
-      "anomalous-verdict audit records written");
-  return c;
-}
-
-obs::Counter& dropped_counter() {
-  static obs::Counter& c = obs::MetricRegistry::global().counter(
-      "leaps_serve_audit_dropped_total",
-      "audit records dropped because the writer queue was full");
-  return c;
-}
-
 }  // namespace
 
 AuditLog::AuditLog(AuditOptions options) : options_(std::move(options)) {}
@@ -70,6 +56,20 @@ void AuditLog::stop() {
   started_ = false;
 }
 
+obs::MetricRegistry::Registration AuditLog::register_with(
+    obs::MetricRegistry& registry) const {
+  return registry.register_collector(
+      [this](std::vector<obs::MetricSample>& out) {
+        out.push_back(obs::counter_sample(
+            "leaps_serve_audit_records_total",
+            "anomalous-verdict audit records written", written()));
+        out.push_back(obs::counter_sample(
+            "leaps_serve_audit_dropped_total",
+            "audit records dropped because the writer queue was full",
+            dropped()));
+      });
+}
+
 void AuditLog::submit(const SessionKey& key, const std::string& profile,
                       std::size_t window_index, int label,
                       double decision_value,
@@ -93,7 +93,6 @@ void AuditLog::submit(const SessionKey& key, const std::string& profile,
     }
   }
   dropped_.fetch_add(1, kRelaxed);
-  dropped_counter().inc();
 }
 
 void AuditLog::writer_loop() {
@@ -121,7 +120,6 @@ void AuditLog::writer_loop() {
       (*out_) << line << "\n";
       out_->flush();
       written_.fetch_add(1, kRelaxed);
-      records_counter().inc();
     }
   }
 }

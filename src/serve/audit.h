@@ -16,11 +16,12 @@
 // Backpressure is drop-not-block: submit() runs on worker threads under
 // the session mutex, so it only copies the window's events into a bounded
 // queue (capacity `queue_capacity`); a full queue drops the record and
-// bumps a counter (leaps_serve_audit_dropped_total) — auditing must never
-// stall classification. The expensive part — one kernel evaluation per
-// support vector, CFG node benignity per frame, JSON formatting, file I/O
-// — happens on a dedicated writer thread against the detector snapshot
-// the session classified with (records stay correct across hot swaps).
+// counts it in dropped() (leaps_serve_audit_dropped_total, once the owner
+// register_with()s the log) — auditing must never stall classification.
+// The expensive part — one kernel evaluation per support vector, CFG
+// node benignity per frame, JSON formatting, file I/O — happens on a
+// dedicated writer thread against the detector snapshot the session
+// classified with (records stay correct across hot swaps).
 #pragma once
 
 #include <atomic>
@@ -35,6 +36,7 @@
 #include <vector>
 
 #include "core/pipeline.h"
+#include "obs/registry.h"
 #include "serve/session.h"
 #include "trace/partition.h"
 #include "util/status.h"
@@ -79,6 +81,13 @@ class AuditLog {
     return dropped_.load(std::memory_order_relaxed);
   }
   const AuditOptions& options() const { return options_; }
+
+  /// Contributes leaps_serve_audit_records_total (written()) and
+  /// leaps_serve_audit_dropped_total (dropped()) to `registry`, read at
+  /// collect() time. The returned handle unregisters on destruction and
+  /// must not outlive this object.
+  [[nodiscard]] obs::MetricRegistry::Registration register_with(
+      obs::MetricRegistry& registry) const;
 
   /// Renders one record (exposed for tests; the writer thread calls it).
   static std::string format_record(

@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "detector_fixture.h"
+#include "obs/registry.h"
 #include "online/drift.h"
 #include "online/manager.h"
 #include "serve/server.h"
@@ -330,6 +332,9 @@ TEST(DriftRetrain, TriggerSchedulesARetrainAlongsideTheVolumePath) {
       std::min<std::size_t>(options.drift.live_window, 6);
   options.drift.p_threshold = 0.05;
   OnlineManager manager(&server, options);
+  obs::MetricRegistry registry;
+  const obs::MetricRegistry::Registration registration =
+      manager.register_with(registry);
   manager.install();
   server.start();
   auto session = server.open_session({"host", 1}, "default");
@@ -354,6 +359,20 @@ TEST(DriftRetrain, TriggerSchedulesARetrainAlongsideTheVolumePath) {
   EXPECT_FALSE(report.drift.trigger_pending) << "retrain must consume it";
   EXPECT_EQ(report.drift_retrains, 1u);
   EXPECT_EQ(report.retrain_cycles, 1u);
+  // The drift samples read the same report.
+  std::map<std::string, std::int64_t> samples;
+  for (const obs::MetricSample& s : registry.collect()) {
+    samples[s.name] = s.type == obs::MetricType::kCounter
+                          ? static_cast<std::int64_t>(s.counter_value)
+                          : s.gauge_value;
+  }
+  EXPECT_EQ(samples.at("leaps_online_drift_triggers_total"),
+            static_cast<std::int64_t>(report.drift.triggers));
+  EXPECT_EQ(samples.at("leaps_online_drift_retrains_total"), 1);
+  EXPECT_EQ(samples.at("leaps_online_drift_generation"),
+            report.drift.generation);
+  EXPECT_EQ(samples.at("leaps_online_drift_p_value_ppm"),
+            static_cast<std::int64_t>(report.drift.p_value * 1e6));
   server.stop();
   manager.stop();
 }

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -19,6 +20,7 @@
 
 #include "detector_fixture.h"
 #include "durable/store.h"
+#include "obs/registry.h"
 #include "online/accumulator.h"
 #include "online/manager.h"
 #include "online/retrain.h"
@@ -503,6 +505,61 @@ TEST(ServerShadow, WindowTapDeliversWholeWindowsWithLabels) {
 
 // --- OnlineManager (deterministic drive via poll_once) --------------------
 
+/// Every leaps_online_* sample in `registry` equals its report() member:
+/// the metrics and the report are one set of books.
+void expect_samples_match_report(const obs::MetricRegistry& registry,
+                                 const OnlineManager& manager) {
+  const OnlineReport r = manager.report();
+  const auto ppm = [&r](double v) {
+    return r.drift.enabled ? static_cast<std::int64_t>(v * 1e6) : 0;
+  };
+  const std::map<std::string, std::uint64_t> counters = {
+      {"leaps_online_windows_observed_total", r.accumulator.windows_observed},
+      {"leaps_online_windows_rejected_total", r.accumulator.windows_rejected},
+      {"leaps_online_retrain_cycles_total", r.retrain_cycles},
+      {"leaps_online_retrain_failures_total", r.retrain_failures},
+      {"leaps_online_warm_iterations_saved_total", r.warm_iterations_saved},
+      {"leaps_online_shadow_windows_total", r.shadow_windows},
+      {"leaps_online_shadow_disagreements_total", r.shadow_disagreements},
+      {"leaps_online_promotions_total", r.promotions},
+      {"leaps_online_rollbacks_total", r.rollbacks},
+      {"leaps_online_drift_triggers_total", r.drift.triggers},
+      {"leaps_online_drift_retrains_total", r.drift_retrains}};
+  const std::map<std::string, std::int64_t> gauges = {
+      {"leaps_online_cfg_edges_added",
+       static_cast<std::int64_t>(r.accumulator.edges_added)},
+      {"leaps_online_drift_p_value_ppm", ppm(r.drift.p_value)},
+      {"leaps_online_drift_ks_ppm", ppm(r.drift.ks_statistic)},
+      {"leaps_online_drift_generation", r.drift.generation}};
+  std::size_t seen = 0;
+  for (const obs::MetricSample& s : registry.collect()) {
+    if (s.name.rfind("leaps_online_", 0) != 0) continue;
+    ++seen;
+    if (counters.count(s.name) != 0) {
+      EXPECT_EQ(s.type, obs::MetricType::kCounter) << s.name;
+      EXPECT_EQ(s.counter_value, counters.at(s.name)) << s.name;
+    } else if (gauges.count(s.name) != 0) {
+      EXPECT_EQ(s.type, obs::MetricType::kGauge) << s.name;
+      EXPECT_EQ(s.gauge_value, gauges.at(s.name)) << s.name;
+    } else {
+      ADD_FAILURE() << "unexpected sample " << s.name;
+    }
+  }
+  EXPECT_EQ(seen, counters.size() + gauges.size());
+}
+
+/// Every leaps_online_drift_* sample in `registry` reads 0.
+void expect_drift_samples_zero(const obs::MetricRegistry& registry) {
+  std::size_t seen = 0;
+  for (const obs::MetricSample& s : registry.collect()) {
+    if (s.name.rfind("leaps_online_drift_", 0) != 0) continue;
+    ++seen;
+    EXPECT_EQ(s.counter_value, 0u) << s.name;
+    EXPECT_EQ(s.gauge_value, 0) << s.name;
+  }
+  EXPECT_EQ(seen, 5u);
+}
+
 TEST(OnlineManagerTest, AccumulateRetrainShadowPromote) {
   const TrainedDetector& f = fixture();
   serve::ServerOptions server_options;
@@ -518,6 +575,9 @@ TEST(OnlineManagerTest, AccumulateRetrainShadowPromote) {
                    .max_latency_ratio = 1e9,
                    .min_windows = 2};
   OnlineManager manager(&server, options);
+  obs::MetricRegistry registry;
+  const obs::MetricRegistry::Registration registration =
+      manager.register_with(registry);
   manager.install();
   server.start();
 
@@ -530,12 +590,18 @@ TEST(OnlineManagerTest, AccumulateRetrainShadowPromote) {
     server.drain();
   };
 
+  // Registered before any traffic: every sample is present, at zero.
   OnlineReport report = manager.report();
   EXPECT_EQ(report.phase, "accumulating");
+  expect_samples_match_report(registry, manager);
 
-  // Round 1: accumulate benign windows; the poll triggers a warm retrain
-  // and stages the candidate as a shadow.
+  // Accumulate: the windows are counted before any poll exports them.
   replay();
+  EXPECT_GT(manager.report().accumulator.windows_observed, 0u);
+  expect_samples_match_report(registry, manager);
+
+  // Round 1: the poll triggers a warm retrain over the accumulated benign
+  // windows and stages the candidate as a shadow.
   manager.poll_once();
   report = manager.report();
   EXPECT_EQ(report.retrain_cycles, 1u) << report.last_error;
@@ -543,10 +609,18 @@ TEST(OnlineManagerTest, AccumulateRetrainShadowPromote) {
   EXPECT_TRUE(manager.shadowing());
   EXPECT_GT(report.last_cold_iterations, report.last_warm_iterations);
   EXPECT_GT(report.warm_iterations_saved, 0u);
+  expect_samples_match_report(registry, manager);
 
-  // Round 2: live traffic flows through both streams; the next poll sees
-  // enough agreeing windows and promotes via the RCU swap.
+  // Round 2: live traffic flows through both streams. The shadow counts
+  // are current before the poll that decides.
   replay();
+  report = manager.report();
+  EXPECT_GT(report.shadow_windows, 0u);
+  EXPECT_EQ(report.shadow_windows, report.shadow.compared);
+  expect_samples_match_report(registry, manager);
+
+  // The next poll sees enough agreeing windows and promotes via the RCU
+  // swap; the concluded shadow's pairs stay in the cumulative total.
   manager.poll_once();
   report = manager.report();
   EXPECT_EQ(report.promotions, 1u) << report.last_error;
@@ -554,6 +628,11 @@ TEST(OnlineManagerTest, AccumulateRetrainShadowPromote) {
   EXPECT_EQ(report.phase, "accumulating");
   EXPECT_FALSE(manager.shadowing());
   EXPECT_GT(report.shadow.compared, 0u);
+  EXPECT_EQ(report.shadow_windows, report.shadow.compared);
+  EXPECT_EQ(report.shadow_disagreements, report.shadow.disagreements);
+  expect_samples_match_report(registry, manager);
+  // Drift is disabled here: its samples read 0, not a resting p-value.
+  expect_drift_samples_zero(registry);
   const auto promoted = server.registry().find("default");
   EXPECT_NE(promoted, f.detector) << "promotion must swap the detector";
   ASSERT_NE(promoted->continual(), nullptr);
@@ -669,8 +748,17 @@ TEST(OnlineManagerTest, WarmRestartRestoresVerdictsAndAccounting) {
   OnlineOptions options;
   options.durable = &store;
   OnlineManager manager(&server, options);
+  obs::MetricRegistry registry;
+  const obs::MetricRegistry::Registration registration =
+      manager.register_with(registry);
   manager.install();
+  ASSERT_FALSE(recovered->pending_windows.empty());
   manager.restore(*recovered);
+
+  // The re-observed recovered windows are counted on every surface.
+  EXPECT_EQ(manager.report().accumulator.windows_observed,
+            recovered->pending_windows.size());
+  expect_samples_match_report(registry, manager);
 
   // Recovered verdicts are identical to the pre-crash incumbent's.
   const auto scan = server.registry().find("default")->scan(f.malicious);

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "detector_fixture.h"
+#include "obs/registry.h"
 #include "serve/audit.h"
 #include "serve/queue.h"
 #include "serve/server.h"
@@ -588,6 +589,9 @@ TEST(AuditLog, WritesOneJsonLinePerAnomalousWindow) {
   {
     const std::size_t win = f.detector->preprocessor().window();
     AuditLog log(AuditOptions{path, /*queue_capacity=*/16, /*top_k=*/2});
+    obs::MetricRegistry registry;
+    const obs::MetricRegistry::Registration registration =
+        log.register_with(registry);
     ASSERT_TRUE(log.start().ok());
     const SessionKey key{"db7", 99};
     for (std::size_t i = 0; i < 3; ++i) {
@@ -601,6 +605,16 @@ TEST(AuditLog, WritesOneJsonLinePerAnomalousWindow) {
     log.submit(key, "default", 9, -1, -1.0, f.malicious.events.data(), win,
                f.detector);
     EXPECT_EQ(log.dropped(), 1u);
+    // The registry samples read the log's own counts.
+    std::map<std::string, std::uint64_t> samples;
+    for (const obs::MetricSample& s : registry.collect()) {
+      EXPECT_EQ(s.type, obs::MetricType::kCounter) << s.name;
+      samples[s.name] = s.counter_value;
+    }
+    EXPECT_EQ(samples, (std::map<std::string, std::uint64_t>{
+                           {"leaps_serve_audit_records_total", log.written()},
+                           {"leaps_serve_audit_dropped_total",
+                            log.dropped()}}));
   }
 
   std::ifstream in(path);

@@ -64,8 +64,6 @@ constexpr const char* kUsage =
     "  --detector-out FILE     (recover) save the recovered incumbent\n"
     "  --admit-floor F         CFG admission floor for retrain "
     "(default 0.25)\n"
-    "  --retrain-events N      unused trigger floor (retrain runs "
-    "unconditionally)\n"
     "  --no-cold-baseline      skip the cold fit (faster, no savings "
     "number)\n"
     "  --shadow-min-windows N  pairs required before gating (default 64)\n"
@@ -367,11 +365,9 @@ int cmd_recover(const std::vector<std::string>& pos,
 int main(int argc, char** argv) {
   cli::ArgParser args(argc, argv, kUsage);
   double admit_floor = 0.25;
-  std::size_t retrain_events = 1;
   bool no_cold = false;
   online::RolloverGates gates;
   args.option("--admit-floor", &admit_floor);
-  args.option("--retrain-events", &retrain_events);
   args.flag("--no-cold-baseline", &no_cold);
   args.option("--shadow-min-windows", &gates.min_windows);
   args.option("--shadow-max-disagree", &gates.max_disagreement);

@@ -239,10 +239,12 @@ int main(int argc, char** argv) {
     // The audit log outlives the server (workers hold a raw pointer into
     // it until stop()), so it is constructed first and stopped last.
     std::unique_ptr<serve::AuditLog> audit;
+    obs::MetricRegistry::Registration audit_registration;
     if (!audit_out.empty()) {
       serve::AuditOptions aopts;
       aopts.path = audit_out;
       audit = std::make_unique<serve::AuditLog>(aopts);
+      audit_registration = audit->register_with(obs::MetricRegistry::global());
       const util::Status started = audit->start();
       if (!started.ok()) {
         std::fprintf(stderr, "leaps-serve: --audit-out %s: %s\n",
@@ -351,12 +353,15 @@ int main(int argc, char** argv) {
     // (poll_once) instead of on its own thread — replay is a bounded
     // drive, not an open-ended service.
     std::unique_ptr<online::OnlineManager> manager;
+    obs::MetricRegistry::Registration online_registration;
     if (online) {
       online_options.profile = "default";
       online_options.accumulator.admit_floor = admit_floor;
       online_options.durable = durable_store.get();
       manager = std::make_unique<online::OnlineManager>(&server,
                                                         online_options);
+      online_registration =
+          manager->register_with(obs::MetricRegistry::global());
       manager->install();
       if (recovered.has_value()) manager->restore(*recovered);
     }
@@ -437,14 +442,8 @@ int main(int argc, char** argv) {
         // back — all without wall-clock dependence.
         manager->poll_once();
         if (verbose) {
-          const online::OnlineReport r = manager->report();
-          std::fprintf(stderr,
-                       "online round %zu: phase=%s cycles=%llu "
-                       "promotions=%llu rollbacks=%llu\n",
-                       round + 1, r.phase.c_str(),
-                       static_cast<unsigned long long>(r.retrain_cycles),
-                       static_cast<unsigned long long>(r.promotions),
-                       static_cast<unsigned long long>(r.rollbacks));
+          std::fprintf(stderr, "online round %zu: %s\n", round + 1,
+                       manager->report().to_text().c_str());
         }
       }
     }
@@ -476,26 +475,7 @@ int main(int argc, char** argv) {
       // settled state.
       manager->stop();
       const online::OnlineReport orep = manager->report();
-      std::printf(
-          "online: cycles=%llu failures=%llu promotions=%llu "
-          "rollbacks=%llu\n",
-          static_cast<unsigned long long>(orep.retrain_cycles),
-          static_cast<unsigned long long>(orep.retrain_failures),
-          static_cast<unsigned long long>(orep.promotions),
-          static_cast<unsigned long long>(orep.rollbacks));
-      std::printf(
-          "online: windows observed=%llu admitted=%llu rejected=%llu "
-          "cfg-edges-added=%llu\n",
-          static_cast<unsigned long long>(orep.accumulator.windows_observed),
-          static_cast<unsigned long long>(orep.accumulator.windows_admitted),
-          static_cast<unsigned long long>(orep.accumulator.windows_rejected),
-          static_cast<unsigned long long>(orep.accumulator.edges_added));
-      std::printf(
-          "online: last retrain warm=%llu cold=%llu iterations "
-          "(saved=%llu total)\n",
-          static_cast<unsigned long long>(orep.last_warm_iterations),
-          static_cast<unsigned long long>(orep.last_cold_iterations),
-          static_cast<unsigned long long>(orep.warm_iterations_saved));
+      std::printf("online: %s\n", orep.to_text().c_str());
       std::printf(
           "online: shadow compared=%llu disagreements=%llu (rate %.4f, "
           "latency ratio %.2f)\n",
@@ -504,13 +484,9 @@ int main(int argc, char** argv) {
           orep.shadow.disagreement_rate(), orep.shadow.latency_ratio());
       if (orep.drift.enabled) {
         std::printf(
-            "online: drift generation=%u observed=%llu p=%.6f ks=%.6f "
-            "triggers=%llu drift-retrains=%llu trigger-lsn=%llu\n",
-            orep.drift.generation,
+            "online: drift observed=%llu p=%.6f ks=%.6f trigger-lsn=%llu\n",
             static_cast<unsigned long long>(orep.drift.observed),
             orep.drift.p_value, orep.drift.ks_statistic,
-            static_cast<unsigned long long>(orep.drift.triggers),
-            static_cast<unsigned long long>(orep.drift_retrains),
             static_cast<unsigned long long>(orep.last_drift_trigger_lsn));
       }
       if (!orep.last_error.empty()) {
