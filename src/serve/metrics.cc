@@ -5,6 +5,8 @@
 #include <sstream>
 #include <string_view>
 
+#include "util/check.h"
+
 namespace leaps::serve {
 
 namespace {
@@ -51,6 +53,11 @@ void ServerMetrics::restore_baseline(std::uint64_t ingested,
                                      std::uint64_t processed,
                                      std::uint64_t dropped,
                                      std::uint64_t quarantined) {
+  LEAPS_CHECK_MSG(events_ingested.load(kRelaxed) == 0 &&
+                      events_processed.load(kRelaxed) == 0 &&
+                      events_dropped.load(kRelaxed) == 0 &&
+                      events_quarantined.load(kRelaxed) == 0,
+                  "restore_baseline must run before the server ingests");
   events_ingested.store(ingested, kRelaxed);
   events_processed.store(processed, kRelaxed);
   events_dropped.store(dropped, kRelaxed);

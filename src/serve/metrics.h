@@ -3,9 +3,11 @@
 // text and JSON renderings.
 //
 // Everything here is written from worker and producer threads on the hot
-// path, so all mutation is relaxed-atomic; a snapshot is a best-effort
-// consistent read (counters may be mid-update relative to each other,
-// which is fine for operational metrics).
+// path, so all mutation is atomic and lock-free. Most counters are
+// relaxed; the four accounting-identity counters are bumped with release
+// because DetectionServer::drain() waits on them with acquire loads. A
+// snapshot is a best-effort consistent read (counters may be mid-update
+// relative to each other, which is fine for operational metrics).
 #pragma once
 
 #include <atomic>
@@ -40,7 +42,7 @@ namespace leaps::serve {
 // one JSON object / text line under the JSON key `key`; histograms and
 // summaries are top-level JSON objects under `key`. `prom` is the row's
 // position in the Prometheus exposition, which keeps its historical
-// order (new rows take the next number).
+// order (new rows take the next number; positions stay dense, 0..N-1).
 #define LEAPS_SERVE_METRICS(COUNTER, GAUGE, HISTOGRAM, SUMMARY)              \
   COUNTER(0, "events", "ingested", events_ingested,                          \
           "leaps_serve_events_ingested_total", "events accepted by submit")  \
@@ -77,41 +79,32 @@ namespace leaps::serve {
   COUNTER(14, "sessions", "evicted", sessions_evicted,                       \
           "leaps_serve_sessions_evicted_total",                              \
           "sessions removed by the idle sweep")                              \
-  GAUGE(17, "queues", "high_water", queue_high_water, std::uint64_t,         \
+  GAUGE(16, "queues", "high_water", queue_high_water, std::uint64_t,         \
         "leaps_serve_queue_high_water",                                      \
         "deepest any shard queue got (events)", queue_high_water_)           \
   COUNTER(10, "queues", "batches", batches_drained,                          \
           "leaps_serve_batches_drained_total", "worker batch drains")        \
-  COUNTER(16, "queues", "shed_activations", shed_activations,                \
+  COUNTER(15, "queues", "shed_activations", shed_activations,                \
           "leaps_serve_shed_activations_total",                              \
           "times a shard entered shedding")                                  \
-  COUNTER(15, "queues", "registry_retries", registry_retries,                \
-          "leaps_serve_registry_retries_total",                              \
-          "open_session registry re-lookups")                                \
-  GAUGE(18, "slabs", "sessions_in_use", slab_sessions_in_use, std::int64_t,  \
+  GAUGE(17, "slabs", "sessions_in_use", slab_sessions_in_use, std::int64_t,  \
         "leaps_serve_slab_sessions_in_use",                                  \
         "session slots handed out by the slab pool", session_slabs->in_use)  \
-  GAUGE(19, "slabs", "sessions_free", slab_sessions_free, std::int64_t,      \
+  GAUGE(18, "slabs", "sessions_free", slab_sessions_free, std::int64_t,      \
         "leaps_serve_slab_sessions_free",                                    \
         "recycled session slots on the freelist", session_slabs->free)       \
-  GAUGE(20, "slabs", "chunks", slab_chunks, std::int64_t,                    \
+  GAUGE(19, "slabs", "chunks", slab_chunks, std::int64_t,                    \
         "leaps_serve_slab_chunks", "slab chunks allocated",                  \
         session_slabs->chunks)                                               \
-  GAUGE(21, "slabs", "overflow", slab_overflow, std::int64_t,                \
+  GAUGE(20, "slabs", "overflow", slab_overflow, std::int64_t,                \
         "leaps_serve_slab_overflow_total",                                   \
         "allocations served off-pool (size mismatch)",                       \
         session_slabs->overflow)                                             \
-  GAUGE(22, "slabs", "batch_buffers_in_use", slab_batches_in_use,            \
-        std::int64_t, "leaps_serve_slab_batch_buffers_in_use",               \
-        "event-batch buffers in flight", batch_buffers->in_use)              \
-  GAUGE(23, "slabs", "batch_buffers_free", slab_batches_free, std::int64_t,  \
-        "leaps_serve_slab_batch_buffers_free",                               \
-        "event-batch buffers pooled for reuse", batch_buffers->free)         \
-  HISTOGRAM(24, "queue_wait", queue_wait, "leaps_serve_queue_wait_us",       \
+  HISTOGRAM(21, "queue_wait", queue_wait, "leaps_serve_queue_wait_us",       \
             "enqueue to worker dequeue latency")                             \
-  HISTOGRAM(25, "classify", classify, "leaps_serve_classify_us",             \
+  HISTOGRAM(22, "classify", classify, "leaps_serve_classify_us",             \
             "per drained run of one session")                                \
-  SUMMARY(26, "decision_value", decision_values,                             \
+  SUMMARY(23, "decision_value", decision_values,                             \
           "leaps_serve_decision_value",                                      \
           "SVM decision values over scored windows (quantile sketch)")
 
@@ -182,12 +175,11 @@ class ServerMetrics {
 #undef LEAPS_LIVE_GAUGE
 #undef LEAPS_LIVE_HISTOGRAM
 #undef LEAPS_LIVE_SUMMARY
-  /// Gauge blocks the slab pools publish into (leaps_serve_slab_*).
-  /// shared_ptr: the session pool — and its gauges — can outlive the
-  /// server when queued events keep sessions alive past shutdown.
+  /// Gauge block the session slab pool publishes into
+  /// (leaps_serve_slab_*). shared_ptr: the pool — and its gauges — can
+  /// outlive the server when queued events keep sessions alive past
+  /// shutdown.
   std::shared_ptr<SlabGauges> session_slabs =
-      std::make_shared<SlabGauges>();
-  std::shared_ptr<SlabGauges> batch_buffers =
       std::make_shared<SlabGauges>();
 
   /// Raises the queue-depth high-water mark if `depth` exceeds it.
@@ -196,7 +188,8 @@ class ServerMetrics {
   /// Seeds the four accounting-identity counters from a recovered
   /// durability checkpoint, so ingested == processed + dropped +
   /// quarantined keeps holding across a restart boundary. Only valid
-  /// before the server starts ingesting (counters must still be zero).
+  /// before the server starts ingesting: LEAPS_CHECKs that all four are
+  /// still zero.
   void restore_baseline(std::uint64_t ingested, std::uint64_t processed,
                         std::uint64_t dropped, std::uint64_t quarantined);
 

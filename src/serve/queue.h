@@ -36,13 +36,15 @@ const char* overflow_policy_name(OverflowPolicy policy);
 /// Parses "block" / "drop-oldest"; nullopt on anything else.
 std::optional<OverflowPolicy> parse_overflow_policy(std::string_view name);
 
-/// Bounded MPMC queue for weighted items. Capacity, size, high-water, and
-/// drop accounting are all in weight units, so a server configured for
-/// "4096 queued events" admits exactly that many whether they arrive one
-/// per item or thirty-two. Two rules follow from batching:
+/// Bounded MPMC queue for weighted items. Capacity and size are in weight
+/// units, so a server configured for "4096 queued events" admits exactly
+/// that many whether they arrive one per item or thirty-two. The queue
+/// keeps no counts of its own: push() hands back the evicted items and
+/// the depth it left, and the caller books both. Two rules follow from
+/// batching:
 ///
 ///   * eviction hands the evicted items back (via `evicted`) — the caller
-///     must retire each evicted event and recycle the batch buffer,
+///     must retire each evicted event,
 ///   * an item heavier than the whole capacity is admitted when the
 ///     queue is empty (kBlock would otherwise deadlock); it simply
 ///     occupies the queue alone.
@@ -59,9 +61,12 @@ class WeightedQueue {
   /// Enqueues one item of `weight` units. Under kBlock, waits until the
   /// item fits (or the queue is empty — see class comment); under
   /// kDropOldest — or kBlock with shedding engaged — evicts oldest items
-  /// into `evicted` until it fits. Returns false (item discarded, not
-  /// evicted into the vector) only when the queue is closed.
-  bool push(T item, std::size_t weight, std::vector<T>* evicted = nullptr) {
+  /// into `evicted` until it fits. When `depth` is given, it receives the
+  /// weight queued after the push. Returns false (item discarded, not
+  /// evicted into the vector, `depth` untouched) only when the queue is
+  /// closed.
+  bool push(T item, std::size_t weight, std::vector<T>* evicted = nullptr,
+            std::size_t* depth = nullptr) {
     std::unique_lock<std::mutex> lock(mu_);
     if (policy_ == OverflowPolicy::kBlock) {
       space_.wait(lock, [this, weight] {
@@ -72,14 +77,13 @@ class WeightedQueue {
     if (closed_) return false;
     while (weight_ + weight > capacity_ && !items_.empty()) {
       Entry& front = items_.front();
-      dropped_ += front.weight;
       weight_ -= front.weight;
       if (evicted != nullptr) evicted->push_back(std::move(front.item));
       items_.pop_front();
     }
     items_.push_back(Entry{std::move(item), weight});
     weight_ += weight;
-    if (weight_ > high_water_) high_water_ = weight_;
+    if (depth != nullptr) *depth = weight_;
     lock.unlock();
     ready_.notify_one();
     return true;
@@ -135,22 +139,6 @@ class WeightedQueue {
     const std::lock_guard<std::mutex> lock(mu_);
     return weight_;
   }
-  /// Heaviest the queue has ever been, in weight units.
-  std::size_t high_water() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return high_water_;
-  }
-  /// Weight units evicted since construction.
-  std::size_t dropped() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return dropped_;
-  }
-  bool closed() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return closed_;
-  }
-  std::size_t capacity() const { return capacity_; }
-  OverflowPolicy policy() const { return policy_; }
 
  private:
   struct Entry {
@@ -165,8 +153,6 @@ class WeightedQueue {
   std::condition_variable space_;
   std::deque<Entry> items_;
   std::size_t weight_ = 0;
-  std::size_t high_water_ = 0;
-  std::size_t dropped_ = 0;
   bool closed_ = false;
   bool shedding_ = false;
 };

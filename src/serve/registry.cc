@@ -4,7 +4,6 @@
 
 #include "core/persist.h"
 #include "util/check.h"
-#include "util/fault.h"
 
 namespace leaps::serve {
 
@@ -25,15 +24,6 @@ void DetectorRegistry::load_file(const std::string& profile,
 
 std::shared_ptr<const core::Detector> DetectorRegistry::find(
     const std::string& profile) const {
-  // Chaos hook: a kError arming simulates the transient miss window of an
-  // operator reload (erase-then-add), which open_session retries over.
-  {
-    auto& injector = util::FaultInjector::instance();
-    if (injector.any_armed() &&
-        !injector.hit("serve.registry.find", profile).ok()) {
-      return nullptr;
-    }
-  }
   const std::shared_lock lock(mu_);
   const auto it = detectors_.find(profile);
   return it == detectors_.end() ? nullptr : it->second;

@@ -12,6 +12,10 @@ namespace leaps::serve {
 namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
+// The four accounting-identity counters are bumped with release and read
+// with acquire: drain() waits on the identity itself.
+constexpr auto kRelease = std::memory_order_release;
+constexpr auto kAcquire = std::memory_order_acquire;
 
 /// p99 (upper-rank) of a small scratch vector; mutates `waits_us`.
 std::uint64_t batch_p99_us(std::vector<std::uint64_t>& waits_us) {
@@ -142,23 +146,19 @@ void DetectionServer::drain() {
   flush_all_stages();
   std::unique_lock<std::mutex> lock(drain_mu_);
   drain_cv_.wait(lock, [this] {
-    return retired_.load(std::memory_order_acquire) >=
-           accepted_.load(std::memory_order_acquire);
+    // Retired before ingested: every event retires after it is ingested,
+    // so a retired total read first that reaches the ingested total read
+    // second means nothing ingested by then is still in flight.
+    const std::uint64_t retired = metrics_.events_processed.load(kAcquire) +
+                                  metrics_.events_dropped.load(kAcquire) +
+                                  metrics_.events_quarantined.load(kAcquire);
+    return retired >= metrics_.events_ingested.load(kAcquire);
   });
 }
 
 std::shared_ptr<Session> DetectionServer::open_session(
     const SessionKey& key, const std::string& profile) {
   std::shared_ptr<Session> session = sessions_.open(key, profile);
-  for (std::size_t attempt = 0;
-       session == nullptr && attempt < options_.registry_retries; ++attempt) {
-    metrics_.registry_retries.fetch_add(1, kRelaxed);
-    const auto backoff =
-        options_.registry_backoff * (std::int64_t{1}
-                                     << std::min<std::size_t>(attempt, 6));
-    std::this_thread::sleep_for(backoff);
-    session = sessions_.open(key, profile);
-  }
   if (session != nullptr) {
     metrics_.sessions_opened.fetch_add(1, kRelaxed);
     // Auto-attach while a shadow rollover is in flight for the profile.
@@ -231,8 +231,7 @@ bool DetectionServer::submit(const std::shared_ptr<Session>& session,
     metrics_.events_rejected.fetch_add(1, kRelaxed);
     return false;
   }
-  accepted_.fetch_add(1, std::memory_order_release);
-  metrics_.events_ingested.fetch_add(1, kRelaxed);
+  metrics_.events_ingested.fetch_add(1, kRelease);
   {
     const std::lock_guard<std::mutex> lock(session->stage_mutex());
     session->stage().push_back(compact);
@@ -253,9 +252,9 @@ bool DetectionServer::submit(const SessionKey& key,
 }
 
 void DetectionServer::retire_dropped(std::size_t n, bool shed) {
-  metrics_.events_dropped.fetch_add(n, kRelaxed);
   if (shed) metrics_.events_shed.fetch_add(n, kRelaxed);
-  note_completed(n);
+  metrics_.events_dropped.fetch_add(n, kRelease);
+  note_completed();
 }
 
 void DetectionServer::flush_locked(const std::shared_ptr<Session>& session) {
@@ -263,7 +262,8 @@ void DetectionServer::flush_locked(const std::shared_ptr<Session>& session) {
   EventBatch batch;
   batch.session = session;
   batch.events = std::move(session->stage());
-  session->stage() = batch_pool_.acquire();
+  session->stage() = {};
+  session->stage().reserve(options_.coalesce);
   batch.enqueued = std::chrono::steady_clock::now();
   const std::size_t weight = batch.events.size();
   WeightedQueue<EventBatch>& shard =
@@ -272,14 +272,12 @@ void DetectionServer::flush_locked(const std::shared_ptr<Session>& session) {
   // session would otherwise be able to enqueue out of order, corrupting
   // the per-session FIFO that window assembly depends on.
   std::vector<EventBatch> evicted;
-  const bool ok = shard.push(std::move(batch), weight, &evicted);
-  metrics_.note_queue_depth(shard.high_water());
+  std::size_t depth = 0;
+  const bool ok = shard.push(std::move(batch), weight, &evicted, &depth);
+  metrics_.note_queue_depth(depth);
   if (!evicted.empty()) {
     const bool shed = shard.shedding();
-    for (EventBatch& b : evicted) {
-      retire_dropped(b.events.size(), shed);
-      batch_pool_.release(std::move(b.events));
-    }
+    for (const EventBatch& b : evicted) retire_dropped(b.events.size(), shed);
   }
   if (!ok) {
     // Queue closed mid-shutdown: these events were accepted (ingested),
@@ -299,8 +297,7 @@ void DetectionServer::flush_all_stages() {
   for (const auto& session : sessions_.all()) flush_staged(session);
 }
 
-void DetectionServer::note_completed(std::uint64_t n) {
-  retired_.fetch_add(n, std::memory_order_release);
+void DetectionServer::note_completed() {
   // Serialize with drain()'s predicate check, then wake it.
   {
     const std::lock_guard<std::mutex> lock(drain_mu_);
@@ -335,15 +332,18 @@ void DetectionServer::worker_loop(std::size_t shard_index) {
     if (n == 0) break;  // closed and drained
     metrics_.batches_drained.fetch_add(1, kRelaxed);
     const auto dequeued = std::chrono::steady_clock::now();
+    const bool shedding_enabled = options_.shed_queue_wait_us > 0;
     waits_us.clear();
     for (const EventBatch& b : batches) {
       const auto wait = dequeued - b.enqueued;
       metrics_.queue_wait.record(wait);
-      waits_us.push_back(static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::microseconds>(wait)
-              .count()));
+      if (shedding_enabled) {
+        waits_us.push_back(static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::microseconds>(wait)
+                .count()));
+      }
     }
-    if (options_.shed_queue_wait_us > 0) {
+    if (shedding_enabled) {
       // Overload shedding with hysteresis: engage when this batch waited
       // p99 > threshold; disengage once waits recover below half of it.
       const std::uint64_t p99 = batch_p99_us(waits_us);
@@ -389,21 +389,10 @@ void DetectionServer::worker_loop(std::size_t shard_index) {
         batches[i].session->quarantine();
         if (!already) metrics_.sessions_quarantined.fetch_add(1, kRelaxed);
         metrics_.events_failed.fetch_add(run.size(), kRelaxed);
-        metrics_.events_quarantined.fetch_add(run.size(), kRelaxed);
-        note_completed(run.size());
-        for (std::size_t k = i; k < j; ++k) {
-          batch_pool_.release(std::move(batches[k].events));
-        }
+        metrics_.events_quarantined.fetch_add(run.size(), kRelease);
+        note_completed();
         i = j;
         continue;
-      }
-      metrics_.events_processed.fetch_add(outcome.processed, kRelaxed);
-      if (outcome.failed > 0) {
-        metrics_.events_failed.fetch_add(outcome.failed, kRelaxed);
-      }
-      if (outcome.failed + outcome.skipped > 0) {
-        metrics_.events_quarantined.fetch_add(
-            outcome.failed + outcome.skipped, kRelaxed);
       }
       if (outcome.newly_quarantined) {
         metrics_.sessions_quarantined.fetch_add(1, kRelaxed);
@@ -419,10 +408,17 @@ void DetectionServer::worker_loop(std::size_t shard_index) {
                               v.label, v.decision_value});
         }
       }
-      note_completed(run.size());
-      for (std::size_t k = i; k < j; ++k) {
-        batch_pool_.release(std::move(batches[k].events));
+      // Retire the run only after its sink calls: a drain() that sees
+      // the identity has then seen every verdict of every run.
+      if (outcome.failed > 0) {
+        metrics_.events_failed.fetch_add(outcome.failed, kRelaxed);
       }
+      if (outcome.failed + outcome.skipped > 0) {
+        metrics_.events_quarantined.fetch_add(
+            outcome.failed + outcome.skipped, kRelease);
+      }
+      metrics_.events_processed.fetch_add(outcome.processed, kRelease);
+      note_completed();
       i = j;
     }
   }

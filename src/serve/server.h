@@ -22,9 +22,14 @@
 //   * weighted queues — capacity/depth/drop accounting stay in EVENT
 //     units regardless of batching, so `queue_capacity` means the same
 //     thing at any coalesce,
-//   * slab/arena allocation — Session control blocks come from a
-//     freelist slab pool and batch buffers are recycled through a
-//     BufferPool (leaps_serve_slab_* gauges; see serve/slab.h).
+//   * slab allocation — Session control blocks come from a freelist
+//     slab pool (leaps_serve_slab_* gauges; see serve/slab.h); a batch
+//     owns its event vector, which is freed with the batch.
+//
+// One set of books: the only counts on the submit() → worker path are the
+// ServerMetrics counters. The shard queue keeps none of its own (push()
+// hands back its evictions and depth), and drain() waits on the
+// accounting identity below.
 //
 // Sharding: every session is pinned to one shard queue by a hash of its
 // key, so one session's events are consumed by one worker in FIFO order —
@@ -39,8 +44,10 @@
 // a shard queue fills (lossless replay), kDropOldest evicts the oldest
 // queued events (bounded-latency live ingest); drops are counted in
 // metrics. drain() first flushes every session's stage, then blocks until
-// every accepted event has been classified, which makes "replay N logs,
-// then read the tallies" deterministic.
+// events_processed + events_dropped + events_quarantined reaches
+// events_ingested. Workers retire a run only after its verdict-sink
+// calls, so "replay N logs, drain, then read the tallies and verdicts"
+// is deterministic.
 //
 // Failure model — the server self-heals around hostile sessions instead
 // of crashing with them:
@@ -54,8 +61,6 @@
 //   * idle eviction: a background sweep (every `sweep_interval`, when
 //     `idle_ttl` > 0) closes sessions with no recent activity (staged
 //     events are flushed first, never stranded),
-//   * registry retry: open_session retries transient registry misses
-//     (operator mid-reload) with exponential backoff,
 //   * overload shedding: when a batch's queue-wait p99 exceeds
 //     `shed_queue_wait_us`, the shard flips to drop-with-accounting
 //     (kBlock producers stop stalling) until the wait recovers to
@@ -84,7 +89,6 @@
 #include "serve/queue.h"
 #include "serve/registry.h"
 #include "serve/session.h"
-#include "serve/slab.h"
 #include "trace/intern.h"
 
 namespace leaps::serve {
@@ -114,12 +118,6 @@ struct ServerOptions {
   std::chrono::milliseconds idle_ttl{0};
   /// How often the idle sweep runs (only when idle_ttl > 0).
   std::chrono::milliseconds sweep_interval{250};
-  /// Extra registry lookups open_session makes when the profile is
-  /// missing (transient reload window). 0 = fail immediately.
-  std::size_t registry_retries = 0;
-  /// Base backoff between registry retries; doubles per attempt
-  /// (capped at 64×).
-  std::chrono::milliseconds registry_backoff{1};
   /// Queue-wait p99 (µs, per drained batch) above which the shard sheds
   /// load. 0 disables shedding.
   std::uint64_t shed_queue_wait_us = 0;
@@ -193,14 +191,15 @@ class DetectionServer {
   /// joins the workers. Idempotent; the destructor calls it.
   void stop();
 
-  /// Flushes every session's stage, then blocks until every accepted
-  /// event has been processed. Only meaningful while the server is
-  /// started (otherwise nothing drains).
+  /// Flushes every session's stage, then blocks until the accounting
+  /// identity holds: every accepted event has been processed, dropped or
+  /// quarantined, and every verdict of a processed event has reached the
+  /// sink. Only meaningful while the server is started (otherwise nothing
+  /// drains).
   void drain();
 
   /// Opens (or returns the already-open) session for `key` served by
-  /// `profile`'s detector; nullptr if the profile is not registered
-  /// even after `registry_retries` backed-off re-lookups.
+  /// `profile`'s detector; nullptr if the profile is not registered.
   std::shared_ptr<Session> open_session(const SessionKey& key,
                                         const std::string& profile);
 
@@ -230,8 +229,8 @@ class DetectionServer {
   bool submit(const SessionKey& key, trace::PartitionedEvent event);
 
  private:
-  /// One hand-off unit: a run of same-session events. `events` comes from
-  /// (and returns to) batch_pool_. Queue weight = events.size().
+  /// One hand-off unit: a run of same-session events. Queue weight =
+  /// events.size().
   struct EventBatch {
     std::shared_ptr<Session> session;
     std::vector<trace::CompactEvent> events;
@@ -240,7 +239,8 @@ class DetectionServer {
 
   void worker_loop(std::size_t shard);
   void sweeper_loop();
-  void note_completed(std::uint64_t n);
+  /// Wakes drain() after a retire.
+  void note_completed();
   /// Ships `session`'s stage (if non-empty) to its shard queue; caller
   /// must hold the session's stage mutex.
   void flush_locked(const std::shared_ptr<Session>& session);
@@ -254,11 +254,10 @@ class DetectionServer {
 
   const ServerOptions options_;
   DetectorRegistry registry_;
-  // metrics_ precedes sessions_/batch_pool_: they capture its gauge blocks.
+  // metrics_ precedes sessions_: it captures metrics_' gauge block.
   ServerMetrics metrics_;
   SessionManager sessions_{&registry_, options_.session_shards,
                            metrics_.session_slabs};
-  BufferPool<trace::CompactEvent> batch_pool_{1024, metrics_.batch_buffers};
   VerdictSink sink_;
   std::vector<WindowTap> taps_;  // added before start(), then read-only
   // taps_ as the one callable feed_run takes, built at start(): the only
@@ -285,9 +284,7 @@ class DetectionServer {
   std::condition_variable sweep_cv_;
   bool sweep_stop_ = false;  // guarded by sweep_mu_
 
-  // drain() bookkeeping: accepted == retired once nothing is in flight.
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> retired_{0};  // processed + evicted
+  // drain() waits on the accounting identity in metrics_.
   std::mutex drain_mu_;
   std::condition_variable drain_cv_;
 };

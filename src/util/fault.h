@@ -13,7 +13,6 @@
 //
 // Fault-point catalog (grep LEAPS_FAULT_POINT for ground truth):
 //   serve.worker.classify          per-event, inside Session::feed_run
-//   serve.registry.find            DetectorRegistry lookup (kError → miss)
 //   trace.ingest.read              trace::decode::decode_log, once per
 //                                  decode in any log dialect
 //   durable.snapshot.pre_rename    after temp fsync, before rename

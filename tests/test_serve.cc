@@ -105,10 +105,14 @@ TEST(DetectionServer, ParallelSessionsMatchSequentialStreams) {
   DetectionServer server(options);
   server.registry().add("app", f.detector);
 
-  // Collect every verdict the workers emit, per session.
+  // Collect every verdict the workers emit, per session. The sink is
+  // slow on purpose: it keeps workers inside their sink loops long enough
+  // that a drain() returning before a run's last sink call is caught
+  // below, not just possible.
   std::mutex verdict_mu;
   std::map<std::string, std::vector<std::pair<std::size_t, int>>> verdicts;
   server.set_verdict_sink([&](const VerdictRecord& v) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
     const std::lock_guard<std::mutex> lock(verdict_mu);
     verdicts[v.key.to_string()].emplace_back(v.window_index, v.label);
   });
@@ -134,7 +138,19 @@ TEST(DetectionServer, ParallelSessionsMatchSequentialStreams) {
   for (auto& p : producers) p.join();
   server.drain();
 
+  // drain() returns on the accounting identity, which workers reach only
+  // after a run's sink calls: before any close, every scored window's
+  // verdict has already been delivered. Count the deliveries first, so a
+  // worker still inside its sink loop shows up as a shortfall.
+  std::size_t delivered = 0;
+  {
+    const std::lock_guard<std::mutex> lock(verdict_mu);
+    for (const auto& [key, list] : verdicts) delivered += list.size();
+  }
   const MetricsSnapshot m = server.metrics().snapshot();
+  EXPECT_EQ(delivered, m.windows_scored);
+  EXPECT_EQ(m.events_ingested,
+            m.events_processed + m.events_dropped + m.events_quarantined);
   EXPECT_EQ(m.events_dropped, 0u);
   EXPECT_EQ(m.events_rejected, 0u);
   EXPECT_EQ(m.events_processed, m.events_ingested);
@@ -396,39 +412,6 @@ TEST(DetectionServer, SweeperThreadEvictsWithoutManualCalls) {
   EXPECT_EQ(server.sessions().active(), 0u);
   EXPECT_EQ(server.metrics().snapshot().sessions_evicted, 1u);
   server.stop();
-}
-
-TEST(DetectionServer, OpenSessionRetriesTransientRegistryMisses) {
-  const TrainedDetector& f = fixture();
-  ServerOptions options;
-  options.workers = 1;
-  options.registry_retries = 2;
-  options.registry_backoff = std::chrono::milliseconds(1);
-  DetectionServer server(options);
-  server.registry().add("app", f.detector);
-
-  // A hard outage exhausts the retry budget deterministically.
-  {
-    const util::ScopedFault fault(
-        "serve.registry.find",
-        {.action = util::FaultAction::kError,
-         .error_code = util::StatusCode::kUnavailable});
-    EXPECT_EQ(server.open_session({"h", 1}, "app"), nullptr);
-    EXPECT_EQ(server.metrics().snapshot().registry_retries, 2u);
-  }
-
-  // A reload that lands mid-retry is absorbed: the profile appears after
-  // the first miss and open_session recovers without the caller noticing.
-  ServerOptions patient = options;
-  patient.registry_retries = 100;
-  DetectionServer late(patient);
-  std::thread reloader([&late, &f] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    late.registry().add("late", f.detector);
-  });
-  EXPECT_NE(late.open_session({"h", 2}, "late"), nullptr);
-  reloader.join();
-  EXPECT_GE(late.metrics().snapshot().registry_retries, 1u);
 }
 
 TEST(DetectionServer, SheddingEngagesUnderInjectedLatency) {

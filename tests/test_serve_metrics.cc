@@ -39,15 +39,12 @@ void fill_golden(ServerMetrics& m) {
   m.sessions_closed.store(1013);
   m.sessions_quarantined.store(1014);
   m.sessions_evicted.store(1015);
-  m.registry_retries.store(1016);
   m.shed_activations.store(1017);
   m.note_queue_depth(1018);
   m.session_slabs->in_use.store(1019);
   m.session_slabs->free.store(1020);
   m.session_slabs->chunks.store(1021);
   m.session_slabs->overflow.store(1022);
-  m.batch_buffers->in_use.store(1023);
-  m.batch_buffers->free.store(-1024);
   for (const std::uint64_t us : {0, 3, 70, 5000, 70}) {
     m.queue_wait.record_us(us);
   }
@@ -102,9 +99,6 @@ leaps_serve_sessions_quarantined_total 1014
 # HELP leaps_serve_sessions_evicted_total sessions removed by the idle sweep
 # TYPE leaps_serve_sessions_evicted_total counter
 leaps_serve_sessions_evicted_total 1015
-# HELP leaps_serve_registry_retries_total open_session registry re-lookups
-# TYPE leaps_serve_registry_retries_total counter
-leaps_serve_registry_retries_total 1016
 # HELP leaps_serve_shed_activations_total times a shard entered shedding
 # TYPE leaps_serve_shed_activations_total counter
 leaps_serve_shed_activations_total 1017
@@ -123,12 +117,6 @@ leaps_serve_slab_chunks 1021
 # HELP leaps_serve_slab_overflow_total allocations served off-pool (size mismatch)
 # TYPE leaps_serve_slab_overflow_total gauge
 leaps_serve_slab_overflow_total 1022
-# HELP leaps_serve_slab_batch_buffers_in_use event-batch buffers in flight
-# TYPE leaps_serve_slab_batch_buffers_in_use gauge
-leaps_serve_slab_batch_buffers_in_use 1023
-# HELP leaps_serve_slab_batch_buffers_free event-batch buffers pooled for reuse
-# TYPE leaps_serve_slab_batch_buffers_free gauge
-leaps_serve_slab_batch_buffers_free -1024
 # HELP leaps_serve_queue_wait_us enqueue to worker dequeue latency
 # TYPE leaps_serve_queue_wait_us histogram
 leaps_serve_queue_wait_us_bucket{le="0"} 1
@@ -208,9 +196,8 @@ const char kJson[] =
     "ws\":{\"scored\":1008,\"benign\":1009,\"malicious\":1010},\"sessions\":{"
     "\"opened\":1012,\"closed\":1013,\"quarantined\":1014,\"evicted\":1015},"
     "\"queues\":{\"high_water\":1018,\"batches\":1011,\"shed_activations\":10"
-    "17,\"registry_retries\":1016},\"slabs\":{\"sessions_in_use\":1019,\"sess"
-    "ions_free\":1020,\"chunks\":1021,\"overflow\":1022,\"batch_buffers_in_us"
-    "e\":1023,\"batch_buffers_free\":-1024},\"queue_wait\":{\"count\":5,\"tot"
+    "17},\"slabs\":{\"sessions_in_use\":1019,\"sessions_free\":1020,\"chunks"
+    "\":1021,\"overflow\":1022},\"queue_wait\":{\"count\":5,\"tot"
     "al_us\":5143,\"max_us\":5000,\"p50_us\":127,\"p95_us\":8191,\"p99_us\":8"
     "191,\"le_us\":[0,1,3,7,15,31,63,127,255,511,1023,2047,4095,8191,16383,32"
     "767,65535,131071,262143,524287,1048575,2097151,4194303,8388607,16777215,"
@@ -284,7 +271,7 @@ TEST(ServeMetricsGolden, ExpositionsMatchTheHandWrittenRenderers) {
   const std::map<std::string, std::string> now = members(status_of(server));
   const std::map<std::string, std::string> before = members(kStatusServePart);
   const std::map<std::string, std::vector<std::string>> gained = {
-      {"events", {"failed"}}, {"queues", {"registry_retries"}}};
+      {"events", {"failed"}}};
   for (const auto& [group, value] : before) {
     ASSERT_EQ(now.count(group), 1u) << group;
     std::map<std::string, std::string> fields = members(now.at(group));

@@ -417,35 +417,6 @@ void fault_replay(const Trained& trained, std::size_t sessions,
       static_cast<unsigned long long>(m.events_quarantined));
 }
 
-/// Phase: deterministic registry-retry check — a transient registry
-/// outage exhausts the configured retries, then recovery succeeds.
-void registry_chaos(const Trained& trained) {
-  const Watchdog watchdog("registry", std::chrono::seconds(60));
-  auto& injector = util::FaultInjector::instance();
-
-  serve::ServerOptions options;
-  options.registry_retries = 3;
-  options.registry_backoff = std::chrono::milliseconds(1);
-  serve::DetectionServer server(options);
-  server.registry().add("default", trained.detector);
-
-  {
-    util::FaultSpec spec;
-    spec.action = util::FaultAction::kError;
-    spec.error_code = util::StatusCode::kUnavailable;
-    injector.arm("serve.registry.find", spec);
-  }
-  const serve::SessionKey key{"retry-host", 1};
-  check(server.open_session(key, "default") == nullptr,
-        "registry: lookup must fail while the outage lasts");
-  check(server.metrics().snapshot().registry_retries == 3,
-        "registry: expected exactly 3 backed-off retries");
-  injector.disarm_all();
-  check(server.open_session(key, "default") != nullptr,
-        "registry: lookup must succeed after the outage clears");
-  std::printf("registry chaos: outage exhausted 3 retries, recovery ok\n");
-}
-
 /// Phase: latency injection against tiny queues with shedding enabled —
 /// the server must keep draining and keep its books balanced even while
 /// dropping load.
@@ -1270,7 +1241,6 @@ int main(int argc, char** argv) {
     const std::vector<int> baseline =
         baseline_verdicts(*trained.detector, trained.mixed, per_session);
     fault_replay(trained, sessions, per_session, rate, baseline);
-    registry_chaos(trained);
     latency_chaos(trained, sessions, std::max<std::size_t>(per_session / 4,
                                                            std::size_t{64}));
     if (rollover) {
