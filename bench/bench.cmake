@@ -2,10 +2,7 @@
 # add_subdirectory) so ${CMAKE_BINARY_DIR}/bench holds ONLY the executables
 # and `for b in build/bench/*; do $b; done` runs clean.
 set(LEAPS_BENCH_TARGETS
-  bench_table1
-  bench_fig5
-  bench_fig6
-  bench_fig7
+  bench_paper
   bench_ablation
   bench_srctrojan
   bench_hmm

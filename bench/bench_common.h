@@ -1,7 +1,7 @@
-// Shared harness for the table/figure reproduction binaries.
+// Shared harness for the reproduction binaries.
 //
-// Each bench binary regenerates one artifact of the paper's evaluation
-// (Table I, Figure 6, Figure 7, Figure 5) and prints measured-vs-paper rows.
+// bench_paper regenerates the paper's evaluation (Table I, Figures 5-7);
+// the other experiment binaries cover the extension and ablation studies.
 // Knobs come from the environment so CI can run a fast smoke pass:
 //   LEAPS_RUNS    averaging runs (paper: 10)
 //   LEAPS_EVENTS  benign-log events per scenario (mixed = 3/4, malicious = 1/2)
@@ -12,13 +12,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
 
 #include "core/experiment.h"
-#include "ml/metrics.h"
 #include "util/env.h"
 
 namespace leaps::bench {
@@ -109,53 +107,6 @@ inline void print_banner(const char* what,
       opt.runs, opt.cv.folds);
 }
 
-/// Table I of the paper: the WSVM measurements reported per dataset.
-inline const std::map<std::string, ml::Measurements>& paper_table1() {
-  static const std::map<std::string, ml::Measurements> table = {
-      {"winscp_reverse_tcp", {0.932, 0.999, 0.865, 0.999, 0.881}},
-      {"winscp_reverse_https", {0.927, 0.991, 0.862, 0.992, 0.878}},
-      {"chrome_reverse_tcp", {0.877, 0.998, 0.755, 0.999, 0.803}},
-      {"chrome_reverse_https", {0.907, 0.998, 0.815, 0.999, 0.844}},
-      {"notepad++_reverse_tcp", {0.846, 0.998, 0.693, 0.998, 0.765}},
-      {"notepad++_reverse_https", {0.866, 0.998, 0.733, 0.998, 0.789}},
-      {"putty_reverse_tcp", {0.886, 0.815, 0.998, 0.774, 0.998}},
-      {"putty_reverse_https", {0.869, 0.999, 0.739, 0.999, 0.793}},
-      {"vim_reverse_tcp", {0.914, 0.995, 0.832, 0.996, 0.856}},
-      {"vim_reverse_https", {0.919, 0.998, 0.839, 0.999, 0.861}},
-      {"vim_codeinject", {0.852, 0.985, 0.715, 0.989, 0.776}},
-      {"notepad++_codeinject", {0.802, 0.948, 0.639, 0.965, 0.728}},
-      {"putty_codeinject", {0.802, 0.919, 0.661, 0.942, 0.736}},
-      {"putty_reverse_tcp_online", {0.894, 0.825, 0.999, 0.789, 0.999}},
-      {"putty_reverse_https_online", {0.869, 0.999, 0.738, 0.999, 0.792}},
-      {"notepad++_reverse_tcp_online", {0.927, 0.991, 0.861, 0.992, 0.877}},
-      {"notepad++_reverse_https_online", {0.845, 0.998, 0.690, 0.999, 0.763}},
-      {"vim_reverse_tcp_online", {0.963, 0.933, 0.998, 0.928, 0.998}},
-      {"vim_reverse_https_online", {0.919, 0.995, 0.842, 0.996, 0.863}},
-      {"winscp_reverse_tcp_online", {0.950, 0.996, 0.904, 0.996, 0.912}},
-      {"winscp_reverse_https_online", {0.921, 0.998, 0.843, 0.998, 0.864}},
-  };
-  return table;
-}
-
-/// Case-study reference points the paper spells out for CGraph and SVM
-/// (Section V-C); used by the Figure 6/7 binaries as anchors.
-struct CaseStudyRef {
-  double cgraph_acc, svm_acc, wsvm_acc;
-};
-
-inline const std::map<std::string, CaseStudyRef>& paper_case_studies() {
-  static const std::map<std::string, CaseStudyRef> refs = {
-      {"winscp_reverse_tcp", {0.7479, 0.8581, 0.932}},
-      {"vim_codeinject", {0.355, 0.725, 0.852}},
-      {"putty_reverse_https_online", {0.6922, 0.7825, 0.8686}},
-  };
-  return refs;
-}
-
-inline void print_model_rows(const core::ExperimentResult& r) {
-  std::printf("%s\n", core::format_result_row(r, true).c_str());
-}
-
 /// When LEAPS_CSV_DIR is set, opens `<dir>/<name>` for writing and prints
 /// the header; otherwise returns nullptr (CSV output disabled). The caller
 /// owns the handle (fclose).
@@ -171,14 +122,6 @@ inline std::FILE* open_csv(const char* name, const char* header) {
   std::fprintf(f, "%s\n", header);
   std::printf("(CSV -> %s)\n", path.c_str());
   return f;
-}
-
-inline void csv_model_row(std::FILE* f, const char* scenario,
-                          const char* model, const core::ModelOutcome& m) {
-  if (f == nullptr) return;
-  std::fprintf(f, "%s,%s,%.4f,%.4f,%.4f,%.4f,%.4f,%.4f\n", scenario, model,
-               m.mean.acc, m.mean.ppv, m.mean.tpr, m.mean.tnr, m.mean.npv,
-               m.auc);
 }
 
 }  // namespace leaps::bench

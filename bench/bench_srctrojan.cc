@@ -39,7 +39,7 @@ int main() {
     off.pipeline.align_cfgs = false;
     const core::ExperimentResult r_off =
         core::ExperimentRunner(off).run_on_logs(logs);
-    bench::print_model_rows(r_off);
+    std::printf("%s\n", core::format_result_row(r_off, true).c_str());
 
     core::ExperimentOptions on = opt;
     on.pipeline.align_cfgs = true;

@@ -1,14 +1,13 @@
 #include "core/experiment.h"
 
 #include <algorithm>
-#include <atomic>
 #include <numeric>
 #include <sstream>
-#include <thread>
 #include <tuple>
 
 #include "trace/partition.h"
 #include "util/check.h"
+#include "util/parallel.h"
 #include "util/stats.h"
 #include "util/strings.h"
 
@@ -267,31 +266,16 @@ ExperimentResult ExperimentRunner::run_on_logs(
     return out;
   };
 
-  // ---- runs, in parallel (each run is independently seeded; outcomes are
-  // aggregated in run order, so the result is identical to the sequential
-  // execution) ------------------------------------------------------------
+  // ---- runs, on the shared pool (each run is independently seeded and
+  // outcomes are aggregated in run order, so the result is identical at
+  // any thread count) ------------------------------------------------------
   std::vector<RunOutcome> outcomes(options_.runs);
-  {
-    const std::size_t workers = options_.parallel_runs
-                                    ? std::max<std::size_t>(
-                                          1, std::min<std::size_t>(
-                                                 options_.runs,
-                                                 std::thread::hardware_concurrency()))
-                                    : 1;
-    std::atomic<std::size_t> next{0};
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t t = 0; t < workers; ++t) {
-      pool.emplace_back([&] {
-        while (true) {
-          const std::size_t run = next.fetch_add(1);
-          if (run >= options_.runs) return;
-          outcomes[run] = execute_run(run);
-        }
-      });
-    }
-    for (std::thread& t : pool) t.join();
-  }
+  util::parallel_for(0, options_.runs, 1,
+                     [&](std::size_t begin, std::size_t end) {
+                       for (std::size_t run = begin; run < end; ++run) {
+                         outcomes[run] = execute_run(run);
+                       }
+                     });
 
   MetricAccumulator agg_cgraph, agg_svm, agg_wsvm, agg_hmm, agg_whmm;
   for (const RunOutcome& out : outcomes) {

@@ -11,7 +11,10 @@
 //    scenario, on the first run's training set — the selection is an i.i.d.
 //    resample, so the tuned values are stable; set tune_every_run to
 //    reproduce the paper's per-run tuning at ~10x the cost).
-// Results are averaged over `runs` (paper: 10) runs.
+// Results are averaged over `runs` (paper: 10) runs. The runs share the
+// global pool (util::parallel_for, sized by --threads / LEAPS_THREADS);
+// each is independently seeded and aggregated in run order, so results are
+// identical at any thread count.
 #pragma once
 
 #include <string>
@@ -36,10 +39,6 @@ struct ExperimentOptions {
   double benign_train_fraction = 0.50;
   std::uint64_t seed = 7;
   bool tune_every_run = false;
-  /// Execute the averaging runs on a thread pool (each run is independently
-  /// seeded and aggregation is order-stable, so results are bit-identical
-  /// to sequential execution).
-  bool parallel_runs = true;
   /// Score the WSVM's cross-validation folds with confidence-weighted
   /// accuracy (see CrossValidationOptions::weighted_validation). Exposed so
   /// the ablation bench can quantify the bias of plain CV under label noise.

@@ -34,11 +34,6 @@ bool DetectorRegistry::contains(const std::string& profile) const {
   return detectors_.count(profile) > 0;
 }
 
-bool DetectorRegistry::erase(const std::string& profile) {
-  const std::unique_lock lock(mu_);
-  return detectors_.erase(profile) > 0;
-}
-
 std::vector<std::string> DetectorRegistry::profiles() const {
   const std::shared_lock lock(mu_);
   std::vector<std::string> out;

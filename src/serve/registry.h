@@ -36,7 +36,6 @@ class DetectorRegistry {
   std::shared_ptr<const core::Detector> find(const std::string& profile) const;
 
   bool contains(const std::string& profile) const;
-  bool erase(const std::string& profile);
   std::vector<std::string> profiles() const;
   std::size_t size() const;
 

@@ -85,10 +85,6 @@ class SlabPool {
     ::operator delete(p, bytes, std::align_val_t{align});
   }
 
-  std::size_t slot_size() const {
-    const std::lock_guard<std::mutex> lock(mu_);
-    return slot_size_;
-  }
   std::size_t in_use() const {
     const std::lock_guard<std::mutex> lock(mu_);
     return in_use_;

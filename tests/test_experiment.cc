@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
+#include "util/parallel.h"
 
 namespace leaps::core {
 namespace {
@@ -90,18 +91,47 @@ TEST(Experiment, AucTracksAccuracyOrdering) {
   }
 }
 
+void expect_same_measurements(const ml::Measurements& a,
+                              const ml::Measurements& b) {
+  EXPECT_EQ(a.acc, b.acc);
+  EXPECT_EQ(a.ppv, b.ppv);
+  EXPECT_EQ(a.tpr, b.tpr);
+  EXPECT_EQ(a.tnr, b.tnr);
+  EXPECT_EQ(a.npv, b.npv);
+}
+
 TEST(Experiment, ParallelAndSequentialRunsAgreeExactly) {
   ExperimentOptions opt = small_options(3);
+  opt.include_hmm = true;  // every model's outcome, not just the paper's three
   const sim::ScenarioLogs logs = sim::generate_scenario(
       sim::find_scenario("winscp_reverse_https"), opt.sim);
-  opt.parallel_runs = false;
+  util::Parallel::set_threads(1);
   const ExperimentResult seq = ExperimentRunner(opt).run_on_logs(logs);
-  opt.parallel_runs = true;
+  util::Parallel::set_threads(4);
   const ExperimentResult par = ExperimentRunner(opt).run_on_logs(logs);
-  EXPECT_DOUBLE_EQ(seq.wsvm.mean.acc, par.wsvm.mean.acc);
-  EXPECT_DOUBLE_EQ(seq.svm.mean.tpr, par.svm.mean.tpr);
-  EXPECT_DOUBLE_EQ(seq.cgraph.auc, par.cgraph.auc);
-  EXPECT_EQ(seq.wsvm.pooled.tp, par.wsvm.pooled.tp);
+  util::Parallel::set_threads(0);
+  EXPECT_GT(seq.whmm.pooled.total(), 0u);
+  for (ModelOutcome ExperimentResult::*model :
+       {&ExperimentResult::cgraph, &ExperimentResult::svm,
+        &ExperimentResult::wsvm, &ExperimentResult::hmm,
+        &ExperimentResult::whmm}) {
+    const ModelOutcome& a = seq.*model;
+    const ModelOutcome& b = par.*model;
+    expect_same_measurements(a.mean, b.mean);
+    expect_same_measurements(a.stddev, b.stddev);
+    EXPECT_EQ(a.auc, b.auc);
+    EXPECT_EQ(a.pooled.tp, b.pooled.tp);
+    EXPECT_EQ(a.pooled.tn, b.pooled.tn);
+    EXPECT_EQ(a.pooled.fp, b.pooled.fp);
+    EXPECT_EQ(a.pooled.fn, b.pooled.fn);
+    EXPECT_EQ(a.params.lambda, b.params.lambda);
+    EXPECT_EQ(a.params.epsilon, b.params.epsilon);
+    EXPECT_EQ(a.params.max_iterations, b.params.max_iterations);
+    EXPECT_EQ(a.params.kernel.type, b.params.kernel.type);
+    EXPECT_EQ(a.params.kernel.sigma2, b.params.kernel.sigma2);
+    EXPECT_EQ(a.params.kernel.degree, b.params.kernel.degree);
+    EXPECT_EQ(a.params.kernel.coef0, b.params.kernel.coef0);
+  }
 }
 
 TEST(Experiment, PooledConfusionMatchesRunsTimesSamples) {
