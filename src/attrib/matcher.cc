@@ -86,6 +86,24 @@ double parse_number(std::string_view v) {
   }
 }
 
+/// The integer value of `key`: an optional '-' and digits, followed by ','
+/// or '}'. A fraction, an exponent or a value outside `Int` is an error,
+/// never a cast.
+template <typename Int>
+Int parse_integer(std::string_view line, std::string_view key) {
+  const std::string_view v = find_value(line, key);
+  Int out{};
+  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), out);
+  const std::string_view rest =
+      v.substr(static_cast<std::size_t>(end - v.data()));
+  if (ec != std::errc() ||
+      !(rest.empty() || rest.front() == ',' || rest.front() == '}')) {
+    throw JsonScanError{"'" + std::string(key) +
+                        "' is not an integer in range"};
+  }
+  return out;
+}
+
 std::vector<std::string> parse_string_array(std::string_view v) {
   if (v.empty() || v.front() != '[') throw JsonScanError{"expected an array"};
   std::vector<std::string> out;
@@ -175,12 +193,11 @@ util::StatusOr<std::vector<WindowEvidence>> evidence_from_audit_jsonl(
       ++lineno;
       if (util::trim(line).empty()) continue;
       const std::string_view v(line);
-      if (static_cast<int>(parse_number(find_value(v, "label"))) != -1) {
+      if (parse_integer<int>(v, "label") != -1) {
         continue;  // benign window; attribution consumes flagged ones
       }
       WindowEvidence w;
-      w.window_index =
-          static_cast<std::size_t>(parse_number(find_value(v, "window")));
+      w.window_index = parse_integer<std::size_t>(v, "window");
       w.decision_value = parse_number(find_value(v, "decision_value"));
       const std::string_view evidence = find_value(v, "evidence");
       w.event_types.reserve(8);

@@ -8,7 +8,6 @@
 #include <fstream>
 #include <utility>
 
-#include "core/persist.h"
 #include "util/bytes.h"
 #include "util/crc32c.h"
 #include "util/fault.h"
@@ -154,13 +153,10 @@ util::Status WalWriter::truncate() {
   return util::ok_status();
 }
 
-namespace {
-
-/// Shared scanning core: fills `scan`; returns non-OK only for damage that
-/// precedes any record (missing/foreign magic) or I/O errors.
-util::Status scan_into(const std::string& path, WalScan& scan) {
+util::StatusOr<WalScan> scan_wal(const std::string& path) {
+  WalScan scan;
   std::ifstream is(path, std::ios::binary);
-  if (!is) return util::not_found("cannot open WAL: " + path);
+  if (!is) return scan;  // no WAL yet
 
   std::string magic(kWalMagic.size(), '\0');
   is.read(magic.data(), static_cast<std::streamsize>(magic.size()));
@@ -216,25 +212,7 @@ util::Status scan_into(const std::string& path, WalScan& scan) {
     scan.records.push_back(std::move(record));
     offset += kFrameHeaderBytes + body_len;
   }
-  return util::ok_status();
-}
-
-}  // namespace
-
-util::StatusOr<WalScan> scan_wal(const std::string& path) {
-  WalScan scan;
-  const util::Status status = scan_into(path, scan);
-  if (status.code() == util::StatusCode::kNotFound) return scan;  // no WAL yet
-  if (!status.ok()) return status;
   return scan;
-}
-
-std::size_t verify_wal_strict(const std::string& path) {
-  WalScan scan;
-  const util::Status status = scan_into(path, scan);
-  if (!status.ok()) throw core::PersistError(status.message());
-  if (scan.torn) throw core::PersistError(scan.torn_reason);
-  return scan.records.size();
 }
 
 }  // namespace leaps::durable

@@ -23,8 +23,7 @@
 // between them), so a crash mid-append leaves a record with a valid
 // header and a short body. The reader detects that — and any checksum or
 // framing damage — at an exact byte offset. Recovery truncates the tail
-// and keeps every record before it; strict readers (the corrupt-file
-// corpus) get a typed core::PersistError instead.
+// and keeps every record before it.
 #pragma once
 
 #include <sys/types.h>
@@ -131,10 +130,5 @@ class WalWriter {
 /// it are returned. A missing file is an empty, untorn scan. A bad magic
 /// is kCorruptInput — that is not a torn tail, the file is not ours.
 util::StatusOr<WalScan> scan_wal(const std::string& path);
-
-/// Strict variant for corruption drills: any damage — including a torn
-/// tail recovery would tolerate — throws core::PersistError naming the
-/// byte offset. Returns the record count of a fully intact journal.
-std::size_t verify_wal_strict(const std::string& path);
 
 }  // namespace leaps::durable

@@ -12,20 +12,17 @@ namespace {
 
 constexpr std::size_t kSaneCount = 100'000'000;  // corruption guard
 
-// Attacker-supplied string lengths are honored at most one chunk at a
-// time, so a truncated stream claiming a huge string fails after a 64 KiB
-// allocation instead of committing ~100 MB up front.
+// Attacker-supplied lengths are honored at most one chunk at a time: a
+// string grows by at most this many bytes per read, and a container
+// reserves at most this many bytes of elements up front and lets
+// push_back grow past it. A truncated stream claiming a huge string or
+// count fails after a 64 KiB allocation instead of a multi-GB commit.
 constexpr std::size_t kStringChunk = 64 * 1024;
-
-// Same principle for container counts: reserve at most this many elements
-// up front and let push_back grow past it, so a corrupt count of 100M
-// events costs a truncation error, not a multi-GB commit.
-constexpr std::size_t kSaneReserve = 4096;
 
 template <typename Vec>
 void capped_reserve(Vec& v, std::uint64_t count) {
-  v.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(count, kSaneReserve)));
+  v.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(
+      count, kStringChunk / sizeof(typename Vec::value_type))));
 }
 
 std::uint64_t zigzag_encode(std::int64_t v) {

@@ -269,11 +269,23 @@ TEST(Evidence, AuditJsonlReaderSkipsBenignAndRejectsCorruption) {
            "\"evidence\":{\"event_types\":[\"NoSuchType\"],\"libs\":[],"
            "\"funcs\":[]}}\n",                 // unknown event type
            "not json at all\n",
+           // Numbers the record's integers cannot hold.
+           "{\"window\":-1,\"label\":-1,\"decision_value\":0,"
+           "\"evidence\":{\"event_types\":[\"FileRead\"],\"libs\":[],"
+           "\"funcs\":[]}}\n",
+           "{\"window\":1e30,\"label\":-1,\"decision_value\":0,"
+           "\"evidence\":{\"event_types\":[\"FileRead\"],\"libs\":[],"
+           "\"funcs\":[]}}\n",
+           "{\"window\":1,\"label\":1e300,\"decision_value\":0,"
+           "\"evidence\":{\"event_types\":[\"FileRead\"],\"libs\":[],"
+           "\"funcs\":[]}}\n",
        }) {
     std::istringstream bin(bad);
     const auto r = evidence_from_audit_jsonl(bin);
     ASSERT_FALSE(r.ok()) << bad;
     EXPECT_EQ(r.status().code(), util::StatusCode::kCorruptInput) << bad;
+    EXPECT_NE(r.status().message().find("line 1"), std::string::npos)
+        << r.status().message();
   }
 }
 

@@ -1,6 +1,6 @@
-// Persisted-bytes codec tests: golden bytes for every encoding the process
-// writes to disk, and the hostile-length table that holds every decoder of
-// those bytes to a typed error and an allocation bounded by its input.
+// Codec tests: golden bytes for every encoding the process writes to disk,
+// and the hostile-length table that holds every decoder of untrusted bytes
+// to a typed error and an allocation bounded by its input.
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -10,23 +10,34 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <new>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <typeinfo>
 #include <vector>
 
+#include "attrib/matcher.h"
+#include "attrib/signature.h"
 #include "core/persist.h"
 #include "durable/store.h"
 #include "durable/wal.h"
 #include "obs/sketch.h"
 #include "online/drift.h"
+#include "serve/audit.h"
+#include "trace/auditd_log.h"
+#include "trace/binary_log.h"
+#include "trace/partition.h"
 #include "util/bytes.h"
+#include "util/rng.h"
 
 // Counting global operator new: records the largest single allocation made
-// while `g_counting` is set. The standard library's array and nothrow forms
-// call this one; the aligned forms keep their own pair.
+// while `g_counting` is set. The array and nothrow forms are replaced too,
+// so that under a sanitizer, whose runtime supplies its own, every form
+// is counted and pairs with the free() below; the aligned forms keep their
+// own pair.
 namespace {
 std::atomic<bool> g_counting{false};
 std::atomic<std::size_t> g_largest{0};
@@ -44,8 +55,21 @@ void* operator new(std::size_t n) {
   if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
   throw std::bad_alloc();
 }
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  try {
+    return ::operator new(n);
+  } catch (const std::bad_alloc&) {
+    return nullptr;
+  }
+}
+void* operator new[](std::size_t n, const std::nothrow_t& tag) noexcept {
+  return ::operator new(n, tag);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace leaps {
 namespace {
@@ -83,6 +107,12 @@ std::string slurp(const std::string& path) {
   std::ostringstream os;
   os << is.rdbuf();
   return std::move(os).str();
+}
+
+std::string repeat(std::string_view unit, std::size_t n) {
+  std::string out;
+  for (std::size_t i = 0; i < n; ++i) out += unit;
+  return out;
 }
 
 void spill(const std::string& path, std::string_view bytes) {
@@ -378,22 +408,108 @@ TEST(ByteReader, FailureIsStickyAndCountChecksBeforeAnyRead) {
 
 // --- Hostile lengths ------------------------------------------------------
 //
-// One row per decoder of persisted bytes. Every proper prefix of a valid
-// encoding, and each hostile input (a minimal header claiming the largest
-// length the grammar admits; for load_detector also a 2^62 count behind a
-// valid CRC), must come back as a typed error (a Status; a PersistError
-// for load_detector), throw nothing else, and allocate no single block
-// larger than twice the input plus one read chunk.
+// One row per decoder of untrusted bytes: the persisted formats, the three
+// log dialects (through read_raw_log_any, sniffing included), .sig
+// signatures and audit JSONL. Every row faces one deterministic corpus:
+// each hostile input (a minimal header claiming the largest length the
+// grammar admits, or a line of as many items as its bytes can name), every
+// proper prefix of a valid encoding, seeded 1-3-bit flips of it, and
+// splices of it (a prefix joined to its own suffix at another offset).
+// Each input must decode or come back as a typed error (a Status; a
+// PersistError for load_detector), throw nothing else, and allocate no
+// single block larger than the row's multiple of the input plus one read
+// chunk.
 
 struct HostileRow {
   std::string name;
   std::string valid;
   std::vector<std::string> hostile;
   /// Proper prefix lengths that are themselves complete encodings; they
-  /// must decode OK.
+  /// must decode OK and no other proper prefix may.
   std::vector<std::size_t> complete_prefixes;
   std::function<util::Status(const std::string&)> decode;
+  /// Bound on the largest single allocation, per input byte.
+  std::size_t multiple = 2;
+  /// Called, outside the counted window, on every input that decodes
+  /// (`prefix`: a proper prefix of `valid`); false fails the row. A row
+  /// that sets it and leaves complete_prefixes empty is a line grammar,
+  /// whose proper prefixes may decode.
+  std::function<bool(const std::string& input, bool prefix)> decoded = nullptr;
 };
+
+/// A small log: an application image, a library and the kernel, a symbol
+/// in each of the latter, and events whose stacks mix application,
+/// library, kernel and unmapped frames.
+trace::RawLog fixed_log() {
+  trace::RawLog log;
+  log.process_name = "vim";
+  log.modules = {{0x400000, 0x10000, "vim"},
+                 {0x7f0000000000, 0x10000, "libc.so.6"},
+                 {0xffffffff81000000, 0x100000, "[kernel]"}};
+  log.symbols = {{0x7f0000001000, "read"},
+                 {0x7f0000002000, "write"},
+                 {0xffffffff81000100, "sys_read"}};
+  constexpr trace::EventType kTypes[] = {
+      trace::EventType::kFileRead, trace::EventType::kFileWrite,
+      trace::EventType::kNetworkSend, trace::EventType::kMemProtect};
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    trace::RawEvent e;
+    e.seq = 100 + i;
+    e.tid = static_cast<std::uint32_t>(1 + i % 2);
+    e.type = kTypes[i % 4];
+    e.stack = {0xffffffff81000100, 0x7f0000001000 + 0x1000 * (i % 2),
+               0x400100 + 0x10 * i};
+    if (i % 3 == 0) e.stack.push_back(0x900000 + i);  // unmapped
+    log.events.push_back(std::move(e));
+  }
+  return log;
+}
+
+attrib::CampaignSignature fixed_signature() {
+  attrib::CampaignSignature sig;
+  sig.name = "fixed_campaign";
+  sig.nodes = {{0, "recon", {trace::EventType::kFileRead}, {"libc.so.6"},
+                {"libc.so.6!read"}},
+               {1, "exfil",
+                {trace::EventType::kNetworkSend,
+                 trace::EventType::kMemProtect},
+                {},
+                {}}};
+  sig.edges = {{0, 1, 4}};
+  return sig;
+}
+
+/// Three audit records, as the audit writer renders them: windows 0 and 2
+/// flagged, window 1 benign.
+std::string fixed_audit_jsonl() {
+  const core::Detector detector = tiny_detector();
+  const std::vector<trace::PartitionedEvent> window = {fixed_window()[0]};
+  constexpr int kLabels[] = {-1, 1, -1};
+  std::string out;
+  for (std::size_t i = 0; i < std::size(kLabels); ++i) {
+    out += serve::AuditLog::format_record({"host", 7}, "default", i,
+                                          kLabels[i], -0.5 * kLabels[i],
+                                          window, detector, 2);
+    out += '\n';
+  }
+  return out;
+}
+
+util::Status decode_log(const std::string& bytes) {
+  std::istringstream is(bytes);
+  return trace::read_raw_log_any(is).status();
+}
+
+/// The checks a decoded log must pass: it partitions without throwing and,
+/// when a proper prefix, carries no more events than the whole.
+std::function<bool(const std::string&, bool)> log_check(std::size_t events) {
+  return [events](const std::string& input, bool prefix) {
+    std::istringstream is(input);
+    const trace::RawLog log = *trace::read_raw_log_any(is);
+    (void)trace::partition_raw(log);
+    return !prefix || log.events.size() <= events;
+  };
+}
 
 std::vector<HostileRow> hostile_rows() {
   std::vector<HostileRow> rows;
@@ -524,6 +640,97 @@ std::vector<HostileRow> hostile_rows() {
                   [](const std::string& b) {
                     return obs::QuantileSketch::deserialize(b).status();
                   }});
+
+  const trace::RawLog log = fixed_log();
+  const std::size_t events = log.events.size();
+  std::ostringstream text;
+  trace::write_raw_log(log, text);
+  rows.push_back({"text log",
+                  text.str(),
+                  {"PROCESS" + repeat(" x", 40000) + "\n"},
+                  {},
+                  decode_log,
+                  // 16: split_ws keeps a 16-byte view per 2-byte token, x2.
+                  16,
+                  log_check(events)});
+
+  // A header claiming 4096 modules, symbols or events, and nothing more;
+  // then 4096 symbols claimed and 3000 present, past the reserve.
+  std::vector<std::string> counts;
+  for (std::size_t empty_counts = 0; empty_counts < 3; ++empty_counts) {
+    claim.assign(trace::kBinaryLogMagic, sizeof(trace::kBinaryLogMagic));
+    claim += "\x01x";                  // process name
+    claim.append(empty_counts, '\0');  // counts before it
+    claim += "\x80\x20";               // varint 4096
+    counts.push_back(claim);
+  }
+  claim.assign(trace::kBinaryLogMagic, sizeof(trace::kBinaryLogMagic));
+  claim += std::string("\x01x\x01\x00\x7f\x00", 6);  // module [0, 127)
+  claim += "\x80\x20" + repeat(std::string("\x05\x00", 2), 3000);
+  counts.push_back(claim);
+  std::ostringstream binary;
+  trace::write_raw_log_binary(log, binary);
+  rows.push_back({"binary log",
+                  binary.str(),
+                  counts,
+                  // A binary log declares its counts, so the only prefix
+                  // that decodes is the empty one: it sniffs as empty text.
+                  {0},
+                  decode_log,
+                  // 40: a 40-byte RawSymbol per 2 encoded bytes, x2.
+                  40,
+                  log_check(events)});
+
+  std::ostringstream auditd;
+  trace::write_raw_log_auditd(log, auditd);
+  rows.push_back({"auditd log",
+                  auditd.str(),
+                  {"type=SYSCALL msg=audit(0:1): seq=0 tid=0 syscall=0\n"
+                   "type=BACKTRACE msg=audit(0:2): frames=\"" +
+                   repeat(",", 40000) + "\"\n"},
+                  {},
+                  decode_log,
+                  // 32: a 16-byte view per 1-byte BACKTRACE frame (","), x2.
+                  32,
+                  log_check(events)});
+
+  const std::size_t nodes = fixed_signature().nodes.size();
+  rows.push_back(
+      {"read_signature",
+       attrib::signature_to_string(fixed_signature()),
+       {"SIGNATURE s\nNODE 0 n TYPES FileRead LIBS " + repeat(",", 40000) +
+        " FUNCS -\nEDGE 0 9 GAP 0\n"},
+       {},
+       [](const std::string& b) {
+         std::istringstream is(b);
+         return attrib::read_signature(is).status();
+       },
+       // 64: a 32-byte std::string per 1-byte LIBS entry (","), x2.
+       64,
+       [nodes](const std::string& input, bool prefix) {
+         std::istringstream is(input);
+         return !prefix || attrib::read_signature(is)->nodes.size() <= nodes;
+       }});
+
+  rows.push_back(
+      {"evidence_from_audit_jsonl",
+       fixed_audit_jsonl(),
+       {"{\"window\":0,\"label\":-1,\"decision_value\":0,\"evidence\":"
+        "{\"event_types\":[],\"libs\":[" +
+        repeat("\"\",", 20000) + "],\"funcs\":["},
+       {},
+       [](const std::string& b) {
+         std::istringstream is(b);
+         return attrib::evidence_from_audit_jsonl(is).status();
+       },
+       // 22: a 32-byte std::string per 3-byte array element ("",), x2.
+       22,
+       [](const std::string& input, bool prefix) {
+         std::istringstream is(input);
+         constexpr std::size_t kFlagged = 2;
+         return !prefix ||
+                attrib::evidence_from_audit_jsonl(is)->size() <= kFlagged;
+       }});
   return rows;
 }
 
@@ -539,30 +746,81 @@ std::pair<util::Status, std::size_t> decode_counted(const HostileRow& row,
     g_counting.store(false);
     ADD_FAILURE() << typeid(e).name() << " escaped: " << e.what();
     return {util::internal_error("exception"), 0};
+  } catch (...) {
+    g_counting.store(false);
+    ADD_FAILURE() << "a non-standard exception escaped";
+    return {util::internal_error("exception"), 0};
   }
   g_counting.store(false);
   return {status, g_largest.load()};
+}
+
+/// One input of the corpus, and the outcome the row pins for it, if any.
+struct HostileInput {
+  std::string bytes;
+  const char* kind;
+  bool prefix = false;
+  std::optional<bool> decodes = std::nullopt;
+};
+
+std::vector<HostileInput> hostile_corpus(const HostileRow& row) {
+  constexpr std::size_t kFlips = 256;
+  constexpr std::size_t kSplices = 128;
+  std::vector<HostileInput> inputs;
+  for (const std::string& claim : row.hostile) {
+    inputs.push_back({claim, "hostile", false, false});
+  }
+  const std::string& valid = row.valid;
+  for (std::size_t n = 0; n < valid.size(); ++n) {
+    std::optional<bool> decodes;
+    if (!row.decoded || !row.complete_prefixes.empty()) {
+      decodes = std::count(row.complete_prefixes.begin(),
+                           row.complete_prefixes.end(), n) > 0;
+    }
+    inputs.push_back({valid.substr(0, n), "prefix", true, decodes});
+  }
+  util::Rng rng(2015);
+  for (std::size_t i = 0; i < kFlips; ++i) {
+    std::string flipped = valid;
+    for (std::size_t f = 1 + rng.next_below(3); f > 0; --f) {
+      flipped[rng.next_below(flipped.size())] ^=
+          static_cast<char>(1u << rng.next_below(8));
+    }
+    inputs.push_back({std::move(flipped), "bit flip"});
+  }
+  for (std::size_t i = 0; i < kSplices; ++i) {
+    const std::size_t cut = rng.next_below(valid.size() + 1);
+    const std::size_t from =
+        (cut + 1 + rng.next_below(valid.size())) % (valid.size() + 1);
+    inputs.push_back({valid.substr(0, cut) + valid.substr(from), "splice"});
+  }
+  return inputs;
 }
 
 TEST(HostileLengths, EveryDecoderFailsTypedWithBoundedAllocation) {
   for (const HostileRow& row : hostile_rows()) {
     SCOPED_TRACE(row.name);
     ASSERT_TRUE(row.decode(row.valid).ok()) << "the valid encoding decodes";
-    std::vector<std::pair<std::string, bool>> inputs;  // bytes, decodes OK
-    for (const std::string& claim : row.hostile) {
-      inputs.emplace_back(claim, false);
+    if (row.decoded) {
+      ASSERT_TRUE(row.decoded(row.valid, false));
     }
-    for (std::size_t n = 0; n < row.valid.size(); ++n) {
-      inputs.emplace_back(row.valid.substr(0, n),
-                          std::count(row.complete_prefixes.begin(),
-                                     row.complete_prefixes.end(), n) > 0);
-    }
-    for (const auto& [input, complete] : inputs) {
-      const auto [status, largest] = decode_counted(row, input);
-      EXPECT_EQ(status.ok(), complete)
-          << input.size() << "-byte input: " << status.to_string();
-      EXPECT_LE(largest, 2 * input.size() + util::kFrameChunkBytes)
-          << input.size() << "-byte input: " << status.to_string();
+    for (const HostileInput& input : hostile_corpus(row)) {
+      const auto [status, largest] = decode_counted(row, input.bytes);
+      const std::string where = std::to_string(input.bytes.size()) + "-byte " +
+                                input.kind + ": " + status.to_string();
+      if (input.decodes) {
+        EXPECT_EQ(status.ok(), *input.decodes) << where;
+      }
+      if (!status.ok()) {
+        EXPECT_TRUE(status.code() == util::StatusCode::kCorruptInput ||
+                    status.code() == util::StatusCode::kResourceExhausted)
+            << where;
+      } else if (row.decoded) {
+        EXPECT_TRUE(row.decoded(input.bytes, input.prefix)) << where;
+      }
+      EXPECT_LE(largest,
+                row.multiple * input.bytes.size() + util::kFrameChunkBytes)
+          << where;
     }
   }
 }

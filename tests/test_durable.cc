@@ -121,7 +121,6 @@ TEST(Wal, AppendScanRoundTrip) {
   EXPECT_EQ(scan->records[0].payload, "alpha");
   EXPECT_EQ(scan->records[1].lsn, 2u);
   EXPECT_EQ(scan->records[2].payload.size(), 1000u);
-  EXPECT_EQ(verify_wal_strict(path), 3u);
 
   // Reopen continues the LSN sequence.
   WalWriter again;
@@ -142,7 +141,6 @@ TEST(Wal, MissingFileIsEmptyScanAndForeignMagicIsCorrupt) {
   const auto scanned = scan_wal(foreign);
   ASSERT_FALSE(scanned.ok());
   EXPECT_EQ(scanned.status().code(), util::StatusCode::kCorruptInput);
-  EXPECT_THROW(verify_wal_strict(foreign), core::PersistError);
 }
 
 TEST(Wal, ValidHeaderShortBodyIsTypedAndTruncatable) {
@@ -160,18 +158,12 @@ TEST(Wal, ValidHeaderShortBodyIsTypedAndTruncatable) {
   }
   writer.close();
 
-  // Strict verification (the corruption corpus) is a typed error with the
-  // damage offset; recovery scanning keeps the intact prefix.
-  try {
-    verify_wal_strict(path);
-    FAIL() << "short body not detected";
-  } catch (const core::PersistError& e) {
-    EXPECT_NE(std::string(e.what()).find("byte offset"), std::string::npos)
-        << e.what();
-  }
+  // The scan names the damage offset and keeps the intact prefix.
   const auto scan = scan_wal(path);
   ASSERT_TRUE(scan.ok());
   EXPECT_TRUE(scan->torn);
+  EXPECT_NE(scan->torn_reason.find("byte offset"), std::string::npos)
+      << scan->torn_reason;
   ASSERT_EQ(scan->records.size(), 1u);
   EXPECT_EQ(scan->records[0].payload, "intact");
 }
@@ -194,7 +186,7 @@ TEST(Wal, ChecksumFlipEndsScanAtExactOffset) {
   EXPECT_TRUE(scan->torn);
   ASSERT_EQ(scan->records.size(), 1u);
   EXPECT_NE(scan->torn_reason.find("checksum mismatch"), std::string::npos);
-  EXPECT_THROW(verify_wal_strict(path), core::PersistError);
+  EXPECT_NE(scan->torn_reason.find("byte offset"), std::string::npos);
 }
 
 // --- window codec ---------------------------------------------------------
@@ -346,7 +338,10 @@ TEST(DurableStoreTest, LsnGuardSkipsRecordsAlreadyFolded) {
     EXPECT_FALSE(store.checkpoint(state).ok());
   }
   // Journal still holds both records...
-  ASSERT_EQ(verify_wal_strict(store.journal_path()), 2u);
+  const auto journal = scan_wal(store.journal_path());
+  ASSERT_TRUE(journal.ok());
+  ASSERT_FALSE(journal->torn) << journal->torn_reason;
+  ASSERT_EQ(journal->records.size(), 2u);
   // ...but replay skips them: exactly two pending windows, not four.
   const auto recovered = store.recover();
   ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
@@ -434,7 +429,6 @@ TEST(Wal, FailedAppendRollsBackInsteadOfStrandingLaterRecords) {
   ASSERT_TRUE(writer.append(WalRecordType::kWindow, "after", &lsn).ok());
   EXPECT_EQ(lsn, 2u) << "the failed append must not consume an LSN";
   writer.close();
-  EXPECT_EQ(verify_wal_strict(path), 2u);
   const auto scan = scan_wal(path);
   ASSERT_TRUE(scan.ok());
   EXPECT_FALSE(scan->torn);
@@ -485,9 +479,11 @@ TEST(DurableStoreTest, ConcurrentJournalersAndCheckpointsStayWellFramed) {
       << "no append may fail under contention";
 
   // Whatever interleaving happened, the surviving journal is well-framed
-  // (strict verify throws on any framing or checksum damage) and recovery
+  // (the scan tears at any framing or checksum damage) and recovery
   // replays it without complaint.
-  EXPECT_NO_THROW(verify_wal_strict(store.journal_path()));
+  const auto scan = scan_wal(store.journal_path());
+  ASSERT_TRUE(scan.ok());
+  EXPECT_FALSE(scan->torn) << scan->torn_reason;
   const auto recovered = store.recover();
   ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
   EXPECT_FALSE(recovered->torn_tail);
@@ -530,7 +526,10 @@ TEST(DurableStoreTest, ShouldCheckpointHonorsAppendCadence) {
   ASSERT_TRUE(store.checkpoint(state).ok());
   EXPECT_FALSE(store.should_checkpoint());
   // The checkpoint truncated the journal back to bare magic.
-  EXPECT_EQ(verify_wal_strict(store.journal_path()), 0u);
+  const auto scan = scan_wal(store.journal_path());
+  ASSERT_TRUE(scan.ok());
+  EXPECT_FALSE(scan->torn);
+  EXPECT_TRUE(scan->records.empty());
 }
 
 // --- Drift records ---------------------------------------------------------

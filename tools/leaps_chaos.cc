@@ -1,8 +1,7 @@
 // leaps_chaos — chaos harness for the detection service.
 //
 // Replays simulator logs through the serving stack while arming fault
-// points (util/fault.h) and feeding every log dialect's reader corrupted
-// bytes, then asserts the service's robustness contract:
+// points (util/fault.h), then asserts the service's robustness contract:
 //
 //   * no crash, no abort, no deadlock (a per-phase watchdog converts a
 //     hang into a diagnostic and exit 1),
@@ -13,9 +12,13 @@
 //     only the targeted "victim-*" sessions; every "steady-*" session's
 //     verdicts match a fault-free sequential replay bit-for-bit.
 //
-// Fully deterministic in --seed (fault draws, corpus mutations, and the
-// simulated logs all derive from it). Exit 0 = contract held, 1 = any
-// violation, 2 = usage.
+// Fully deterministic in --seed (fault draws derive from it). Exit 0 =
+// contract held, 1 = any violation, 2 = usage.
+//
+// Decoders of untrusted bytes (the log dialects, persisted state, .sig and
+// audit JSONL) are not exercised here: the HostileLengths table in
+// tests/test_codec.cc holds every one of them to a typed error and a
+// bounded allocation on a deterministic mutation corpus, under ASan+UBSan.
 #include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -37,20 +40,15 @@
 #include <vector>
 
 #include "cli.h"
-#include "core/persist.h"
 #include "core/pipeline.h"
 #include "durable/store.h"
-#include "durable/wal.h"
 #include "online/manager.h"
 #include "online/shadow.h"
 #include "online/verdict_diff.h"
 #include "serve/server.h"
 #include "sim/scenario.h"
-#include "trace/auditd_log.h"
-#include "trace/binary_log.h"
 #include "trace/partition.h"
 #include "util/fault.h"
-#include "util/rng.h"
 #include "util/status.h"
 
 namespace {
@@ -59,15 +57,14 @@ using namespace leaps;
 
 constexpr const char* kUsage =
     "usage: leaps-chaos [--seed N] [--events N] [--sessions N] [--rate F]\n"
-    "                   [--corpus N] [--smoke]\n"
+    "                   [--smoke]\n"
     "  chaos-tests the detection service: replays logs with fault points\n"
-    "  armed and bit-flipped binary logs, asserting no crash/deadlock,\n"
-    "  exact event accounting, and per-session fault isolation.\n"
-    "  --seed N      deterministic seed for faults + corpus (default 2015)\n"
+    "  armed, asserting no crash/deadlock, exact event accounting, and\n"
+    "  per-session fault isolation.\n"
+    "  --seed N      deterministic seed for fault draws (default 2015)\n"
     "  --events N    total events in the replay phases (default 10000)\n"
     "  --sessions N  concurrent sessions, half victims (default 8)\n"
     "  --rate F      per-event fault probability on victims (default 0.05)\n"
-    "  --corpus N    corrupted binary-log variants per kind (default 200)\n"
     "  --smoke       small fast run for CI\n"
     "  --soak        fleet-scale session-fabric soak: hold --sessions live\n"
     "                sessions at once (CI drills 100000; pass 1000000 for\n"
@@ -133,7 +130,6 @@ class Watchdog {
 };
 
 struct Trained {
-  trace::RawLog raw_benign;  // serialization fodder for the ingest phase
   trace::PartitionedLog benign;
   trace::PartitionedLog mixed;
   trace::PartitionedLog malicious;  // the drift drill's shifted replay
@@ -152,7 +148,6 @@ Trained train_detector(std::size_t sim_events, std::uint64_t seed) {
       sim::find_scenario("vim_reverse_tcp_online"), cfg);
 
   Trained out;
-  out.raw_benign = logs.benign;
   out.benign = trace::partition_raw(logs.benign);
   out.mixed = trace::partition_raw(logs.mixed);
   out.malicious = trace::partition_raw(logs.malicious);
@@ -176,131 +171,6 @@ void check_identity(const serve::MetricsSnapshot& m, const char* phase) {
                  static_cast<unsigned long long>(m.events_dropped),
                  static_cast<unsigned long long>(m.events_quarantined));
     ++g_failures;
-  }
-}
-
-/// A copy of `log` with one module or symbol record broken the way a
-/// hostile header would be: a module moved onto another, stretched past
-/// the address space or shrunk to nothing, or a symbol moved to a random
-/// address. Byte-level flips rarely land in these few header records.
-trace::RawLog mutate_header(const trace::RawLog& log, util::Rng& rng) {
-  trace::RawLog out = log;
-  if (out.modules.empty()) return out;
-  trace::RawModule& m = out.modules[rng.next_below(out.modules.size())];
-  switch (rng.next_below(4)) {
-    case 0:
-      m.base = out.modules[rng.next_below(out.modules.size())].base +
-               rng.next_below(0x1000);
-      break;
-    case 1:
-      m.size = ~0ULL - rng.next_below(0x1000);
-      break;
-    case 2:
-      m.size = 0;
-      break;
-    default:
-      if (!out.symbols.empty()) {
-        out.symbols[rng.next_below(out.symbols.size())].address =
-            rng.next_u64();
-      }
-  }
-  return out;
-}
-
-/// Phase: the whole ingest boundary under hostile bytes, in every log
-/// dialect. Each variant goes through read_raw_log_any (format sniffing
-/// included) and, when it decodes, through partition_raw: a decoded log
-/// must symbolicate and partition without throwing, whatever the bytes.
-/// Binary declares its counts up front, so every truncation must be
-/// rejected; the line dialects (auditd, text) can be cut at a record
-/// boundary into a structurally complete shorter log, which must then
-/// carry no more events than the original — any other cut is
-/// kCorruptInput. Bit flips and header mutations may decode or be
-/// rejected; neither may crash, hang, or throw.
-void ingest_chaos(const trace::RawLog& log, std::size_t corpus,
-                  util::Rng& rng) {
-  const Watchdog watchdog("ingest", std::chrono::seconds(120));
-  struct Dialect {
-    const char* name;
-    void (*write)(const trace::RawLog&, std::ostream&);
-    bool every_cut_rejected;
-  };
-  static constexpr Dialect kDialects[] = {
-      {"binary", trace::write_raw_log_binary, true},
-      {"auditd", trace::write_raw_log_auditd, false},
-      {"text", trace::write_raw_log, false},
-  };
-  for (const Dialect& d : kDialects) {
-    std::ostringstream encoded;
-    d.write(log, encoded);
-    const std::string bytes = encoded.str();
-    const std::string tag = std::string("ingest (") + d.name + "): ";
-    const auto fail = [&tag](const char* what) {
-      check(false, (tag + what).c_str());
-    };
-    // Returns the decoded log, or nullopt after checking the rejection.
-    const auto ingest =
-        [&](const std::string& input) -> std::optional<trace::RawLog> {
-      std::istringstream is(input);
-      try {
-        util::StatusOr<trace::RawLog> got = trace::read_raw_log_any(is);
-        if (!got.ok()) {
-          if (got.status().code() != util::StatusCode::kCorruptInput) {
-            fail("rejection must be CORRUPT_INPUT");
-          }
-          return std::nullopt;
-        }
-        (void)trace::partition_raw(*got);
-        return std::move(*got);
-      } catch (...) {
-        fail("an exception escaped the ingest boundary");
-        return std::nullopt;
-      }
-    };
-
-    const std::optional<trace::RawLog> pristine = ingest(bytes);
-    if (!pristine.has_value() || *pristine != log) {
-      fail("pristine log must round-trip");
-    }
-
-    std::size_t cuts_rejected = 0;
-    for (std::size_t i = 0; i < corpus; ++i) {
-      const std::size_t cut = rng.next_below(bytes.size());
-      const std::optional<trace::RawLog> got = ingest(bytes.substr(0, cut));
-      if (!got.has_value()) {
-        ++cuts_rejected;
-      } else if (d.every_cut_rejected) {
-        fail("a truncated log must not decode");
-      } else if (got->events.size() > log.events.size()) {
-        fail("a truncated log cannot gain events");
-      }
-    }
-
-    std::size_t flips_ok = 0;
-    for (std::size_t i = 0; i < corpus; ++i) {
-      std::string mutated = bytes;
-      // 1-3 independent bit flips per variant.
-      const std::size_t flips = 1 + rng.next_below(3);
-      for (std::size_t f = 0; f < flips; ++f) {
-        const std::size_t at = rng.next_below(mutated.size());
-        mutated[at] = static_cast<char>(
-            static_cast<unsigned char>(mutated[at]) ^
-            (1u << rng.next_below(8)));
-      }
-      if (ingest(mutated).has_value()) ++flips_ok;
-    }
-
-    std::size_t headers_ok = 0;
-    for (std::size_t i = 0; i < corpus; ++i) {
-      std::ostringstream mutated;
-      d.write(mutate_header(log, rng), mutated);
-      if (ingest(mutated.str()).has_value()) ++headers_ok;
-    }
-    std::printf("ingest chaos (%s): cuts %zu rejected / %zu decoded, "
-                "bit-flips %zu ok / %zu rejected, header mutations %zu ok "
-                "/ %zu rejected, 0 crashes\n",
-                d.name, cuts_rejected, corpus - cuts_rejected, flips_ok,
-                corpus - flips_ok, headers_ok, corpus - headers_ok);
   }
 }
 
@@ -565,80 +435,6 @@ void rollover_chaos(const Trained& trained, std::size_t sessions,
       static_cast<unsigned long long>(report.warm_iterations_saved),
       static_cast<unsigned long long>(report.promotions),
       static_cast<unsigned long long>(m.events_processed));
-}
-
-/// Phase: persist-targeted corruption corpus. Every damaged artifact must
-/// come back as a *typed* core::PersistError (load paths) or a torn-tail
-/// scan (WAL recovery path) — never a crash, hang, or foreign exception.
-void persist_corrupt_corpus(const Trained& trained) {
-  const Watchdog watchdog("persist-corpus", std::chrono::seconds(120));
-  std::ostringstream os;
-  core::save_detector(*trained.detector, os);  // v3, CONTINUAL included
-  const std::string bytes = os.str();
-
-  const auto expect_typed = [](const std::string& mutated, const char* what) {
-    std::istringstream is(mutated);
-    try {
-      core::load_detector(is);
-      check(false, what);
-    } catch (const core::PersistError&) {
-      // typed rejection — contract held
-    } catch (...) {
-      check(false, "persist-corpus: non-PersistError escaped the loader");
-    }
-  };
-
-  // Truncated CONTINUAL block: cut mid-payload.
-  const std::size_t continual = bytes.find("BLOCK CONTINUAL");
-  if (check(continual != std::string::npos,
-            "persist-corpus: detector has no CONTINUAL block")) {
-    const std::size_t payload = bytes.find('\n', continual) + 1;
-    expect_typed(bytes.substr(0, payload + (bytes.size() - payload) / 2),
-                 "persist-corpus: truncated CONTINUAL block must not load");
-  }
-
-  // One checksum flip inside every v3 block's payload.
-  std::size_t blocks = 0;
-  for (std::size_t at = bytes.find("BLOCK "); at != std::string::npos;
-       at = bytes.find("BLOCK ", at + 1)) {
-    const std::size_t payload = bytes.find('\n', at) + 1;
-    std::string mutated = bytes;
-    mutated[payload] ^= 0x01;
-    expect_typed(mutated,
-                 "persist-corpus: checksum flip must not load");
-    ++blocks;
-  }
-  check(blocks >= 6, "persist-corpus: expected every v3 block covered");
-
-  // WAL record with a valid frame header but a short body (the torn shape
-  // a mid-append kill leaves behind).
-  char tmpl[] = "/tmp/leaps-chaos-wal-XXXXXX";
-  char* dir = ::mkdtemp(tmpl);
-  if (check(dir != nullptr, "persist-corpus: mkdtemp failed")) {
-    const std::string wal = std::string(dir) + "/journal.wal";
-    {
-      std::ofstream out(wal, std::ios::binary);
-      out << durable::kWalMagic;
-      const std::uint32_t body_len = 100, crc = 0xDEADBEEF;
-      out.write(reinterpret_cast<const char*>(&body_len), 4);
-      out.write(reinterpret_cast<const char*>(&crc), 4);
-      out << "short";  // 5 of the promised 100 body bytes
-    }
-    try {
-      durable::verify_wal_strict(wal);
-      check(false, "persist-corpus: short WAL body passed strict verify");
-    } catch (const core::PersistError&) {
-    } catch (...) {
-      check(false, "persist-corpus: non-PersistError from strict verify");
-    }
-    const auto scan = durable::scan_wal(wal);
-    check(scan.ok() && scan->torn && scan->records.empty(),
-          "persist-corpus: recovery scan must keep the intact prefix only");
-    ::unlink(wal.c_str());
-    ::rmdir(dir);
-  }
-  std::printf("persist corpus: %zu checksum flips + truncated CONTINUAL + "
-              "short WAL body all typed, 0 crashes\n", blocks);
 }
 
 /// Phase (--soak): fleet-scale session-fabric soak. Holds `fleet` live
@@ -1186,7 +982,6 @@ int main(int argc, char** argv) {
   std::size_t events = 10000;
   std::size_t sessions = 8;
   double rate = 0.05;
-  std::size_t corpus = 200;
   bool smoke = false;
   bool soak = false;
   bool rollover = false;
@@ -1196,7 +991,6 @@ int main(int argc, char** argv) {
   args.option("--events", &events);
   args.option("--sessions", &sessions);
   args.option("--rate", &rate);
-  args.option("--corpus", &corpus);
   args.flag("--smoke", &smoke);
   args.flag("--soak", &soak);
   args.flag("--rollover", &rollover);
@@ -1209,14 +1003,12 @@ int main(int argc, char** argv) {
     events = std::min<std::size_t>(events, 2000);
     // --soak's whole point is the session count; never cap it.
     if (!soak) sessions = std::min<std::size_t>(sessions, 4);
-    corpus = std::min<std::size_t>(corpus, 48);
   }
   if (sessions < 2) args.usage_error("%s must be >= 2", "--sessions");
   const std::size_t per_session = std::max<std::size_t>(1, events / sessions);
 
   try {
     util::FaultInjector::instance().set_seed(seed);
-    util::Rng rng(util::splitmix64(seed));
 
     std::printf("training detector (seed %zu)...\n", seed);
     const Trained trained = train_detector(smoke ? 900 : 1500, 7);
@@ -1234,9 +1026,6 @@ int main(int argc, char** argv) {
                   "accounting exact)\n");
       return 0;
     }
-
-    ingest_chaos(trained.raw_benign, corpus, rng);
-    persist_corrupt_corpus(trained);
 
     const std::vector<int> baseline =
         baseline_verdicts(*trained.detector, trained.mixed, per_session);
