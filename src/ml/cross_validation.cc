@@ -59,11 +59,11 @@ struct FoldOutcome {
 };
 
 /// One held-out fold: train on the complement against the shared Gram `K`
-/// of all of `data`, score the fold. Pure — deterministic in its inputs,
-/// no shared state — so folds and grid points evaluate concurrently
-/// without changing any reported number. (SVM training itself has no
-/// randomness; the only RNG in CV is the fold shuffle, which happens up
-/// front on the caller's seed.)
+/// of `data`'s positive-weight rows, score the fold. Pure — deterministic
+/// in its inputs, no shared state — so folds and grid points evaluate
+/// concurrently without changing any reported number. (SVM training itself
+/// has no randomness; the only RNG in CV is the fold shuffle, which happens
+/// up front on the caller's seed.)
 FoldOutcome run_fold(const Dataset& data, const GramMatrix& K,
                      const SvmParams& params, const Fold& fold,
                      bool weighted_validation) {
@@ -107,7 +107,7 @@ double cross_validate(const Dataset& data, const SvmParams& params,
   const std::vector<Fold> plan =
       plan_folds(data, make_folds(data.size(), folds, rng));
 
-  const GramMatrix K(data.X, params.kernel);
+  const GramMatrix K(data.X, params.kernel, data.positive_rows());
   std::vector<FoldOutcome> outcomes(plan.size());
   util::parallel_for(0, plan.size(), 1, [&](std::size_t b, std::size_t e) {
     for (std::size_t f = b; f < e; ++f) {
@@ -135,18 +135,21 @@ GridSearchResult tune_svm(const Dataset& data, const SvmParams& base,
   const std::size_t n_sigma2 = options.sigma2s.size();
 
   // Trial g = l·|σ²| + s (λ outer, σ² inner); outcome slot g·folds + f.
-  // The walk is σ²-major: one full-dataset Gram per σ², built by the
-  // pool at the top level, then that σ²'s λ × fold tasks drain through
-  // the pool against it. One Gram is live at a time.
+  // The walk is σ²-major: one Gram per σ² over the positive-weight rows,
+  // built by the pool at the top level, then that σ²'s λ × fold tasks
+  // drain through the pool against it. One Gram is live at a time. Tasks
+  // are claimed largest λ first: a wider box takes the most iterations,
+  // and starting it last would leave the pool idle before the next σ².
+  const std::vector<std::size_t> gram_rows = data.positive_rows();
   std::vector<FoldOutcome> outcomes(n_lambda * n_sigma2 * folds);
   for (std::size_t s = 0; s < n_sigma2; ++s) {
     KernelParams kernel = base.kernel;
     kernel.sigma2 = options.sigma2s[s];
-    const GramMatrix K(data.X, kernel);
+    const GramMatrix K(data.X, kernel, gram_rows);
     util::parallel_for(
         0, n_lambda * folds, 1, [&](std::size_t b, std::size_t e) {
           for (std::size_t task = b; task < e; ++task) {
-            const std::size_t l = task / folds;
+            const std::size_t l = n_lambda - 1 - task / folds;
             const std::size_t f = task % folds;
             SvmParams p = base;
             p.lambda = options.lambdas[l];

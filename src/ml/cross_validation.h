@@ -2,11 +2,12 @@
 // (Section IV: "we use 10-fold cross validation to tune the model parameter
 // λ and σ² on the training set").
 //
-// One kernel per σ² per tune: the Gram of the full dataset is built once
-// per σ², and every (λ, fold) fit of that σ² trains against it with the
-// fold's test rows pinned at box bound Cᵢ = 0 (SvmTrainer::train_fold) —
-// no per-fold row copy, no per-fold Gram, bit-identical to fitting each
-// fold's subset (DESIGN.md §10).
+// One kernel per σ² per tune: the Gram of the dataset's positive-weight
+// rows is built once per σ², and every (λ, fold) fit of that σ² trains
+// against it with the fold's test rows pinned at box bound Cᵢ = 0
+// (SvmTrainer::train_fold) — no per-fold row copy, no per-fold Gram,
+// bit-identical to fitting each fold's subset (DESIGN.md §10). The fold
+// tasks of a σ² are claimed largest λ first.
 //
 // Fold × λ evaluations run in parallel on the shared pool
 // (util/parallel.h): the fold split is drawn up front from the caller's

@@ -28,6 +28,14 @@ void Dataset::validate() const {
   }
 }
 
+std::vector<std::size_t> Dataset::positive_rows() const {
+  std::vector<std::size_t> out;
+  for (std::size_t i = 0; i < weight.size(); ++i) {
+    if (weight[i] > 0.0) out.push_back(i);
+  }
+  return out;
+}
+
 Dataset Dataset::subset(const std::vector<std::size_t>& indices) const {
   Dataset out;
   out.X.reserve(indices.size());

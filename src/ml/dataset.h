@@ -30,6 +30,10 @@ struct Dataset {
   /// fall outside [0,1], or rows have inconsistent dimensionality.
   void validate() const;
 
+  /// Indices of the rows with weight > 0, ascending: the rows a weighted
+  /// SVM can move, and so the rows its Gram covers.
+  std::vector<std::size_t> positive_rows() const;
+
   /// Sub-dataset at the given row indices.
   Dataset subset(const std::vector<std::size_t>& indices) const;
 };

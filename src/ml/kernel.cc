@@ -1,7 +1,11 @@
 #include "ml/kernel.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cmath>
+#include <new>
+#include <numeric>
 
 #include "obs/registry.h"
 #include "obs/trace.h"
@@ -73,28 +77,49 @@ inline double dot(const double* a, const double* b, std::size_t d) {
 
 }  // namespace
 
+void GramMatrix::Unmap::operator()(double* p) const {
+  if (p != nullptr) munmap(p, bytes);
+}
+
 GramMatrix::GramMatrix(const std::vector<std::vector<double>>& X,
                        const KernelParams& kernel)
-    : n_(X.size()) {
+    : GramMatrix(X, kernel, [&] {
+        std::vector<std::size_t> all(X.size());
+        std::iota(all.begin(), all.end(), std::size_t{0});
+        return all;
+      }()) {}
+
+GramMatrix::GramMatrix(const std::vector<std::vector<double>>& X,
+                       const KernelParams& kernel,
+                       std::vector<std::size_t> rows)
+    : n_(rows.size()), rows_(std::move(rows)) {
   LEAPS_SPAN("svm.gram");
   // Each unique pair is evaluated once (the mirror write is free), so the
-  // metric counts the upper triangle: n(n+1)/2 per build.
+  // metric counts the upper triangle: n(n+1)/2 per build over n rows.
   static obs::Counter& kernel_evals = obs::MetricRegistry::global().counter(
       "leaps_ml_kernel_evals_total",
       "kernel evaluations spent building SVM gram matrices");
   kernel_evals.inc(n_ * (n_ + 1) / 2);
-  const std::size_t d = n_ == 0 ? 0 : X.front().size();
+  const std::size_t d = n_ == 0 ? 0 : X[rows_.front()].size();
   // One contiguous n×d block: the pair loop below reads rows without
   // pointer chasing, and the same dot product serves every kernel type.
   std::vector<double> xs(n_ * d);
   std::vector<double> sq(n_);  // ‖xi‖², Gaussian norm trick
   for (std::size_t i = 0; i < n_; ++i) {
-    LEAPS_DCHECK(X[i].size() == d);
-    std::copy(X[i].begin(), X[i].end(), xs.begin() + i * d);
+    LEAPS_CHECK(rows_[i] < X.size() && (i == 0 || rows_[i - 1] < rows_[i]));
+    const std::vector<double>& x = X[rows_[i]];
+    LEAPS_DCHECK(x.size() == d);
+    std::copy(x.begin(), x.end(), xs.begin() + i * d);
     sq[i] = dot(&xs[i * d], &xs[i * d], d);
   }
+  if (n_ == 0) return;
 
-  k_ = std::make_unique_for_overwrite<double[]>(n_ * n_);
+  const std::size_t bytes = n_ * n_ * sizeof(double);
+  void* map = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (map == MAP_FAILED) throw std::bad_alloc();
+  k_ = std::unique_ptr<double[], Unmap>(static_cast<double*>(map),
+                                        Unmap{bytes});
   // Upper triangle first, row-major writes only: pair (i, j>i) is owned by
   // row i's chunk, so every entry has exactly one writer and the result is
   // independent of the thread count. Mirroring inline would store at

@@ -38,37 +38,65 @@ struct KernelParams {
 std::vector<std::vector<double>> gram_matrix(
     const std::vector<std::vector<double>>& X, const KernelParams& kernel);
 
-/// Flat row-major Gram matrix — the SMO fast path.
+/// Flat row-major Gram matrix over a chosen set of rows — the SMO fast path.
 ///
-/// The build copies X into one contiguous n×d block, precomputes per-row
-/// squared norms once, and fills rows in parallel (util::parallel_for).
-/// For the Gaussian kernel each pair costs a single dot product:
+/// `rows` lists, in ascending order, which rows of X the matrix covers;
+/// Gram row r holds k(X[rows[r]], ·). The trainers build it over the
+/// positive-weight rows only (Dataset::positive_rows): a row with cᵢ = 0
+/// is pinned at αᵢ = 0, so no solver ever reads its kernel values. The
+/// two-argument constructor covers every row.
+///
+/// The build copies the chosen rows into one contiguous m×d block,
+/// precomputes per-row squared norms once, and fills rows in parallel
+/// (util::parallel_for). For the Gaussian kernel each pair costs a single
+/// dot product:
 ///     K_ij = exp(-(‖xi‖² + ‖xj‖² − 2·xi·xj) / σ²)
 /// (clamped at 0 before the exp so cancellation can never push K above 1);
-/// linear/polynomial reuse the same dot. Agreement with the direct
-/// KernelParams evaluation is a property-test contract (≤ 1e-12), and the
-/// result is bit-identical for every thread count: entry values depend only
-/// on the inputs, and each entry is written exactly once. Every build is
-/// one `svm.gram` span and adds n(n+1)/2 to leaps_ml_kernel_evals_total.
+/// linear/polynomial reuse the same dot. Because `rows` ascends, an entry
+/// is computed with the same operands in the same order whichever rows are
+/// left out, so it is bit-identical to the entry of an all-rows build.
+/// Agreement with the direct KernelParams evaluation is a property-test
+/// contract (≤ 1e-12), and the result is bit-identical for every thread
+/// count: entry values depend only on the inputs, and each entry is
+/// written exactly once. Every build is one `svm.gram` span and adds
+/// m(m+1)/2 to leaps_ml_kernel_evals_total.
+///
+/// The m² doubles live in their own anonymous mapping, returned to the
+/// kernel when the matrix dies. From the heap, a matrix below glibc's
+/// mmap threshold would stay resident after it is freed.
 class GramMatrix {
  public:
   GramMatrix() = default;
-  /// Builds the full symmetric matrix for the given rows.
+  /// Builds the full symmetric matrix over every row of X.
   GramMatrix(const std::vector<std::vector<double>>& X,
              const KernelParams& kernel);
+  /// Builds the full symmetric matrix over X[rows[0]], X[rows[1]], …;
+  /// `rows` must ascend strictly.
+  GramMatrix(const std::vector<std::vector<double>>& X,
+             const KernelParams& kernel, std::vector<std::size_t> rows);
 
-  double operator()(std::size_t i, std::size_t j) const {
-    return k_[i * n_ + j];
+  /// Entry (r, s) in Gram-row coordinates (positions in rows()).
+  double operator()(std::size_t r, std::size_t s) const {
+    return k_[r * n_ + s];
   }
-  /// Contiguous row i (n entries) — the SMO gradient sweeps iterate this.
-  const double* row(std::size_t i) const { return k_.get() + i * n_; }
+  /// Contiguous Gram row r (size() entries) — the SMO sweeps gather from
+  /// this.
+  const double* row(std::size_t r) const { return k_.get() + r * n_; }
   std::size_t size() const { return n_; }
+  /// The row of X behind each Gram row, ascending.
+  const std::vector<std::size_t>& rows() const { return rows_; }
 
  private:
+  struct Unmap {
+    std::size_t bytes;
+    void operator()(double* p) const;
+  };
+
   std::size_t n_ = 0;
-  // Uninitialized on allocation (every entry is written by the build):
-  // value-initializing n² doubles costs a full extra memory pass.
-  std::unique_ptr<double[]> k_;
+  std::vector<std::size_t> rows_;
+  // Mapped fresh and written only by the build: no value-initializing
+  // pass over the n² doubles.
+  std::unique_ptr<double[], Unmap> k_;
 };
 
 }  // namespace leaps::ml

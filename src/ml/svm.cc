@@ -111,80 +111,112 @@ std::vector<double> box_bounds(double lambda, const Dataset& data,
   return C;
 }
 
-/// The one SMO loop. `K` is the Gram of every row of `data`; rows with
-/// Cᵢ = 0 are in neither I_up nor I_low, so they are never selected and
-/// never become support vectors. `rows` is the size of the training set
-/// the automatic iteration cap is derived from: all of `data` for a full
-/// fit, the fold's training rows for a cross-validation fit.
+/// The one SMO loop, over the active rows only: the Gram rows of `K` whose
+/// row of `data` has Cᵢ > 0, in ascending order. A row with Cᵢ = 0 is in
+/// neither I_up nor I_low, so it is never selected and never becomes a
+/// support vector; leaving it out of every sweep changes no selection and
+/// no sum. `K` must cover every row with Cᵢ > 0 and may cover more (a
+/// fold's held-out rows, or an all-rows Gram). `rows` is the size of the
+/// training set the automatic iteration cap is derived from: all of
+/// `data` for a full fit, the fold's training rows for a cross-validation
+/// fit.
 SvmModel solve(const SvmParams& params, const Dataset& data,
                const GramMatrix& K, const std::vector<double>& C,
                std::size_t rows, TrainStats* stats,
                const std::vector<double>* warm_alpha) {
   LEAPS_SPAN("svm.solve");
   const std::size_t n = data.size();
-  // Diagonal entries feed the curvature terms of every working-set scan;
-  // lift them out of the flat matrix once so the scan reads a contiguous
-  // array instead of striding n doubles per element.
-  std::vector<double> Kdiag(n);
-  for (std::size_t t = 0; t < n; ++t) Kdiag[t] = K(t, t);
   const std::vector<int>& y = data.y;
 
-  std::vector<double> alpha(n, 0.0);
-  // G_i = Σ_j α_j y_j K_ij (decision value minus bias); all-zero initially.
-  std::vector<double> G(n, 0.0);
-
-  // ---- warm start: clamp, repair feasibility, seed the gradient ---------
-  std::size_t warm_nonzero = 0;
+  // ---- warm start: clamp and repair feasibility, in row order ----------
+  std::vector<double> seed(n, 0.0);
   if (warm_alpha != nullptr && !warm_alpha->empty()) {
     const std::size_t m = std::min(n, warm_alpha->size());
     for (std::size_t t = 0; t < m; ++t) {
-      alpha[t] = std::clamp((*warm_alpha)[t], 0.0, C[t]);
+      seed[t] = std::clamp((*warm_alpha)[t], 0.0, C[t]);
     }
-    // Repair Σ α_i y_i = 0: shave the surplus class down toward zero,
-    // largest entries untouched last so the seed stays close to the old
-    // optimum. (A seed exported from a prefix of this dataset is already
-    // feasible and this loop is a no-op.)
+    // Repair Σ α_i y_i = 0: shave the surplus class toward zero in row
+    // order until the sum balances. (A seed exported from a prefix of this
+    // dataset is already feasible and this loop is a no-op.)
     double s = 0.0;
     for (std::size_t t = 0; t < n; ++t) {
-      s += alpha[t] * static_cast<double>(y[t]);
+      s += seed[t] * static_cast<double>(y[t]);
     }
     if (std::abs(s) > kAlphaEps) {
       const int surplus_sign = s > 0.0 ? 1 : -1;
       for (std::size_t t = 0; t < n && std::abs(s) > kAlphaEps; ++t) {
-        if (y[t] != surplus_sign || alpha[t] <= 0.0) continue;
-        const double take = std::min(alpha[t], std::abs(s));
-        alpha[t] -= take;
+        if (y[t] != surplus_sign || seed[t] <= 0.0) continue;
+        const double take = std::min(seed[t], std::abs(s));
+        seed[t] -= take;
         s -= static_cast<double>(surplus_sign) * take;
       }
       // If the box left nothing to shave (all surplus pinned at 0 already),
       // fall back to a cold start rather than iterate from an infeasible
       // point.
-      if (std::abs(s) > kAlphaEps) std::fill(alpha.begin(), alpha.end(), 0.0);
+      if (std::abs(s) > kAlphaEps) std::fill(seed.begin(), seed.end(), 0.0);
     }
-    // Seed G with one contiguous row sweep per active seed entry.
-    for (std::size_t j = 0; j < n; ++j) {
-      if (alpha[j] <= kAlphaEps) continue;
-      ++warm_nonzero;
-      const double wj = static_cast<double>(y[j]) * alpha[j];
-      const double* Kj = K.row(j);
-      for (std::size_t t = 0; t < n; ++t) G[t] += wj * Kj[t];
-    }
+  }
+
+  // ---- the active rows -------------------------------------------------
+  // Entry p of every array below belongs to active row p; gram_row[p] is
+  // its Gram row. The diagonal is lifted out of the flat matrix so the
+  // working-set scan reads a contiguous array.
+  LEAPS_CHECK(K.size() == 0 || K.rows().back() < n);
+  std::vector<std::size_t> gram_row;
+  for (std::size_t r = 0; r < K.size(); ++r) {
+    if (C[K.rows()[r]] > 0.0) gram_row.push_back(r);
+  }
+  const std::size_t a = gram_row.size();
+  LEAPS_CHECK_MSG(
+      a == static_cast<std::size_t>(std::count_if(
+               C.begin(), C.end(), [](double c) { return c > 0.0; })),
+      "SvmTrainer: the Gram must cover every row with a positive bound");
+  std::vector<double> yd(a);
+  std::vector<double> Ca(a);
+  std::vector<double> Kdiag(a);
+  std::vector<double> alpha(a);
+  for (std::size_t p = 0; p < a; ++p) {
+    const std::size_t t = K.rows()[gram_row[p]];
+    yd[p] = static_cast<double>(y[t]);
+    Ca[p] = C[t];
+    Kdiag[p] = K(gram_row[p], gram_row[p]);
+    alpha[p] = seed[t];
+  }
+  // G_p = Σ_q α_q y_q K_pq (decision value minus bias). A pinned row's
+  // seed is 0, so seeding from the active rows alone is exact.
+  std::vector<double> G(a, 0.0);
+  std::size_t warm_nonzero = 0;
+  for (std::size_t q = 0; q < a; ++q) {
+    if (alpha[q] <= kAlphaEps) continue;
+    ++warm_nonzero;
+    const double wq = yd[q] * alpha[q];
+    const double* Kq = K.row(gram_row[q]);
+    for (std::size_t p = 0; p < a; ++p) G[p] += wq * Kq[gram_row[p]];
   }
 
   const std::size_t max_iter =
       params.max_iterations > 0 ? params.max_iterations
                                 : std::max<std::size_t>(100000, 200 * rows);
 
-  const auto in_up = [&](std::size_t t) {
-    return (y[t] > 0 && alpha[t] < C[t]) || (y[t] < 0 && alpha[t] > 0.0);
+  const auto in_up = [&](std::size_t p) {
+    return (yd[p] > 0 && alpha[p] < Ca[p]) || (yd[p] < 0 && alpha[p] > 0.0);
   };
-  const auto in_low = [&](std::size_t t) {
-    return (y[t] > 0 && alpha[t] > 0.0) || (y[t] < 0 && alpha[t] < C[t]);
+  const auto in_low = [&](std::size_t p) {
+    return (yd[p] > 0 && alpha[p] > 0.0) || (yd[p] < 0 && alpha[p] < Ca[p]);
   };
-  // Violation score: -y_t ∇f_t = y_t - G_t.
-  const auto viol = [&](std::size_t t) {
-    return static_cast<double>(y[t]) - G[t];
-  };
+  // Violation score: -y_p ∇f_p = y_p - G_p.
+  const auto viol = [&](std::size_t p) { return yd[p] - G[p]; };
+
+  // First-order half of LIBSVM's WSS2: i is the maximal violator in I_up.
+  // This pass runs once; afterwards each gradient sweep picks the next i.
+  std::size_t i = a;
+  double m = -std::numeric_limits<double>::infinity();
+  for (std::size_t p = 0; p < a; ++p) {
+    if (in_up(p) && viol(p) > m) {
+      m = viol(p);
+      i = p;
+    }
+  }
 
   std::size_t iter = 0;
   bool converged = false;
@@ -192,73 +224,67 @@ SvmModel solve(const SvmParams& params, const Dataset& data,
   double M_final = 0.0;
 
   for (; iter < max_iter; ++iter) {
-    // ---- working-set selection (LIBSVM WSS2: second-order on j) --------
-    std::size_t i = n;
-    double m = -std::numeric_limits<double>::infinity();
-    for (std::size_t t = 0; t < n; ++t) {
-      if (in_up(t) && viol(t) > m) {
-        m = viol(t);
-        i = t;
-      }
-    }
+    // ---- second-order half of WSS2: j, and M = min over I_low ----------
     double M = std::numeric_limits<double>::infinity();
-    std::size_t j = n;
+    std::size_t j = a;
     double best_gain = 0.0;
-    const double* Ki = i < n ? K.row(i) : nullptr;
-    const double Kii = i < n ? Kdiag[i] : 0.0;
-    for (std::size_t t = 0; t < n; ++t) {
-      if (!in_low(t)) continue;
-      const double vt = viol(t);
-      M = std::min(M, vt);
-      if (i < n && vt < m) {
-        const double b_it = m - vt;  // > 0
-        const double a_it = std::max(Kii + Kdiag[t] - 2.0 * Ki[t], kTau);
-        const double gain = -(b_it * b_it) / a_it;
+    const double* Ki = i < a ? K.row(gram_row[i]) : nullptr;
+    const double Kii = i < a ? Kdiag[i] : 0.0;
+    for (std::size_t p = 0; p < a; ++p) {
+      if (!in_low(p)) continue;
+      const double vp = viol(p);
+      M = std::min(M, vp);
+      if (i < a && vp < m) {
+        const double b_ip = m - vp;  // > 0
+        const double a_ip =
+            std::max(Kii + Kdiag[p] - 2.0 * Ki[gram_row[p]], kTau);
+        const double gain = -(b_ip * b_ip) / a_ip;
         if (gain < best_gain) {
           best_gain = gain;
-          j = t;
+          j = p;
         }
       }
     }
     m_final = m;
     M_final = M;
-    if (i == n || j == n || m - M < params.epsilon) {
-      converged = (i == n || j == n) ? true : (m - M < params.epsilon);
+    if (i == a || j == a || m - M < params.epsilon) {
+      converged = (i == a || j == a) ? true : (m - M < params.epsilon);
       break;
     }
 
     // ---- analytic two-variable update (Platt, per-sample bounds) -------
-    const double eta = std::max(Kdiag[i] + Kdiag[j] - 2.0 * Ki[j], kTau);
+    const double eta =
+        std::max(Kdiag[i] + Kdiag[j] - 2.0 * Ki[gram_row[j]], kTau);
     // E_i - E_j = (G_i - y_i) - (G_j - y_j) = -(viol(i) - viol(j)).
     const double delta = viol(i) - viol(j);  // = m - viol(j) > 0
     double L;
     double H;
     const double ai = alpha[i];
     const double aj = alpha[j];
-    if (y[i] != y[j]) {
+    if (yd[i] != yd[j]) {
       L = std::max(0.0, aj - ai);
-      H = std::min(C[j], C[i] + aj - ai);
+      H = std::min(Ca[j], Ca[i] + aj - ai);
     } else {
-      L = std::max(0.0, ai + aj - C[i]);
-      H = std::min(C[j], ai + aj);
+      L = std::max(0.0, ai + aj - Ca[i]);
+      H = std::min(Ca[j], ai + aj);
     }
     // Platt: α_j += y_j (E_i - E_j) / η with E_i - E_j = -delta.
-    double aj_new = aj - static_cast<double>(y[j]) * delta / eta;
+    double aj_new = aj - yd[j] * delta / eta;
     aj_new = std::clamp(aj_new, L, H);
-    const double s = static_cast<double>(y[i]) * static_cast<double>(y[j]);
-    double ai_new = std::clamp(ai + s * (aj - aj_new), 0.0, C[i]);
+    const double s = yd[i] * yd[j];
+    double ai_new = std::clamp(ai + s * (aj - aj_new), 0.0, Ca[i]);
     // Snap to the box so bound membership stays *exact*: a clipped update
     // must not leave α a few ulps inside the bound, or the working-set
     // selection keeps proposing a step the arithmetic cannot take and the
     // solver stalls far from the optimum.
-    const auto snap = [](double a, double upper) {
+    const auto snap = [](double v, double upper) {
       const double tol = 1e-9 * std::max(1.0, upper);
-      if (a < tol) return 0.0;
-      if (a > upper - tol) return upper;
-      return a;
+      if (v < tol) return 0.0;
+      if (v > upper - tol) return upper;
+      return v;
     };
-    ai_new = snap(ai_new, C[i]);
-    aj_new = snap(aj_new, C[j]);
+    ai_new = snap(ai_new, Ca[i]);
+    aj_new = snap(aj_new, Ca[j]);
 
     const double dai = ai_new - ai;
     const double daj = aj_new - aj;
@@ -270,22 +296,31 @@ SvmModel solve(const SvmParams& params, const Dataset& data,
     }
     alpha[i] = ai_new;
     alpha[j] = aj_new;
-    // Contiguous K[i][·] / K[j][·] sweeps — the flat rows make this the
-    // streaming inner loop it should be.
-    const double wi = static_cast<double>(y[i]) * dai;
-    const double wj = static_cast<double>(y[j]) * daj;
-    const double* Kj = K.row(j);
-    for (std::size_t t = 0; t < n; ++t) {
-      G[t] += wi * Ki[t] + wj * Kj[t];
+    // One sweep updates the gradient from Gram rows i and j and, with α
+    // already updated, picks the next iteration's i.
+    const double wi = yd[i] * dai;
+    const double wj = yd[j] * daj;
+    const double* Kj = K.row(gram_row[j]);
+    std::size_t next_i = a;
+    double next_m = -std::numeric_limits<double>::infinity();
+    for (std::size_t p = 0; p < a; ++p) {
+      const std::size_t r = gram_row[p];
+      G[p] += wi * Ki[r] + wj * Kj[r];
+      if (in_up(p) && viol(p) > next_m) {
+        next_m = viol(p);
+        next_i = p;
+      }
     }
+    i = next_i;
+    m = next_m;
   }
 
   // ---- bias: average over free support vectors, else midpoint ----------
   double b = 0.0;
   std::size_t free_count = 0;
-  for (std::size_t t = 0; t < n; ++t) {
-    if (alpha[t] > kAlphaEps && alpha[t] < C[t] - kAlphaEps) {
-      b += viol(t);
+  for (std::size_t p = 0; p < a; ++p) {
+    if (alpha[p] > kAlphaEps && alpha[p] < Ca[p] - kAlphaEps) {
+      b += viol(p);
       ++free_count;
     }
   }
@@ -296,23 +331,26 @@ SvmModel solve(const SvmParams& params, const Dataset& data,
   }
 
   // ---- package the model ------------------------------------------------
+  // A pinned row adds α·(…) = 0 to the objective, so summing over the
+  // active rows alone is exact; it keeps its seed (0) in stats->alpha.
   std::vector<FeatureVector> svs;
   std::vector<double> coef;
   double objective = 0.0;
-  for (std::size_t t = 0; t < n; ++t) {
-    objective +=
-        alpha[t] * (static_cast<double>(y[t]) * G[t] / 2.0 - 1.0);
-    if (alpha[t] > kAlphaEps) {
+  for (std::size_t p = 0; p < a; ++p) {
+    const std::size_t t = K.rows()[gram_row[p]];
+    objective += alpha[p] * (yd[p] * G[p] / 2.0 - 1.0);
+    if (alpha[p] > kAlphaEps) {
       svs.push_back(data.X[t]);
-      coef.push_back(alpha[t] * static_cast<double>(y[t]));
+      coef.push_back(alpha[p] * yd[p]);
     }
+    seed[t] = alpha[p];
   }
   if (stats != nullptr) {
     stats->iterations = iter;
     stats->support_vectors = svs.size();
     stats->converged = converged;
     stats->objective = objective;
-    stats->alpha = alpha;
+    stats->alpha = std::move(seed);
     stats->warm_nonzero = warm_nonzero;
   }
   static obs::Gauge& last_iters = obs::MetricRegistry::global().gauge(
@@ -330,7 +368,7 @@ SvmModel SvmTrainer::train(const Dataset& data, TrainStats* stats,
   const std::size_t n = data.size();
   LEAPS_CHECK_MSG(n >= 2, "SVM needs at least two samples");
   const std::vector<double> C = box_bounds(params_.lambda, data, nullptr);
-  const GramMatrix K(data.X, params_.kernel);
+  const GramMatrix K(data.X, params_.kernel, data.positive_rows());
   return solve(params_, data, K, C, n, stats, warm_alpha);
 }
 
@@ -338,7 +376,7 @@ SvmModel SvmTrainer::train_fold(const Dataset& data, const GramMatrix& gram,
                                 const std::vector<char>& held_out) const {
   LEAPS_SPAN("svm.train");
   const std::size_t n = data.size();
-  LEAPS_CHECK(gram.size() == n && held_out.size() == n);
+  LEAPS_CHECK(held_out.size() == n);
   const std::vector<double> C = box_bounds(params_.lambda, data, &held_out);
   const auto rows = static_cast<std::size_t>(
       std::count(held_out.begin(), held_out.end(), char{0}));

@@ -12,6 +12,12 @@
 // cannot become (negative) support vectors, which is the entire LEAPS
 // mechanism. Plain SVM is the cᵢ ≡ 1 special case.
 //
+// The solver only pays for rows that can move: the Gram covers the
+// positive-weight rows, and every SMO sweep walks the ascending list of
+// rows with Cᵢ > 0 (two sweeps per iteration). Skipping a pinned row
+// changes no selection and no sum, so the result is bit-identical to
+// sweeping all n rows (DESIGN.md §10).
+//
 // The paper's Eqn. 2 omits the bias; we keep the standard C-SVC bias b
 // (LIBSVM, which the authors built on, has it), so the equality constraint
 // above applies.
@@ -86,9 +92,9 @@ struct TrainStats {
   bool converged = false;
   double objective = 0.0;  // final dual objective value
   /// Full dual solution, aligned with the training-set row order (not just
-  /// the support vectors). Exported so a later retraining run on a grown
-  /// dataset can warm-start SMO from this optimum — the continual-learning
-  /// path in src/online/ depends on it.
+  /// the support vectors): n entries, 0 at every pinned row. Exported so a
+  /// later retraining run on a grown dataset can warm-start SMO from this
+  /// optimum — the continual-learning path in src/online/ depends on it.
   std::vector<double> alpha;
   /// Number of strictly-positive entries in the warm-start vector after
   /// box clamping (0 on a cold start) — diagnostic for warm-start quality.
@@ -115,14 +121,16 @@ class SvmTrainer {
                  const std::vector<double>* warm_alpha = nullptr) const;
 
   /// Cross-validation fit: trains on the rows of `data` whose `held_out`
-  /// flag is 0, against `gram` — the Gram of *all* of `data` under
-  /// params().kernel, built once and shared by every fold and λ of that
-  /// kernel. A held-out row gets box bound Cᵢ = 0, the same pin a zero
-  /// weight gets, so the model is bit-identical to
-  /// train(data.subset(training rows)) without copying rows or building a
-  /// fold-sized Gram (DESIGN.md §10). `data` must already be valid. The
-  /// same both-classes requirement as train() applies to the training
-  /// rows.
+  /// flag is 0, against `gram` — a Gram of `data` under params().kernel,
+  /// built once and shared by every fold and λ of that kernel. It must
+  /// cover every positive-weight row (GramMatrix(data.X, kernel,
+  /// data.positive_rows()), or an all-rows build); the rows it covers
+  /// beyond the fold's active ones are never read. A held-out row gets box
+  /// bound Cᵢ = 0, the same pin a zero weight gets, so the model is
+  /// bit-identical to train(data.subset(training rows)) without copying
+  /// rows or building a fold-sized Gram (DESIGN.md §10). `data` must
+  /// already be valid. The same both-classes requirement as train()
+  /// applies to the training rows.
   SvmModel train_fold(const Dataset& data, const GramMatrix& gram,
                       const std::vector<char>& held_out) const;
 

@@ -2,6 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <iterator>
+#include <numeric>
+#include <string>
 
 #include "ml/cross_validation.h"
 #include "ml/dataset.h"
@@ -479,6 +483,243 @@ TEST(CrossValidation, TuneBuildsOneGramPerSigma2) {
   util::Rng cv_rng(53);
   (void)cross_validate(d, {}, 5, cv_rng);
   EXPECT_EQ(evals.value() - mid, n * (n + 1) / 2);
+}
+
+TEST(CrossValidation, GramCoversOnlyPositiveWeightRows) {
+  util::Rng rng(54);
+  Dataset d = easy_dataset(rng);
+  // Zero weights scattered through both classes plus one contiguous run.
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    if (i % 7 == 3 || (i >= 20 && i < 26)) d.weight[i] = 0.0;
+  }
+  const std::uint64_t m = d.positive_rows().size();
+  ASSERT_LT(m, d.size());
+  CrossValidationOptions opt;
+  opt.lambdas = {1.0, 10.0};
+  opt.sigma2s = {0.5, 1.0, 4.0};
+  opt.folds = 5;
+  obs::Counter& evals =
+      obs::MetricRegistry::global().counter("leaps_ml_kernel_evals_total");
+  const std::uint64_t before = evals.value();
+  util::Rng tune_rng(55);
+  (void)tune_svm(d, {}, opt, tune_rng);
+  EXPECT_EQ(evals.value() - before, 3 * m * (m + 1) / 2);
+
+  const std::uint64_t mid = evals.value();
+  util::Rng cv_rng(56);
+  (void)cross_validate(d, {}, 5, cv_rng);
+  EXPECT_EQ(evals.value() - mid, m * (m + 1) / 2);
+
+  const std::uint64_t pre_train = evals.value();
+  TrainStats stats;
+  (void)SvmTrainer({}).train(d, &stats);
+  EXPECT_EQ(evals.value() - pre_train, m * (m + 1) / 2);
+  ASSERT_EQ(stats.alpha.size(), d.size());
+  for (std::size_t i = 0; i < d.size(); ++i) {
+    if (d.weight[i] == 0.0) {
+      EXPECT_EQ(stats.alpha[i], 0.0) << "row " << i;
+    }
+  }
+
+  // A fold fit reads the same numbers from a positive-row Gram as from an
+  // all-rows one.
+  SvmParams p;
+  const GramMatrix all(d.X, p.kernel);
+  const GramMatrix positive(d.X, p.kernel, d.positive_rows());
+  EXPECT_EQ(positive.size(), m);
+  EXPECT_EQ(positive.rows(), d.positive_rows());
+  std::vector<char> held_out(d.size(), 0);
+  for (std::size_t i = 1; i < d.size(); i += 5) held_out[i] = 1;
+  const SvmModel a = SvmTrainer(p).train_fold(d, all, held_out);
+  const SvmModel b = SvmTrainer(p).train_fold(d, positive, held_out);
+  EXPECT_EQ(a.coefficients(), b.coefficients());
+  EXPECT_EQ(a.bias(), b.bias());
+  EXPECT_EQ(a.support_vectors(), b.support_vectors());
+
+  // A Gram that leaves out a trainable row is refused.
+  std::vector<std::size_t> short_rows = d.positive_rows();
+  short_rows.pop_back();
+  const GramMatrix missing(d.X, p.kernel, short_rows);
+  EXPECT_THROW((void)SvmTrainer(p).train_fold(d, missing, held_out),
+               std::logic_error);
+}
+
+// ------------------------------------------ SMO trajectory, pinned bits ----
+
+/// 48 overlapping rows in three dimensions. Zero weights sit at every
+/// fifth row and in the contiguous run 20–25, so pinned rows fall both
+/// between and next to active ones.
+Dataset golden_dataset() {
+  util::Rng rng(61);
+  Dataset d;
+  for (std::size_t i = 0; i < 48; ++i) {
+    const bool benign = i % 3 != 0;
+    const double c = benign ? 0.0 : 0.9;
+    const bool pinned = i % 5 == 4 || (i >= 20 && i < 26);
+    const double w = pinned ? 0.0 : 0.3 + 0.7 * rng.next_double();
+    d.add({c + rng.next_gaussian(), c + rng.next_gaussian(),
+           rng.next_gaussian()},
+          benign ? 1 : -1, w);
+  }
+  return d;
+}
+
+/// One fit's observable result. `objective` and `alpha` come from
+/// TrainStats, which train_fold does not expose; its iteration count is
+/// read back from the leaps_ml_svm_iterations gauge.
+struct GoldenFit {
+  std::size_t iterations = 0;
+  std::size_t warm_nonzero = 0;
+  double bias = 0.0;
+  double objective = 0.0;
+  std::vector<double> coef;
+  std::vector<double> alpha;
+};
+
+GoldenFit record(const SvmModel& model, const TrainStats& stats) {
+  return {stats.iterations, stats.warm_nonzero, model.bias(),
+          stats.objective,  model.coefficients(), stats.alpha};
+}
+
+/// The three solver entry points on golden_dataset(): a cold train, a
+/// train on the grown dataset warm-started from a fit of its first 32
+/// rows at a larger λ (so the seed is clamped and repaired), and a fold
+/// fit against an all-rows Gram with every fourth row held out.
+std::vector<GoldenFit> golden_fits() {
+  const Dataset data = golden_dataset();
+  SvmParams p;
+  p.lambda = 4.0;
+  p.kernel.sigma2 = 2.0;
+  std::vector<GoldenFit> out;
+
+  TrainStats cold;
+  const SvmModel cold_model = SvmTrainer(p).train(data, &cold);
+  out.push_back(record(cold_model, cold));
+
+  std::vector<std::size_t> prefix(32);
+  std::iota(prefix.begin(), prefix.end(), 0);
+  SvmParams wide = p;
+  wide.lambda = 16.0;
+  TrainStats seed;
+  (void)SvmTrainer(wide).train(data.subset(prefix), &seed);
+  TrainStats warm;
+  const SvmModel warm_model = SvmTrainer(p).train(data, &warm, &seed.alpha);
+  out.push_back(record(warm_model, warm));
+
+  const GramMatrix gram(data.X, p.kernel);
+  std::vector<char> held_out(data.size(), 0);
+  for (std::size_t i = 0; i < data.size(); i += 4) held_out[i] = 1;
+  const SvmModel fold_model = SvmTrainer(p).train_fold(data, gram, held_out);
+  GoldenFit fold;
+  fold.iterations = static_cast<std::size_t>(
+      obs::MetricRegistry::global().gauge("leaps_ml_svm_iterations").value());
+  fold.bias = fold_model.bias();
+  fold.coef = fold_model.coefficients();
+  out.push_back(fold);
+  return out;
+}
+
+// Pinned with "%a" from the solver that swept every row, before the sweeps
+// moved to the active rows: cold, warm, fold. The fold entry has no
+// objective or alpha to pin.
+const GoldenFit kGoldenFits[] = {
+    {55, 0, 0x1.d5e9d63594c3p-2, -0x1.201d12036c1f2p+5,
+        /*coef*/ {
+            -0x1.273a864da032fp+1, 0x1.df0b4fe142af6p+0, -0x1.f8ba61fec30a2p+1,
+            -0x1.fd67958fb20fcp+1, 0x1.e1f4b4516c11fp-2, 0x1.4e6315e216b2fp-1,
+            0x1.c57bd966a7ccdp+0, -0x1.042e5898cb8a2p+1, 0x1.57d26612b3cdap+1,
+            0x1.79e919010d7d8p+0, -0x1.10034c16f6721p+1, 0x1.5c8d9aefcd3eep-1,
+            -0x1.ad89bbb7ec8e1p+0, 0x1.f59603e9f34fap+0, 0x1.e193cdeec13b9p-4,
+            0x1.b2d618ae51a84p+0, -0x1.453aa45994534p+1, 0x1.28eaba0b17d9dp+0,
+            -0x1.3604c084e33a5p+1, 0x1.096ee9c8d9d3bp+1, 0x1.833dad883959cp+1,
+            -0x1.663d3a6459535p+1, 0x1.b4785f8394726p+1, -0x1.9f14d64b7b5edp+0,
+            0x1.f1434f7e87da4p-1, 0x1.6c4dd8ca2f9bdp+0},
+        /*alpha*/ {
+            0x1.273a864da032fp+1, 0x0p+0, 0x1.df0b4fe142af6p+0,
+            0x1.f8ba61fec30a2p+1, 0x0p+0, 0x0p+0,
+            0x1.fd67958fb20fcp+1, 0x1.e1f4b4516c11fp-2, 0x0p+0,
+            0x0p+0, 0x1.4e6315e216b2fp-1, 0x1.c57bd966a7ccdp+0,
+            0x1.042e5898cb8a2p+1, 0x0p+0, 0x0p+0,
+            0x0p+0, 0x1.57d26612b3cdap+1, 0x1.79e919010d7d8p+0,
+            0x1.10034c16f6721p+1, 0x0p+0, 0x0p+0,
+            0x0p+0, 0x0p+0, 0x0p+0,
+            0x0p+0, 0x0p+0, 0x1.5c8d9aefcd3eep-1,
+            0x1.ad89bbb7ec8e1p+0, 0x1.f59603e9f34fap+0, 0x0p+0,
+            0x0p+0, 0x1.e193cdeec13b9p-4, 0x1.b2d618ae51a84p+0,
+            0x1.453aa45994534p+1, 0x0p+0, 0x1.28eaba0b17d9dp+0,
+            0x1.3604c084e33a5p+1, 0x1.096ee9c8d9d3bp+1, 0x1.833dad883959cp+1,
+            0x0p+0, 0x0p+0, 0x0p+0,
+            0x1.663d3a6459535p+1, 0x1.b4785f8394726p+1, 0x0p+0,
+            0x1.9f14d64b7b5edp+0, 0x1.f1434f7e87da4p-1, 0x1.6c4dd8ca2f9bdp+0},
+    },
+    {36, 16, 0x1.d5d88753d9e47p-2, -0x1.201d118c84b08p+5,
+        /*coef*/ {
+            -0x1.273a864da032fp+1, 0x1.df0b4fe142af6p+0, -0x1.f8ba61fec30a2p+1,
+            -0x1.fd67958fb20fcp+1, 0x1.e20f95705949ep-2, 0x1.4e6f1d9c11c28p-1,
+            0x1.c57bd966a7ccdp+0, -0x1.042e5898cb8a2p+1, 0x1.57d2baca73c1p+1,
+            0x1.79e919010d7d8p+0, -0x1.0ff537db1a238p+1, 0x1.5c38480173626p-1,
+            -0x1.ad89bbb7ec8e1p+0, 0x1.f59603e9f34fap+0, 0x1.d506f08085d0dp-4,
+            0x1.b2f6165d3ddd7p+0, -0x1.453aa45994534p+1, 0x1.2859c17cd51dcp+0,
+            -0x1.3604c084e33a5p+1, 0x1.0a02e609b9727p+1, 0x1.833dad883959cp+1,
+            -0x1.663d3a6459535p+1, 0x1.b4785f8394726p+1, -0x1.9f14d64b7b5edp+0,
+            0x1.f136e8e6b0f4ap-1, 0x1.6c66f7b5d1a37p+0},
+        /*alpha*/ {
+            0x1.273a864da032fp+1, 0x0p+0, 0x1.df0b4fe142af6p+0,
+            0x1.f8ba61fec30a2p+1, 0x0p+0, 0x0p+0,
+            0x1.fd67958fb20fcp+1, 0x1.e20f95705949ep-2, 0x0p+0,
+            0x0p+0, 0x1.4e6f1d9c11c28p-1, 0x1.c57bd966a7ccdp+0,
+            0x1.042e5898cb8a2p+1, 0x0p+0, 0x0p+0,
+            0x0p+0, 0x1.57d2baca73c1p+1, 0x1.79e919010d7d8p+0,
+            0x1.0ff537db1a238p+1, 0x0p+0, 0x0p+0,
+            0x0p+0, 0x0p+0, 0x0p+0,
+            0x0p+0, 0x0p+0, 0x1.5c38480173626p-1,
+            0x1.ad89bbb7ec8e1p+0, 0x1.f59603e9f34fap+0, 0x0p+0,
+            0x0p+0, 0x1.d506f08085d0dp-4, 0x1.b2f6165d3ddd7p+0,
+            0x1.453aa45994534p+1, 0x0p+0, 0x1.2859c17cd51dcp+0,
+            0x1.3604c084e33a5p+1, 0x1.0a02e609b9727p+1, 0x1.833dad883959cp+1,
+            0x0p+0, 0x0p+0, 0x0p+0,
+            0x1.663d3a6459535p+1, 0x1.b4785f8394726p+1, 0x0p+0,
+            0x1.9f14d64b7b5edp+0, 0x1.f136e8e6b0f4ap-1, 0x1.6c66f7b5d1a37p+0},
+    },
+    {48, 0, 0x1.188b00778e75fp-1, 0x0p+0,
+        /*coef*/ {
+            0x1.05d0b821e2b77p-1, 0x1.df0b4fe142af6p+0, -0x1.f8ba61fec30a2p+1,
+            -0x1.fd67958fb20fcp+1, 0x1.8bc5f46f76276p-1, 0x1.c57bd966a7ccdp+0,
+            -0x1.67fdf29dc6a96p-1, 0x1.79e919010d7d8p+0, -0x1.3380216a89731p+1,
+            0x1.c41ecf5482ea5p-1, -0x1.ad89bbb7ec8e1p+0, -0x1.453aa45994534p+1,
+            0x1.297f0d632bb8fp+1, 0x1.d738273595038p+0, 0x1.350f0dc1d0a41p+1,
+            0x1.97f8da1706a52p-1, -0x1.663d3a6459535p+1, 0x1.b4785f8394726p+1,
+            -0x1.342a4c20422adp+0, 0x1.b2a4691e2ff19p-1, 0x1.5020c8decaa3ap-2},
+        /*alpha*/ {},
+    },
+};
+
+std::string hex(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%a", v);
+  return buf;
+}
+
+std::vector<std::string> hex_all(const std::vector<double>& v) {
+  std::vector<std::string> out;
+  for (const double x : v) out.push_back(hex(x));
+  return out;
+}
+
+TEST(SvmSolve, MatchesParentBitForBit) {
+  const std::vector<GoldenFit> fits = golden_fits();
+  ASSERT_EQ(fits.size(), std::size(kGoldenFits));
+  for (std::size_t k = 0; k < fits.size(); ++k) {
+    SCOPED_TRACE(k == 0 ? "cold train" : k == 1 ? "warm train" : "fold fit");
+    const GoldenFit& got = fits[k];
+    const GoldenFit& want = kGoldenFits[k];
+    EXPECT_EQ(got.iterations, want.iterations);
+    EXPECT_EQ(got.warm_nonzero, want.warm_nonzero);
+    EXPECT_EQ(hex(got.bias), hex(want.bias));
+    EXPECT_EQ(hex(got.objective), hex(want.objective));
+    EXPECT_EQ(hex_all(got.coef), hex_all(want.coef));
+    EXPECT_EQ(hex_all(got.alpha), hex_all(want.alpha));
+  }
 }
 
 }  // namespace
