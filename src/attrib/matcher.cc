@@ -6,6 +6,8 @@
 #include <istream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "trace/intern.h"
 #include "util/strings.h"
@@ -13,6 +15,12 @@
 namespace leaps::attrib {
 
 namespace {
+
+template <typename T>
+void sort_unique(std::vector<T>& v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+}
 
 /// Count of `want` entries present in sorted-unique `have`.
 template <typename T>
@@ -160,26 +168,37 @@ WindowEvidence evidence_from_events(std::size_t window_index,
   WindowEvidence out;
   out.window_index = window_index;
   out.decision_value = decision_value;
+  // One pass over the frames collects views; each distinct module and
+  // (module, function) pair is then copied out once.
+  std::size_t total_frames = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    total_frames += events[i].system_stack.size();
+  }
+  std::vector<std::string_view> modules;
+  std::vector<std::pair<std::string_view, std::string_view>> frames;
+  modules.reserve(total_frames);
+  frames.reserve(total_frames);
+  out.event_types.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     const trace::PartitionedEvent& e = events[i];
     out.event_types.push_back(e.type);
-    for (std::string& lib : trace::derive_lib_set(e.system_stack)) {
-      out.libs.push_back(std::move(lib));
-    }
-    for (std::string& func : trace::derive_func_set(e.system_stack)) {
-      out.funcs.push_back(std::move(func));
+    for (const trace::StackFrame& f : e.system_stack) {
+      modules.push_back(f.module);
+      frames.emplace_back(f.module, f.function);
     }
   }
-  std::sort(out.event_types.begin(), out.event_types.end());
-  out.event_types.erase(
-      std::unique(out.event_types.begin(), out.event_types.end()),
-      out.event_types.end());
-  std::sort(out.libs.begin(), out.libs.end());
-  out.libs.erase(std::unique(out.libs.begin(), out.libs.end()),
-                 out.libs.end());
-  std::sort(out.funcs.begin(), out.funcs.end());
-  out.funcs.erase(std::unique(out.funcs.begin(), out.funcs.end()),
-                  out.funcs.end());
+  sort_unique(out.event_types);
+  sort_unique(modules);
+  sort_unique(frames);
+  out.libs.assign(modules.begin(), modules.end());
+  out.funcs.reserve(frames.size());
+  for (const auto& [module, function] : frames) {
+    out.funcs.push_back(trace::qualified_function(module, function));
+  }
+  // Pair order is not name order ("a b"/"x" sorts after "a"/"x", but
+  // "a b!x" before "a!x"), and two pairs can spell one name ("a!b"/"c"
+  // and "a"/"b!c"), so the names take a final sort and dedup.
+  sort_unique(out.funcs);
   return out;
 }
 

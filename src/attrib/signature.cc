@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "sim/behavior.h"
+#include "trace/intern.h"
 #include "util/strings.h"
 
 namespace leaps::attrib {
@@ -193,7 +194,7 @@ CampaignSignature signature_from_campaign(const sim::CampaignSpec& spec) {
         node.event_types.push_back(v.event_type);
         for (const sim::SystemFrameSpec& f : v.frames) {
           node.libs.emplace_back(f.lib);
-          node.funcs.push_back(std::string(f.lib) + "!" + std::string(f.func));
+          node.funcs.push_back(trace::qualified_function(f.lib, f.func));
         }
       }
     }

@@ -104,6 +104,8 @@ namespace leaps::serve {
             "enqueue to worker dequeue latency")                             \
   HISTOGRAM(22, "classify", classify, "leaps_serve_classify_us",             \
             "per drained run of one session")                                \
+  HISTOGRAM(24, "window_tap", window_tap, "leaps_serve_window_tap_us",       \
+            "the tap calls of one tapped window, inside classify")           \
   SUMMARY(23, "decision_value", decision_values,                             \
           "leaps_serve_decision_value",                                      \
           "SVM decision values over scored windows (quantile sketch)")

@@ -95,16 +95,16 @@ void DetectionServer::start() {
   const std::lock_guard<std::mutex> lock(lifecycle_mu_);
   if (started_) return;
   LEAPS_CHECK_MSG(!stopped_, "a stopped server cannot be restarted");
-  if (taps_.size() == 1) {
-    window_tap_ = taps_.front();
-  } else if (!taps_.empty()) {
+  if (!taps_.empty()) {
     window_tap_ = [this](const SessionKey& key, std::size_t window_index,
                          int label, double decision_value,
                          const trace::PartitionedEvent* events,
                          std::size_t count) {
+      const auto t0 = std::chrono::steady_clock::now();
       for (const WindowTap& tap : taps_) {
         tap(key, window_index, label, decision_value, events, count);
       }
+      metrics_.window_tap.record(std::chrono::steady_clock::now() - t0);
     };
   }
   started_ = true;
@@ -322,6 +322,9 @@ void DetectionServer::worker_loop(std::size_t shard_index) {
   std::vector<EventBatch> batches;
   std::vector<trace::CompactEvent> run;
   std::vector<Verdict> verdicts;
+  // Tapped windows of every session this worker feeds are materialized
+  // here, so their stacks reuse the capacity earlier windows left.
+  std::vector<trace::PartitionedEvent> tap_scratch;
   std::vector<std::uint64_t> waits_us;
   batches.reserve(options_.batch_size);
   run.reserve(options_.batch_size);
@@ -376,7 +379,7 @@ void DetectionServer::worker_loop(std::size_t shard_index) {
         outcome = batches[i].session->feed_run(
             std::span<const trace::CompactEvent>(run), verdicts,
             options_.circuit_breaker,
-            window_tap_ ? &window_tap_ : nullptr);
+            window_tap_ ? &window_tap_ : nullptr, &tap_scratch);
       } catch (...) {
         // feed_run guards each event, so reaching here means something
         // escaped even that (e.g. a throwing verdict copy). Quarantine

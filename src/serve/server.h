@@ -158,6 +158,8 @@ class DetectionServer {
   /// registration order. This is the one hook for window consumers: the
   /// online learner (OnlineManager::install), the attribution matcher and
   /// the audit log (audit_tap) all join the window stream through it.
+  /// Each tapped window's tap calls, together, are one sample of the
+  /// window_tap latency histogram.
   void add_window_tap(WindowTap tap);
 
   /// Stages `candidate` as the shadow for `profile` (see
@@ -260,9 +262,10 @@ class DetectionServer {
                            metrics_.session_slabs};
   VerdictSink sink_;
   std::vector<WindowTap> taps_;  // added before start(), then read-only
-  // taps_ as the one callable feed_run takes, built at start(): the only
-  // tap itself, or a fold over all of them. Empty when no tap is added,
-  // so sessions skip buffering window events nobody reads.
+  // taps_ as the one callable feed_run takes, built at start(): a fold
+  // over all of them that records the call's latency in
+  // metrics_.window_tap. Empty when no tap is added, so sessions skip
+  // buffering window events nobody reads (and the clock is never read).
   WindowTap window_tap_;
   // Serializes begin/end shadow against the open_session auto-attach.
   mutable std::mutex shadow_mu_;

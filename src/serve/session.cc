@@ -39,10 +39,12 @@ Session::Session(SessionKey key, std::string profile,
           std::chrono::steady_clock::now().time_since_epoch().count()),
       stream_(detector_->stream()) {}
 
-RunOutcome Session::feed_run(std::span<const trace::CompactEvent> events,
-                             std::vector<Verdict>& out,
-                             std::size_t breaker_threshold,
-                             const WindowTap* tap) {
+RunOutcome Session::feed_run(
+    std::span<const trace::CompactEvent> events, std::vector<Verdict>& out,
+    std::size_t breaker_threshold, const WindowTap* tap,
+    std::vector<trace::PartitionedEvent>* tap_scratch) {
+  LEAPS_CHECK_MSG(tap == nullptr || tap_scratch != nullptr,
+                  "a tapped feed_run needs its scratch");
   const std::lock_guard<std::mutex> lock(mu_);
   touch();
   // An untapped call invalidates any partially-buffered window: the buffer
@@ -109,13 +111,14 @@ RunOutcome Session::feed_run(std::span<const trace::CompactEvent> events,
           // online accumulator, the durable WAL, the audit stream — see
           // byte-identical events to the pre-interning fabric.
           if (tap_buf_.size() == detector_->preprocessor().window()) {
-            tap_scratch_.clear();
-            tap_scratch_.reserve(tap_buf_.size());
-            for (const trace::CompactEvent& e : tap_buf_) {
-              tap_scratch_.push_back(table_->materialize(e));
+            // Overwritten in place: the scratch's events keep the stack
+            // capacity earlier windows gave them.
+            tap_scratch->resize(tap_buf_.size());
+            for (std::size_t k = 0; k < tap_buf_.size(); ++k) {
+              table_->materialize_into(tap_buf_[k], (*tap_scratch)[k]);
             }
             (*tap)(key_, window_index, *label, decision,
-                   tap_scratch_.data(), tap_scratch_.size());
+                   tap_scratch->data(), tap_scratch->size());
           }
           tap_buf_.clear();
         }

@@ -9,7 +9,8 @@
 // Hot-path form: the worker path feeds trace::CompactEvent batches
 // (interned at the ingest boundary, see trace/intern.h); strings never
 // reach feed_run. Tapped windows are materialized — exactly — from the
-// TokenTable only when a WindowTap is installed.
+// TokenTable only when a WindowTap is installed, into scratch the calling
+// worker owns and reuses across every session it serves.
 //
 // Failure model: classification runs against adversarial event streams,
 // so feed_run guards every event. An event that throws (poison input, an
@@ -78,8 +79,10 @@ struct Verdict {
 /// events that formed it — the feed of the online-learning accumulator
 /// and drift monitor (src/online/). Called under the session mutex from
 /// worker threads: must be thread-safe, cheap, and must not throw or call
-/// back into the session. `events` points at `count` buffered copies valid
-/// only for the call (materialized exactly from the interned form).
+/// back into the session. `events` points at `count` events materialized
+/// exactly from the interned form into the calling worker's scratch: they
+/// are valid only for the call (the worker overwrites them with its next
+/// tapped window, of any session), so a tap that keeps events copies them.
 using WindowTap =
     std::function<void(const SessionKey& key, std::size_t window_index,
                        int label, double decision_value,
@@ -129,10 +132,13 @@ class Session {
   /// (0 disables the breaker — failures never quarantine).
   /// `tap`, when non-null, observes every completed window (see WindowTap);
   /// the session buffers the window's events only while a tap is passed.
-  RunOutcome feed_run(std::span<const trace::CompactEvent> events,
-                      std::vector<Verdict>& out,
-                      std::size_t breaker_threshold,
-                      const WindowTap* tap = nullptr);
+  /// A tapped call also passes `tap_scratch`, the caller's reusable buffer
+  /// the window is materialized into (a worker passes the same one to
+  /// every session it feeds, as it does `out`).
+  RunOutcome feed_run(
+      std::span<const trace::CompactEvent> events, std::vector<Verdict>& out,
+      std::size_t breaker_threshold, const WindowTap* tap = nullptr,
+      std::vector<trace::PartitionedEvent>* tap_scratch = nullptr);
 
   /// Attaches a candidate detector that classifies this session's traffic
   /// in parallel with the active one (shadow deploy). The shadow stream
@@ -225,8 +231,6 @@ class Session {
   // Window-event buffer for the tap; filled only on tapped feed_run calls,
   // and only with events since the last window boundary (guarded by mu_).
   std::vector<trace::CompactEvent> tap_buf_;
-  // Scratch for materializing a tapped window (guarded by mu_; reused).
-  std::vector<trace::PartitionedEvent> tap_scratch_;
   // Producer-side micro-batch stage (guarded by stage_mu_, never by mu_).
   std::mutex stage_mu_;
   std::vector<trace::CompactEvent> stage_;

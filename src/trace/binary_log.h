@@ -47,7 +47,8 @@ bool is_binary_log(std::istream& is);
 
 /// Reads a raw log in any dialect — binary (detected by magic), auditd
 /// (detected by "type="), otherwise text — through that dialect's reader.
-/// Works on non-seekable streams such as piped stdin.
+/// Works on non-seekable streams such as piped stdin. Zero bytes sniff as
+/// text and, like any dialect's empty input, come back kCorruptInput.
 util::StatusOr<RawLog> read_raw_log_any(std::istream& is);
 
 }  // namespace leaps::trace

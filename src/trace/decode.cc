@@ -54,6 +54,11 @@ util::StatusOr<RawLog> decode_log(std::istream& is, std::string_view dialect,
       "leaps_ingest_corrupt_total", "ingest attempts rejected as corrupt");
   LEAPS_FAULT_POINT_STATUS("trace.ingest.read");
   try {
+    // Every dialect needs at least a header or a record, so zero bytes is
+    // a capture truncated to nothing, not an empty log.
+    if (is.peek() == std::istream::traits_type::eof()) {
+      throw DecodeError("byte 0", "empty input");
+    }
     Decoded d = grammar(is);
     events.inc(d.log.events.size());
     bytes.inc(d.bytes);

@@ -57,7 +57,8 @@ struct Decoded {
 using Grammar = Decoded (*)(std::istream& is);
 
 /// Runs `grammar` on `is` behind the ingest boundary. `dialect` names the
-/// format in diagnostics ("text", "binary", "auditd").
+/// format in diagnostics ("text", "binary", "auditd"). An input of zero
+/// bytes is corrupt in every dialect.
 util::StatusOr<RawLog> decode_log(std::istream& is, std::string_view dialect,
                                   Grammar grammar);
 

@@ -110,13 +110,19 @@ StringSet derive_lib_set(const std::vector<StackFrame>& frames) {
   return out;
 }
 
+std::string qualified_function(std::string_view module,
+                               std::string_view function) {
+  std::string out;
+  out.reserve(module.size() + 1 + function.size());
+  out.append(module).append(1, '!').append(function);
+  return out;
+}
+
 StringSet derive_func_set(const std::vector<StackFrame>& frames) {
   StringSet out;
   out.reserve(frames.size());
   for (const StackFrame& f : frames) {
-    // Function names are qualified by module: ReadFile exists in both
-    // kernel32 and kernelbase, and those are different functions.
-    out.push_back(f.module + "!" + f.function);
+    out.push_back(qualified_function(f.module, f.function));
   }
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
@@ -220,12 +226,20 @@ CompactEvent TokenTable::compact(const PartitionedEvent& event) {
 
 PartitionedEvent TokenTable::materialize(const CompactEvent& event) const {
   PartitionedEvent out;
+  materialize_into(event, out);
+  return out;
+}
+
+void TokenTable::materialize_into(const CompactEvent& event,
+                                  PartitionedEvent& out) const {
   out.seq = event.seq;
   out.tid = event.tid;
   out.type = event.type;
+  // Copy assignment reuses `out`'s buffers: elements already present are
+  // assigned (a StackFrame's strings keep their capacity), the rest are
+  // constructed, and a longer previous stack is truncated.
   out.app_stack = app_stack(event.app_id);
   out.system_stack = system_stack(event.sys_id);
-  return out;
 }
 
 const StringSet& TokenTable::lib_set(std::uint32_t lib_id) const {

@@ -42,6 +42,7 @@
 #include <shared_mutex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -58,6 +59,14 @@ using StringSet = std::vector<std::string>;
 /// core::Preprocessor::lib_set/func_set and the ids TokenTable derives.
 StringSet derive_lib_set(const std::vector<StackFrame>& frames);
 StringSet derive_func_set(const std::vector<StackFrame>& frames);
+
+/// A frame's Func-set name, "module!function", built with one
+/// allocation. Function names are qualified by module: ReadFile exists in
+/// both kernel32 and kernelbase, and those are different functions. The
+/// one spelling of a Func name: derive_func_set, the attribution evidence
+/// builder and signature derivation all call it.
+std::string qualified_function(std::string_view module,
+                               std::string_view function);
 
 /// The interned hot-path event: what PartitionedEvent becomes at the
 /// ingest boundary. Plain integers, no heap state — cheap to copy, to
@@ -167,6 +176,11 @@ class TokenTable {
   /// Exact reconstruction: equal to the event compact() consumed, field
   /// for field (first-seen stack sequences are stored verbatim).
   PartitionedEvent materialize(const CompactEvent& event) const;
+  /// materialize() into `out`, overwriting every field in place: a reused
+  /// `out` keeps its vector and string capacity, so refilling it
+  /// allocates only where the new stacks outgrow what `out` held.
+  void materialize_into(const CompactEvent& event,
+                        PartitionedEvent& out) const;
 
   /// Id lookups; references stay valid for the table's lifetime.
   const StringSet& lib_set(std::uint32_t lib_id) const;

@@ -1,13 +1,14 @@
 // Attribution-subsystem tests: the .sig format (round-trip + corrupt-input
 // rejection), matcher/edge semantics, the acceptance property (the true
 // campaign signature ranks strictly above its permuted decoys), the audit
-// JSONL evidence reader, and FleetAttributor's worker-count invariance on
-// a live DetectionServer.
+// JSONL evidence reader, window evidence against its per-event recipe, and
+// FleetAttributor's worker-count invariance on a live DetectionServer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
 #include <map>
 #include <sstream>
 #include <string>
@@ -19,6 +20,7 @@
 #include "serve/audit.h"
 #include "serve/server.h"
 #include "sim/campaign.h"
+#include "trace/intern.h"
 #include "trace/partition.h"
 #include "util/status.h"
 
@@ -237,6 +239,117 @@ TEST(Attribution, TrueSignatureOutranksDecoysOnEveryAptCampaign) {
   }
 }
 
+// ------------------------------------------------- window evidence ----
+
+/// The per-event recipe evidence_from_events replaces: each event's
+/// derive_lib_set/derive_func_set, concatenated, sorted and made unique.
+WindowEvidence reference_evidence(const trace::PartitionedEvent* events,
+                                  std::size_t count) {
+  WindowEvidence out;
+  out.window_index = 5;
+  out.decision_value = -0.5;
+  for (std::size_t i = 0; i < count; ++i) {
+    out.event_types.push_back(events[i].type);
+    for (std::string& lib : trace::derive_lib_set(events[i].system_stack)) {
+      out.libs.push_back(std::move(lib));
+    }
+    for (std::string& f : trace::derive_func_set(events[i].system_stack)) {
+      out.funcs.push_back(std::move(f));
+    }
+  }
+  std::sort(out.event_types.begin(), out.event_types.end());
+  out.event_types.erase(
+      std::unique(out.event_types.begin(), out.event_types.end()),
+      out.event_types.end());
+  std::sort(out.libs.begin(), out.libs.end());
+  out.libs.erase(std::unique(out.libs.begin(), out.libs.end()),
+                 out.libs.end());
+  std::sort(out.funcs.begin(), out.funcs.end());
+  out.funcs.erase(std::unique(out.funcs.begin(), out.funcs.end()),
+                  out.funcs.end());
+  return out;
+}
+
+void expect_reference_evidence(const std::vector<trace::PartitionedEvent>& w,
+                               const std::string& what) {
+  const WindowEvidence got = evidence_from_events(5, -0.5, w.data(), w.size());
+  const WindowEvidence want = reference_evidence(w.data(), w.size());
+  EXPECT_EQ(got.window_index, 5u) << what;
+  EXPECT_EQ(got.decision_value, -0.5) << what;
+  EXPECT_EQ(got.event_types, want.event_types) << what;
+  EXPECT_EQ(got.libs, want.libs) << what;
+  EXPECT_EQ(got.funcs, want.funcs) << what;
+}
+
+trace::PartitionedEvent event_with(
+    trace::EventType type, std::vector<trace::StackFrame> frames) {
+  trace::PartitionedEvent e;
+  e.type = type;
+  e.system_stack = std::move(frames);
+  return e;
+}
+
+TEST(Evidence, FromEventsEqualsThePerEventRecipe) {
+  // Every campaign's windows, as the tap would hand them over.
+  for (const sim::CampaignSpec& spec : sim::campaign_catalog()) {
+    sim::SimConfig cfg;
+    cfg.benign_events = 300;
+    cfg.mixed_events = 300;
+    cfg.malicious_events = 300;
+    cfg.seed = 3;
+    const trace::PartitionedLog mal =
+        partition_raw(sim::generate_campaign(spec, cfg).malicious);
+    constexpr std::size_t kWindow = 10;
+    for (std::size_t i = 0; i + kWindow <= mal.events.size(); i += kWindow) {
+      expect_reference_evidence(
+          {mal.events.begin() + static_cast<std::ptrdiff_t>(i),
+           mal.events.begin() + static_cast<std::ptrdiff_t>(i + kWindow)},
+          spec.name + " window at " + std::to_string(i));
+    }
+  }
+
+  using trace::EventType;
+  // Module names that prefix each other, around the '!' and ' ' bytes
+  // that order before and after the separator.
+  expect_reference_evidence(
+      {event_with(EventType::kFileRead, {{1, "kernel32.dll", "ReadFile"},
+                                         {2, "kernel32", "ReadFile"},
+                                         {3, "kernel3", "ReadFile"},
+                                         {4, "kernel32 x", "ReadFile"},
+                                         {5, "kernel32#", "ReadFile"}}),
+       event_with(EventType::kFileWrite, {{6, "kernel32", "Read"},
+                                          {7, "kernel32", "ReadFileEx"}})},
+      "prefix modules");
+  // '!' inside a name: two frames that spell one Func name, and one that
+  // sorts differently as a pair than as a name.
+  expect_reference_evidence(
+      {event_with(EventType::kNetworkSend, {{1, "a!b", "c"},
+                                            {2, "a", "b!c"},
+                                            {3, "a", "b c"},
+                                            {4, "a!", "!"}}),
+       event_with(EventType::kNetworkSend, {{5, "a!b!c", ""}})},
+      "bang in names");
+  // Empty module or function (unmapped region, no symbol).
+  expect_reference_evidence(
+      {event_with(EventType::kMemProtect, {{1, "", ""},
+                                           {2, "", "f"},
+                                           {3, "m", ""},
+                                           {4, "m", "f"}}),
+       event_with(EventType::kMemProtect, {})},
+      "empty names");
+  // Frames repeated within and across events.
+  const std::vector<trace::StackFrame> stack = {
+      {1, "ntdll.dll", "NtReadFile"},
+      {2, "kernelbase.dll", "ReadFile"},
+      {3, "kernelbase.dll", "ReadFile"},
+      {4, "ntdll.dll", "NtReadFile"}};
+  expect_reference_evidence({event_with(EventType::kFileRead, stack),
+                             event_with(EventType::kFileRead, stack),
+                             event_with(EventType::kRegistryRead, stack)},
+                            "repeated frames");
+  expect_reference_evidence({}, "empty window");
+}
+
 // ------------------------------------------------------- audit JSONL ----
 
 TEST(Evidence, AuditJsonlReaderSkipsBenignAndRejectsCorruption) {
@@ -293,6 +406,7 @@ TEST(Evidence, AuditJsonlReaderSkipsBenignAndRejectsCorruption) {
 
 std::string render(const std::vector<FleetAttributor::SessionAttribution>& s) {
   std::ostringstream os;
+  os << std::setprecision(17);  // scores compared to the last bit
   for (const auto& a : s) {
     os << a.key.to_string() << " flagged=" << a.flagged_windows << "\n";
     for (const AttributionVerdict& v : a.verdicts) {

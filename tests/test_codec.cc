@@ -425,16 +425,18 @@ struct HostileRow {
   std::string valid;
   std::vector<std::string> hostile;
   /// Proper prefix lengths that are themselves complete encodings; they
-  /// must decode OK and no other proper prefix may.
+  /// must decode OK and no other proper prefix may (unless line_grammar).
   std::vector<std::size_t> complete_prefixes;
   std::function<util::Status(const std::string&)> decode;
   /// Bound on the largest single allocation, per input byte.
   std::size_t multiple = 2;
   /// Called, outside the counted window, on every input that decodes
-  /// (`prefix`: a proper prefix of `valid`); false fails the row. A row
-  /// that sets it and leaves complete_prefixes empty is a line grammar,
-  /// whose proper prefixes may decode.
+  /// (`prefix`: a proper prefix of `valid`); false fails the row.
   std::function<bool(const std::string& input, bool prefix)> decoded = nullptr;
+  /// A line grammar: a cut at a record boundary leaves a shorter document,
+  /// so any proper prefix may decode (`decoded` then checks it) and
+  /// complete_prefixes pins nothing.
+  bool line_grammar = false;
 };
 
 /// A small log: an application image, a library and the kernel, a symbol
@@ -652,7 +654,8 @@ std::vector<HostileRow> hostile_rows() {
                   decode_log,
                   // 16: split_ws keeps a 16-byte view per 2-byte token, x2.
                   16,
-                  log_check(events)});
+                  log_check(events),
+                  /*line_grammar=*/true});
 
   // A header claiming 4096 modules, symbols or events, and nothing more;
   // then 4096 symbols claimed and 3000 present, past the reserve.
@@ -673,9 +676,10 @@ std::vector<HostileRow> hostile_rows() {
   rows.push_back({"binary log",
                   binary.str(),
                   counts,
-                  // A binary log declares its counts, so the only prefix
-                  // that decodes is the empty one: it sniffs as empty text.
-                  {0},
+                  // A binary log declares its counts, so no proper prefix
+                  // decodes (the empty one sniffs as text, which refuses
+                  // zero bytes).
+                  {},
                   decode_log,
                   // 40: a 40-byte RawSymbol per 2 encoded bytes, x2.
                   40,
@@ -692,7 +696,8 @@ std::vector<HostileRow> hostile_rows() {
                   decode_log,
                   // 32: a 16-byte view per 1-byte BACKTRACE frame (","), x2.
                   32,
-                  log_check(events)});
+                  log_check(events),
+                  /*line_grammar=*/true});
 
   const std::size_t nodes = fixed_signature().nodes.size();
   rows.push_back(
@@ -710,7 +715,8 @@ std::vector<HostileRow> hostile_rows() {
        [nodes](const std::string& input, bool prefix) {
          std::istringstream is(input);
          return !prefix || attrib::read_signature(is)->nodes.size() <= nodes;
-       }});
+       },
+       /*line_grammar=*/true});
 
   rows.push_back(
       {"evidence_from_audit_jsonl",
@@ -730,7 +736,8 @@ std::vector<HostileRow> hostile_rows() {
          constexpr std::size_t kFlagged = 2;
          return !prefix ||
                 attrib::evidence_from_audit_jsonl(is)->size() <= kFlagged;
-       }});
+       },
+       /*line_grammar=*/true});
   return rows;
 }
 
@@ -773,7 +780,7 @@ std::vector<HostileInput> hostile_corpus(const HostileRow& row) {
   const std::string& valid = row.valid;
   for (std::size_t n = 0; n < valid.size(); ++n) {
     std::optional<bool> decodes;
-    if (!row.decoded || !row.complete_prefixes.empty()) {
+    if (!row.line_grammar) {
       decodes = std::count(row.complete_prefixes.begin(),
                            row.complete_prefixes.end(), n) > 0;
     }

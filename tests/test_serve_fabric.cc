@@ -9,6 +9,8 @@
 //   * batched hand-off — windows assemble identically across any batch
 //     split: coalesce=1 vs coalesce=7 vs a sequential Detector::Stream
 //     produce byte-identical verdicts (decision values compared exactly),
+//   * window taps — a worker's reused materialize scratch hands every tap
+//     exactly the window's events, whatever the scratch held before,
 //   * WeightedQueue — event-granular capacity/drop accounting, blocking
 //     backpressure and close semantics,
 //   * SlabPool — slot reuse, overflow fallback, gauges.
@@ -23,6 +25,7 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -100,6 +103,41 @@ TEST(TokenTable, DerivedSetsMatchPreprocessorRecipes) {
         << "Lib recipe diverged from core::Preprocessor::lib_set";
     EXPECT_EQ(table.func_set(c.func_id), core::Preprocessor::func_set(e))
         << "Func recipe diverged from core::Preprocessor::func_set";
+  }
+}
+
+TEST(TokenTable, MaterializeIntoOverwritesAPrefilledEvent) {
+  trace::TokenTable table;
+  const auto& events = fixture().mixed.events;
+  trace::PartitionedEvent long_event = events.front();
+  for (std::uint64_t k = 0; k < 16; ++k) {
+    long_event.system_stack.push_back(
+        {0x9000 + k, "a_module_name_past_the_small_string_buffer.dll",
+         "AFunctionNamePastTheSmallStringBuffer" + std::to_string(k)});
+    long_event.app_stack.push_back(0x400000 + k);
+  }
+  trace::PartitionedEvent short_event;
+  short_event.seq = 3;
+  short_event.tid = 9;
+  short_event.type = trace::EventType::kFileRead;
+  short_event.system_stack.push_back({0x10, "m", "f"});
+  const trace::CompactEvent long_c = table.compact(long_event);
+  const trace::CompactEvent short_c = table.compact(short_event);
+
+  trace::PartitionedEvent out = long_event;
+  table.materialize_into(short_c, out);
+  EXPECT_EQ(out, table.materialize(short_c));
+  EXPECT_EQ(out, short_event);
+  table.materialize_into(long_c, out);
+  EXPECT_EQ(out, table.materialize(long_c));
+  EXPECT_EQ(out, long_event);
+
+  // One reused event through a whole log, every stack length in turn.
+  trace::PartitionedEvent reused = long_event;
+  for (const trace::PartitionedEvent& e : events) {
+    const trace::CompactEvent c = table.compact(e);
+    table.materialize_into(c, reused);
+    ASSERT_EQ(reused, table.materialize(c));
   }
 }
 
@@ -350,6 +388,104 @@ TEST(BatchedHandoff, WindowAssemblyIdenticalAcrossBatchSplits) {
         // not perturb the math by even one ulp.
         EXPECT_EQ(verdicts[i].second, expected[i].second)
             << "coalesce=" << coalesce << " window " << i;
+      }
+    }
+  }
+}
+
+// --- window taps: the worker's reused materialize scratch ----------------
+
+/// `windows` windows of the fixture's mixed log whose stacks alternate
+/// window by window: long (every frame plus 24 with long names, and 16
+/// more app frames), then short (at most the innermost frame, no app
+/// frames). A worker's scratch that held a long window is refilled with a
+/// short one, so a frame or address left over from the long one shows.
+std::vector<trace::PartitionedEvent> alternating_stack_log(
+    std::size_t window, std::size_t windows) {
+  const auto& events = fixture().mixed.events;
+  std::vector<trace::PartitionedEvent> out;
+  for (std::size_t i = 0; i < window * windows; ++i) {
+    trace::PartitionedEvent e = events[i % events.size()];
+    if ((i / window) % 2 == 0) {
+      for (std::uint64_t k = 0; k < 24; ++k) {
+        e.system_stack.push_back(
+            {0x7000 + k,
+             "padding_module_with_a_long_name_" + std::to_string(k) + ".dll",
+             "PaddingFunctionWithALongName" + std::to_string(k)});
+      }
+      e.app_stack.resize(e.app_stack.size() + 16, 0x401234);
+    } else {
+      e.system_stack.resize(std::min<std::size_t>(e.system_stack.size(), 1));
+      e.app_stack.clear();
+    }
+    out.push_back(std::move(e));
+  }
+  return out;
+}
+
+TEST(WindowTap, ReusedScratchCarriesNoStaleFrames) {
+  const TrainedDetector& f = fixture();
+  const std::size_t window = f.detector->preprocessor().window();
+  constexpr std::size_t kWindows = 8;
+  constexpr std::size_t kSessions = 6;
+  const std::vector<trace::PartitionedEvent> log =
+      alternating_stack_log(window, kWindows);
+  trace::TokenTable& table = trace::TokenTable::global();
+  std::vector<trace::PartitionedEvent> expected;
+  for (const trace::PartitionedEvent& e : log) {
+    expected.push_back(table.materialize(table.compact(e)));
+    ASSERT_TRUE(same_event(expected.back(), e));
+  }
+
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    for (const std::size_t coalesce :
+         {std::size_t{1}, std::size_t{7}, std::size_t{160}}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " coalesce=" + std::to_string(coalesce));
+      ServerOptions options;
+      options.workers = workers;
+      options.coalesce = coalesce;
+      DetectionServer server(options);
+      server.registry().add("p", f.detector);
+      std::mutex mu;
+      // pid -> window index -> the events the tap saw, copied in the call.
+      std::map<std::uint32_t,
+               std::map<std::size_t, std::vector<trace::PartitionedEvent>>>
+          tapped;
+      server.add_window_tap([&](const SessionKey& key, std::size_t index,
+                                int, double,
+                                const trace::PartitionedEvent* events,
+                                std::size_t count) {
+        const std::lock_guard<std::mutex> lock(mu);
+        tapped[key.pid][index].assign(events, events + count);
+      });
+      std::vector<std::shared_ptr<Session>> sessions;
+      for (std::uint32_t s = 0; s < kSessions; ++s) {
+        sessions.push_back(server.open_session({"tap", s}, "p"));
+        ASSERT_NE(sessions.back(), nullptr);
+      }
+      server.start();
+      // Sessions interleave, so one worker's scratch passes between them.
+      for (const trace::PartitionedEvent& e : log) {
+        for (const auto& session : sessions) {
+          ASSERT_TRUE(server.submit(session, e));
+        }
+      }
+      server.drain();
+      server.stop();
+
+      ASSERT_EQ(tapped.size(), kSessions);
+      for (const auto& [pid, windows] : tapped) {
+        ASSERT_EQ(windows.size(), kWindows) << "session " << pid;
+        for (const auto& [index, events] : windows) {
+          ASSERT_LT(index, kWindows);
+          ASSERT_EQ(events.size(), window) << "window " << index;
+          for (std::size_t k = 0; k < window; ++k) {
+            EXPECT_EQ(events[k], expected[index * window + k])
+                << "session " << pid << " window " << index << " event "
+                << k;
+          }
+        }
       }
     }
   }

@@ -49,6 +49,7 @@ void fill_golden(ServerMetrics& m) {
     m.queue_wait.record_us(us);
   }
   for (const std::uint64_t us : {12, 900}) m.classify.record_us(us);
+  for (const std::uint64_t us : {6, 40}) m.window_tap.record_us(us);
   for (const double v : {-1.25, 0.5, 2.0, 0.125, 1.0 / 3.0}) {
     m.decision_values.observe(v);
   }
@@ -188,6 +189,38 @@ leaps_serve_decision_value{quantile="0.9"} 2
 leaps_serve_decision_value{quantile="0.99"} 2
 leaps_serve_decision_value_sum 1.70833333
 leaps_serve_decision_value_count 5
+# HELP leaps_serve_window_tap_us the tap calls of one tapped window, inside classify
+# TYPE leaps_serve_window_tap_us histogram
+leaps_serve_window_tap_us_bucket{le="0"} 0
+leaps_serve_window_tap_us_bucket{le="1"} 0
+leaps_serve_window_tap_us_bucket{le="3"} 0
+leaps_serve_window_tap_us_bucket{le="7"} 1
+leaps_serve_window_tap_us_bucket{le="15"} 1
+leaps_serve_window_tap_us_bucket{le="31"} 1
+leaps_serve_window_tap_us_bucket{le="63"} 2
+leaps_serve_window_tap_us_bucket{le="127"} 2
+leaps_serve_window_tap_us_bucket{le="255"} 2
+leaps_serve_window_tap_us_bucket{le="511"} 2
+leaps_serve_window_tap_us_bucket{le="1023"} 2
+leaps_serve_window_tap_us_bucket{le="2047"} 2
+leaps_serve_window_tap_us_bucket{le="4095"} 2
+leaps_serve_window_tap_us_bucket{le="8191"} 2
+leaps_serve_window_tap_us_bucket{le="16383"} 2
+leaps_serve_window_tap_us_bucket{le="32767"} 2
+leaps_serve_window_tap_us_bucket{le="65535"} 2
+leaps_serve_window_tap_us_bucket{le="131071"} 2
+leaps_serve_window_tap_us_bucket{le="262143"} 2
+leaps_serve_window_tap_us_bucket{le="524287"} 2
+leaps_serve_window_tap_us_bucket{le="1048575"} 2
+leaps_serve_window_tap_us_bucket{le="2097151"} 2
+leaps_serve_window_tap_us_bucket{le="4194303"} 2
+leaps_serve_window_tap_us_bucket{le="8388607"} 2
+leaps_serve_window_tap_us_bucket{le="16777215"} 2
+leaps_serve_window_tap_us_bucket{le="33554431"} 2
+leaps_serve_window_tap_us_bucket{le="67108863"} 2
+leaps_serve_window_tap_us_bucket{le="+Inf"} 2
+leaps_serve_window_tap_us_sum 46
+leaps_serve_window_tap_us_count 2
 )golden";
 
 const char kJson[] =
@@ -207,6 +240,11 @@ const char kJson[] =
     "7,15,31,63,127,255,511,1023,2047,4095,8191,16383,32767,65535,131071,2621"
     "43,524287,1048575,2097151,4194303,8388607,16777215,33554431,67108863,-1]"
     ",\"buckets\":[0,0,0,0,1,0,0,0,0,0,1,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]},"
+    "\"window_tap\":{\"count\":2,\"total_us\":46,\"max_us\":40,\"p50_us\":63,"
+    "\"p95_us\":63,\"p99_us\":63,\"le_us\":[0,1,3,7,15,31,63,127,255,511,1023,"
+    "2047,4095,8191,16383,32767,65535,131071,262143,524287,1048575,2097151,4194"
+    "303,8388607,16777215,33554431,67108863,-1],\"buckets\":[0,0,0,1,0,0,1,0,0,"
+    "0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]},"
     "\"decision_value\":{\"count\":5,\"sum\":1.70833333,\"min\":-1.25,\"max\""
     ":2,\"q50\":0.333333333,\"q90\":2,\"q99\":2}}";
 
@@ -283,7 +321,7 @@ TEST(ServeMetricsGolden, ExpositionsMatchTheHandWrittenRenderers) {
     }
     EXPECT_EQ(fields, members(value)) << group;
   }
-  for (const char* added : {"slabs", "queue_wait", "classify"}) {
+  for (const char* added : {"slabs", "queue_wait", "classify", "window_tap"}) {
     EXPECT_EQ(now.count(added), 1u) << added;
   }
 }

@@ -1,12 +1,14 @@
 // The ingest boundary shared by the three log dialects (text, binary,
-// auditd): every dialect rejects bad module/symbol records the same way,
-// round-trips simulator logs exactly, and counts each decode once.
+// auditd): every dialect rejects bad module/symbol records and empty input
+// the same way, round-trips simulator logs exactly, and counts each decode
+// once.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "obs/registry.h"
@@ -26,9 +28,10 @@ std::uint64_t counter(const char* name) {
 }
 
 struct Dialect {
+  using Read = std::function<util::StatusOr<RawLog>(std::istream&)>;
   const char* name;
   std::function<void(const RawLog&, std::ostream&)> write;
-  std::function<util::StatusOr<RawLog>(std::istream&)> read;
+  Read read;
   const char* position;  // what every error message of this dialect carries
 };
 
@@ -118,6 +121,34 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<BadRow>& info) {
       return std::string(info.param.dialect.name) + "_" + info.param.bad.name;
     });
+
+// ------------------------------------------------------- empty input ----
+
+// Zero bytes is a capture truncated to nothing: every reader, and the
+// sniffing one, refuses it as corrupt and counts it once.
+TEST(IngestEmptyInput, RejectedAsCorruptByEveryReader) {
+  std::vector<std::pair<const char*, Dialect::Read>> readers;
+  for (const Dialect& d : dialects()) readers.emplace_back(d.name, d.read);
+  readers.emplace_back("any", read_raw_log_any);
+  for (const auto& [name, read] : readers) {
+    SCOPED_TRACE(name);
+    std::istringstream is("");
+    const std::uint64_t corrupt = counter("leaps_ingest_corrupt_total");
+    const std::uint64_t events = counter("leaps_ingest_events_total");
+    const util::StatusOr<RawLog> got = read(is);
+    ASSERT_FALSE(got.ok()) << "decoded zero bytes as a log";
+    EXPECT_EQ(got.status().code(), util::StatusCode::kCorruptInput);
+    EXPECT_NE(got.status().message().find("empty input"), std::string::npos)
+        << got.status().message();
+    EXPECT_EQ(counter("leaps_ingest_corrupt_total") - corrupt, 1u);
+    EXPECT_EQ(counter("leaps_ingest_events_total"), events);
+  }
+  // One byte is input: a blank line is an empty text log.
+  std::istringstream blank("\n");
+  const util::StatusOr<RawLog> got = read_raw_log_any(blank);
+  ASSERT_TRUE(got.ok()) << got.status().to_string();
+  EXPECT_TRUE(got->events.empty());
+}
 
 // ------------------------------------------- round trip + single count ----
 
