@@ -9,7 +9,7 @@ set(LEAPS_BENCH_TARGETS
   bench_baselines
   bench_universal
   bench_micro
-  bench_serve
+  bench_online
   bench_train
   bench_campaign
 )
@@ -21,5 +21,5 @@ foreach(b ${LEAPS_BENCH_TARGETS})
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
 endforeach()
 target_link_libraries(bench_micro PRIVATE benchmark::benchmark)
-target_link_libraries(bench_serve PRIVATE leaps_serve leaps_online)
+target_link_libraries(bench_online PRIVATE leaps_serve leaps_online)
 target_link_libraries(bench_campaign PRIVATE leaps_attrib)

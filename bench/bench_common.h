@@ -9,73 +9,14 @@
 //   LEAPS_FAST=1  small preset (overrides the above downward)
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
-#include <thread>
 
 #include "core/experiment.h"
 #include "util/env.h"
 
 namespace leaps::bench {
-
-/// Guard for re-capturing a checked-in BENCH_*.json: speedup columns are
-/// only comparable when the new box has the same core count the baseline
-/// was measured on. Point LEAPS_BENCH_BASELINE at the checked-in snapshot;
-/// on a mismatch the bench either refuses (LEAPS_BENCH_STRICT=1) or
-/// annotates the new JSON so the divergence is recorded, never silent.
-struct BaselineGuard {
-  unsigned baseline_concurrency = 0;  // 0 = no baseline consulted
-  bool mismatch = false;
-  /// Extra fields for the JSON "config" object ("" when comparable).
-  std::string annotation;
-};
-
-inline BaselineGuard check_bench_baseline() {
-  BaselineGuard g;
-  const std::string path = util::env_string("LEAPS_BENCH_BASELINE", "");
-  if (path.empty()) return g;
-  std::ifstream is(path);
-  if (!is) {
-    std::fprintf(stderr, "bench: cannot read baseline %s\n", path.c_str());
-    std::exit(1);
-  }
-  std::ostringstream buf;
-  buf << is.rdbuf();
-  const std::string text = buf.str();
-  const std::string key = "\"hardware_concurrency\":";
-  const auto pos = text.find(key);
-  if (pos == std::string::npos) {
-    std::fprintf(stderr, "bench: baseline %s lacks hardware_concurrency\n",
-                 path.c_str());
-    std::exit(1);
-  }
-  g.baseline_concurrency = static_cast<unsigned>(
-      std::strtoul(text.c_str() + pos + key.size(), nullptr, 10));
-  const unsigned here = std::thread::hardware_concurrency();
-  if (g.baseline_concurrency == here) return g;
-  g.mismatch = true;
-  if (util::env_flag("LEAPS_BENCH_STRICT")) {
-    std::fprintf(stderr,
-                 "bench: refusing to re-capture — this box has %u hardware "
-                 "threads but the baseline %s was measured with %u "
-                 "(LEAPS_BENCH_STRICT=1); results would not be comparable\n",
-                 here, path.c_str(), g.baseline_concurrency);
-    std::exit(1);
-  }
-  std::fprintf(stderr,
-               "bench: warning — %u hardware threads here vs %u in baseline "
-               "%s; annotating the JSON (set LEAPS_BENCH_STRICT=1 to refuse "
-               "instead)\n",
-               here, g.baseline_concurrency, path.c_str());
-  std::ostringstream ann;
-  ann << ", \"baseline_hardware_concurrency\": " << g.baseline_concurrency
-      << ", \"baseline_core_mismatch\": true";
-  g.annotation = ann.str();
-  return g;
-}
 
 inline core::ExperimentOptions options_from_env() {
   core::ExperimentOptions opt;

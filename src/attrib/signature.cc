@@ -37,11 +37,6 @@ struct SigError {
   std::string what;
 };
 
-std::vector<std::string_view> parse_list(std::string_view v) {
-  if (v == "-") return {};
-  return util::split(v, ',');
-}
-
 }  // namespace
 
 void write_signature(const CampaignSignature& sig, std::ostream& os) {
@@ -89,6 +84,15 @@ util::StatusOr<CampaignSignature> read_signature(std::istream& is) {
       }
       return static_cast<std::uint32_t>(v);
     };
+    // A list is "-" (empty) or comma-separated entries, none of them empty.
+    const auto for_each_entry = [&fail](std::string_view list,
+                                        const auto& visit) {
+      if (list == "-") return;
+      util::for_each_field(list, ',', [&](std::string_view entry) {
+        if (entry.empty()) fail("empty list entry");
+        visit(entry);
+      });
+    };
     while (std::getline(is, raw)) {
       ++lineno;
       const std::string_view line = util::trim(raw);
@@ -111,26 +115,25 @@ util::StatusOr<CampaignSignature> read_signature(std::istream& is) {
           if (seen.id == n.id) fail("duplicate node id");
         }
         n.name = std::string(tok[2]);
-        for (const std::string_view t : parse_list(tok[4])) {
+        for_each_entry(tok[4], [&](std::string_view t) {
           const auto type = trace::event_type_from_name(t);
           if (!type) fail("unknown event type '" + std::string(t) + "'");
           n.event_types.push_back(*type);
-        }
+        });
         if (n.event_types.empty()) fail("NODE without event types");
         std::sort(n.event_types.begin(), n.event_types.end());
         n.event_types.erase(
             std::unique(n.event_types.begin(), n.event_types.end()),
             n.event_types.end());
-        for (const std::string_view l : parse_list(tok[6])) {
-          n.libs.emplace_back(l);
-        }
+        for_each_entry(tok[6],
+                       [&](std::string_view l) { n.libs.emplace_back(l); });
         sort_unique(n.libs);
-        for (const std::string_view f : parse_list(tok[8])) {
+        for_each_entry(tok[8], [&](std::string_view f) {
           if (f.find('!') == std::string_view::npos) {
             fail("FUNCS entries are module-qualified (lib!func)");
           }
           n.funcs.emplace_back(f);
-        }
+        });
         sort_unique(n.funcs);
         sig.nodes.push_back(std::move(n));
       } else if (tok[0] == "EDGE") {

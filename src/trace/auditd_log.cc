@@ -16,7 +16,7 @@ namespace leaps::trace {
 namespace {
 
 using util::parse_hex_u64;
-using util::split;
+using util::for_each_field;
 using util::split_ws;
 using util::starts_with;
 using util::trim;
@@ -109,9 +109,9 @@ class AuditdParserState {
       require(!log_.events.empty(), "BACKTRACE before any SYSCALL");
       const std::string_view frames = field(fields, "frames");
       if (!frames.empty()) {
-        for (const std::string_view f : split(frames, ',')) {
+        for_each_field(frames, ',', [&](std::string_view f) {
           log_.events.back().stack.push_back(parse_addr(f));
-        }
+        });
       }
     } else {
       fail("unknown record type '" + std::string(kind) + "'");

@@ -6,20 +6,6 @@
 
 namespace leaps::util {
 
-std::vector<std::string_view> split(std::string_view s, char sep) {
-  std::vector<std::string_view> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = s.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.push_back(s.substr(start));
-      return out;
-    }
-    out.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
 std::vector<std::string_view> split_ws(std::string_view s) {
   std::vector<std::string_view> out;
   std::size_t i = 0;

@@ -8,8 +8,17 @@
 
 namespace leaps::util {
 
-/// Split on a single character; empty fields are kept.
-std::vector<std::string_view> split(std::string_view s, char sep);
+/// Calls `visit(field)` on each `sep`-separated field of `s` in order,
+/// empty fields included, without building a list of them.
+template <typename Visit>
+void for_each_field(std::string_view s, char sep, Visit&& visit) {
+  while (true) {
+    const std::size_t pos = s.find(sep);
+    visit(s.substr(0, pos));
+    if (pos == std::string_view::npos) return;
+    s.remove_prefix(pos + 1);
+  }
+}
 
 /// Split on runs of whitespace; empty fields are dropped.
 std::vector<std::string_view> split_ws(std::string_view s);

@@ -110,6 +110,12 @@ TEST(SignatureFormat, CorruptDocumentsRejectWithLineNumbers) {
        "self edge"},
       {"SIGNATURE s\nNODE 0 n TYPES FileRead LIBS - FUNCS - extra\n",
        "trailing tokens"},
+      {"SIGNATURE s\nNODE 0 n TYPES FileRead LIBS a,,b FUNCS -\n",
+       "empty LIBS entry"},
+      {"SIGNATURE s\nNODE 0 n TYPES FileRead, LIBS - FUNCS -\n",
+       "empty TYPES entry"},
+      {"SIGNATURE s\nNODE 0 n TYPES FileRead LIBS - FUNCS ,a!f\n",
+       "empty FUNCS entry"},
   };
   for (const auto& c : cases) {
     std::istringstream is(c.doc);

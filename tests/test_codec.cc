@@ -691,11 +691,15 @@ std::vector<HostileRow> hostile_rows() {
                   auditd.str(),
                   {"type=SYSCALL msg=audit(0:1): seq=0 tid=0 syscall=0\n"
                    "type=BACKTRACE msg=audit(0:2): frames=\"" +
-                   repeat(",", 40000) + "\"\n"},
+                       repeat(",", 40000) + "\"\n",
+                   "type=SYSCALL msg=audit(0:1): seq=0 tid=0 syscall=0\n"
+                   "type=BACKTRACE msg=audit(0:2): frames=\"" +
+                       repeat("1,", 20000) + "x\"\n"},
                   {},
                   decode_log,
-                  // 32: a 16-byte view per 1-byte BACKTRACE frame (","), x2.
-                  32,
+                  // 5: the frames stack grows to 2^15 8-byte addresses for
+                  // the 20k 2-byte frames ("1,"); empty frames reject at once.
+                  5,
                   log_check(events),
                   /*line_grammar=*/true});
 
@@ -704,14 +708,17 @@ std::vector<HostileRow> hostile_rows() {
       {"read_signature",
        attrib::signature_to_string(fixed_signature()),
        {"SIGNATURE s\nNODE 0 n TYPES FileRead LIBS " + repeat(",", 40000) +
-        " FUNCS -\nEDGE 0 9 GAP 0\n"},
+            " FUNCS -\nEDGE 0 9 GAP 0\n",
+        "SIGNATURE s\nNODE 0 n TYPES FileRead LIBS " + repeat("a,", 20000) +
+            "a FUNCS -\nEDGE 0 9 GAP 0\n"},
        {},
        [](const std::string& b) {
          std::istringstream is(b);
          return attrib::read_signature(is).status();
        },
-       // 64: a 32-byte std::string per 1-byte LIBS entry (","), x2.
-       64,
+       // 25: 2^15 32-byte std::string slots for the 20k 2-byte LIBS
+       // entries ("a,"); an empty entry rejects at once.
+       25,
        [nodes](const std::string& input, bool prefix) {
          std::istringstream is(input);
          return !prefix || attrib::read_signature(is)->nodes.size() <= nodes;

@@ -222,12 +222,20 @@ TEST(Env, StringIntFlagParsing) {
 
 // ------------------------------------------------------------- strings ----
 
-TEST(Strings, SplitKeepsEmptyFields) {
-  const auto parts = split("a,,b", ',');
+TEST(Strings, ForEachFieldKeepsEmptyFields) {
+  std::vector<std::string_view> parts;
+  const auto collect = [&parts](std::string_view f) { parts.push_back(f); };
+  for_each_field("a,,b", ',', collect);
   ASSERT_EQ(parts.size(), 3u);
   EXPECT_EQ(parts[0], "a");
   EXPECT_EQ(parts[1], "");
   EXPECT_EQ(parts[2], "b");
+  parts.clear();
+  for_each_field("", ',', collect);
+  EXPECT_EQ(parts, std::vector<std::string_view>{""});
+  parts.clear();
+  for_each_field("x,", ',', collect);
+  EXPECT_EQ(parts, (std::vector<std::string_view>{"x", ""}));
 }
 
 TEST(Strings, SplitWsDropsEmptyFields) {
