@@ -3,15 +3,11 @@
 # and `for b in build/bench/*; do $b; done` runs clean.
 set(LEAPS_BENCH_TARGETS
   bench_paper
+  bench_extensions
   bench_ablation
-  bench_srctrojan
-  bench_hmm
-  bench_baselines
-  bench_universal
   bench_micro
   bench_online
   bench_train
-  bench_campaign
 )
 foreach(b ${LEAPS_BENCH_TARGETS})
   add_executable(${b} bench/${b}.cc)
@@ -22,4 +18,4 @@ foreach(b ${LEAPS_BENCH_TARGETS})
 endforeach()
 target_link_libraries(bench_micro PRIVATE benchmark::benchmark)
 target_link_libraries(bench_online PRIVATE leaps_serve leaps_online)
-target_link_libraries(bench_campaign PRIVATE leaps_attrib)
+target_link_libraries(bench_extensions PRIVATE leaps_attrib)

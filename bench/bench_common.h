@@ -1,7 +1,7 @@
 // Shared harness for the reproduction binaries.
 //
-// bench_paper regenerates the paper's evaluation (Table I, Figures 5-7);
-// the other experiment binaries cover the extension and ablation studies.
+// bench_paper regenerates the paper's evaluation (Table I, Figures 5-7),
+// bench_extensions the extension studies, bench_ablation the ablations.
 // Knobs come from the environment so CI can run a fast smoke pass:
 //   LEAPS_RUNS    averaging runs (paper: 10)
 //   LEAPS_EVENTS  benign-log events per scenario (mixed = 3/4, malicious = 1/2)

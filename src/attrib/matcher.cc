@@ -16,12 +16,6 @@ namespace leaps::attrib {
 
 namespace {
 
-template <typename T>
-void sort_unique(std::vector<T>& v) {
-  std::sort(v.begin(), v.end());
-  v.erase(std::unique(v.begin(), v.end()), v.end());
-}
-
 /// Count of `want` entries present in sorted-unique `have`.
 template <typename T>
 std::size_t intersect_count(const std::vector<T>& want,
@@ -70,7 +64,8 @@ struct JsonScanError {
 };
 
 std::string_view find_value(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  std::string needle = "\"";
+  needle.append(key).append("\":");
   const auto pos = line.find(needle);
   if (pos == std::string_view::npos) {
     throw JsonScanError{"missing key '" + std::string(key) + "'"};
@@ -165,40 +160,13 @@ WindowEvidence evidence_from_events(std::size_t window_index,
                                     double decision_value,
                                     const trace::PartitionedEvent* events,
                                     std::size_t count) {
+  trace::WindowProjections p = trace::project_window(events, count);
   WindowEvidence out;
   out.window_index = window_index;
   out.decision_value = decision_value;
-  // One pass over the frames collects views; each distinct module and
-  // (module, function) pair is then copied out once.
-  std::size_t total_frames = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    total_frames += events[i].system_stack.size();
-  }
-  std::vector<std::string_view> modules;
-  std::vector<std::pair<std::string_view, std::string_view>> frames;
-  modules.reserve(total_frames);
-  frames.reserve(total_frames);
-  out.event_types.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    const trace::PartitionedEvent& e = events[i];
-    out.event_types.push_back(e.type);
-    for (const trace::StackFrame& f : e.system_stack) {
-      modules.push_back(f.module);
-      frames.emplace_back(f.module, f.function);
-    }
-  }
-  sort_unique(out.event_types);
-  sort_unique(modules);
-  sort_unique(frames);
-  out.libs.assign(modules.begin(), modules.end());
-  out.funcs.reserve(frames.size());
-  for (const auto& [module, function] : frames) {
-    out.funcs.push_back(trace::qualified_function(module, function));
-  }
-  // Pair order is not name order ("a b"/"x" sorts after "a"/"x", but
-  // "a b!x" before "a!x"), and two pairs can spell one name ("a!b"/"c"
-  // and "a"/"b!c"), so the names take a final sort and dedup.
-  sort_unique(out.funcs);
+  out.event_types = std::move(p.event_types);
+  out.libs = std::move(p.libs);
+  out.funcs = std::move(p.funcs);
   return out;
 }
 

@@ -46,8 +46,8 @@
 namespace leaps::attrib {
 
 /// One flagged window, reduced to what the matcher consumes. The
-/// event_types/libs/funcs projections are sorted and unique (the same
-/// recipes as trace::derive_lib_set/derive_func_set).
+/// event_types/libs/funcs projections are sorted and unique
+/// (trace::project_window, the audit record's recipe too).
 struct WindowEvidence {
   std::size_t window_index = 0;
   double decision_value = 0.0;

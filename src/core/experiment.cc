@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 #include <sstream>
-#include <tuple>
 
 #include "trace/partition.h"
 #include "util/check.h"
@@ -138,27 +137,24 @@ ExperimentResult ExperimentRunner::run_on_logs(
     return sel;
   };
 
-  // ---- hyper-parameter tuning (by default once, on run 0's selection) ---
-  const auto tune = [&](const Selection& sel, std::size_t run) {
-    util::Rng tune_rng = util::Rng(scenario_seed).fork(run + 101).fork(0x7E57);
+  // ---- hyper-parameter tuning (once, on run 0's selection) --------------
+  ml::SvmParams tuned_svm;
+  ml::SvmParams tuned_wsvm;
+  {
+    const Selection sel = select(0);
+    util::Rng tune_rng = util::Rng(scenario_seed).fork(101).fork(0x7E57);
     ml::CrossValidationOptions cv_plain = options_.cv;
     cv_plain.weighted_validation = false;
     // The weighted model is also *validated* with its confidences, else CV
     // optimizes against the very label noise the weights correct.
     ml::CrossValidationOptions cv_weighted = options_.cv;
     cv_weighted.weighted_validation = options_.weighted_cv_for_wsvm;
-    return std::pair<ml::SvmParams, ml::SvmParams>{
+    tuned_svm =
         ml::tune_svm(sel.train_plain, options_.svm_base, cv_plain, tune_rng)
-            .best,
-        ml::tune_svm(sel.train_weighted, options_.svm_base, cv_weighted,
-                     tune_rng)
-            .best};
-  };
-
-  ml::SvmParams tuned_svm = options_.svm_base;
-  ml::SvmParams tuned_wsvm = options_.svm_base;
-  if (!options_.tune_every_run) {
-    std::tie(tuned_svm, tuned_wsvm) = tune(select(0), 0);
+            .best;
+    tuned_wsvm = ml::tune_svm(sel.train_weighted, options_.svm_base,
+                              cv_weighted, tune_rng)
+                     .best;
   }
 
   // ---- one run: train the competing models, evaluate the shared test ----
@@ -168,16 +164,11 @@ ExperimentResult ExperimentRunner::run_on_logs(
            auc_whmm = 0.5;
   };
   const auto execute_run = [&](std::size_t run) {
-    Selection sel = select(run);
-    ml::SvmParams params_svm = tuned_svm;
-    ml::SvmParams params_wsvm = tuned_wsvm;
-    if (options_.tune_every_run) {
-      std::tie(params_svm, params_wsvm) = tune(sel, run);
-    }
+    const Selection sel = select(run);
     const ml::SvmModel model_svm =
-        ml::SvmTrainer(params_svm).train(sel.train_plain);
+        ml::SvmTrainer(tuned_svm).train(sel.train_plain);
     const ml::SvmModel model_wsvm =
-        ml::SvmTrainer(params_wsvm).train(sel.train_weighted);
+        ml::SvmTrainer(tuned_wsvm).train(sel.train_weighted);
 
     // HMM sequence models (optional extension).
     ml::HmmClassifier hmm_plain(options_.hmm);

@@ -7,10 +7,10 @@
 //    pure-malicious windows — is randomly selected,
 //  * CGraph, plain SVM and Weighted SVM are trained on the *same* selection
 //    and evaluated on the same held-out benign + pure-malicious points,
-//  * λ and σ² are tuned by k-fold cross-validation (by default once per
-//    scenario, on the first run's training set — the selection is an i.i.d.
-//    resample, so the tuned values are stable; set tune_every_run to
-//    reproduce the paper's per-run tuning at ~10x the cost).
+//  * λ and σ² are tuned by k-fold cross-validation once per scenario, on
+//    the first run's training set, and every run trains with them — the
+//    selection is an i.i.d. resample, so the tuned values are stable (the
+//    paper tunes per run, at ~10x the cost).
 // Results are averaged over `runs` (paper: 10) runs. The runs share the
 // global pool (util::parallel_for, sized by --threads / LEAPS_THREADS);
 // each is independently seeded and aggregated in run order, so results are
@@ -38,7 +38,6 @@ struct ExperimentOptions {
   double sample_fraction = 0.20;
   double benign_train_fraction = 0.50;
   std::uint64_t seed = 7;
-  bool tune_every_run = false;
   /// Score the WSVM's cross-validation folds with confidence-weighted
   /// accuracy (see CrossValidationOptions::weighted_validation). Exposed so
   /// the ablation bench can quantify the bias of plain CV under label noise.

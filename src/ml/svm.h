@@ -32,7 +32,7 @@
 namespace leaps::ml {
 
 struct SvmParams {
-  KernelParams kernel;
+  KernelParams kernel{};  // {}: designated initializers may leave it out
   /// λ in Eqn. 2 (the C of C-SVC).
   double lambda = 10.0;
   /// KKT violation tolerance for convergence.

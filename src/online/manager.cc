@@ -438,7 +438,8 @@ std::string OnlineReport::to_text() const {
   for (const OnlineScalar& s : scalars()) {
     out += " ";
     out += s.key;
-    out += "=" + std::to_string(s.value);
+    out += '=';
+    out += std::to_string(s.value);
   }
   return out;
 }

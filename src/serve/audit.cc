@@ -193,23 +193,19 @@ std::string AuditLog::format_record(
 
   // The window's {Event_Type, Lib, Func} projections — what the
   // attribution matcher (src/attrib/) consumes when replaying this
-  // stream offline via leaps-attrib. Same sorted-unique recipes as the
-  // TokenTable's derived sets.
+  // stream offline via leaps-attrib; the same trace::project_window the
+  // online attribution tap builds its evidence with. Event types are
+  // written by name, in name order.
+  const trace::WindowProjections evidence =
+      trace::project_window(events.data(), events.size());
   std::vector<std::string> types;
-  std::vector<std::string> libs;
-  std::vector<std::string> funcs;
-  for (const trace::PartitionedEvent& e : events) {
-    types.emplace_back(trace::event_type_name(e.type));
-    for (std::string& lib : trace::derive_lib_set(e.system_stack)) {
-      libs.push_back(std::move(lib));
-    }
-    for (std::string& func : trace::derive_func_set(e.system_stack)) {
-      funcs.push_back(std::move(func));
-    }
+  types.reserve(evidence.event_types.size());
+  for (const trace::EventType type : evidence.event_types) {
+    types.emplace_back(trace::event_type_name(type));
   }
-  const auto emit_set = [&os](const char* name, std::vector<std::string>& v) {
-    std::sort(v.begin(), v.end());
-    v.erase(std::unique(v.begin(), v.end()), v.end());
+  std::sort(types.begin(), types.end());
+  const auto emit_set = [&os](const char* name,
+                              const std::vector<std::string>& v) {
     os << "\"" << name << "\":[";
     for (std::size_t i = 0; i < v.size(); ++i) {
       if (i > 0) os << ",";
@@ -220,9 +216,9 @@ std::string AuditLog::format_record(
   os << ",\"evidence\":{";
   emit_set("event_types", types);
   os << ",";
-  emit_set("libs", libs);
+  emit_set("libs", evidence.libs);
   os << ",";
-  emit_set("funcs", funcs);
+  emit_set("funcs", evidence.funcs);
   os << "}}";
   return os.str();
 }

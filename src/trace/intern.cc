@@ -8,6 +8,12 @@ namespace leaps::trace {
 
 namespace {
 
+template <typename T>
+void sort_unique(std::vector<T>& v) {
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+}
+
 constexpr std::size_t kHashSeed = 0x9e3779b97f4a7c15ULL;
 
 inline void combine(std::size_t& h, std::size_t v) {
@@ -105,8 +111,7 @@ StringSet derive_lib_set(const std::vector<StackFrame>& frames) {
   StringSet out;
   out.reserve(frames.size());
   for (const StackFrame& f : frames) out.push_back(f.module);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  sort_unique(out);
   return out;
 }
 
@@ -124,8 +129,44 @@ StringSet derive_func_set(const std::vector<StackFrame>& frames) {
   for (const StackFrame& f : frames) {
     out.push_back(qualified_function(f.module, f.function));
   }
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  sort_unique(out);
+  return out;
+}
+
+WindowProjections project_window(const PartitionedEvent* events,
+                                 std::size_t count) {
+  WindowProjections out;
+  // One pass over the frames collects views; each distinct module and
+  // (module, function) pair is then copied out once.
+  std::size_t total_frames = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    total_frames += events[i].system_stack.size();
+  }
+  std::vector<std::string_view> modules;
+  std::vector<std::pair<std::string_view, std::string_view>> frames;
+  modules.reserve(total_frames);
+  frames.reserve(total_frames);
+  out.event_types.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const PartitionedEvent& e = events[i];
+    out.event_types.push_back(e.type);
+    for (const StackFrame& f : e.system_stack) {
+      modules.push_back(f.module);
+      frames.emplace_back(f.module, f.function);
+    }
+  }
+  sort_unique(out.event_types);
+  sort_unique(modules);
+  sort_unique(frames);
+  out.libs.assign(modules.begin(), modules.end());
+  out.funcs.reserve(frames.size());
+  for (const auto& [module, function] : frames) {
+    out.funcs.push_back(qualified_function(module, function));
+  }
+  // Pair order is not name order ("a b"/"x" sorts after "a"/"x", but
+  // "a b!x" before "a!x"), and two pairs can spell one name ("a!b"/"c"
+  // and "a"/"b!c"), so the names take a final sort and dedup.
+  sort_unique(out.funcs);
   return out;
 }
 

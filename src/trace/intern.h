@@ -63,10 +63,24 @@ StringSet derive_func_set(const std::vector<StackFrame>& frames);
 /// A frame's Func-set name, "module!function", built with one
 /// allocation. Function names are qualified by module: ReadFile exists in
 /// both kernel32 and kernelbase, and those are different functions. The
-/// one spelling of a Func name: derive_func_set, the attribution evidence
-/// builder and signature derivation all call it.
+/// one spelling of a Func name: derive_func_set, project_window and
+/// signature derivation all call it.
 std::string qualified_function(std::string_view module,
                                std::string_view function);
+
+/// A window's {Event_Type, Lib, Func} projections: its event types and
+/// the union of its events' derive_lib_set / derive_func_set, each sorted
+/// and unique. Built in one pass over the frames, with each distinct
+/// module and (module, function) pair copied out once. The one recipe
+/// behind the attribution evidence (attrib::evidence_from_events) and the
+/// audit record's "evidence" block.
+struct WindowProjections {
+  std::vector<EventType> event_types;
+  StringSet libs;
+  StringSet funcs;
+};
+WindowProjections project_window(const PartitionedEvent* events,
+                                 std::size_t count);
 
 /// The interned hot-path event: what PartitionedEvent becomes at the
 /// ingest boundary. Plain integers, no heap state — cheap to copy, to

@@ -57,8 +57,9 @@ struct FaultSpec {
   int exit_code = 137;
   /// When non-empty, inject only at hits whose `detail` contains this
   /// substring (e.g. a session key — lets chaos target victim sessions
-  /// while steady sessions stay fault-free).
-  std::string filter;
+  /// while steady sessions stay fault-free). The {} lets a designated
+  /// initializer leave it out without -Wmissing-field-initializers.
+  std::string filter{};
   /// Per-point RNG seed; 0 derives one from the global seed + point name.
   std::uint64_t seed = 0;
 };

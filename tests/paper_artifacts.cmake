@@ -1,11 +1,10 @@
 # CTest script: the paper's evaluation, pinned.
 #
 # Runs bench_paper (Table I, Figures 6/7 and Figure 5) at the default
-# configuration and requires
-#   * exit status 0;
+# configuration through leaps_pinned_run (pinned_output.cmake: exit status
+# 0, stdout byte-identical to the expected file) and requires
 #   * the paper's shape claims: WSVM >= SVM and WSVM >= CGraph on 13/13
 #     offline-infection and 8/8 online-injection datasets;
-#   * stdout byte-identical to the expected file;
 #   * every Table I "Measured" cell in EXPERIMENTS.md equal to the pinned
 #     row, each Figure 6/7 case-study anchor row equal to the pinned
 #     CGraph / SVM / WSVM ACC (and the paper's anchors), and the Aggregate
@@ -17,39 +16,11 @@
 # Variables (passed with -D): LEAPS_BENCH_PAPER, EXPECTED, EXPERIMENTS_MD,
 # WORK_DIR.
 
-# The pinned output is the default configuration's: the size knobs (CI sets
-# LEAPS_FAST=1 for the rest of the suite) would shrink the run, and
-# LEAPS_CSV_DIR adds "(CSV -> ...)" lines.
-foreach(knob LEAPS_FAST LEAPS_RUNS LEAPS_EVENTS LEAPS_FOLDS LEAPS_CSV_DIR)
-  unset(ENV{${knob}})
-endforeach()
-
-file(REMOVE_RECURSE ${WORK_DIR})
-file(MAKE_DIRECTORY ${WORK_DIR})
-set(actual ${WORK_DIR}/paper_artifacts.txt)
-execute_process(COMMAND ${LEAPS_BENCH_PAPER} RESULT_VARIABLE rc
-                OUTPUT_FILE ${actual} ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "${LEAPS_BENCH_PAPER} exited ${rc}\nstderr:\n${err}")
-endif()
-
-file(READ ${actual} out)
-foreach(shape "13/13 datasets; WSVM >= CGraph on 13/13"
-              "8/8 datasets; WSVM >= CGraph on 8/8")
-  string(FIND "${out}" "shape check: WSVM >= SVM on ${shape} " pos)
-  if(pos EQUAL -1)
-    message(FATAL_ERROR "the paper's shape claim fails: ${actual} lacks "
-                        "'shape check: WSVM >= SVM on ${shape}'")
-  endif()
-endforeach()
-
-execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files ${actual}
-                        ${EXPECTED} RESULT_VARIABLE differs)
-if(differs)
-  message(FATAL_ERROR "bench_paper output ${actual} differs from the pinned "
-                      "${EXPECTED}; a deliberate change is a re-record "
-                      "documented in CHANGES.md")
-endif()
+include(${CMAKE_CURRENT_LIST_DIR}/pinned_output.cmake)
+leaps_pinned_run(${LEAPS_BENCH_PAPER} ${EXPECTED} ${WORK_DIR}
+  REQUIRE
+    "shape check: WSVM >= SVM on 13/13 datasets; WSVM >= CGraph on 13/13 "
+    "shape check: WSVM >= SVM on 8/8 datasets; WSVM >= CGraph on 8/8 ")
 
 # Table I rows: "<name>  <attack method>  ACC PPV TPR TNR NPV".
 file(STRINGS ${EXPECTED} rows

@@ -17,6 +17,7 @@
 #include "attrib/matcher.h"
 #include "attrib/signature.h"
 #include "detector_fixture.h"
+#include "obs/registry.h"
 #include "serve/audit.h"
 #include "serve/server.h"
 #include "sim/campaign.h"
@@ -456,6 +457,63 @@ TEST(Evidence, AuditRecordKeepsControlBytesInSymbolNames) {
   EXPECT_NE(std::find(funcs.begin(), funcs.end(), "evil.so!" + function),
             funcs.end())
       << line;
+}
+
+// The audit record's "evidence" block and the attribution tap's evidence
+// are one recipe: on every catalog campaign window the block reads back as
+// evidence_from_events, and its bytes are that evidence with the event
+// types spelled by name, in name order.
+TEST(Evidence, AuditRecordEqualsFromEventsOnEveryCampaignWindow) {
+  const TrainedDetector& f = fixture_for_attrib();
+  const std::size_t win = f.detector->preprocessor().window();
+  const auto json_array = [](const std::vector<std::string>& v) {
+    std::string out = "[";
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      if (i > 0) out += ",";
+      out += obs::json_string(v[i]);
+    }
+    return out + "]";
+  };
+  for (const sim::CampaignSpec& spec : sim::campaign_catalog()) {
+    sim::SimConfig cfg;
+    cfg.benign_events = 300;
+    cfg.mixed_events = 300;
+    cfg.malicious_events = 300;
+    cfg.seed = 3;
+    const trace::PartitionedLog mal =
+        partition_raw(sim::generate_campaign(spec, cfg).malicious);
+    for (std::size_t i = 0; i + win <= mal.events.size(); i += win) {
+      const std::string what = spec.name + " window at " + std::to_string(i);
+      const std::vector<trace::PartitionedEvent> events(
+          mal.events.begin() + static_cast<std::ptrdiff_t>(i),
+          mal.events.begin() + static_cast<std::ptrdiff_t>(i + win));
+      const WindowEvidence want =
+          evidence_from_events(i / win, -0.5, events.data(), events.size());
+      const std::string line = serve::AuditLog::format_record(
+          serve::SessionKey{"h", 1}, "default", want.window_index, -1, -0.5,
+          events, *f.detector, /*top_k=*/2);
+
+      std::istringstream is(line + "\n");
+      const util::StatusOr<std::vector<WindowEvidence>> got =
+          evidence_from_audit_jsonl(is);
+      ASSERT_TRUE(got.ok()) << got.status().message();
+      ASSERT_EQ(got->size(), 1u) << what;
+      EXPECT_EQ((*got)[0].event_types, want.event_types) << what;
+      EXPECT_EQ((*got)[0].libs, want.libs) << what;
+      EXPECT_EQ((*got)[0].funcs, want.funcs) << what;
+
+      std::vector<std::string> types;
+      for (const trace::EventType t : want.event_types) {
+        types.emplace_back(trace::event_type_name(t));
+      }
+      std::sort(types.begin(), types.end());
+      const std::string block =
+          "\"evidence\":{\"event_types\":" + json_array(types) +
+          ",\"libs\":" + json_array(want.libs) +
+          ",\"funcs\":" + json_array(want.funcs) + "}}";
+      EXPECT_TRUE(line.ends_with(block)) << what << "\n" << line;
+    }
+  }
 }
 
 // The load-bearing serving property: attribution output is a pure

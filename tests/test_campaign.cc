@@ -93,7 +93,9 @@ TEST(GenerateCampaign, TruthStagesAndDwellWindowsAreConsistent) {
   for (std::size_t s = 0; s < logs.dwell.size(); ++s) {
     EXPECT_LT(logs.dwell[s].first, logs.dwell[s].second);
     EXPECT_LE(logs.dwell[s].second, logs.mixed.events.size());
-    if (s > 0) EXPECT_LE(logs.dwell[s - 1].second, logs.dwell[s].first);
+    if (s > 0) {
+      EXPECT_LE(logs.dwell[s - 1].second, logs.dwell[s].first);
+    }
   }
 
   // Every stage emits at least one event.

@@ -280,7 +280,7 @@ std::string drive_drift(std::size_t workers) {
   fingerprint += std::to_string(s.reference_size) + "|";
   fingerprint += std::to_string(s.reference_frozen) + "|";
   fingerprint += std::to_string(s.live_size) + "|";
-  char buf[128];
+  char buf[256];  // the sketch line needs up to 171 bytes
   std::snprintf(buf, sizeof buf, "%.17g|%.17g|", s.ks_statistic, s.p_value);
   fingerprint += buf;
   fingerprint += std::to_string(s.evaluations) + "|";
@@ -291,8 +291,10 @@ std::string drive_drift(std::size_t workers) {
                 s.sketch.q99);
   fingerprint += buf;
   for (const GenerationMix& g : s.generations) {
-    fingerprint += "|" + std::to_string(g.benign) + "/" +
-                   std::to_string(g.malicious);
+    fingerprint += '|';
+    fingerprint += std::to_string(g.benign);
+    fingerprint += '/';
+    fingerprint += std::to_string(g.malicious);
   }
   server.stop();
   manager.stop();

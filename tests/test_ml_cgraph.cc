@@ -11,11 +11,7 @@ trace::PartitionedEvent sys_event(std::uint64_t seq,
   trace::PartitionedEvent e;
   e.seq = seq;
   for (const std::uint64_t a : addrs) {
-    trace::StackFrame f;
-    f.address = a;
-    f.module = "m.dll";
-    f.function = "f";
-    e.system_stack.push_back(std::move(f));
+    e.system_stack.push_back({a, "m.dll", "f"});
   }
   return e;
 }

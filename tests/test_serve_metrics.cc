@@ -364,7 +364,8 @@ TEST(ServeMetricsGolden, EveryTableRowAppearsInEveryRendering) {
     ASSERT_NE(at, std::string::npos);
     if (*f.group != '\0') {
       const std::string row = text.substr(at, text.find('\n', at + 1) - at);
-      EXPECT_NE(row.find(" " + std::string(f.key) + "="), std::string::npos)
+      EXPECT_NE(row.find(std::string(" ").append(f.key).append("=")),
+                std::string::npos)
           << row;
     }
   }

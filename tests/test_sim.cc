@@ -146,7 +146,9 @@ TEST(Program, LeavesAlwaysHaveActions) {
   util::Rng rng(3);
   const Program p = build_program(app_spec("chrome"), kAppImageBase, rng);
   for (const ProgramFunction& f : p.functions) {
-    if (f.callees.empty()) EXPECT_FALSE(f.actions.empty());
+    if (f.callees.empty()) {
+      EXPECT_FALSE(f.actions.empty());
+    }
   }
 }
 
