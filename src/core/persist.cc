@@ -77,8 +77,8 @@ void write_scaler(std::ostream& os, const ml::MinMaxScaler& scaler) {
 void write_svm(std::ostream& os, const Detector& detector) {
   const ml::SvmModel& model = detector.model();
   const ml::KernelParams& kernel = model.kernel();
-  os << "SVM " << kernel_type_name(kernel.type) << ' ' << kernel.sigma2
-     << ' ' << kernel.degree << ' ' << kernel.coef0 << ' ' << model.bias()
+  // "3 1": the legacy polynomial fields every v1-v3 file carries.
+  os << "SVM gaussian " << kernel.sigma2 << " 3 1 " << model.bias()
      << ' ' << model.support_vector_count() << ' '
      << (model.support_vector_count() > 0 ? model.support_vectors()[0].size()
                                           : 0)
@@ -244,19 +244,13 @@ Detector load_detector_body(Reader& r, bool allow_continual) {
   r.expect("SVM");
   ml::KernelParams kernel;
   const std::string kernel_name = r.word();
-  if (kernel_name == "gaussian") {
-    kernel.type = ml::KernelType::kGaussian;
-  } else if (kernel_name == "linear") {
-    kernel.type = ml::KernelType::kLinear;
-  } else if (kernel_name == "polynomial") {
-    kernel.type = ml::KernelType::kPolynomial;
-  } else {
+  if (kernel_name != "gaussian") {
     throw PersistError("unknown kernel '" + kernel_name + "'");
   }
   kernel.sigma2 = r.real();
   require(kernel.sigma2 > 0.0, "bad sigma2");
-  kernel.degree = static_cast<int>(r.integer());
-  kernel.coef0 = r.real();
+  r.integer();  // legacy polynomial degree, unused
+  r.real();     // legacy polynomial offset, unused
   const double bias = r.real();
   const std::size_t sv_count = r.count(5);  // "SV <coef>\n" at least
   const auto sv_dims = static_cast<std::size_t>(r.integer());

@@ -14,7 +14,7 @@
 //   CLUSTERER FUNC ...
 //   SCALER <dims>
 //   MIN <v>... / RANGE <v>...
-//   SVM <kernel> <sigma2> <degree> <coef0> <bias> <sv_count> <dims>
+//   SVM gaussian <sigma2> 3 1 <bias> <sv_count> <dims>
 //   SV <coef> <x>...
 //   THRESHOLD <t>
 //   CONTINUAL            (v2 and v3, optional — continual-learning state)
@@ -34,6 +34,10 @@
 // The loader verifies every block CRC before parsing a single token and
 // reports failures as PersistError with the exact byte offset of the
 // damage ("block 'SVM' truncated", "checksum mismatch", "missing END").
+//
+// The SVM line's kernel name is always `gaussian`, and `3 1` are the
+// legacy degree and offset fields of a retired polynomial kernel: written
+// unchanged and skipped on load. Any other kernel name is a PersistError.
 //
 // Version compatibility: the writer emits v3 only; v1 (pre-online-learning)
 // and v2 files still load. v1 carries no CONTINUAL block, so

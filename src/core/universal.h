@@ -33,9 +33,7 @@ struct UniversalOptions {
   PipelineOptions pipeline;
   /// A Gaussian kernel of radius σ² = 8 and λ = 10, the values the
   /// universal-classifier study trains with.
-  ml::SvmParams svm{
-      .kernel = {.type = ml::KernelType::kGaussian, .sigma2 = 8.0},
-      .lambda = 10.0};
+  ml::SvmParams svm{.kernel = {.sigma2 = 8.0}, .lambda = 10.0};
   /// Benign windows reserved for training (rest evaluate).
   double benign_train_fraction = 0.5;
   std::uint64_t seed = 7;

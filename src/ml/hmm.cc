@@ -137,7 +137,6 @@ Hmm Hmm::train(const std::vector<Sequence>& sequences,
 
   double prev_ll = -std::numeric_limits<double>::infinity();
   for (std::size_t iter = 0; iter < params.max_iterations; ++iter) {
-    model.iterations_ = iter + 1;
     // Expected-count accumulators.
     std::vector<double> pi_acc(n, 0.0);
     std::vector<std::vector<double>> a_acc(n, std::vector<double>(n, 0.0));
@@ -203,7 +202,6 @@ Hmm Hmm::train(const std::vector<Sequence>& sequences,
       model.emission_[s] = b_acc[s];
     }
 
-    model.final_ll_ = total_ll;
     if (std::abs(total_ll - prev_ll) < params.tolerance) break;
     prev_ll = total_ll;
   }
@@ -298,11 +296,6 @@ int HmmClassifier::predict(const Sequence& sequence) const {
 const Hmm& HmmClassifier::benign_model() const {
   LEAPS_CHECK_MSG(fitted_, "HmmClassifier used before fit()");
   return models_[0];
-}
-
-const Hmm& HmmClassifier::malicious_model() const {
-  LEAPS_CHECK_MSG(fitted_, "HmmClassifier used before fit()");
-  return models_[1];
 }
 
 }  // namespace leaps::ml

@@ -60,9 +60,6 @@ class Hmm {
   const std::vector<std::vector<double>>& emission() const {
     return emission_;
   }
-  /// Total training log-likelihood at the final iteration.
-  double final_log_likelihood() const { return final_ll_; }
-  std::size_t iterations_run() const { return iterations_; }
 
  private:
   Hmm() = default;
@@ -71,8 +68,6 @@ class Hmm {
   std::vector<double> initial_;                  // π[s]
   std::vector<std::vector<double>> transition_;  // A[s][s']
   std::vector<std::vector<double>> emission_;    // B[s][symbol]
-  double final_ll_ = 0.0;
-  std::size_t iterations_ = 0;
 };
 
 /// Benign/malicious classifier from two HMMs (Section VI-B model).
@@ -106,7 +101,6 @@ class HmmClassifier {
   bool fitted() const { return fitted_; }
   double threshold() const { return threshold_; }
   const Hmm& benign_model() const;
-  const Hmm& malicious_model() const;
 
  private:
   Options options_;

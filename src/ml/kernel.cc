@@ -14,43 +14,16 @@
 
 namespace leaps::ml {
 
-std::string_view kernel_type_name(KernelType t) {
-  switch (t) {
-    case KernelType::kGaussian:
-      return "gaussian";
-    case KernelType::kLinear:
-      return "linear";
-    case KernelType::kPolynomial:
-      return "polynomial";
-  }
-  return "unknown";
-}
-
 double KernelParams::operator()(const std::vector<double>& a,
                                 const std::vector<double>& b) const {
   LEAPS_DCHECK(a.size() == b.size());
-  switch (type) {
-    case KernelType::kGaussian: {
-      LEAPS_DCHECK(sigma2 > 0.0);
-      double sq = 0.0;
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        const double d = a[i] - b[i];
-        sq += d * d;
-      }
-      return std::exp(-sq / sigma2);
-    }
-    case KernelType::kLinear: {
-      double dot = 0.0;
-      for (std::size_t i = 0; i < a.size(); ++i) dot += a[i] * b[i];
-      return dot;
-    }
-    case KernelType::kPolynomial: {
-      double dot = 0.0;
-      for (std::size_t i = 0; i < a.size(); ++i) dot += a[i] * b[i];
-      return std::pow(dot + coef0, degree);
-    }
+  LEAPS_DCHECK(sigma2 > 0.0);
+  double sq = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double d = a[i] - b[i];
+    sq += d * d;
   }
-  return 0.0;
+  return std::exp(-sq / sigma2);
 }
 
 std::vector<std::vector<double>> gram_matrix(
@@ -66,16 +39,6 @@ std::vector<std::vector<double>> gram_matrix(
   }
   return K;
 }
-
-namespace {
-
-inline double dot(const double* a, const double* b, std::size_t d) {
-  double s = 0.0;
-  for (std::size_t k = 0; k < d; ++k) s += a[k] * b[k];
-  return s;
-}
-
-}  // namespace
 
 void GramMatrix::Unmap::operator()(double* p) const {
   if (p != nullptr) munmap(p, bytes);
@@ -94,6 +57,8 @@ GramMatrix::GramMatrix(const std::vector<std::vector<double>>& X,
                        std::vector<std::size_t> rows)
     : n_(rows.size()), rows_(std::move(rows)) {
   LEAPS_SPAN("svm.gram");
+  const double sigma2 = kernel.sigma2;
+  LEAPS_DCHECK(sigma2 > 0.0);
   // Each unique pair is evaluated once (the mirror write is free), so the
   // metric counts the upper triangle: n(n+1)/2 per build over n rows.
   static obs::Counter& kernel_evals = obs::MetricRegistry::global().counter(
@@ -102,9 +67,9 @@ GramMatrix::GramMatrix(const std::vector<std::vector<double>>& X,
   kernel_evals.inc(n_ * (n_ + 1) / 2);
   const std::size_t d = n_ == 0 ? 0 : X[rows_.front()].size();
   // One contiguous n×d block: the pair loop below reads rows without
-  // pointer chasing, and the same dot product serves every kernel type.
+  // pointer chasing.
   std::vector<double> xs(n_ * d);
-  std::vector<double> sq(n_);  // ‖xi‖², Gaussian norm trick
+  std::vector<double> sq(n_);  // ‖xi‖², for the norm trick
   for (std::size_t i = 0; i < n_; ++i) {
     LEAPS_CHECK(rows_[i] < X.size() && (i == 0 || rows_[i - 1] < rows_[i]));
     const std::vector<double>& x = X[rows_[i]];
@@ -130,32 +95,9 @@ GramMatrix::GramMatrix(const std::vector<std::vector<double>>& X,
     for (std::size_t i = rb; i < re; ++i) {
       const double* xi = &xs[i * d];
       double* Ki = &k_[i * n_];
-      switch (kernel.type) {
-        case KernelType::kGaussian: {
-          LEAPS_DCHECK(kernel.sigma2 > 0.0);
-          Ki[i] = 1.0;
-          for (std::size_t j = i + 1; j < n_; ++j) {
-            const double s =
-                std::max(0.0, sq[i] + sq[j] - 2.0 * dot(xi, &xs[j * d], d));
-            Ki[j] = std::exp(-s / kernel.sigma2);
-          }
-          break;
-        }
-        case KernelType::kLinear: {
-          Ki[i] = sq[i];
-          for (std::size_t j = i + 1; j < n_; ++j) {
-            Ki[j] = dot(xi, &xs[j * d], d);
-          }
-          break;
-        }
-        case KernelType::kPolynomial: {
-          Ki[i] = std::pow(sq[i] + kernel.coef0, kernel.degree);
-          for (std::size_t j = i + 1; j < n_; ++j) {
-            Ki[j] =
-                std::pow(dot(xi, &xs[j * d], d) + kernel.coef0, kernel.degree);
-          }
-          break;
-        }
+      Ki[i] = 1.0;
+      for (std::size_t j = i + 1; j < n_; ++j) {
+        Ki[j] = gaussian(sq[i], sq[j], dot(xi, &xs[j * d], d), sigma2);
       }
     }
   });

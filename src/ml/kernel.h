@@ -1,34 +1,42 @@
-// Kernel functions for the (W)SVM (Section III-D-2).
+// The Gaussian kernel of the (W)SVM (Section III-D-2).
 //
-// The paper uses a Gaussian kernel k(x, z) = exp(-||x - z||² / σ²) with σ²
-// as the radius parameter tuned by cross-validation; linear and polynomial
-// kernels are provided for ablations.
+// The paper uses one kernel, k(x, z) = exp(-||x - z||² / σ²), with σ² as
+// the radius parameter tuned by cross-validation.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 namespace leaps::ml {
 
-enum class KernelType : int {
-  kGaussian = 0,
-  kLinear,
-  kPolynomial,
-};
-
-std::string_view kernel_type_name(KernelType t);
-
 struct KernelParams {
-  KernelType type = KernelType::kGaussian;
   double sigma2 = 1.0;  // Gaussian radius (σ²)
-  int degree = 3;       // polynomial degree
-  double coef0 = 1.0;   // polynomial offset
 
+  /// The reference form: one difference-and-square pass over the pair.
   double operator()(const std::vector<double>& a,
                     const std::vector<double>& b) const;
 };
+
+/// a·b over d entries, summed in index order: every fast-form kernel value
+/// depends on this order.
+inline double dot(const double* a, const double* b, std::size_t d) {
+  double s = 0.0;
+  for (std::size_t k = 0; k < d; ++k) s += a[k] * b[k];
+  return s;
+}
+
+/// The fast form of k(a, b) from ‖a‖², ‖b‖² and a·b: the norm trick
+/// ‖a − b‖² = ‖a‖² + ‖b‖² − 2·a·b, clamped at 0 before the exp so
+/// cancellation can never push k above 1. GramMatrix and
+/// SvmModel::decision_value both score through it, so a Gram entry
+/// K(i, j) equals, bit for bit, the decision value at X[i] of a one-SV
+/// model {X[j]} with coefficient 1 and bias 0.
+inline double gaussian(double a_sq, double b_sq, double ab, double sigma2) {
+  return std::exp(-std::max(0.0, a_sq + b_sq - 2.0 * ab) / sigma2);
+}
 
 /// Full symmetric Gram matrix K[i][j] = k(X[i], X[j]).
 ///
@@ -48,11 +56,8 @@ std::vector<std::vector<double>> gram_matrix(
 ///
 /// The build copies the chosen rows into one contiguous m×d block,
 /// precomputes per-row squared norms once, and fills rows in parallel
-/// (util::parallel_for). For the Gaussian kernel each pair costs a single
-/// dot product:
-///     K_ij = exp(-(‖xi‖² + ‖xj‖² − 2·xi·xj) / σ²)
-/// (clamped at 0 before the exp so cancellation can never push K above 1);
-/// linear/polynomial reuse the same dot. Because `rows` ascends, an entry
+/// (util::parallel_for). Each pair costs a single dot product, scored by
+/// gaussian(‖xi‖², ‖xj‖², xi·xj, σ²). Because `rows` ascends, an entry
 /// is computed with the same operands in the same order whichever rows are
 /// left out, so it is bit-identical to the entry of an all-rows build.
 /// Agreement with the direct KernelParams evaluation is a property-test

@@ -14,14 +14,9 @@ namespace leaps::ml {
 namespace {
 constexpr double kTau = 1e-12;  // curvature floor (LIBSVM's tau)
 constexpr double kAlphaEps = 1e-12;
-}  // namespace
 
-namespace {
-
-double dot(const std::vector<double>& a, const std::vector<double>& b) {
-  double s = 0.0;
-  for (std::size_t k = 0; k < a.size(); ++k) s += a[k] * b[k];
-  return s;
+double sq_norm(const FeatureVector& x) {
+  return dot(x.data(), x.data(), x.size());
 }
 
 }  // namespace
@@ -34,26 +29,18 @@ SvmModel::SvmModel(std::vector<FeatureVector> support_vectors,
       bias_(bias),
       kernel_(kernel) {
   LEAPS_CHECK(svs_.size() == coef_.size());
-  if (kernel_.type == KernelType::kGaussian) {
-    sv_sq_norms_.reserve(svs_.size());
-    for (const FeatureVector& sv : svs_) sv_sq_norms_.push_back(dot(sv, sv));
-  }
+  sv_sq_norms_.reserve(svs_.size());
+  for (const FeatureVector& sv : svs_) sv_sq_norms_.push_back(sq_norm(sv));
 }
 
 double SvmModel::decision_value(const FeatureVector& x) const {
+  // Norm trick with the cached SV norms: one dot product per SV.
+  const double xn = sq_norm(x);
   double f = bias_;
-  if (kernel_.type == KernelType::kGaussian) {
-    // Norm trick with the cached SV norms: ‖sv−x‖² = ‖sv‖² + ‖x‖² − 2·sv·x.
-    const double xn = dot(x, x);
-    for (std::size_t i = 0; i < svs_.size(); ++i) {
-      const double sq =
-          std::max(0.0, sv_sq_norms_[i] + xn - 2.0 * dot(svs_[i], x));
-      f += coef_[i] * std::exp(-sq / kernel_.sigma2);
-    }
-    return f;
-  }
   for (std::size_t i = 0; i < svs_.size(); ++i) {
-    f += coef_[i] * kernel_(svs_[i], x);
+    f += coef_[i] * gaussian(sv_sq_norms_[i], xn,
+                             dot(svs_[i].data(), x.data(), svs_[i].size()),
+                             kernel_.sigma2);
   }
   return f;
 }

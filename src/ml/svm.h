@@ -78,9 +78,8 @@ class SvmModel {
  private:
   std::vector<FeatureVector> svs_;
   std::vector<double> coef_;  // αᵢ yᵢ
-  /// ‖svᵢ‖², cached at construction for the Gaussian kernel so per-event
-  /// scoring pays one dot product per SV instead of a difference-and-square
-  /// pass (empty for other kernel types).
+  /// ‖svᵢ‖², cached at construction so per-event scoring pays one dot
+  /// product per SV instead of a difference-and-square pass.
   std::vector<double> sv_sq_norms_;
   double bias_ = 0.0;
   KernelParams kernel_;

@@ -41,9 +41,17 @@ OnlineManager::~OnlineManager() { stop(); }
 
 void OnlineManager::install() {
   server_->add_window_tap(
-      [this](const serve::SessionKey& /*key*/, std::size_t /*window_index*/,
+      [this](const serve::SessionKey& key, std::size_t /*window_index*/,
              int label, double decision_value,
              const trace::PartitionedEvent* events, std::size_t count) {
+        // Another profile's windows are another model's verdicts: they
+        // belong in neither this profile's CFG nor its drift test. A
+        // window whose session has already closed is kept.
+        if (const std::shared_ptr<serve::Session> session =
+                server_->sessions().find(key);
+            session != nullptr && session->profile() != options_.profile) {
+          return;
+        }
         // Drift watches every verdict (the malicious tail is exactly what
         // a shifted distribution moves), so it runs before the learnable
         // filter. The fence keeps the observe and its buffered journal

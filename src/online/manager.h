@@ -7,13 +7,14 @@
 //        └──── promote (RCU swap + adopt) ◀── gates ──┤
 //        └──── rollback (quarantine)       ◀──────────┘
 //
-// install() hooks the server's WindowTap (classified-benign windows feed
-// the OnlineCfgAccumulator); start() spawns the manager thread, which
-// polls the retrain trigger and — crucially — the shadow decision. The
-// decision is never taken inside the ShadowSink: sinks run under session
-// mutexes on worker threads, and ending a shadow retakes every session's
-// mutex to detach, so acting in the sink would deadlock. The manager
-// thread is the only place promote/rollback happens.
+// install() hooks the server's WindowTap (classified-benign windows of
+// the manager's own profile feed the OnlineCfgAccumulator); start()
+// spawns the manager thread, which polls the retrain trigger and —
+// crucially — the shadow decision. The decision is never taken inside
+// the ShadowSink: sinks run under session mutexes on worker threads, and
+// ending a shadow retakes every session's mutex to detach, so acting in
+// the sink would deadlock. The manager thread is the only place
+// promote/rollback happens.
 //
 // Every count lives once, in the state report() reads; the metrics, the
 // --status-json "online" object and leaps-serve's `online:` lines all
@@ -167,7 +168,8 @@ class OnlineManager {
   OnlineManager(const OnlineManager&) = delete;
   OnlineManager& operator=(const OnlineManager&) = delete;
 
-  /// Hooks the server's window tap. Must run before server->start().
+  /// Hooks the server's window tap, which skips windows of sessions open
+  /// under another profile. Must run before server->start().
   void install();
 
   /// Spawns the manager thread. Call after server->start().

@@ -13,8 +13,7 @@ RetrainScheduler::RetrainScheduler(
     OnlineCfgAccumulator* accumulator, RetrainConfig config)
     : config_(config),
       accumulator_(accumulator),
-      base_(std::move(base)),
-      last_retrain_(std::chrono::steady_clock::now()) {
+      base_(std::move(base)) {
   LEAPS_CHECK_MSG(base_ != nullptr, "retrain needs a base detector");
   LEAPS_CHECK_MSG(accumulator_ != nullptr, "retrain needs an accumulator");
 }
@@ -25,16 +24,8 @@ bool RetrainScheduler::can_retrain() const {
 }
 
 bool RetrainScheduler::due() const {
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    if (base_->continual() == nullptr) return false;
-    if (config_.min_interval.count() > 0 &&
-        std::chrono::steady_clock::now() - last_retrain_ <
-            config_.min_interval) {
-      return false;
-    }
-  }
-  return accumulator_->events_since_drain() >= config_.min_new_events;
+  return can_retrain() &&
+         accumulator_->events_since_drain() >= config_.min_new_events;
 }
 
 RetrainResult RetrainScheduler::retrain() {
@@ -132,7 +123,6 @@ RetrainResult RetrainScheduler::retrain(std::vector<PendingWindow> windows) {
   result.candidate = std::move(candidate);
 
   const std::lock_guard<std::mutex> lock(mu_);
-  last_retrain_ = std::chrono::steady_clock::now();
   ++cycles_;
   return result;
 }

@@ -16,7 +16,6 @@
 // must fall back to a cold offline retrain (tools/leaps-train).
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -32,8 +31,6 @@ namespace leaps::online {
 struct RetrainConfig {
   /// Accumulated benign events that make a retrain due.
   std::uint64_t min_new_events = 2048;
-  /// Wall-clock floor between retrains (0 = event count alone decides).
-  std::chrono::milliseconds min_interval{0};
   /// Also run a cold (zero-seed) fit on the same grown dataset to record
   /// the iteration savings. Costs a second SMO solve; disable in
   /// production, keep for evaluation.
@@ -72,8 +69,8 @@ class RetrainScheduler {
   /// unavailable and due() never fires.
   bool can_retrain() const;
 
-  /// True when enough new benign events have accumulated and the
-  /// wall-clock floor has passed.
+  /// True when the detector can retrain and enough new benign events have
+  /// accumulated.
   bool due() const;
 
   /// Drains the accumulator and fits a candidate detector. On success the
@@ -99,8 +96,7 @@ class RetrainScheduler {
   OnlineCfgAccumulator* const accumulator_;
   mutable std::mutex mu_;
   std::shared_ptr<const core::Detector> base_;  // guarded by mu_
-  std::chrono::steady_clock::time_point last_retrain_;  // guarded by mu_
-  std::uint64_t cycles_ = 0;                            // guarded by mu_
+  std::uint64_t cycles_ = 0;                     // guarded by mu_
 };
 
 }  // namespace leaps::online

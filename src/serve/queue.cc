@@ -2,16 +2,6 @@
 
 namespace leaps::serve {
 
-const char* overflow_policy_name(OverflowPolicy policy) {
-  switch (policy) {
-    case OverflowPolicy::kBlock:
-      return "block";
-    case OverflowPolicy::kDropOldest:
-      return "drop-oldest";
-  }
-  return "?";
-}
-
 std::optional<OverflowPolicy> parse_overflow_policy(std::string_view name) {
   if (name == "block") return OverflowPolicy::kBlock;
   if (name == "drop-oldest") return OverflowPolicy::kDropOldest;

@@ -32,7 +32,6 @@ enum class OverflowPolicy {
   kDropOldest,
 };
 
-const char* overflow_policy_name(OverflowPolicy policy);
 /// Parses "block" / "drop-oldest"; nullopt on anything else.
 std::optional<OverflowPolicy> parse_overflow_policy(std::string_view name);
 

@@ -205,12 +205,6 @@ trace::RawLog Executor::run_benign(const Program& app, std::size_t num_events,
   return log;
 }
 
-trace::RawLog Executor::run_infected(const InfectedProcess& proc,
-                                     std::size_t num_events,
-                                     util::Rng rng) const {
-  return run_infected_with_truth(proc, num_events, rng).log;
-}
-
 Executor::MixedRun Executor::run_infected_with_truth(
     const InfectedProcess& proc, std::size_t num_events, util::Rng rng) const {
   MixedRun out;

@@ -6,9 +6,9 @@
 // system interactions. The Executor composes walkers into whole-process
 // traces:
 //   * run_benign        — the clean application ("benign raw log"),
-//   * run_infected      — benign + payload in one process context
+//   * run_infected_with_truth — benign + payload in one process context
 //                         ("mixed raw log"; interleaving controlled by
-//                         payload_ratio),
+//                         payload_ratio), with per-event ground truth,
 //   * run_payload_standalone — the recompiled payload alone ("pure
 //                         malicious samples", ground truth for testing).
 #pragma once
@@ -62,9 +62,6 @@ class Executor {
   trace::RawLog run_benign(const Program& app, std::size_t num_events,
                            util::Rng rng) const;
 
-  trace::RawLog run_infected(const InfectedProcess& proc,
-                             std::size_t num_events, util::Rng rng) const;
-
   /// Mixed trace plus per-event ground truth (true = the event was emitted
   /// with payload code on the stack). The truth labels are *not* part of the
   /// log — a real tracer cannot know them; they exist for tests and
@@ -80,7 +77,7 @@ class Executor {
   /// Mixed trace of a source-level trojan (Section VI-A threat): benign and
   /// payload code live in one recompiled image; the payload runs on its
   /// spawned worker thread after a one-shot detour, in attack sessions like
-  /// run_infected.
+  /// run_infected_with_truth.
   MixedRun run_source_trojan(const SourceTrojan& trojan,
                              std::size_t num_events, util::Rng rng) const;
 
@@ -102,8 +99,9 @@ class Executor {
 
   /// Multi-stage mixed trace: the benign application runs throughout;
   /// each stage's payload thread (tid 2+stage) wakes only inside its dwell
-  /// window, in Markov attack sessions like run_infected. `stage_of_event`
-  /// is −1 for benign events, else the emitting stage's index.
+  /// window, in Markov attack sessions like run_infected_with_truth.
+  /// `stage_of_event` is −1 for benign events, else the emitting stage's
+  /// index.
   struct CampaignRun {
     trace::RawLog log;
     std::vector<bool> is_malicious;

@@ -69,9 +69,6 @@ inline Status corrupt_input(std::string msg) {
 inline Status resource_exhausted(std::string msg) {
   return Status(StatusCode::kResourceExhausted, std::move(msg));
 }
-inline Status timeout_error(std::string msg) {
-  return Status(StatusCode::kTimeout, std::move(msg));
-}
 inline Status not_found(std::string msg) {
   return Status(StatusCode::kNotFound, std::move(msg));
 }

@@ -11,6 +11,7 @@
 #include "ml/cross_validation.h"
 #include "sim/scenario.h"
 #include "trace/partition.h"
+#include "util/bytes.h"
 
 namespace leaps::core {
 namespace {
@@ -218,6 +219,41 @@ TEST(Persist, RejectsInconsistentDimensions) {
   text.replace(pos, 9, "SCALER 31");
   std::stringstream corrupted(text);
   EXPECT_THROW(load_detector(corrupted), PersistError);
+}
+
+TEST(Persist, RejectsARetiredKernelName) {
+  // Gaussian is the only kernel: a well-formed v3 file whose SVM block
+  // names the retired linear kernel (CRC recomputed, so only the name is
+  // wrong) must be refused, naming the kernel.
+  const leaps::testing::TrainedDetector t =
+      leaps::testing::train_small_detector();
+  std::stringstream buffer;
+  save_detector(*t.detector, buffer);
+  const std::string text = buffer.str();
+  const std::size_t block = text.find("BLOCK SVM ");
+  ASSERT_NE(block, std::string::npos);
+  const std::size_t payload_start = text.find('\n', block) + 1;
+  std::istringstream header(text.substr(block, payload_start - block));
+  std::string keyword;
+  std::string name;
+  std::size_t bytes = 0;
+  header >> keyword >> name >> bytes;
+  std::string payload = text.substr(payload_start, bytes);
+  ASSERT_EQ(payload.rfind("SVM gaussian ", 0), 0u) << payload.substr(0, 40);
+  payload.replace(0, std::string("SVM gaussian").size(), "SVM linear");
+
+  std::ostringstream crafted;
+  crafted << text.substr(0, block);
+  util::write_framed(crafted, "BLOCK SVM", payload);
+  crafted << text.substr(payload_start + bytes);
+  std::stringstream is(crafted.str());
+  try {
+    load_detector(is);
+    FAIL() << "a linear-kernel SVM block loaded";
+  } catch (const PersistError& e) {
+    EXPECT_NE(std::string(e.what()).find("linear"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Persist, MissingFileThrows) {

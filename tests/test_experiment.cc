@@ -111,10 +111,7 @@ void expect_same_outcome(const ModelOutcome& a, const ModelOutcome& b) {
   EXPECT_EQ(a.params.lambda, b.params.lambda);
   EXPECT_EQ(a.params.epsilon, b.params.epsilon);
   EXPECT_EQ(a.params.max_iterations, b.params.max_iterations);
-  EXPECT_EQ(a.params.kernel.type, b.params.kernel.type);
   EXPECT_EQ(a.params.kernel.sigma2, b.params.kernel.sigma2);
-  EXPECT_EQ(a.params.kernel.degree, b.params.kernel.degree);
-  EXPECT_EQ(a.params.kernel.coef0, b.params.kernel.coef0);
 }
 
 TEST(Experiment, ParallelAndSequentialRunsAgreeExactly) {

@@ -1,4 +1,4 @@
-// Unit tests for kernels, scaler, metrics, dataset, and cross-validation.
+// Unit tests for the kernel, scaler, metrics, dataset, and cross-validation.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -23,7 +23,6 @@ namespace {
 
 TEST(Kernel, GaussianProperties) {
   KernelParams k;
-  k.type = KernelType::kGaussian;
   k.sigma2 = 2.0;
   const FeatureVector a = {1.0, 2.0};
   const FeatureVector b = {2.0, 0.0};
@@ -31,26 +30,6 @@ TEST(Kernel, GaussianProperties) {
   EXPECT_DOUBLE_EQ(k(a, b), k(b, a));          // symmetry
   EXPECT_DOUBLE_EQ(k(a, b), std::exp(-5.0 / 2.0));
   EXPECT_GT(k(a, b), 0.0);
-}
-
-TEST(Kernel, LinearIsDotProduct) {
-  KernelParams k;
-  k.type = KernelType::kLinear;
-  EXPECT_DOUBLE_EQ(k({1.0, 2.0}, {3.0, 4.0}), 11.0);
-}
-
-TEST(Kernel, PolynomialMatchesDefinition) {
-  KernelParams k;
-  k.type = KernelType::kPolynomial;
-  k.degree = 2;
-  k.coef0 = 1.0;
-  EXPECT_DOUBLE_EQ(k({1.0}, {2.0}), 9.0);  // (2+1)^2
-}
-
-TEST(Kernel, KernelTypeNames) {
-  EXPECT_EQ(kernel_type_name(KernelType::kGaussian), "gaussian");
-  EXPECT_EQ(kernel_type_name(KernelType::kLinear), "linear");
-  EXPECT_EQ(kernel_type_name(KernelType::kPolynomial), "polynomial");
 }
 
 TEST(Kernel, GramMatrixSymmetricUnitDiagonal) {

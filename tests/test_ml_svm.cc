@@ -178,16 +178,6 @@ TEST(Svm, DuplicateOppositePointsDoNotHangTheSolver) {
   EXPECT_NO_THROW(SvmTrainer({}).train(d, &stats));
 }
 
-TEST(Svm, LinearKernelLearnsALinearBoundary) {
-  util::Rng rng(7);
-  Dataset d = blobs(30, rng, 1.5);
-  SvmParams p;
-  p.kernel.type = KernelType::kLinear;
-  const SvmModel m = SvmTrainer(p).train(d);
-  EXPECT_EQ(m.predict({0.0, 3.0}), 1);   // far on the positive side
-  EXPECT_EQ(m.predict({0.0, -3.0}), -1);
-}
-
 TEST(Svm, StatsReportObjectiveAndIterations) {
   util::Rng rng(8);
   const Dataset d = blobs(20, rng, 1.0);

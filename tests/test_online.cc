@@ -681,6 +681,43 @@ TEST(OnlineManagerTest, StartStopWithLiveTrafficIsClean) {
   manager.stop();  // idempotent
 }
 
+TEST(OnlineManagerTest, LearnsOnlyFromItsOwnProfile) {
+  // Another profile's windows carry another model's verdicts: they must
+  // reach neither this profile's CFG accumulator nor its drift monitor.
+  const TrainedDetector& f = fixture();
+  serve::ServerOptions server_options;
+  server_options.workers = 2;
+  serve::DetectionServer server(server_options);
+  server.registry().add("default", f.detector);
+  server.registry().add("other", f.detector);
+
+  OnlineOptions options;
+  options.accumulator.admit_floor = 0.0;
+  options.drift.enabled = true;
+  OnlineManager manager(&server, options);
+  manager.install();
+  server.start();
+
+  const auto replay = [&](const std::shared_ptr<serve::Session>& session) {
+    ASSERT_NE(session, nullptr);
+    for (const trace::PartitionedEvent& e : f.benign.events) {
+      ASSERT_TRUE(server.submit(session, e));
+    }
+    server.drain();
+  };
+  replay(server.open_session({"host", 1}, "other"));
+  OnlineReport report = manager.report();
+  EXPECT_EQ(report.accumulator.windows_observed, 0u);
+  EXPECT_EQ(report.drift.observed, 0u);
+
+  // The same traffic under the manager's own profile is learned from.
+  replay(server.open_session({"host", 2}, "default"));
+  report = manager.report();
+  EXPECT_GT(report.accumulator.windows_observed, 0u);
+  EXPECT_GT(report.drift.observed, 0u);
+  server.stop();
+}
+
 // --- durability (kill-restart behavior, minus the kill) -------------------
 
 durable::DurableStore make_durable(const std::string& name) {

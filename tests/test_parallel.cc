@@ -148,12 +148,8 @@ std::vector<std::vector<double>> random_rows(std::size_t n, std::size_t d,
 TEST(GramMatrix, AgreesWithKernelParamsToTwelveDecimals) {
   util::Rng rng(1234);
   const auto X = random_rows(31, 5, rng);
-  for (const ml::KernelType type :
-       {ml::KernelType::kGaussian, ml::KernelType::kLinear,
-        ml::KernelType::kPolynomial}) {
-    ml::KernelParams kernel;
-    kernel.type = type;
-    kernel.sigma2 = 3.0;
+  for (const double sigma2 : {0.5, 3.0, 32.0}) {
+    const ml::KernelParams kernel{.sigma2 = sigma2};
     const ml::GramMatrix K(X, kernel);
     ASSERT_EQ(K.size(), X.size());
     for (std::size_t i = 0; i < X.size(); ++i) {
@@ -161,9 +157,27 @@ TEST(GramMatrix, AgreesWithKernelParamsToTwelveDecimals) {
         const double ref = kernel(X[i], X[j]);
         const double tol = 1e-12 * std::max(1.0, std::fabs(ref));
         ASSERT_NEAR(K(i, j), ref, tol)
-            << "kernel " << static_cast<int>(type) << " at (" << i << ","
-            << j << ")";
+            << "sigma2 " << sigma2 << " at (" << i << "," << j << ")";
         ASSERT_EQ(K(i, j), K(j, i));  // exactly symmetric
+      }
+    }
+  }
+}
+
+// The Gram build and the scorer share one Gaussian fast form, so a Gram
+// entry K(i, j) is, bit for bit, the decision value at X[i] of the model
+// whose only support vector is X[j] (coefficient 1, bias 0).
+TEST(GramMatrix, EntryEqualsOneSupportVectorDecisionValueBitForBit) {
+  util::Rng rng(4321);
+  const auto X = random_rows(60, 30, rng);
+  for (const double sigma2 : {2.0, 8.0, 32.0}) {
+    const ml::KernelParams kernel{.sigma2 = sigma2};
+    const ml::GramMatrix K(X, kernel);
+    for (std::size_t j = 0; j < X.size(); ++j) {
+      const ml::SvmModel one_sv({X[j]}, {1.0}, 0.0, kernel);
+      for (std::size_t i = 0; i < X.size(); ++i) {
+        ASSERT_EQ(K(i, j), one_sv.decision_value(X[i]))
+            << "sigma2 " << sigma2 << " at (" << i << "," << j << ")";
       }
     }
   }
