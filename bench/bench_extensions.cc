@@ -5,16 +5,17 @@
 //   §II-B-2  one universal classifier against dedicated per-app WSVMs,
 //   and the multi-stage campaigns with their attribution table.
 // Each scenario's logs are generated once and each ExperimentRunner pass
-// runs once: §II-B-2's dedicated WSVMs are read from the §VI-B include_hmm
-// passes where the scenarios overlap (the HMMs leave CGraph, SVM and WSVM
-// bit-identical; Experiment.HmmLeavesThePaperModelsUnchanged). The four
-// studies average min(runs, 5) runs, the campaign table `runs`. The stdout
-// at the default config is pinned by tests/expected/extension_artifacts.txt
-// (ctest -R extension_artifacts).
+// runs once: §III-D-2's classifiers and §II-B-2's dedicated WSVMs are read
+// from the §VI-B extension_models passes where the scenarios overlap (the
+// extension models leave CGraph, SVM and WSVM bit-identical;
+// Experiment.HmmLeavesThePaperModelsUnchanged). No study trains a model or
+// draws a selection of its own. The four studies average min(runs, 5)
+// runs, the campaign table `runs`. The stdout at the default config is
+// pinned by tests/expected/extension_artifacts.txt (ctest -R
+// extension_artifacts).
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <numeric>
 #include <string>
 #include <vector>
 
@@ -22,13 +23,9 @@
 #include "attrib/signature.h"
 #include "bench_common.h"
 #include "core/universal.h"
-#include "ml/dtree.h"
-#include "ml/hmm.h"
-#include "ml/logreg.h"
 #include "sim/campaign.h"
 #include "sim/scenario.h"
 #include "trace/partition.h"
-#include "util/stats.h"
 
 namespace {
 
@@ -51,6 +48,16 @@ class ScenarioCache {
   sim::SimConfig sim_;
   std::map<std::string, sim::ScenarioLogs> logs_;
 };
+
+/// The scenario's pass from `passes`, else a fresh one under `opt`.
+core::ExperimentResult pass_or_run(const Passes& passes,
+                                   const core::ExperimentOptions& opt,
+                                   ScenarioCache& cache, const char* name) {
+  const auto pass = passes.find(name);
+  return pass != passes.end()
+             ? pass->second
+             : core::ExperimentRunner(opt).run_on_logs(cache.logs(name));
+}
 
 void section(const char* title, std::size_t runs) {
   std::printf("== %s (%zu runs)\n", title, runs);
@@ -100,7 +107,7 @@ void source_trojans(const core::ExperimentOptions& opt) {
 // where event order carries signal. Returns the passes by scenario name.
 Passes sequence_models(core::ExperimentOptions opt, ScenarioCache& cache) {
   section("§VI-B HMM sequence models", opt.runs);
-  opt.include_hmm = true;
+  opt.extension_models = true;
   const char* kScenarios[] = {
       "winscp_reverse_tcp",       "chrome_reverse_https",
       "vim_codeinject",           "putty_reverse_tcp_online",
@@ -131,118 +138,43 @@ Passes sequence_models(core::ExperimentOptions opt, ScenarioCache& cache) {
 }
 
 // §III-D-2 names logistic regression and decision trees as candidate
-// classifiers; every model here gets the same CFG-derived confidences,
-// which isolates how much of LEAPS's power is the weighting rather than
-// the SVM: W-LR (weighted L2 logistic regression), W-Tree (weighted
-// CART), W-RF (weighted bagged forest), WSVM, W-HMM.
-void alternative_classifiers(const core::ExperimentOptions& opt,
-                             ScenarioCache& cache) {
+// classifiers; every model here is trained on the runner's selection with
+// the same CFG-derived confidences, which isolates how much of LEAPS's
+// power is the weighting rather than the SVM: W-LR (weighted L2 logistic
+// regression), W-Tree (weighted CART), W-RF (weighted bagged forest), WSVM
+// (tuned λ, σ²), W-HMM. The WSVM and W-HMM columns are §VI-B's WSVM and
+// WHMM wherever the scenarios overlap.
+void alternative_classifiers(core::ExperimentOptions opt,
+                             ScenarioCache& cache, const Passes& passes) {
   section("§III-D-2 classifier comparison under CFG weighting", opt.runs);
+  opt.extension_models = true;
   const char* kScenarios[] = {
       "winscp_reverse_tcp", "vim_codeinject", "putty_reverse_https_online",
   };
   std::printf("%-34s%8s%8s%8s%8s%8s   (ACC over %zu runs)\n", "Name",
               "W-LR", "W-Tree", "W-RF", "WSVM", "W-HMM", opt.runs);
+  std::size_t svm_ge_lr = 0;
+  std::size_t rf_ge_svm = 0;
+  std::size_t tree_ge_svm = 0;
+  std::size_t hmm_ge_svm = 0;
   for (const char* name : kScenarios) {
-    const sim::ScenarioLogs& logs = cache.logs(name);
-    const trace::PartitionedLog benign = trace::partition_raw(logs.benign);
-    const trace::PartitionedLog mixed = trace::partition_raw(logs.mixed);
-    const trace::PartitionedLog malicious =
-        trace::partition_raw(logs.malicious);
-    const core::TrainingData td =
-        core::LeapsPipeline(opt.pipeline).prepare(benign, mixed);
-    const core::WindowedData mal_windows =
-        td.preprocessor.make_windows(malicious);
-    core::TupleVocabulary vocabulary;
-    vocabulary.fit({&benign, &mixed}, td.preprocessor);
-
-    util::RunningStats lr_acc, tree_acc, forest_acc, svm_acc, hmm_acc;
-    for (std::size_t run = 0; run < opt.runs; ++run) {
-      // The study's own selection, not ExperimentRunner's: seeded with
-      // hash(name) ^ (run + 31); floor(half / 5) benign windows from each
-      // half of a shuffle for train and test, floor(n / 5) of the mixed
-      // and of the malicious windows; a fixed λ = 10, σ² = 8 (no tuning).
-      util::Rng rng(util::hash_string(name) ^ (run + 31));
-      std::vector<std::size_t> order(td.benign.size());
-      std::iota(order.begin(), order.end(), 0);
-      rng.shuffle(order);
-      const std::size_t half = order.size() / 2;
-      const std::vector<std::size_t> b_train(order.begin(),
-                                             order.begin() + half / 5);
-      const std::vector<std::size_t> b_test(order.begin() + half,
-                                            order.begin() + half + half / 5);
-      std::vector<std::size_t> m_train(td.mixed.size());
-      std::iota(m_train.begin(), m_train.end(), 0);
-      rng.shuffle(m_train);
-      m_train.resize(td.mixed.size() / 5);
-      std::vector<std::size_t> x_test(mal_windows.X.size());
-      std::iota(x_test.begin(), x_test.end(), 0);
-      rng.shuffle(x_test);
-      x_test.resize(mal_windows.X.size() / 5);
-
-      ml::Dataset train = td.benign.subset(b_train);
-      train.append(td.mixed.subset(m_train));
-      ml::MinMaxScaler scaler;
-      scaler.fit(train.X);
-      scaler.transform_in_place(train);
-
-      ml::SvmParams svm_params;
-      svm_params.lambda = 10.0;
-      svm_params.kernel.sigma2 = 8.0;
-      const ml::SvmModel svm = ml::SvmTrainer(svm_params).train(train);
-      ml::LogRegParams lr_params;
-      lr_params.l2 = 1.0;
-      const ml::LogRegModel lr = ml::LogRegTrainer(lr_params).train(train);
-      const ml::DecisionTreeModel tree = ml::DecisionTreeTrainer().train(train);
-      ml::ForestParams forest_params;
-      forest_params.seed = run + 1;
-      const ml::RandomForestModel forest =
-          ml::RandomForestTrainer(forest_params).train(train);
-
-      std::vector<ml::Sequence> b_seqs, m_seqs;
-      std::vector<double> m_weights;
-      for (const std::size_t w : b_train) {
-        b_seqs.push_back(vocabulary.encode(
-            benign, td.benign_windows.event_indices[w], td.preprocessor));
-      }
-      for (const std::size_t w : m_train) {
-        m_seqs.push_back(vocabulary.encode(
-            mixed, td.mixed_windows.event_indices[w], td.preprocessor));
-        m_weights.push_back(td.mixed.weight[w]);
-      }
-      ml::HmmClassifier hmm;
-      hmm.fit(b_seqs, m_seqs, m_weights, vocabulary.size());
-
-      ml::ConfusionMatrix cm_lr, cm_tree, cm_forest, cm_svm, cm_hmm;
-      const auto eval = [&](const trace::PartitionedLog& log,
-                            const core::WindowedData& windows,
-                            std::size_t w, int actual) {
-        const ml::FeatureVector x = scaler.transform(windows.X[w]);
-        cm_lr.add(actual, lr.predict(x));
-        cm_tree.add(actual, tree.predict(x));
-        cm_forest.add(actual, forest.predict(x));
-        cm_svm.add(actual, svm.predict(x));
-        cm_hmm.add(actual,
-                   hmm.predict(vocabulary.encode(
-                       log, windows.event_indices[w], td.preprocessor)));
-      };
-      for (const std::size_t w : b_test) eval(benign, td.benign_windows, w, 1);
-      for (const std::size_t w : x_test) eval(malicious, mal_windows, w, -1);
-      lr_acc.add(cm_lr.accuracy());
-      tree_acc.add(cm_tree.accuracy());
-      forest_acc.add(cm_forest.accuracy());
-      svm_acc.add(cm_svm.accuracy());
-      hmm_acc.add(cm_hmm.accuracy());
-    }
-    std::printf("%-34s%8.3f%8.3f%8.3f%8.3f%8.3f\n", name, lr_acc.mean(),
-                tree_acc.mean(), forest_acc.mean(), svm_acc.mean(),
-                hmm_acc.mean());
+    const core::ExperimentResult r = pass_or_run(passes, opt, cache, name);
+    const double wsvm = r.wsvm.mean.acc;
+    std::printf("%-34s%8.3f%8.3f%8.3f%8.3f%8.3f\n", name, r.wlr.mean.acc,
+                r.wtree.mean.acc, r.wrf.mean.acc, wsvm, r.whmm.mean.acc);
+    svm_ge_lr += wsvm >= r.wlr.mean.acc ? 1 : 0;
+    rf_ge_svm += r.wrf.mean.acc >= wsvm ? 1 : 0;
+    tree_ge_svm += r.wtree.mean.acc >= wsvm ? 1 : 0;
+    hmm_ge_svm += r.whmm.mean.acc >= wsvm ? 1 : 0;
     std::fflush(stdout);
   }
+  const std::size_t n = std::size(kScenarios);
   std::printf(
-      "\nreading: W-LR vs WSVM isolates the kernel's share; W-Tree/W-RF "
-      "test axis-aligned\npartitioning; WSVM vs W-HMM is what event "
-      "ordering adds. All models use identical\nCFG-derived weights.\n\n");
+      "\nreading: WSVM >= W-LR on %zu/%zu (the kernel's share); W-RF >= WSVM "
+      "on %zu/%zu and\nW-Tree >= WSVM on %zu/%zu (axis-aligned partitioning); "
+      "W-HMM >= WSVM on %zu/%zu (event\nordering). All five share the "
+      "runner's selection and CFG-derived weights.\n\n",
+      svm_ge_lr, n, rf_ge_svm, n, tree_ge_svm, n, hmm_ge_svm, n);
 }
 
 // §II-B-2: the paper evaluates application-wise classifiers "for
@@ -250,7 +182,7 @@ void alternative_classifiers(const core::ExperimentOptions& opt,
 // One weighted SVM over four applications' pooled training data, against
 // the dedicated per-app WSVMs.
 void universal_classifier(const core::ExperimentOptions& opt,
-                          ScenarioCache& cache, const Passes& hmm_passes) {
+                          ScenarioCache& cache, const Passes& passes) {
   section("§II-B-2 universal classifier", opt.runs);
   const char* kScenarios[] = {
       "winscp_reverse_tcp",
@@ -263,11 +195,7 @@ void universal_classifier(const core::ExperimentOptions& opt,
   std::vector<core::AppLogs> apps;
   for (const char* name : kScenarios) {
     const sim::ScenarioLogs& logs = cache.logs(name);
-    const auto pass = hmm_passes.find(name);
-    dedicated[name] =
-        pass != hmm_passes.end()
-            ? pass->second.wsvm.mean.acc
-            : core::ExperimentRunner(opt).run_on_logs(logs).wsvm.mean.acc;
+    dedicated[name] = pass_or_run(passes, opt, cache, name).wsvm.mean.acc;
     std::printf("  %-34s ACC %.3f\n", name, dedicated[name]);
     std::fflush(stdout);
     apps.push_back({name, trace::partition_raw(logs.benign),
@@ -383,9 +311,9 @@ int main() {
   ScenarioCache cache(study.sim);
 
   source_trojans(study);
-  const Passes hmm_passes = sequence_models(study, cache);
-  alternative_classifiers(study, cache);
-  universal_classifier(study, cache, hmm_passes);
+  const Passes passes = sequence_models(study, cache);
+  alternative_classifiers(study, cache, passes);
+  universal_classifier(study, cache, passes);
   campaigns(opt);
   return 0;
 }

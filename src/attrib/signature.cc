@@ -97,7 +97,8 @@ util::StatusOr<CampaignSignature> read_signature(std::istream& is) {
       ++lineno;
       const std::string_view line = util::trim(raw);
       if (line.empty() || line.front() == '#') continue;
-      const auto tok = util::split_ws(line);
+      // No record has more than 9 tokens, so a tenth only says "too many".
+      const util::LeadingTokens<10> tok(line);
       if (tok[0] == "SIGNATURE") {
         if (tok.size() != 2) fail("SIGNATURE takes exactly one name");
         if (!sig.name.empty()) fail("duplicate SIGNATURE record");

@@ -1,9 +1,15 @@
 #include "core/experiment.h"
 
 #include <algorithm>
+#include <functional>
+#include <iterator>
 #include <numeric>
 #include <sstream>
 
+#include "ml/cgraph_model.h"
+#include "ml/dtree.h"
+#include "ml/hmm.h"
+#include "ml/logreg.h"
 #include "trace/partition.h"
 #include "util/check.h"
 #include "util/parallel.h"
@@ -13,6 +19,15 @@
 namespace leaps::core {
 
 namespace {
+
+/// Section V-A-2's protocol: the paper's 20% selection of each window pool,
+/// after a 50/50 train/test split of the benign windows.
+constexpr double kSampleFraction = 0.20;
+constexpr double kBenignTrainFraction = 0.50;
+/// The SVMs' base parameters; the tune sets λ and σ².
+constexpr ml::SvmParams kSvmBase{};
+/// The HMM sequence models' parameters (Section VI-B).
+constexpr ml::HmmClassifier::Options kHmm{};
 
 /// Shuffles [0, n) and returns the first ceil(fraction * n) indices
 /// (at least 1 when n > 0).
@@ -46,16 +61,29 @@ struct MetricAccumulator {
   }
 };
 
-/// Collects the PartitionedEvent pointers of the given windows.
-std::vector<const trace::PartitionedEvent*> window_events(
-    const trace::PartitionedLog& log, const WindowedData& windows,
-    std::size_t window_index) {
-  std::vector<const trace::PartitionedEvent*> out;
-  for (const std::size_t idx : windows.event_indices[window_index]) {
-    out.push_back(&log.events[idx]);
-  }
-  return out;
-}
+/// Every model in evaluation order: the paper's three, then the five that
+/// ExperimentOptions::extension_models adds.
+constexpr ModelOutcome ExperimentResult::*kModels[] = {
+    &ExperimentResult::cgraph, &ExperimentResult::svm,
+    &ExperimentResult::wsvm,   &ExperimentResult::hmm,
+    &ExperimentResult::whmm,   &ExperimentResult::wlr,
+    &ExperimentResult::wtree,  &ExperimentResult::wrf,
+};
+constexpr std::size_t kPaperModels = 3;
+
+/// One held-out window as the models see it.
+struct TestWindow {
+  ml::FeatureVector x;                                  // scaled features
+  std::vector<const trace::PartitionedEvent*> events;  // for CGraph
+  ml::Sequence sequence;  // tuple symbols (extension models only)
+};
+
+/// A model's verdict on one window: its predicted label and its score
+/// (larger = more benign, for the threshold-free AUC).
+struct Verdict {
+  int label;
+  double score;
+};
 
 }  // namespace
 
@@ -68,6 +96,8 @@ ExperimentResult ExperimentRunner::run_on_logs(
     const sim::ScenarioLogs& logs) const {
   ExperimentResult result;
   result.spec = logs.spec;
+  const bool extension = options_.extension_models;
+  const std::size_t models = extension ? std::size(kModels) : kPaperModels;
 
   // --- parse + partition (Raw Log Parser, Stack Partition Module) -------
   const trace::PartitionedLog benign_part = trace::partition_raw(logs.benign);
@@ -83,7 +113,7 @@ ExperimentResult ExperimentRunner::run_on_logs(
 
   // Section VI-B extension: tuple alphabet for the sequence models.
   TupleVocabulary vocabulary;
-  if (options_.include_hmm) {
+  if (extension) {
     vocabulary.fit({&benign_part, &mixed_part}, td.preprocessor);
   }
 
@@ -106,14 +136,14 @@ ExperimentResult ExperimentRunner::run_on_logs(
     std::iota(benign_order.begin(), benign_order.end(), 0);
     rng.shuffle(benign_order);
     const auto split = static_cast<std::size_t>(
-        options_.benign_train_fraction * static_cast<double>(nb));
+        kBenignTrainFraction * static_cast<double>(nb));
     const std::vector<std::size_t> train_pool(benign_order.begin(),
                                               benign_order.begin() + split);
     const std::vector<std::size_t> test_pool(benign_order.begin() + split,
                                              benign_order.end());
-    const auto pick = [&rng, this](const std::vector<std::size_t>& pool) {
+    const auto pick = [&rng](const std::vector<std::size_t>& pool) {
       std::vector<std::size_t> local =
-          sample_indices(pool.size(), options_.sample_fraction, rng);
+          sample_indices(pool.size(), kSampleFraction, rng);
       std::vector<std::size_t> out;
       out.reserve(local.size());
       for (const std::size_t i : local) out.push_back(pool[i]);
@@ -121,10 +151,9 @@ ExperimentResult ExperimentRunner::run_on_logs(
     };
     sel.benign_train = pick(train_pool);
     sel.benign_test = pick(test_pool);
-    sel.mixed_train =
-        sample_indices(td.mixed.size(), options_.sample_fraction, rng);
-    sel.malicious_test = sample_indices(malicious_windows.X.size(),
-                                        options_.sample_fraction, rng);
+    sel.mixed_train = sample_indices(td.mixed.size(), kSampleFraction, rng);
+    sel.malicious_test =
+        sample_indices(malicious_windows.X.size(), kSampleFraction, rng);
 
     sel.train_weighted = td.benign.subset(sel.benign_train);
     sel.train_weighted.append(td.mixed.subset(sel.mixed_train));
@@ -150,49 +179,24 @@ ExperimentResult ExperimentRunner::run_on_logs(
     ml::CrossValidationOptions cv_weighted = options_.cv;
     cv_weighted.weighted_validation = options_.weighted_cv_for_wsvm;
     tuned_svm =
-        ml::tune_svm(sel.train_plain, options_.svm_base, cv_plain, tune_rng)
+        ml::tune_svm(sel.train_plain, kSvmBase, cv_plain, tune_rng).best;
+    tuned_wsvm =
+        ml::tune_svm(sel.train_weighted, kSvmBase, cv_weighted, tune_rng)
             .best;
-    tuned_wsvm = ml::tune_svm(sel.train_weighted, options_.svm_base,
-                              cv_weighted, tune_rng)
-                     .best;
   }
 
   // ---- one run: train the competing models, evaluate the shared test ----
   struct RunOutcome {
-    ml::ConfusionMatrix cm_cgraph, cm_svm, cm_wsvm, cm_hmm, cm_whmm;
-    double auc_cgraph = 0.5, auc_svm = 0.5, auc_wsvm = 0.5, auc_hmm = 0.5,
-           auc_whmm = 0.5;
+    std::vector<ml::ConfusionMatrix> cm;  // per model, kModels order
+    std::vector<double> auc;
   };
   const auto execute_run = [&](std::size_t run) {
     const Selection sel = select(run);
-    const ml::SvmModel model_svm =
-        ml::SvmTrainer(tuned_svm).train(sel.train_plain);
-    const ml::SvmModel model_wsvm =
-        ml::SvmTrainer(tuned_wsvm).train(sel.train_weighted);
-
-    // HMM sequence models (optional extension).
-    ml::HmmClassifier hmm_plain(options_.hmm);
-    ml::HmmClassifier hmm_weighted(options_.hmm);
-    if (options_.include_hmm) {
-      std::vector<ml::Sequence> benign_seqs;
-      std::vector<ml::Sequence> mixed_seqs;
-      std::vector<double> mixed_seq_weights;
-      for (const std::size_t w : sel.benign_train) {
-        benign_seqs.push_back(vocabulary.encode(
-            benign_part, td.benign_windows.event_indices[w],
-            td.preprocessor));
-      }
-      for (const std::size_t w : sel.mixed_train) {
-        mixed_seqs.push_back(vocabulary.encode(
-            mixed_part, td.mixed_windows.event_indices[w],
-            td.preprocessor));
-        mixed_seq_weights.push_back(td.mixed.weight[w]);
-      }
-      const std::vector<double> ones(mixed_seqs.size(), 1.0);
-      hmm_plain.fit(benign_seqs, mixed_seqs, ones, vocabulary.size());
-      hmm_weighted.fit(benign_seqs, mixed_seqs, mixed_seq_weights,
-                       vocabulary.size());
-    }
+    const auto sequence = [&](const trace::PartitionedLog& part,
+                              const WindowedData& windows, std::size_t w) {
+      return vocabulary.encode(part, windows.event_indices[w],
+                               td.preprocessor);
+    };
 
     ml::CallGraphModel cgraph;
     {
@@ -210,49 +214,90 @@ ExperimentResult ExperimentRunner::run_on_logs(
       }
       cgraph.train(cg_benign, cg_mixed);
     }
+    std::vector<std::function<Verdict(const TestWindow&)>> scorers = {
+        [&cgraph](const TestWindow& t) {
+          return Verdict{cgraph.predict_window(t.events),
+                         static_cast<double>(cgraph.score_window(t.events))};
+        },
+        [svm = ml::SvmTrainer(tuned_svm).train(sel.train_plain)](
+            const TestWindow& t) {
+          return Verdict{svm.predict(t.x), svm.decision_value(t.x)};
+        },
+        [wsvm = ml::SvmTrainer(tuned_wsvm).train(sel.train_weighted)](
+            const TestWindow& t) {
+          return Verdict{wsvm.predict(t.x), wsvm.decision_value(t.x)};
+        },
+    };
 
-    RunOutcome out;
-    // Decision scores for threshold-free (AUC) evaluation; larger = more
-    // benign for every model.
+    // Extension models: the HMM and WHMM on the selection's window
+    // sequences, the alternative classifiers on the WSVM's weighted
+    // training set. The forest is seeded by the run, not by the selection's
+    // stream.
+    if (extension) {
+      std::vector<ml::Sequence> benign_seqs;
+      std::vector<ml::Sequence> mixed_seqs;
+      std::vector<double> mixed_seq_weights;
+      for (const std::size_t w : sel.benign_train) {
+        benign_seqs.push_back(sequence(benign_part, td.benign_windows, w));
+      }
+      for (const std::size_t w : sel.mixed_train) {
+        mixed_seqs.push_back(sequence(mixed_part, td.mixed_windows, w));
+        mixed_seq_weights.push_back(td.mixed.weight[w]);
+      }
+      std::vector<double> ones(mixed_seqs.size(), 1.0);
+      for (const auto* weights : {&ones, &mixed_seq_weights}) {
+        ml::HmmClassifier hmm(kHmm);
+        hmm.fit(benign_seqs, mixed_seqs, *weights, vocabulary.size());
+        scorers.push_back([hmm](const TestWindow& t) {
+          return Verdict{hmm.predict(t.sequence), -hmm.score(t.sequence)};
+        });
+      }
+      scorers.push_back([lr = ml::LogRegTrainer().train(sel.train_weighted)](
+                            const TestWindow& t) {
+        return Verdict{lr.predict(t.x), lr.decision_value(t.x)};
+      });
+      scorers.push_back(
+          [tree = ml::DecisionTreeTrainer().train(sel.train_weighted)](
+              const TestWindow& t) {
+            return Verdict{tree.predict(t.x), tree.score(t.x)};
+          });
+      ml::ForestParams forest;
+      forest.seed = run + 1;
+      scorers.push_back(
+          [rf = ml::RandomForestTrainer(forest).train(sel.train_weighted)](
+              const TestWindow& t) {
+            return Verdict{rf.predict(t.x), rf.score(t.x)};
+          });
+    }
+
+    // Every model scores the same test windows through one loop: its
+    // verdicts fill its confusion matrix and its scores give its AUC.
+    RunOutcome out{std::vector<ml::ConfusionMatrix>(models), {}};
+    std::vector<std::vector<double>> scores(models);
     std::vector<int> labels;
-    std::vector<double> s_cgraph, s_svm, s_wsvm, s_hmm, s_whmm;
-    const auto evaluate_window = [&](const trace::PartitionedLog& part,
-                                     const WindowedData& windows,
-                                     std::size_t w,
-                                     const ml::FeatureVector& raw,
-                                     int actual) {
-      const ml::FeatureVector x = sel.scaler.transform(raw);
-      out.cm_svm.add(actual, model_svm.predict(x));
-      out.cm_wsvm.add(actual, model_wsvm.predict(x));
-      const auto events = window_events(part, windows, w);
-      out.cm_cgraph.add(actual, cgraph.predict_window(events));
-      labels.push_back(actual);
-      s_svm.push_back(model_svm.decision_value(x));
-      s_wsvm.push_back(model_wsvm.decision_value(x));
-      s_cgraph.push_back(static_cast<double>(cgraph.score_window(events)));
-      if (options_.include_hmm) {
-        const ml::Sequence seq = vocabulary.encode(
-            part, windows.event_indices[w], td.preprocessor);
-        out.cm_hmm.add(actual, hmm_plain.predict(seq));
-        out.cm_whmm.add(actual, hmm_weighted.predict(seq));
-        s_hmm.push_back(-hmm_plain.score(seq));
-        s_whmm.push_back(-hmm_weighted.score(seq));
+    const auto score = [&](const trace::PartitionedLog& part,
+                           const WindowedData& windows,
+                           const std::vector<std::size_t>& picked,
+                           int actual) {
+      for (const std::size_t w : picked) {
+        TestWindow t{sel.scaler.transform(windows.X[w]), {}, {}};
+        for (const std::size_t idx : windows.event_indices[w]) {
+          t.events.push_back(&part.events[idx]);
+        }
+        if (extension) t.sequence = sequence(part, windows, w);
+        labels.push_back(actual);
+        for (std::size_t m = 0; m < models; ++m) {
+          const Verdict v = scorers[m](t);
+          out.cm[m].add(actual, v.label);
+          scores[m].push_back(v.score);
+        }
       }
     };
-    for (const std::size_t w : sel.benign_test) {
-      evaluate_window(benign_part, td.benign_windows, w,
-                      td.benign_windows.X[w], /*actual=*/1);
-    }
-    for (const std::size_t w : sel.malicious_test) {
-      evaluate_window(malicious_part, malicious_windows, w,
-                      malicious_windows.X[w], /*actual=*/-1);
-    }
-    out.auc_cgraph = ml::roc_auc(s_cgraph, labels);
-    out.auc_svm = ml::roc_auc(s_svm, labels);
-    out.auc_wsvm = ml::roc_auc(s_wsvm, labels);
-    if (options_.include_hmm) {
-      out.auc_hmm = ml::roc_auc(s_hmm, labels);
-      out.auc_whmm = ml::roc_auc(s_whmm, labels);
+    score(benign_part, td.benign_windows, sel.benign_test, /*actual=*/1);
+    score(malicious_part, malicious_windows, sel.malicious_test,
+          /*actual=*/-1);
+    for (const std::vector<double>& s : scores) {
+      out.auc.push_back(ml::roc_auc(s, labels));
     }
     return out;
   };
@@ -268,47 +313,21 @@ ExperimentResult ExperimentRunner::run_on_logs(
                        }
                      });
 
-  MetricAccumulator agg_cgraph, agg_svm, agg_wsvm, agg_hmm, agg_whmm;
-  for (const RunOutcome& out : outcomes) {
-    agg_cgraph.add(ml::Measurements::from(out.cm_cgraph));
-    agg_svm.add(ml::Measurements::from(out.cm_svm));
-    agg_wsvm.add(ml::Measurements::from(out.cm_wsvm));
-    agg_cgraph.auc.add(out.auc_cgraph);
-    agg_svm.auc.add(out.auc_svm);
-    agg_wsvm.auc.add(out.auc_wsvm);
-    result.cgraph.pooled.merge(out.cm_cgraph);
-    result.svm.pooled.merge(out.cm_svm);
-    result.wsvm.pooled.merge(out.cm_wsvm);
-    if (options_.include_hmm) {
-      agg_hmm.add(ml::Measurements::from(out.cm_hmm));
-      agg_whmm.add(ml::Measurements::from(out.cm_whmm));
-      agg_hmm.auc.add(out.auc_hmm);
-      agg_whmm.auc.add(out.auc_whmm);
-      result.hmm.pooled.merge(out.cm_hmm);
-      result.whmm.pooled.merge(out.cm_whmm);
-    }
-  }
-
   result.runs = options_.runs;
-  result.cgraph.mean = agg_cgraph.mean();
-  result.cgraph.stddev = agg_cgraph.stddev();
-  result.cgraph.auc = agg_cgraph.auc.mean();
-  result.svm.auc = agg_svm.auc.mean();
-  result.wsvm.auc = agg_wsvm.auc.mean();
-  result.hmm.auc = agg_hmm.auc.mean();
-  result.whmm.auc = agg_whmm.auc.mean();
-  result.svm.mean = agg_svm.mean();
-  result.svm.stddev = agg_svm.stddev();
-  result.svm.params = tuned_svm;
-  result.wsvm.mean = agg_wsvm.mean();
-  result.wsvm.stddev = agg_wsvm.stddev();
-  result.wsvm.params = tuned_wsvm;
-  if (options_.include_hmm) {
-    result.hmm.mean = agg_hmm.mean();
-    result.hmm.stddev = agg_hmm.stddev();
-    result.whmm.mean = agg_whmm.mean();
-    result.whmm.stddev = agg_whmm.stddev();
+  for (std::size_t m = 0; m < models; ++m) {
+    ModelOutcome& model = result.*kModels[m];
+    MetricAccumulator agg;
+    for (const RunOutcome& out : outcomes) {
+      agg.add(ml::Measurements::from(out.cm[m]));
+      agg.auc.add(out.auc[m]);
+      model.pooled.merge(out.cm[m]);
+    }
+    model.mean = agg.mean();
+    model.stddev = agg.stddev();
+    model.auc = agg.auc.mean();
   }
+  result.svm.params = tuned_svm;
+  result.wsvm.params = tuned_wsvm;
   return result;
 }
 

@@ -172,6 +172,51 @@ class Walker {
   std::size_t burst_remaining_ = 0;
 };
 
+/// Fills `out` with `num_events` events of an infected process. From the
+/// activation point on, Markov phase switching alternates attack sessions
+/// with quiet periods; inside a session each event comes from the payload
+/// walker with probability attack_intensity. `in_payload(walker)`, asked
+/// right after the walker emitted, marks the other malicious events
+/// (detour excursions make some tid-1 events malicious too).
+template <typename InPayload>
+void run_attack_sessions(const ExecConfig& config, Walker& app_walker,
+                         Walker& payload_walker, std::size_t num_events,
+                         util::Rng& rng, InPayload in_payload,
+                         Executor::MixedRun& out) {
+  const auto activation = static_cast<std::size_t>(
+      config.activation_point * static_cast<double>(num_events));
+  // With attack fraction f = payload_ratio / attack_intensity, the expected
+  // benign-phase length that yields that duty cycle is
+  // attack_mean * (1 - f) / f.
+  const double f_attack =
+      std::min(0.95, config.payload_ratio / config.attack_intensity);
+  const double attack_mean = std::max(1.0, config.attack_phase_mean_events);
+  const double benign_mean =
+      std::max(1.0, attack_mean * (1.0 - f_attack) / f_attack);
+  const double p_leave_attack = 1.0 / attack_mean;
+  const double p_enter_attack = 1.0 / benign_mean;
+  bool in_attack = false;
+
+  out.log.events.reserve(num_events);
+  out.is_malicious.reserve(num_events);
+  for (std::size_t seq = 0; seq < num_events; ++seq) {
+    if (seq >= activation) {
+      if (in_attack) {
+        if (rng.next_bool(p_leave_attack)) in_attack = false;
+      } else {
+        if (rng.next_bool(p_enter_attack)) in_attack = true;
+      }
+    }
+    const bool from_payload = seq >= activation && in_attack &&
+                              rng.next_bool(config.attack_intensity);
+    Walker& walker = from_payload ? payload_walker : app_walker;
+    trace::RawEvent e = walker.next_event();
+    e.seq = seq;
+    out.log.events.push_back(std::move(e));
+    out.is_malicious.push_back(from_payload || in_payload(walker));
+  }
+}
+
 }  // namespace
 
 Executor::Executor(const LibraryRegistry& registry, ExecConfig config)
@@ -226,43 +271,11 @@ Executor::MixedRun Executor::run_infected_with_truth(
   Walker payload_walker(&proc.payload, &behavior_, &config_, /*tid=*/2,
                         {user_thread_start_}, rng.fork(2));
 
-  const auto activation = static_cast<std::size_t>(
-      config_.activation_point * static_cast<double>(num_events));
-
-  // Markov phase switching: attack sessions alternate with quiet periods.
-  // With attack fraction f = payload_ratio / attack_intensity, the expected
-  // benign-phase length that yields that duty cycle is
-  // attack_mean * (1 - f) / f.
-  const double f_attack =
-      std::min(0.95, config_.payload_ratio / config_.attack_intensity);
-  const double attack_mean = std::max(1.0, config_.attack_phase_mean_events);
-  const double benign_mean =
-      std::max(1.0, attack_mean * (1.0 - f_attack) / f_attack);
-  const double p_leave_attack = 1.0 / attack_mean;
-  const double p_enter_attack = 1.0 / benign_mean;
-  bool in_attack = false;
-
-  log.events.reserve(num_events);
-  out.is_malicious.reserve(num_events);
-  for (std::size_t seq = 0; seq < num_events; ++seq) {
-    if (seq >= activation) {
-      if (in_attack) {
-        if (rng.next_bool(p_leave_attack)) in_attack = false;
-      } else {
-        if (rng.next_bool(p_enter_attack)) in_attack = true;
-      }
-    }
-    const bool from_payload =
-        seq >= activation && in_attack &&
-        rng.next_bool(config_.attack_intensity);
-    Walker& walker = from_payload ? payload_walker : app_walker;
-    trace::RawEvent e = walker.next_event();
-    e.seq = seq;
-    log.events.push_back(std::move(e));
-    // Detour excursions make some tid-1 events malicious too.
-    out.is_malicious.push_back(from_payload ||
-                               walker.stack_contains(&proc.payload));
-  }
+  run_attack_sessions(config_, app_walker, payload_walker, num_events, rng,
+                      [&proc](const Walker& w) {
+                        return w.stack_contains(&proc.payload);
+                      },
+                      out);
   return out;
 }
 
@@ -284,35 +297,11 @@ Executor::MixedRun Executor::run_source_trojan(const SourceTrojan& trojan,
   Walker payload_walker(&trojan.merged, &behavior_, &config_, /*tid=*/2,
                         {user_thread_start_}, rng.fork(2));
   payload_walker.jump_to(trojan.payload_entry);
-
-  const auto activation = static_cast<std::size_t>(
-      config_.activation_point * static_cast<double>(num_events));
-  const double f_attack =
-      std::min(0.95, config_.payload_ratio / config_.attack_intensity);
-  const double attack_mean = std::max(1.0, config_.attack_phase_mean_events);
-  const double benign_mean =
-      std::max(1.0, attack_mean * (1.0 - f_attack) / f_attack);
-  bool in_attack = false;
-
-  log.events.reserve(num_events);
-  out.is_malicious.reserve(num_events);
-  for (std::size_t seq = 0; seq < num_events; ++seq) {
-    if (seq >= activation) {
-      if (in_attack) {
-        if (rng.next_bool(1.0 / attack_mean)) in_attack = false;
-      } else {
-        if (rng.next_bool(1.0 / benign_mean)) in_attack = true;
-      }
-    }
-    const bool from_payload = seq >= activation && in_attack &&
-                              rng.next_bool(config_.attack_intensity);
-    Walker& walker = from_payload ? payload_walker : app_walker;
-    trace::RawEvent e = walker.next_event();
-    e.seq = seq;
-    log.events.push_back(std::move(e));
-    out.is_malicious.push_back(from_payload ||
-                               walker.stack_matches(trojan.is_payload_fn));
-  }
+  run_attack_sessions(config_, app_walker, payload_walker, num_events, rng,
+                      [&trojan](const Walker& w) {
+                        return w.stack_matches(trojan.is_payload_fn);
+                      },
+                      out);
   return out;
 }
 

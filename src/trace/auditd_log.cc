@@ -6,7 +6,7 @@
 #include <ostream>
 #include <sstream>
 #include <string>
-#include <vector>
+#include <utility>
 
 #include "trace/decode.h"
 #include "util/strings.h"
@@ -17,7 +17,8 @@ namespace {
 
 using util::parse_hex_u64;
 using util::for_each_field;
-using util::split_ws;
+using util::for_each_token;
+using util::next_token;
 using util::starts_with;
 using util::trim;
 
@@ -46,30 +47,20 @@ class AuditdParserState {
     byte_ = byte;
     line = trim(line);
     if (line.empty() || line.front() == '#') return;
-    const auto tokens = split_ws(line);
-    require(tokens.size() >= 2, "truncated record");
-    require(starts_with(tokens[0], "type="), "record without type=");
-    const std::string_view kind = tokens[0].substr(5);
-    const std::string_view msg = tokens[1];
+    std::string_view rest = line;
+    const std::string_view type = next_token(rest);
+    const std::string_view msg = next_token(rest);
+    require(!msg.empty(), "truncated record");
+    require(starts_with(type, "type="), "record without type=");
+    const std::string_view kind = type.substr(5);
     require(starts_with(msg, "msg=audit(") && msg.size() >= 12 &&
                 msg.substr(msg.size() - 2) == "):",
             "malformed msg=audit(ts:serial) field");
 
-    // The remaining tokens are k=v fields; values may be double-quoted.
-    std::vector<std::pair<std::string_view, std::string_view>> fields;
-    for (std::size_t i = 2; i < tokens.size(); ++i) {
-      const auto eq = tokens[i].find('=');
-      require(eq != std::string_view::npos && eq > 0,
-              "field without key=value shape");
-      std::string_view value = tokens[i].substr(eq + 1);
-      if (value.size() >= 2 && value.front() == '"' && value.back() == '"') {
-        value = value.substr(1, value.size() - 2);
-      } else {
-        require(value.find('"') == std::string_view::npos,
-                "unterminated quoted value");
-      }
-      fields.emplace_back(tokens[i].substr(0, eq), value);
-    }
+    // The remaining tokens are k=v fields, all checked here and then looked
+    // up by field() without building a list of them.
+    const std::string_view fields = rest;
+    for_each_token(fields, [this](std::string_view t) { key_value(t); });
 
     if (kind == "DAEMON_START") {
       log_.process_name = std::string(field(fields, "comm"));
@@ -119,10 +110,28 @@ class AuditdParserState {
   }
 
  private:
-  std::string_view field(
-      const std::vector<std::pair<std::string_view, std::string_view>>& fs,
-      std::string_view key, bool required = true) {
-    for (const auto& [k, v] : fs) {
+  /// Splits a k=v token; values may be double-quoted.
+  std::pair<std::string_view, std::string_view> key_value(
+      std::string_view token) {
+    const auto eq = token.find('=');
+    require(eq != std::string_view::npos && eq > 0,
+            "field without key=value shape");
+    std::string_view value = token.substr(eq + 1);
+    if (value.size() >= 2 && value.front() == '"' && value.back() == '"') {
+      value = value.substr(1, value.size() - 2);
+    } else {
+      require(value.find('"') == std::string_view::npos,
+              "unterminated quoted value");
+    }
+    return {token.substr(0, eq), value};
+  }
+
+  /// The value of the first `key` field among the k=v tokens `fields`.
+  std::string_view field(std::string_view fields, std::string_view key,
+                         bool required = true) {
+    for (std::string_view t = next_token(fields); !t.empty();
+         t = next_token(fields)) {
+      const auto [k, v] = key_value(t);
       if (k == key) return v;
     }
     if (required) fail("missing field '" + std::string(key) + "'");

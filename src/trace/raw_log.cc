@@ -11,7 +11,6 @@ namespace leaps::trace {
 namespace {
 
 using util::parse_hex_u64;
-using util::split_ws;
 using util::trim;
 
 /// Line-by-line state machine over the text grammar.
@@ -23,8 +22,9 @@ class TextParserState {
     lineno_ = lineno;
     line = trim(line);
     if (line.empty() || line.front() == '#') return;
-    const auto fields = split_ws(line);
-    const std::string_view kind = fields.front();
+    // No record has more than 4 tokens, so a fifth only says "too many".
+    const util::LeadingTokens<5> fields(line);
+    const std::string_view kind = fields[0];
     if (kind == "PROCESS") {
       require(fields.size() == 2, "PROCESS expects 1 field");
       log_.process_name = std::string(fields[1]);

@@ -6,17 +6,17 @@
 
 namespace leaps::util {
 
-std::vector<std::string_view> split_ws(std::string_view s) {
-  std::vector<std::string_view> out;
+std::string_view next_token(std::string_view& s) {
+  const auto space = [](char c) {
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+  };
   std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    std::size_t j = i;
-    while (j < s.size() && !std::isspace(static_cast<unsigned char>(s[j]))) ++j;
-    if (j > i) out.push_back(s.substr(i, j - i));
-    i = j;
-  }
-  return out;
+  while (i < s.size() && space(s[i])) ++i;
+  std::size_t j = i;
+  while (j < s.size() && !space(s[j])) ++j;
+  const std::string_view token = s.substr(i, j - i);
+  s.remove_prefix(j);
+  return token;
 }
 
 std::string_view trim(std::string_view s) {

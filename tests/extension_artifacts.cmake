@@ -11,7 +11,10 @@
 #     campaign (no "(WRONG)");
 #   * every row of EXPERIMENTS.md's extension tables equal to its pinned
 #     row, each looked up under the "### <section>" heading the pinned
-#     "== <section>" header names, so the prose cannot drift from the code.
+#     "== <section>" header names, so the prose cannot drift from the code;
+#   * one evaluation protocol: on every scenario both the §VI-B and the
+#     §III-D-2 table name, §III-D-2's WSVM and W-HMM cells equal §VI-B's
+#     WSVM and WHMM cells.
 # Changing the expected file is a re-record, documented in CHANGES.md (see
 # EXPERIMENTS.md); the shape claims hold the re-record to the studies.
 #
@@ -55,6 +58,8 @@ set(num "([-+]?[0-9]+[.][0-9]+)")
 file(STRINGS ${EXPECTED} lines ENCODING UTF-8)
 set(key "")
 set(stale "")
+set(shared 0)
+set(apart "")
 foreach(line IN LISTS lines)
   set(cell "")
   if(line MATCHES "^== ([^ ]+) ")
@@ -74,6 +79,18 @@ foreach(line IN LISTS lines)
     string(CONCAT cell "| ${CMAKE_MATCH_1} | ${CMAKE_MATCH_2} | "
            "${CMAKE_MATCH_3} | ${CMAKE_MATCH_4} | ${CMAKE_MATCH_5} | "
            "${CMAKE_MATCH_6} |")
+    # One protocol: §III-D-2's WSVM and W-HMM are §VI-B's WSVM and WHMM.
+    if(key STREQUAL "§VI-B")
+      set(vib_${CMAKE_MATCH_1} "${CMAKE_MATCH_4} ${CMAKE_MATCH_6}")
+    elseif(DEFINED vib_${CMAKE_MATCH_1})
+      math(EXPR shared "${shared} + 1")
+      if(NOT "${CMAKE_MATCH_5} ${CMAKE_MATCH_6}" STREQUAL
+         "${vib_${CMAKE_MATCH_1}}")
+        string(APPEND apart "\n  ${CMAKE_MATCH_1}: §III-D-2 WSVM/W-HMM "
+               "${CMAKE_MATCH_5} ${CMAKE_MATCH_6}, §VI-B WSVM/WHMM "
+               "${vib_${CMAKE_MATCH_1}}")
+      endif()
+    endif()
   elseif(key STREQUAL "§II-B-2" AND line MATCHES
          "^  ([^ ]+) +ACC ${num}  [(]dedicated ${num}, gap ${num}[)]$")
     string(CONCAT cell "| ${CMAKE_MATCH_1} | ${CMAKE_MATCH_2} | "
@@ -105,6 +122,11 @@ foreach(expect "VI-A=4" "VI-B=5" "III-D-2=3" "II-B-2=5" "Campaign=4")
                         "section ${id}, not ${want}")
   endif()
 endforeach()
+if(shared EQUAL 0 OR apart)
+  message(FATAL_ERROR "${EXPECTED}: §III-D-2 must show §VI-B's WSVM and "
+                      "WHMM cells on every shared scenario (${shared} "
+                      "shared):${apart}")
+endif()
 if(stale)
   message(FATAL_ERROR "EXPERIMENTS.md's extension tables do not show these "
                       "pinned rows of ${EXPECTED}:${stale}")

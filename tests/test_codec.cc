@@ -652,8 +652,8 @@ std::vector<HostileRow> hostile_rows() {
                   {"PROCESS" + repeat(" x", 40000) + "\n"},
                   {},
                   decode_log,
-                  // 16: split_ws keeps a 16-byte view per 2-byte token, x2.
-                  16,
+                  // 1: the line itself; the reader keeps at most 5 token views.
+                  1,
                   log_check(events),
                   /*line_grammar=*/true});
 
@@ -694,11 +694,14 @@ std::vector<HostileRow> hostile_rows() {
                        repeat(",", 40000) + "\"\n",
                    "type=SYSCALL msg=audit(0:1): seq=0 tid=0 syscall=0\n"
                    "type=BACKTRACE msg=audit(0:2): frames=\"" +
-                       repeat("1,", 20000) + "x\"\n"},
+                       repeat("1,", 20000) + "x\"\n",
+                   "type=SYSCALL msg=audit(0:1):" + repeat(" a=1", 20000) +
+                       "\n"},
                   {},
                   decode_log,
                   // 5: the frames stack grows to 2^15 8-byte addresses for
-                  // the 20k 2-byte frames ("1,"); empty frames reject at once.
+                  // the 20k 2-byte frames ("1,"); empty frames reject at once,
+                  // and k=v fields are looked up, never listed.
                   5,
                   log_check(events),
                   /*line_grammar=*/true});

@@ -116,7 +116,7 @@ void expect_same_outcome(const ModelOutcome& a, const ModelOutcome& b) {
 
 TEST(Experiment, ParallelAndSequentialRunsAgreeExactly) {
   ExperimentOptions opt = small_options(3);
-  opt.include_hmm = true;  // every model's outcome, not just the paper's three
+  opt.extension_models = true;  // every model's outcome, not just the paper's
   const sim::ScenarioLogs logs = sim::generate_scenario(
       sim::find_scenario("winscp_reverse_https"), opt.sim);
   util::Parallel::set_threads(1);
@@ -124,30 +124,36 @@ TEST(Experiment, ParallelAndSequentialRunsAgreeExactly) {
   util::Parallel::set_threads(4);
   const ExperimentResult par = ExperimentRunner(opt).run_on_logs(logs);
   util::Parallel::set_threads(0);
-  EXPECT_GT(seq.whmm.pooled.total(), 0u);
   for (ModelOutcome ExperimentResult::*model :
        {&ExperimentResult::cgraph, &ExperimentResult::svm,
         &ExperimentResult::wsvm, &ExperimentResult::hmm,
-        &ExperimentResult::whmm}) {
+        &ExperimentResult::whmm, &ExperimentResult::wlr,
+        &ExperimentResult::wtree, &ExperimentResult::wrf}) {
+    EXPECT_GT((seq.*model).pooled.total(), 0u);
     expect_same_outcome(seq.*model, par.*model);
   }
 }
 
-// The HMM sequence models are trained beside the paper's three, never in
-// their way: with include_hmm on, CGraph, SVM and WSVM come out bit for
-// bit as with it off (same selections, same tuning, same test points), so
-// one include_hmm pass serves both the HMM comparison and any study that
-// reads the paper's models.
+// The extension models (HMM, WHMM, W-LR, W-Tree, W-RF) are trained beside
+// the paper's three, never in their way: with extension_models on, CGraph,
+// SVM and WSVM come out bit for bit as with it off (same selections, same
+// tuning, same test points), so one extension_models pass serves both the
+// extension comparisons and any study that reads the paper's models.
 TEST(Experiment, HmmLeavesThePaperModelsUnchanged) {
   ExperimentOptions opt = small_options(3);
   opt.cv.sigma2s = {2.0, 8.0};  // a tuning step with a choice to make
   const sim::ScenarioLogs logs = sim::generate_scenario(
       sim::find_scenario("vim_codeinject"), opt.sim);
   const ExperimentResult without = ExperimentRunner(opt).run_on_logs(logs);
-  opt.include_hmm = true;
+  opt.extension_models = true;
   const ExperimentResult with = ExperimentRunner(opt).run_on_logs(logs);
-  EXPECT_EQ(without.hmm.pooled.total(), 0u);
-  EXPECT_GT(with.hmm.pooled.total(), 0u);
+  for (ModelOutcome ExperimentResult::*model :
+       {&ExperimentResult::hmm, &ExperimentResult::whmm,
+        &ExperimentResult::wlr, &ExperimentResult::wtree,
+        &ExperimentResult::wrf}) {
+    EXPECT_EQ((without.*model).pooled.total(), 0u);
+    EXPECT_EQ((with.*model).pooled.total(), with.wsvm.pooled.total());
+  }
   for (ModelOutcome ExperimentResult::*model :
        {&ExperimentResult::cgraph, &ExperimentResult::svm,
         &ExperimentResult::wsvm}) {

@@ -3,17 +3,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
+#include <sstream>
 
 #include "sim/address_space.h"
 #include "sim/attack.h"
 #include "sim/behavior.h"
+#include "sim/campaign.h"
 #include "sim/executor.h"
 #include "sim/library.h"
 #include "sim/profiles.h"
 #include "sim/program.h"
 #include "sim/scenario.h"
+#include "trace/binary_log.h"
 #include "trace/partition.h"
+#include "util/rng.h"
 
 namespace leaps::sim {
 namespace {
@@ -505,6 +510,61 @@ TEST(Scenario, OfflineMixedLogHasGrownImageRecord) {
     return std::uint64_t{0};
   };
   EXPECT_GT(find_app(logs.mixed), find_app(logs.benign));
+}
+
+/// "<benign> <mixed> <malicious> <truth>" as 64-bit hex hashes of each
+/// log's binary encoding and of the mixed truth as a 0/1 string.
+std::string log_digests(const trace::RawLog& benign,
+                        const trace::RawLog& mixed,
+                        const trace::RawLog& malicious,
+                        const std::vector<bool>& truth) {
+  std::string out;
+  const auto add = [&out](std::string_view bytes) {
+    char hex[20];
+    std::snprintf(hex, sizeof hex, "%016llx",
+                  static_cast<unsigned long long>(util::hash_string(bytes)));
+    if (!out.empty()) out += ' ';
+    out += hex;
+  };
+  for (const trace::RawLog* log : {&benign, &mixed, &malicious}) {
+    std::ostringstream os;
+    trace::write_raw_log_binary(*log, os);
+    add(os.str());
+  }
+  std::string bits;
+  for (const bool b : truth) bits += b ? '1' : '0';
+  add(bits);
+  return out;
+}
+
+// The simulator's logs are the input of every pinned table and every
+// benchmark workload, so a refactor of the executor must not move a byte:
+// one offline, one online, one source-trojan and one campaign scenario,
+// pinned at a small config.
+TEST(Scenario, GeneratedLogsMatchPinnedDigests) {
+  SimConfig cfg;
+  cfg.benign_events = 900;
+  cfg.mixed_events = 700;
+  cfg.malicious_events = 300;
+  const auto scenario = [](const ScenarioLogs& l) {
+    return log_digests(l.benign, l.mixed, l.malicious, l.mixed_truth);
+  };
+  const CampaignLogs campaign =
+      generate_campaign(find_campaign("campaign_putty_apt"), cfg);
+  EXPECT_EQ(scenario(generate_scenario(find_scenario("vim_reverse_tcp"), cfg)),
+            "4ec57ade432d25c1 581f60b8f2c48328 "
+            "aa07d275dbe303d6 f346e8e3ceeda27c");
+  EXPECT_EQ(scenario(generate_scenario(
+                find_scenario("putty_reverse_https_online"), cfg)),
+            "022de60168bf1a69 034d6c46ccefc7f0 "
+            "8568878ab1fbdf75 59536ceb37fb5b1e");
+  EXPECT_EQ(scenario(generate_source_trojan_scenario("vim", "pwddlg", cfg)),
+            "03f72782715f7ac8 44bad531395a09a7 "
+            "e8de5b569fbfb250 f0fcc176cea9fc1c");
+  EXPECT_EQ(log_digests(campaign.benign, campaign.mixed, campaign.malicious,
+                        campaign.mixed_truth),
+            "63c3e03c4c37ab82 9c1045bcd5afbe66 "
+            "5611e2aa3de3a00e 077793ddfb45af42");
 }
 
 }  // namespace

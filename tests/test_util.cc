@@ -238,12 +238,19 @@ TEST(Strings, ForEachFieldKeepsEmptyFields) {
   EXPECT_EQ(parts, (std::vector<std::string_view>{"x", ""}));
 }
 
-TEST(Strings, SplitWsDropsEmptyFields) {
-  const auto parts = split_ws("  a \t b\n c  ");
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[2], "c");
-  EXPECT_TRUE(split_ws("   ").empty());
+TEST(Strings, ForEachTokenDropsEmptyFields) {
+  std::vector<std::string_view> parts;
+  const auto collect = [&parts](std::string_view t) { parts.push_back(t); };
+  for_each_token("  a \t b\n c  ", collect);
+  EXPECT_EQ(parts, (std::vector<std::string_view>{"a", "b", "c"}));
+  parts.clear();
+  for_each_token("   ", collect);
+  EXPECT_TRUE(parts.empty());
+  // LeadingTokens keeps the first N and stops counting there.
+  const LeadingTokens<3> few(" x  y ");
+  ASSERT_EQ(few.size(), 2u);
+  EXPECT_EQ(few[1], "y");
+  EXPECT_EQ(LeadingTokens<3>("a b c d e").size(), 3u);
 }
 
 TEST(Strings, Trim) {
