@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <fstream>
 #include <functional>
 #include <iomanip>
@@ -93,6 +94,7 @@ void write_svm(std::ostream& os, const Detector& detector) {
 
 void write_continual(std::ostream& os, const ContinualState& cs) {
   os << "CONTINUAL\n";
+  os << "LAMBDA " << cs.lambda << '\n';
   os << "CFG " << cs.benign_cfg.edge_count() << '\n';
   for (const auto& [from, succs] : cs.benign_cfg.adjacency()) {
     for (const cfg::AddressGraph::Address to : succs) {
@@ -277,7 +279,16 @@ Detector load_detector_body(Reader& r, bool allow_continual) {
   if (tail == "CONTINUAL") {
     require(allow_continual, "CONTINUAL block in a v1 file");
     ContinualState cs;
-    r.expect("CFG");
+    // Files written before the state recorded its λ go straight to CFG
+    // and keep the default.
+    std::string word = r.word();
+    if (word == "LAMBDA") {
+      cs.lambda = r.real();
+      require(cs.lambda > 0.0 && std::isfinite(cs.lambda),
+              "LAMBDA must be positive and finite");
+      word = r.word();
+    }
+    require(word == "CFG", "expected 'CFG', got '" + word + "'");
     const auto edges = static_cast<std::size_t>(r.integer());
     for (std::size_t e = 0; e < edges; ++e) {
       r.expect("E");

@@ -18,6 +18,7 @@
 //   SV <coef> <x>...
 //   THRESHOLD <t>
 //   CONTINUAL            (v2 and v3, optional — continual-learning state)
+//   LAMBDA <λ>           (optional; a block without it loads as λ = 10)
 //   CFG <edge_count>
 //   E <from> <to>...
 //   TRAINSET <n> <dims>

@@ -150,8 +150,10 @@ FitResult fit_detector(const trace::PartitionedLog& benign_log,
   std::optional<ml::GridSearchResult> grid;
   Detector detector =
       fit_model(data.preprocessor, train, options, &stats, &grid);
+  const double lambda =
+      grid.has_value() ? grid->best.lambda : options.svm.lambda;
   detector.set_continual(
-      {data.benign_cfg.graph, std::move(train), stats.alpha});
+      {data.benign_cfg.graph, std::move(train), stats.alpha, lambda});
   return {std::move(data), std::move(detector), std::move(stats),
           std::move(grid)};
 }

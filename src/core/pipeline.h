@@ -103,13 +103,18 @@ class LeapsPipeline {
 ///   * the scaled training set the SVM was fit on — new benign windows are
 ///     appended to it,
 ///   * the full dual solution α aligned with that set — the warm start for
-///     the next SMO run.
+///     the next SMO run,
+///   * the λ that α was solved under — the next run's box, so the seed
+///     stays optimal (fit_detector records the tuned or fixed λ).
 /// Persisted by core/persist (format v2); absent on detectors loaded from
 /// pre-v2 files, which therefore fall back to cold-start retraining.
 struct ContinualState {
   cfg::AddressGraph benign_cfg;
   ml::Dataset train;          // scaled rows, labels ±1, weights c_i
   std::vector<double> alpha;  // size == train.size()
+  /// What a file without a LAMBDA line loads as: the λ every online
+  /// refit used before the state recorded it.
+  double lambda = 10.0;
 };
 
 /// A deployed classifier: preprocessing + scaling + (W)SVM, applied to any

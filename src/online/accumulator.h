@@ -20,8 +20,8 @@
 // Threading: observe_window() is called under session mutexes from worker
 // threads — it only appends to a pending buffer under the accumulator's
 // own mutex (no inference, no allocation beyond the copy). The fold — the
-// expensive part — runs when a batch fills or when the retrain scheduler
-// asks for a snapshot, on whichever thread that is.
+// expensive part — runs when a batch fills or when a retrain asks for a
+// snapshot, on whichever thread that is.
 #pragma once
 
 #include <cstddef>
@@ -80,8 +80,8 @@ class OnlineCfgAccumulator {
   void observe_window(const trace::PartitionedEvent* events,
                       std::size_t count);
 
-  /// Folds any pending batch immediately (the scheduler calls this before
-  /// snapshotting). Returns the number of windows folded.
+  /// Folds any pending batch immediately (graph_snapshot and drain_windows
+  /// do this first). Returns the number of windows folded.
   std::size_t fold_now();
 
   /// Copy of the current merged benign CFG (after folding pending data).

@@ -33,8 +33,6 @@ OnlineManager::OnlineManager(serve::DetectionServer* server,
       options_(std::move(options)),
       accumulator_(seed_cfg(*required_detector(server, options_.profile)),
                    options_.accumulator),
-      scheduler_(required_detector(server, options_.profile), &accumulator_,
-                 options_.retrain),
       drift_(options_.drift) {}
 
 OnlineManager::~OnlineManager() { stop(); }
@@ -192,8 +190,16 @@ void OnlineManager::flush_drift_locked() {
 }
 
 void OnlineManager::maybe_retrain() {
+  // The registry's active detector is the incumbent: a promotion publishes
+  // the candidate there, so the next cycle grows from it.
+  const std::shared_ptr<const core::Detector> incumbent =
+      server_->registry().find(options_.profile);
+  if (incumbent == nullptr) return;  // the registry never drops a profile
+  const bool volume_due =
+      incumbent->continual() != nullptr &&
+      accumulator_.events_since_drain() >= options_.retrain.min_new_events;
   const bool drift_due = options_.drift.enabled && drift_.trigger_pending();
-  if (!scheduler_.due() && !drift_due) return;
+  if (!volume_due && !drift_due) return;
   if (drift_due) {
     drift_.consume_trigger();
     const std::lock_guard<std::mutex> lock(mu_);
@@ -214,7 +220,8 @@ void OnlineManager::maybe_retrain() {
       drain_lsn = options_.durable->last_lsn();
     }
   }
-  const RetrainResult result = scheduler_.retrain(std::move(drained));
+  const RetrainResult result =
+      retrain(*incumbent, std::move(drained), accumulator_, options_.retrain);
   // The retrain consumed every window up to the drain boundary; the
   // journal record makes replay stop treating exactly those as pending.
   // Journaled only now, after the fit: a crash mid-training leaves no
@@ -226,11 +233,14 @@ void OnlineManager::maybe_retrain() {
         result.error);
     if (!status.ok()) note_durable_failure(status);
   }
-  if (result.candidate == nullptr) {
+  {
     const std::lock_guard<std::mutex> lock(mu_);
-    ++retrain_failures_;
-    last_error_ = result.error;
-    return;
+    if (result.candidate == nullptr) {
+      ++retrain_failures_;
+      last_error_ = result.error;
+      return;
+    }
+    ++retrain_cycles_;
   }
   auto evaluator = std::make_shared<ShadowEvaluator>(options_.gates);
   serve::ShadowSink sink =
@@ -252,22 +262,22 @@ void OnlineManager::maybe_retrain() {
   last_warm_ = result.warm_iterations;
   last_cold_ = result.cold_iterations;
   evaluator_ = std::move(evaluator);
-  candidate_ = result.candidate;
 }
 
 void OnlineManager::conclude_shadow(bool promote) {
   std::shared_ptr<ShadowEvaluator> evaluator;
-  std::shared_ptr<const core::Detector> candidate;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     evaluator = evaluator_;
-    candidate = candidate_;
   }
   if (evaluator == nullptr) return;
+  // The candidate this evaluator judged: staged by maybe_retrain, and only
+  // this thread ends the shadow.
+  const std::shared_ptr<const core::Detector> candidate =
+      server_->registry().shadow_candidate(options_.profile);
   // end_shadow retakes every session mutex to detach — this is why the
   // decision is acted on here (manager thread) and never in the sink.
   server_->end_shadow(options_.profile, promote);
-  if (promote && candidate != nullptr) scheduler_.adopt(candidate);
   // A promoted model has a new "normal": reset the drift reference so the
   // monitor re-learns the new generation's decision-value distribution.
   if (promote && options_.drift.enabled) drift_.advance_generation();
@@ -294,7 +304,6 @@ void OnlineManager::conclude_shadow(bool promote) {
       ++rollbacks_;
     }
     evaluator_.reset();
-    candidate_.reset();
   }
   // A promotion is the most valuable state there is; fold it immediately.
   if (options_.durable != nullptr && promote) do_checkpoint();
@@ -388,9 +397,9 @@ void OnlineManager::note_durable_failure(const util::Status& status) {
 OnlineReport OnlineManager::report() const {
   OnlineReport r;
   r.accumulator = accumulator_.stats();
-  r.retrain_cycles = scheduler_.cycles();
   r.drift = drift_.status();
   const std::lock_guard<std::mutex> lock(mu_);
+  r.retrain_cycles = retrain_cycles_;
   r.last_drift_trigger_lsn = last_drift_trigger_lsn_;
   r.drift_retrains = drift_retrains_;
   r.phase = evaluator_ != nullptr ? "shadowing" : "accumulating";

@@ -4,7 +4,7 @@
 //
 //   accumulating ──(retrain due)──▶ training ──▶ shadowing
 //        ▲                                            │
-//        └──── promote (RCU swap + adopt) ◀── gates ──┤
+//        └──── promote (RCU swap)         ◀── gates ──┤
 //        └──── rollback (quarantine)       ◀──────────┘
 //
 // install() hooks the server's WindowTap (classified-benign windows of
@@ -218,7 +218,6 @@ class OnlineManager {
   serve::DetectionServer* const server_;
   const OnlineOptions options_;
   OnlineCfgAccumulator accumulator_;
-  RetrainScheduler scheduler_;
   DriftMonitor drift_;
   /// Drift samples observed since the last journal flush (poll_once and
   /// do_checkpoint flush them as one kDriftBatch record). Guarded by
@@ -241,8 +240,10 @@ class OnlineManager {
   std::mutex tap_mu_;
 
   mutable std::mutex mu_;
+  // The incumbent and the shadow candidate live in the server's registry
+  // (find, shadow_candidate); the manager keeps no copy of either.
   std::shared_ptr<ShadowEvaluator> evaluator_;           // guarded by mu_
-  std::shared_ptr<const core::Detector> candidate_;      // guarded by mu_
+  std::uint64_t retrain_cycles_ = 0;                     // guarded by mu_
   std::uint64_t retrain_failures_ = 0;                   // guarded by mu_
   std::uint64_t warm_saved_ = 0;                         // guarded by mu_
   std::uint64_t last_warm_ = 0;                          // guarded by mu_

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <sstream>
 #include <string>
 
@@ -38,6 +39,27 @@ std::string v2_text(const Detector& detector) {
     out += payload;
   }
   return out + "END\n";
+}
+
+/// `text` (a v3 file) with block `name`'s payload passed through `edit`
+/// and reframed with a fresh CRC, so only the edit can be wrong.
+std::string with_block_edited(const std::string& text, const std::string& name,
+                              const std::function<void(std::string&)>& edit) {
+  const std::size_t block = text.find("BLOCK " + name + " ");
+  EXPECT_NE(block, std::string::npos) << name;
+  const std::size_t payload_start = text.find('\n', block) + 1;
+  std::istringstream header(text.substr(block, payload_start - block));
+  std::string keyword;
+  std::string block_name;
+  std::size_t bytes = 0;
+  header >> keyword >> block_name >> bytes;
+  std::string payload = text.substr(payload_start, bytes);
+  edit(payload);
+  std::ostringstream crafted;
+  crafted << text.substr(0, block);
+  util::write_framed(crafted, "BLOCK " + name, payload);
+  crafted << text.substr(payload_start + bytes);
+  return crafted.str();
 }
 
 struct Fixture {
@@ -229,24 +251,12 @@ TEST(Persist, RejectsARetiredKernelName) {
       leaps::testing::train_small_detector();
   std::stringstream buffer;
   save_detector(*t.detector, buffer);
-  const std::string text = buffer.str();
-  const std::size_t block = text.find("BLOCK SVM ");
-  ASSERT_NE(block, std::string::npos);
-  const std::size_t payload_start = text.find('\n', block) + 1;
-  std::istringstream header(text.substr(block, payload_start - block));
-  std::string keyword;
-  std::string name;
-  std::size_t bytes = 0;
-  header >> keyword >> name >> bytes;
-  std::string payload = text.substr(payload_start, bytes);
-  ASSERT_EQ(payload.rfind("SVM gaussian ", 0), 0u) << payload.substr(0, 40);
-  payload.replace(0, std::string("SVM gaussian").size(), "SVM linear");
-
-  std::ostringstream crafted;
-  crafted << text.substr(0, block);
-  util::write_framed(crafted, "BLOCK SVM", payload);
-  crafted << text.substr(payload_start + bytes);
-  std::stringstream is(crafted.str());
+  std::stringstream is(
+      with_block_edited(buffer.str(), "SVM", [](std::string& payload) {
+        ASSERT_EQ(payload.rfind("SVM gaussian ", 0), 0u)
+            << payload.substr(0, 40);
+        payload.replace(0, std::string("SVM gaussian").size(), "SVM linear");
+      }));
   try {
     load_detector(is);
     FAIL() << "a linear-kernel SVM block loaded";
@@ -267,7 +277,7 @@ TEST(Persist, V1FileLoadsAsColdStartFallback) {
   // A pre-online-learning (v1) model file is exactly a v2 file without the
   // CONTINUAL block. It must still load — predictions intact — and yield a
   // detector with no continual state, which the online path treats as
-  // "retrain offline" (RetrainScheduler::can_retrain() == false).
+  // "retrain offline" (online::retrain refuses it).
   const Fixture f = Fixture::make();
   ASSERT_EQ(f.detector.continual(), nullptr);
   std::string text = v2_text(f.detector);
@@ -317,6 +327,47 @@ TEST(Persist, ContinualStateRoundTripsExactly) {
   EXPECT_GT(stats.warm_nonzero, 0u);
 }
 
+/// A detector whose ContinualState was solved at λ = 100, not the default.
+Detector lambda_100_detector() {
+  const leaps::testing::TrainedDetector t =
+      leaps::testing::train_small_detector();
+  FitOptions options;
+  options.svm.lambda = 100.0;
+  return fit_detector(t.benign, t.mixed, options).detector;
+}
+
+TEST(Persist, ContinualLambdaRoundTripsThroughV3) {
+  const Detector detector = lambda_100_detector();
+  ASSERT_NE(detector.continual(), nullptr);
+  ASSERT_EQ(detector.continual()->lambda, 100.0);
+  std::stringstream buffer;
+  save_detector(detector, buffer);
+  EXPECT_NE(buffer.str().find("CONTINUAL\nLAMBDA 100\nCFG "),
+            std::string::npos);
+  const Detector loaded = load_detector(buffer);
+  ASSERT_NE(loaded.continual(), nullptr);
+  EXPECT_EQ(loaded.continual()->lambda, 100.0);
+}
+
+TEST(Persist, ContinualBlockWithoutLambdaLoadsAsTen) {
+  // Every file written before the state recorded its λ: the CONTINUAL
+  // block goes straight to CFG, and the refit keeps the λ = 10 it used.
+  const Detector detector = lambda_100_detector();
+  std::stringstream buffer;
+  save_detector(detector, buffer);
+  std::stringstream is(with_block_edited(
+      buffer.str(), "CONTINUAL", [](std::string& payload) {
+        const std::string line = "LAMBDA 100\n";
+        const std::size_t at = payload.find(line);
+        ASSERT_NE(at, std::string::npos);
+        payload.erase(at, line.size());
+      }));
+  const Detector loaded = load_detector(is);
+  ASSERT_NE(loaded.continual(), nullptr);
+  EXPECT_EQ(loaded.continual()->lambda, 10.0);
+  EXPECT_EQ(loaded.continual()->alpha, detector.continual()->alpha);
+}
+
 TEST(Persist, ContinualBlockInV1FileIsRejected) {
   const leaps::testing::TrainedDetector t =
       leaps::testing::train_small_detector();
@@ -343,6 +394,8 @@ TEST(Persist, RejectsCorruptContinualRows) {
   };
   corrupt("ROW 1 ", "ROW 3 ");    // label must be +/-1
   corrupt("ROW -1 ", "ROW -1 7.5 ");  // weight outside [0,1] (extra token)
+  corrupt("LAMBDA 10\n", "LAMBDA 0\n");  // no box to solve in
+  corrupt("LAMBDA 10\n", "LAMBDA nan\n");
 }
 
 }  // namespace

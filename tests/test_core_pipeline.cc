@@ -256,7 +256,8 @@ TEST(FitDetector, MatchesTheExplicitRecipe) {
       ml::TrainStats stats;
       const ml::SvmModel model = ml::SvmTrainer(params).train(train, &stats);
       Detector reference(s.td.preprocessor, scaler, model);
-      reference.set_continual({s.td.benign_cfg.graph, train, stats.alpha});
+      reference.set_continual(
+          {s.td.benign_cfg.graph, train, stats.alpha, params.lambda});
 
       const FitResult fitted = fit_detector(s.benign, s.mixed, options);
       EXPECT_EQ(fitted.grid.has_value(), tuned);

@@ -276,20 +276,15 @@ TEST(Accumulator, RetentionBoundEvictsOldest) {
   EXPECT_EQ(acc.stats().windows_evicted, wins.size() - 2);
 }
 
-// --- RetrainScheduler -----------------------------------------------------
+// --- retrain ---------------------------------------------------------------
 
 TEST(Retrain, PreV2DetectorCannotRetrainOnline) {
   // A detector without ContinualState (anything loaded from a v1 file).
   const core::Detector& trained = *fixture().detector;
-  auto plain = std::make_shared<const core::Detector>(
-      trained.preprocessor(), trained.scaler(), trained.model());
+  const core::Detector plain(trained.preprocessor(), trained.scaler(),
+                             trained.model());
   OnlineCfgAccumulator acc(cfg::AddressGraph{}, {});
-  RetrainConfig config;
-  config.min_new_events = 1;
-  RetrainScheduler scheduler(plain, &acc, config);
-  EXPECT_FALSE(scheduler.can_retrain());
-  EXPECT_FALSE(scheduler.due());
-  const RetrainResult result = scheduler.retrain();
+  const RetrainResult result = retrain(plain, acc.drain_windows(), acc, {});
   EXPECT_EQ(result.candidate, nullptr);
   EXPECT_NE(result.error.find("continual"), std::string::npos);
 }
@@ -304,18 +299,15 @@ TEST(Retrain, WarmCycleGrowsDatasetAndSavesIterations) {
   acc_options.admit_floor = 0.0;
   OnlineCfgAccumulator acc(state->benign_cfg, acc_options);
   RetrainConfig config;
-  config.min_new_events = 1;
   config.max_new_samples = 32;
-  RetrainScheduler scheduler(f.detector, &acc, config);
-  ASSERT_TRUE(scheduler.can_retrain());
-  EXPECT_FALSE(scheduler.due()) << "nothing accumulated yet";
 
   for (const auto& w : windows_of(f.benign, window)) {
     acc.observe_window(w.data(), w.size());
   }
-  EXPECT_TRUE(scheduler.due());
+  EXPECT_GT(acc.events_since_drain(), 0u);
 
-  const RetrainResult result = scheduler.retrain();
+  const RetrainResult result =
+      retrain(*f.detector, acc.drain_windows(), acc, config);
   ASSERT_NE(result.candidate, nullptr) << result.error;
   EXPECT_GT(result.new_samples, 0u);
   EXPECT_LE(result.new_samples, config.max_new_samples);
@@ -323,16 +315,66 @@ TEST(Retrain, WarmCycleGrowsDatasetAndSavesIterations) {
   ASSERT_NE(result.candidate->continual(), nullptr);
   EXPECT_EQ(result.candidate->continual()->train.size(), result.train_size);
   EXPECT_EQ(result.candidate->continual()->alpha.size(), result.train_size);
+  EXPECT_EQ(result.candidate->continual()->lambda, state->lambda);
   ASSERT_TRUE(result.measured_cold);
   EXPECT_LT(result.warm_iterations, result.cold_iterations)
       << "warm start must beat the cold baseline on the grown problem";
   EXPECT_EQ(result.iterations_saved,
             result.cold_iterations - result.warm_iterations);
-  EXPECT_EQ(scheduler.cycles(), 1u);
-  // The drain emptied the accumulator: a second cycle is not due.
-  EXPECT_FALSE(scheduler.due());
-  const RetrainResult empty = scheduler.retrain();
+  // The drain emptied the accumulator: a second cycle has nothing to fit.
+  EXPECT_EQ(acc.events_since_drain(), 0u);
+  const RetrainResult empty =
+      retrain(*f.detector, acc.drain_windows(), acc, config);
   EXPECT_EQ(empty.candidate, nullptr);
+}
+
+TEST(Retrain, RefitSolvesAtTheIncumbentsLambda) {
+  // A detector fit at λ = 100: its refit is exactly the warm-started SMO
+  // solve of the grown problem in the incumbent's own box, and the
+  // candidate's state records that λ for the cycle after it.
+  const TrainedDetector& f = fixture();
+  core::FitOptions options;
+  options.svm.lambda = 100.0;
+  const core::Detector incumbent =
+      core::fit_detector(f.benign, f.mixed, options).detector;
+  const core::ContinualState* state = incumbent.continual();
+  ASSERT_NE(state, nullptr);
+  EXPECT_EQ(state->lambda, 100.0);
+
+  AccumulatorOptions acc_options;
+  acc_options.admit_floor = 0.0;
+  OnlineCfgAccumulator acc(state->benign_cfg, acc_options);
+  for (const auto& w :
+       windows_of(f.benign, incumbent.preprocessor().window())) {
+    acc.observe_window(w.data(), w.size());
+  }
+  const std::vector<PendingWindow> windows = acc.drain_windows();
+  ASSERT_FALSE(windows.empty());
+  ml::Dataset grown = state->train;
+  for (const PendingWindow& w : windows) {
+    grown.add(incumbent.scaler().transform(
+                  incumbent.preprocessor().window_features(w.events)),
+              +1, std::clamp(w.benignity, 0.0, 1.0));
+  }
+  const auto warm_fit = [&](double lambda) {
+    return ml::SvmTrainer({.kernel = incumbent.model().kernel(),
+                           .lambda = lambda})
+        .train(grown, nullptr, &state->alpha);
+  };
+  const ml::SvmModel want = warm_fit(100.0);
+
+  RetrainConfig config;
+  config.measure_cold_baseline = false;
+  const RetrainResult result = retrain(incumbent, windows, acc, config);
+  ASSERT_NE(result.candidate, nullptr) << result.error;
+  const ml::SvmModel& got = result.candidate->model();
+  EXPECT_EQ(got.bias(), want.bias());
+  EXPECT_EQ(got.coefficients(), want.coefficients());
+  EXPECT_EQ(got.support_vectors(), want.support_vectors());
+  ASSERT_NE(result.candidate->continual(), nullptr);
+  EXPECT_EQ(result.candidate->continual()->lambda, 100.0);
+  // The box matters here: a solve at the old fixed λ = 10 is another model.
+  EXPECT_NE(warm_fit(10.0).coefficients(), want.coefficients());
 }
 
 // --- DetectorRegistry shadow staging --------------------------------------

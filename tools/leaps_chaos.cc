@@ -28,6 +28,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
@@ -36,6 +37,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -74,7 +76,7 @@ constexpr const char* kUsage =
     "                reconciliation. Runs instead of the replay phases\n"
     "  --rollover    also exercise the online retrain -> shadow -> promote\n"
     "                machinery plus a forced-rollback drill (not part of\n"
-    "                plain --smoke; CI runs it as a non-gating canary)\n"
+    "                plain --smoke; ctest gates --smoke --rollover)\n"
     "  --crash       kill-restart drills: a forked child is _Exit()ed at\n"
     "                each durable fault point (mid-snapshot-rename, mid-\n"
     "                journal-append, between checkpoint and truncate); the\n"
@@ -588,6 +590,52 @@ int crash_child(const char* dir_c, const char* spec, std::size_t sim_events) {
   return 3;        // fault never fired — the parent fails the drill
 }
 
+/// The --crash drills' children: a scratch directory under /tmp that is
+/// removed on every return path, and this binary exec'd in one of its
+/// hidden child modes (never forked bare: see crash_child).
+class DrillChildren {
+ public:
+  /// `tag` names the scratch directory: /tmp/leaps-chaos-<tag>-XXXXXX.
+  explicit DrillChildren(const std::string& tag) {
+    std::string pattern = "/tmp/leaps-chaos-" + tag + "-XXXXXX";
+    if (::mkdtemp(pattern.data()) != nullptr) base_ = pattern;
+    char exe[4096];
+    const ssize_t n = ::readlink("/proc/self/exe", exe, sizeof(exe) - 1);
+    if (n > 0) exe_.assign(exe, static_cast<std::size_t>(n));
+  }
+  ~DrillChildren() {
+    std::error_code ignored;
+    if (!base_.empty()) std::filesystem::remove_all(base_, ignored);
+  }
+  DrillChildren(const DrillChildren&) = delete;
+  DrillChildren& operator=(const DrillChildren&) = delete;
+
+  /// False when the scratch directory or the binary's path is missing.
+  bool ready() const { return !base_.empty() && !exe_.empty(); }
+  std::string dir(const std::string& name) const { return base_ + "/" + name; }
+
+  /// Runs `<self> <mode> <dir> <arg> <sim_events>` in a fresh `dir` and
+  /// returns its wait status.
+  int run(const char* mode, const std::string& dir, const char* arg,
+          std::size_t sim_events) const {
+    ::mkdir(dir.c_str(), 0755);
+    const std::string events = std::to_string(sim_events);
+    const pid_t pid = ::fork();
+    if (pid == 0) {
+      ::execl(exe_.c_str(), exe_.c_str(), mode, dir.c_str(), arg,
+              events.c_str(), static_cast<char*>(nullptr));
+      ::_exit(127);
+    }
+    int status = -1;  // not an exit status: a failed fork fails the drill
+    if (pid > 0) ::waitpid(pid, &status, 0);
+    return status;
+  }
+
+ private:
+  std::string base_;
+  std::string exe_;
+};
+
 struct CrashScenario {
   const char* name;
   const char* spec;
@@ -603,15 +651,8 @@ struct CrashScenario {
 /// truncated, and already-folded journal records are never double-applied.
 void crash_drills(const Trained& trained, std::size_t sim_events) {
   const Watchdog watchdog("crash", std::chrono::seconds(600));
-  char base_template[] = "/tmp/leaps-chaos-crash-XXXXXX";
-  char* base = ::mkdtemp(base_template);
-  if (!check(base != nullptr, "crash: mkdtemp failed")) return;
-
-  char exe_buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", exe_buf, sizeof(exe_buf) - 1);
-  if (!check(n > 0, "crash: cannot resolve /proc/self/exe")) return;
-  exe_buf[n] = '\0';
-  const std::string exe = exe_buf;
+  const DrillChildren children("crash");
+  if (!check(children.ready(), "crash: no scratch dir or self path")) return;
 
   const CrashScenario scenarios[] = {
       // The explicit :91 exercises the spec grammar's exit-code field; the
@@ -624,17 +665,9 @@ void crash_drills(const Trained& trained, std::size_t sim_events) {
        137, false, true},
   };
   for (const CrashScenario& sc : scenarios) {
-    const std::string dir = std::string(base) + "/" + sc.name;
-    ::mkdir(dir.c_str(), 0755);
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-      const std::string events = std::to_string(sim_events);
-      ::execl(exe.c_str(), exe.c_str(), "--crash-child", dir.c_str(), sc.spec,
-              events.c_str(), static_cast<char*>(nullptr));
-      ::_exit(127);
-    }
-    int status = 0;
-    ::waitpid(pid, &status, 0);
+    const std::string dir = children.dir(sc.name);
+    const int status =
+        children.run("--crash-child", dir, sc.spec, sim_events);
     // Only the armed kExit status is acceptable — anything else means the
     // child never reached the fault point (or failed before it).
     if (!check(WIFEXITED(status) && WEXITSTATUS(status) == sc.exit_status,
@@ -860,31 +893,14 @@ int drift_child(const char* dir_c, const char* mode_c,
 /// LSN with a monitor state identical to the uncrashed baseline.
 void drift_crash_drill(const Trained& trained, std::size_t sim_events) {
   const Watchdog watchdog("drift-crash", std::chrono::seconds(600));
-  char base_template[] = "/tmp/leaps-chaos-drift-XXXXXX";
-  char* base = ::mkdtemp(base_template);
-  if (!check(base != nullptr, "drift-crash: mkdtemp failed")) return;
+  const DrillChildren children("drift");
+  if (!check(children.ready(), "drift-crash: no scratch dir or self path")) {
+    return;
+  }
 
-  char exe_buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", exe_buf, sizeof(exe_buf) - 1);
-  if (!check(n > 0, "drift-crash: cannot resolve /proc/self/exe")) return;
-  exe_buf[n] = '\0';
-
-  const std::string events = std::to_string(sim_events);
-  const auto run_child = [&](const char* mode, const std::string& dir) {
-    ::mkdir(dir.c_str(), 0755);
-    const pid_t pid = ::fork();
-    if (pid == 0) {
-      ::execl(exe_buf, exe_buf, "--drift-child", dir.c_str(), mode,
-              events.c_str(), static_cast<char*>(nullptr));
-      ::_exit(127);
-    }
-    int status = 0;
-    ::waitpid(pid, &status, 0);
-    return status;
-  };
-
-  const std::string baseline_dir = std::string(base) + "/baseline";
-  const int baseline_status = run_child("baseline", baseline_dir);
+  const std::string baseline_dir = children.dir("baseline");
+  const int baseline_status =
+      children.run("--drift-child", baseline_dir, "baseline", sim_events);
   if (!check(WIFEXITED(baseline_status) && WEXITSTATUS(baseline_status) == 0,
              "drift-crash: baseline child failed")) {
     std::fprintf(stderr, "  baseline: wait status %d\n", baseline_status);
@@ -903,8 +919,9 @@ void drift_crash_drill(const Trained& trained, std::size_t sim_events) {
     return;
   }
 
-  const std::string crash_dir = std::string(base) + "/crash";
-  const int crash_status = run_child("crash", crash_dir);
+  const std::string crash_dir = children.dir("crash");
+  const int crash_status =
+      children.run("--drift-child", crash_dir, "crash", sim_events);
   if (!check(WIFEXITED(crash_status) && WEXITSTATUS(crash_status) == 137,
              "drift-crash: child did not die at online.drift.pre_trigger")) {
     std::fprintf(stderr, "  crash: wait status %d\n", crash_status);

@@ -25,7 +25,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -116,8 +115,6 @@ int cmd_retrain(const std::string& tool, const std::vector<std::string>& pos,
                  pos[1].c_str());
     return 1;
   }
-  auto shared_base = std::make_shared<const core::Detector>(base);
-
   online::AccumulatorOptions acc_options;
   acc_options.admit_floor = admit_floor;
   online::OnlineCfgAccumulator accumulator(base.continual()->benign_cfg,
@@ -143,10 +140,9 @@ int cmd_retrain(const std::string& tool, const std::vector<std::string>& pos,
               pos[2].c_str());
 
   online::RetrainConfig config;
-  config.min_new_events = 1;  // operator-invoked: always due
   config.measure_cold_baseline = cold_baseline;
-  online::RetrainScheduler scheduler(shared_base, &accumulator, config);
-  const online::RetrainResult result = scheduler.retrain();
+  const online::RetrainResult result = online::retrain(
+      base, accumulator.drain_windows(), accumulator, config);
   if (result.candidate == nullptr) {
     std::fprintf(stderr, "leaps-rollover: retrain failed: %s\n",
                  result.error.c_str());
@@ -159,10 +155,11 @@ int cmd_retrain(const std::string& tool, const std::vector<std::string>& pos,
               static_cast<unsigned long long>(acc.windows_rejected),
               admit_floor,
               static_cast<unsigned long long>(acc.edges_added));
-  std::printf("retrained on %zu rows (%zu new): warm %zu iterations "
-              "(%zu seed entries)",
+  std::printf("retrained on %zu rows (%zu new) at lambda=%g: warm %zu "
+              "iterations (%zu seed entries)",
               result.train_size, result.new_samples,
-              result.warm_iterations, result.warm_nonzero);
+              result.candidate->continual()->lambda, result.warm_iterations,
+              result.warm_nonzero);
   if (result.measured_cold) {
     std::printf(", cold %zu, saved %zu", result.cold_iterations,
                 result.iterations_saved);
