@@ -60,7 +60,6 @@ struct SnapshotData {
   std::uint64_t lsn = 0;
   AccountingBaseline accounting;
   std::shared_ptr<const core::Detector> detector;
-  std::vector<std::shared_ptr<const core::Detector>> quarantined;
   std::vector<DurableWindow> windows;
   std::string drift;  // empty: no DRIFT blob (pre-drift snapshot)
 };
@@ -145,18 +144,20 @@ SnapshotData load_snapshot(const std::string& path) {
   if (!std::getline(is, line)) {
     throw core::PersistError("snapshot truncated: missing QUARANTINED line");
   }
-  unsigned long long quarantined = 0;
+  unsigned long long candidates = 0;
   {
     std::istringstream ls(line);
     std::string kw;
-    if (!(ls >> kw >> quarantined) || kw != "QUARANTINED" ||
-        quarantined > 4096) {
+    if (!(ls >> kw >> candidates) || kw != "QUARANTINED") {
       throw core::PersistError("snapshot: bad QUARANTINED line '" + line +
                                "'");
     }
   }
-  for (unsigned long long i = 0; i < quarantined; ++i) {
-    data.quarantined.push_back(detector_from_bytes(read_blob(is, "CAND")));
+  // Rolled-back candidates of older snapshots: framing-checked, then
+  // dropped unparsed. Each blob costs input bytes, so the count needs no
+  // cap of its own.
+  for (unsigned long long i = 0; i < candidates; ++i) {
+    (void)read_blob(is, "CAND");
   }
 
   if (!std::getline(is, line)) {
@@ -395,11 +396,6 @@ util::Status DurableStore::journal_promotion(
   return journal(WalRecordType::kPromotion, detector_bytes(candidate));
 }
 
-util::Status DurableStore::journal_quarantine(
-    const core::Detector& candidate) {
-  return journal(WalRecordType::kQuarantine, detector_bytes(candidate));
-}
-
 util::Status DurableStore::journal_drift_batch(const DriftSample* samples,
                                                std::size_t count) {
   if (count == 0) return util::ok_status();
@@ -435,10 +431,7 @@ util::Status DurableStore::write_snapshot(const CheckpointState& state,
        << state.accounting.processed << ' ' << state.accounting.dropped
        << ' ' << state.accounting.quarantined << '\n';
     write_blob(os, "DETECTOR", detector_bytes(*state.detector));
-    os << "QUARANTINED " << state.quarantined.size() << '\n';
-    for (const auto& candidate : state.quarantined) {
-      write_blob(os, "CAND", detector_bytes(*candidate));
-    }
+    os << "QUARANTINED 0\n";  // older readers expect the count line
     os << "PENDING " << state.pending_windows.size() << '\n';
     for (const DurableWindow& window : state.pending_windows) {
       write_blob(os, "WINDOW",
@@ -489,7 +482,6 @@ util::StatusOr<RecoveredState> DurableStore::recover() {
       SnapshotData snap = load_snapshot(snapshot_path());
       out.snapshot_found = true;
       out.detector = std::move(snap.detector);
-      out.quarantined = std::move(snap.quarantined);
       for (DurableWindow& window : snap.windows) {
         pending.emplace_back(snap.lsn, std::move(window));
       }
@@ -601,14 +593,7 @@ util::StatusOr<RecoveredState> DurableStore::recover() {
         }
         break;
       case WalRecordType::kQuarantine:
-        try {
-          out.quarantined.push_back(detector_from_bytes(record.payload));
-        } catch (const core::PersistError& e) {
-          return util::corrupt_input("WAL quarantine record (lsn " +
-                                     std::to_string(record.lsn) +
-                                     "): " + e.what());
-        }
-        break;
+        break;  // an older writer's rolled-back candidate: nothing to rebuild
       default:
         return util::corrupt_input("unknown WAL record type " +
                                    std::to_string(static_cast<int>(

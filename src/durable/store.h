@@ -5,17 +5,24 @@
 //   snapshot.leaps   atomic v1 snapshot (temp → fsync → rename): last
 //                    folded LSN, accounting baseline, the incumbent
 //                    detector (embedded v3 bytes, CRC-framed), pending
-//                    retrain windows, and the quarantine list
+//                    retrain windows, and the drift monitor's state
 //   journal.wal      append-only WAL (durable/wal.h) of everything that
 //                    happened since the snapshot
 //
 // Write path: the online subsystem journals admitted windows, retrain
-// outcomes, promotions and rollbacks as they happen; every
+// outcomes, promotions and drift observations as they happen; every
 // checkpoint_every_appends appends (and on every promotion) the caller
 // folds current state into a fresh snapshot and truncates the journal.
-// Promotion/quarantine records embed the candidate's full serialized
-// bytes, so a crash after the append but before the checkpoint still
-// recovers the exact promoted detector.
+// A promotion record embeds the candidate's full serialized bytes, so a
+// crash after the append but before the checkpoint still recovers the
+// exact promoted detector. A rollback writes nothing: it leaves the
+// incumbent as it was, and the retrain record before it already consumed
+// the drained windows.
+//
+// Older snapshots and journals also carry rolled-back candidates (CAND
+// blobs after the QUARANTINED count, kQuarantine records). Recovery
+// checks their framing and drops them; the writer always writes
+// `QUARANTINED 0`, so an older reader still loads a new snapshot.
 //
 // Recovery: load the last good snapshot (damage there is a typed
 // PersistError — a corrupt snapshot is an operator problem, not something
@@ -23,11 +30,11 @@
 // drop records already folded (lsn ≤ snapshot LSN — the crash-between-
 // rename-and-truncate case), and replay the rest in order. The result
 // hands the caller the incumbent detector, the windows to re-observe, the
-// accounting baseline, and the quarantine list.
+// accounting baseline, and the drift state.
 //
 // Thread-safety: every member serializes on one internal mutex, so
 // journaling from worker threads (the server's window tap) is safe
-// against the manager thread's records and checkpoints — a WAL record is
+// against the online manager's records and checkpoints — a WAL record is
 // two write() calls and a checkpoint is a sync/snapshot/truncate sequence;
 // neither may interleave. The mutex does NOT make a caller's state capture
 // atomic with the checkpoint; OnlineManager holds its own tap fence across
@@ -102,7 +109,6 @@ struct DriftReplayOp {
 struct CheckpointState {
   std::shared_ptr<const core::Detector> detector;  // incumbent (required)
   std::vector<DurableWindow> pending_windows;
-  std::vector<std::shared_ptr<const core::Detector>> quarantined;
   AccountingBaseline accounting;
   /// Opaque serialized DriftMonitor state; empty = drift disabled (the
   /// snapshot then carries no DRIFT blob and stays loadable by readers
@@ -115,7 +121,6 @@ struct RecoveredState {
   bool snapshot_found = false;
   std::shared_ptr<const core::Detector> detector;  // null → cold start
   std::vector<DurableWindow> pending_windows;      // snapshot + journal
-  std::vector<std::shared_ptr<const core::Detector>> quarantined;
   AccountingBaseline accounting;
   /// Serialized DriftMonitor state from the snapshot's DRIFT blob (empty
   /// when the snapshot predates drift or drift was disabled).
@@ -162,7 +167,6 @@ class DurableStore {
                                std::uint64_t new_samples,
                                const std::string& detail);
   util::Status journal_promotion(const core::Detector& candidate);
-  util::Status journal_quarantine(const core::Detector& candidate);
   /// Decision values the drift monitor observed since the last flush
   /// (batched — one record per manager poll, not per window).
   util::Status journal_drift_batch(const DriftSample* samples,
@@ -211,7 +215,7 @@ class DurableStore {
 
   const DurableOptions options_;
   Metrics metrics_;
-  /// Serializes journal appends (worker taps and the manager thread),
+  /// Serializes journal appends (worker taps and the online manager),
   /// checkpoints, open() and recover() against each other.
   mutable std::mutex mu_;
   WalWriter wal_;                               // guarded by mu_

@@ -1,7 +1,7 @@
 // Write-ahead log for the online-learning subsystem.
 //
 // Everything the server learns between snapshots — admitted benign
-// windows, retrain outcomes, promotions, quarantine entries — is appended
+// windows, retrain outcomes, promotions, drift observations — is appended
 // here *as it happens*, so a kill -9 at any instant loses at most the
 // record being written. Checkpoints (durable/store.h) fold the journal
 // into an atomic snapshot and truncate it.
@@ -45,7 +45,8 @@ enum class WalRecordType : std::uint8_t {
                     // boundary LSN (windows ≤ it were consumed), then the
                     // informational outcome
   kPromotion = 3,   // candidate promoted: payload = v3 detector bytes
-  kQuarantine = 4,  // candidate rolled back: payload = v3 detector bytes
+  kQuarantine = 4,  // reserved: older writers journaled a rolled-back
+                    // candidate's v3 bytes; replay skips it
   kDriftBatch = 5,  // decision values observed by the drift monitor since
                     // the last flush: [u32 n] n × ([f64 value][i8 label])
   kDriftTrigger = 6,  // drift retrain trigger fired: [u32 generation]

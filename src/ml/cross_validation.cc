@@ -99,24 +99,6 @@ double reduce_folds(const FoldOutcome* outcomes, std::size_t folds) {
 
 }  // namespace
 
-double cross_validate(const Dataset& data, const SvmParams& params,
-                      std::size_t folds, util::Rng& rng,
-                      bool weighted_validation) {
-  data.validate();
-  LEAPS_CHECK_MSG(data.size() >= folds, "fewer samples than folds");
-  const std::vector<Fold> plan =
-      plan_folds(data, make_folds(data.size(), folds, rng));
-
-  const GramMatrix K(data.X, params.kernel, data.positive_rows());
-  std::vector<FoldOutcome> outcomes(plan.size());
-  util::parallel_for(0, plan.size(), 1, [&](std::size_t b, std::size_t e) {
-    for (std::size_t f = b; f < e; ++f) {
-      outcomes[f] = run_fold(data, K, params, plan[f], weighted_validation);
-    }
-  });
-  return reduce_folds(outcomes.data(), outcomes.size());
-}
-
 GridSearchResult tune_svm(const Dataset& data, const SvmParams& base,
                           const CrossValidationOptions& options,
                           util::Rng& rng) {

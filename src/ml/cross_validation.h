@@ -57,14 +57,10 @@ std::vector<std::vector<std::size_t>> make_folds(std::size_t n,
                                                  std::size_t folds,
                                                  util::Rng& rng);
 
-/// Mean held-out accuracy of `params` under k-fold CV. Folds whose training
-/// split degenerates (one class absent) are skipped. With
-/// `weighted_validation`, held-out accuracy is confidence-weighted.
-double cross_validate(const Dataset& data, const SvmParams& params,
-                      std::size_t folds, util::Rng& rng,
-                      bool weighted_validation = false);
-
-/// Full grid search; `base` supplies everything except λ and σ².
+/// Full grid search; `base` supplies everything except λ and σ². Each
+/// trial's accuracy is the mean held-out accuracy over the folds; folds
+/// whose training split degenerates (one class absent) are skipped. A
+/// one-point grid cross-validates a single (λ, σ²).
 GridSearchResult tune_svm(const Dataset& data, const SvmParams& base,
                           const CrossValidationOptions& options,
                           util::Rng& rng);

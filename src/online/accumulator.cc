@@ -24,13 +24,6 @@ void OnlineCfgAccumulator::observe_window(
   if (batch_events_ >= options_.fold_batch_events) fold_locked();
 }
 
-std::size_t OnlineCfgAccumulator::fold_now() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  const std::size_t n = batch_.size();
-  fold_locked();
-  return n;
-}
-
 cfg::AddressGraph OnlineCfgAccumulator::graph_snapshot() {
   const std::lock_guard<std::mutex> lock(mu_);
   fold_locked();

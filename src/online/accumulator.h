@@ -39,7 +39,7 @@ namespace leaps::online {
 
 struct AccumulatorOptions {
   /// Pending windows are folded into the CFG once their events reach this
-  /// count (amortizes inference); fold_now() forces an early fold.
+  /// count (amortizes inference); every snapshot and drain folds first.
   std::size_t fold_batch_events = 256;
   /// Admission floor: windows whose mean frame benignity against the
   /// current merged CFG falls below this are rejected (poisoning guard).
@@ -79,10 +79,6 @@ class OnlineCfgAccumulator {
   /// batch boundaries. Thread-safe.
   void observe_window(const trace::PartitionedEvent* events,
                       std::size_t count);
-
-  /// Folds any pending batch immediately (graph_snapshot and drain_windows
-  /// do this first). Returns the number of windows folded.
-  std::size_t fold_now();
 
   /// Copy of the current merged benign CFG (after folding pending data).
   cfg::AddressGraph graph_snapshot();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 
 #include "util/bytes.h"
@@ -17,10 +18,21 @@ using util::put_u32;
 using util::put_u64;
 using util::put_u8;
 
+DriftOptions restorable(DriftOptions options) {
+  if (options.reference_target > DriftOptions::kMaxWindow ||
+      options.live_window > DriftOptions::kMaxWindow) {
+    throw std::invalid_argument(
+        "drift windows must be <= " +
+        std::to_string(DriftOptions::kMaxWindow) +
+        " values, or a checkpoint cannot restore them");
+  }
+  return options;
+}
+
 }  // namespace
 
 DriftMonitor::DriftMonitor(DriftOptions options)
-    : options_(std::move(options)),
+    : options_(restorable(std::move(options))),
       live_(std::max<std::size_t>(1, options_.live_window)) {
   generations_.resize(1);
 }

@@ -23,8 +23,8 @@
 // status surface.
 //
 // Thread-safety: all members serialize on one internal mutex; observe()
-// runs on server worker threads, evaluate()/consume_trigger() on the
-// manager thread.
+// runs on server worker threads, evaluate()/consume_trigger() on
+// whichever thread steps the online manager.
 #pragma once
 
 #include <cstdint>
@@ -39,7 +39,8 @@ namespace leaps::online {
 
 struct DriftOptions {
   /// Largest reference_target and live_window whose state a checkpoint
-  /// can restore (deserialize() rejects longer windows).
+  /// can restore (deserialize() rejects longer windows, and the
+  /// DriftMonitor constructor rejects larger options).
   static constexpr std::size_t kMaxWindow = obs::ReservoirWindow::kMaxCapacity;
 
   /// Master switch; a disabled monitor observes nothing and never fires.
@@ -79,6 +80,9 @@ struct DriftStatus {
 
 class DriftMonitor {
  public:
+  /// Throws std::invalid_argument when reference_target or live_window
+  /// exceeds DriftOptions::kMaxWindow: a checkpoint of such a monitor
+  /// could not be restored.
   explicit DriftMonitor(DriftOptions options = {});
 
   const DriftOptions& options() const { return options_; }

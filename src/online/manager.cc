@@ -35,8 +35,6 @@ OnlineManager::OnlineManager(serve::DetectionServer* server,
                    options_.accumulator),
       drift_(options_.drift) {}
 
-OnlineManager::~OnlineManager() { stop(); }
-
 void OnlineManager::install() {
   server_->add_window_tap(
       [this](const serve::SessionKey& key, std::size_t /*window_index*/,
@@ -81,28 +79,10 @@ void OnlineManager::install() {
       });
 }
 
-void OnlineManager::start() {
-  bool expected = false;
-  if (!started_.compare_exchange_strong(expected, true)) return;
-  {
-    const std::lock_guard<std::mutex> lock(wake_mu_);
-    stop_ = false;
-  }
-  thread_ = std::thread([this] { run(); });
-}
-
 void OnlineManager::stop() {
-  {
-    const std::lock_guard<std::mutex> lock(wake_mu_);
-    if (stop_ && !thread_.joinable()) return;
-    stop_ = true;
-  }
-  wake_cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  started_.store(false);
-  // poll_mu_ makes shutdown wait out any directly-driven poll_once still
-  // in flight — a stop() racing a poll step must not lose admitted
-  // windows or double-conclude the shadow.
+  // poll_mu_ makes shutdown wait out any poll_once still in flight — a
+  // stop() racing a poll step must not lose admitted windows or
+  // double-conclude the shadow.
   const std::lock_guard<std::mutex> poll_lock(poll_mu_);
   // Conclude a shadow still in flight by its evidence so far: promotion
   // still requires an affirmative gate pass, anything else rolls back.
@@ -116,18 +96,6 @@ void OnlineManager::stop() {
   }
   // Clean shutdown leaves nothing for the journal replay to do.
   if (options_.durable != nullptr) do_checkpoint();
-}
-
-void OnlineManager::run() {
-  std::unique_lock<std::mutex> lock(wake_mu_);
-  while (!stop_) {
-    wake_cv_.wait_for(lock, options_.poll_interval,
-                      [this] { return stop_; });
-    if (stop_) break;
-    lock.unlock();
-    poll_once();
-    lock.lock();
-  }
 }
 
 void OnlineManager::poll_once() {
@@ -272,22 +240,24 @@ void OnlineManager::conclude_shadow(bool promote) {
   }
   if (evaluator == nullptr) return;
   // The candidate this evaluator judged: staged by maybe_retrain, and only
-  // this thread ends the shadow.
+  // a poll_mu_ holder ends the shadow.
   const std::shared_ptr<const core::Detector> candidate =
       server_->registry().shadow_candidate(options_.profile);
   // end_shadow retakes every session mutex to detach — this is why the
-  // decision is acted on here (manager thread) and never in the sink.
+  // decision is acted on here (a poll step) and never in the sink. A
+  // rollback drops the candidate.
   server_->end_shadow(options_.profile, promote);
   // A promoted model has a new "normal": reset the drift reference so the
   // monitor re-learns the new generation's decision-value distribution.
   if (promote && options_.drift.enabled) drift_.advance_generation();
-  // Journal the verdict with the candidate's full bytes: a crash after
-  // this append recovers the exact promoted (or quarantined) detector
-  // even if the checkpoint below never lands.
-  if (options_.durable != nullptr && candidate != nullptr) {
+  // Journal a promotion with the candidate's full bytes: a crash after
+  // this append recovers the exact promoted detector even if the
+  // checkpoint below never lands. A rollback journals nothing — the
+  // incumbent is untouched and the retrain record already consumed the
+  // drained windows, so recovery has nothing to rebuild.
+  if (promote && options_.durable != nullptr && candidate != nullptr) {
     const util::Status status =
-        promote ? options_.durable->journal_promotion(*candidate)
-                : options_.durable->journal_quarantine(*candidate);
+        options_.durable->journal_promotion(*candidate);
     if (!status.ok()) note_durable_failure(status);
   }
   {
@@ -331,7 +301,6 @@ void OnlineManager::do_checkpoint() {
   for (PendingWindow& w : accumulator_.pending_snapshot()) {
     state.pending_windows.push_back(durable::DurableWindow{std::move(w.events)});
   }
-  state.quarantined = server_->registry().quarantined_all(options_.profile);
   // Terminal-state capture: events still in flight at a crash never reach
   // a terminal counter, so ingested is folded as the sum — that keeps the
   // ingested == processed + dropped + quarantined identity true across
@@ -351,9 +320,6 @@ void OnlineManager::do_checkpoint() {
 
 void OnlineManager::restore(const durable::RecoveredState& recovered) {
   const std::lock_guard<std::mutex> poll_lock(poll_mu_);
-  for (const auto& candidate : recovered.quarantined) {
-    server_->registry().restore_quarantined(options_.profile, candidate);
-  }
   server_->metrics().restore_baseline(
       recovered.accounting.ingested, recovered.accounting.processed,
       recovered.accounting.dropped, recovered.accounting.quarantined);

@@ -5,16 +5,16 @@
 //   accumulating ──(retrain due)──▶ training ──▶ shadowing
 //        ▲                                            │
 //        └──── promote (RCU swap)         ◀── gates ──┤
-//        └──── rollback (quarantine)       ◀──────────┘
+//        └──── rollback (drop candidate)   ◀──────────┘
 //
 // install() hooks the server's WindowTap (classified-benign windows of
-// the manager's own profile feed the OnlineCfgAccumulator); start()
-// spawns the manager thread, which polls the retrain trigger and —
-// crucially — the shadow decision. The decision is never taken inside
-// the ShadowSink: sinks run under session mutexes on worker threads, and
-// ending a shadow retakes every session's mutex to detach, so acting in
-// the sink would deadlock. The manager thread is the only place
-// promote/rollback happens.
+// the manager's own profile feed the OnlineCfgAccumulator). The manager
+// has no thread of its own: its owner steps it with poll_once(), which
+// checks the retrain trigger and — crucially — the shadow decision. The
+// decision is never taken inside the ShadowSink: sinks run under session
+// mutexes on worker threads, and ending a shadow retakes every session's
+// mutex to detach, so acting in the sink would deadlock. poll_once() and
+// stop() are the only places promote/rollback happens.
 //
 // Every count lives once, in the state report() reads; the metrics, the
 // --status-json "online" object and leaps-serve's `online:` lines all
@@ -24,14 +24,10 @@
 // metric and a zero metric must not look the same.
 #pragma once
 
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "durable/store.h"
@@ -50,14 +46,12 @@ struct OnlineOptions {
   AccumulatorOptions accumulator;
   RetrainConfig retrain;
   RolloverGates gates;
-  /// Manager-thread poll cadence (retrain trigger + shadow decision).
-  std::chrono::milliseconds poll_interval{100};
   /// Decision-value drift detection (online/drift.h). When enabled, every
   /// scored window's decision value feeds the DriftMonitor and a KS-test
   /// trigger schedules a retrain alongside the volume trigger.
   DriftOptions drift;
   /// When set, the manager journals learnable windows, retrain outcomes
-  /// and promotions/rollbacks to this store as they happen, checkpoints
+  /// and promotions to this store as they happen, checkpoints
   /// when the store says it is due (and on every promotion, on restore()
   /// and on stop()), making the online state crash-safe. The store must
   /// be open()ed and must outlive the manager. Null disables durability.
@@ -78,7 +72,7 @@ struct OnlineOptions {
           "candidates promoted to active via the registry snapshot swap",    \
           r.promotions)                                                      \
   COUNTER("rollbacks", "leaps_online_rollbacks_total",                       \
-          "candidates rolled back into quarantine", r.rollbacks)             \
+          "shadow candidates rolled back instead of promoted", r.rollbacks)  \
   COUNTER("drift_retrains", "leaps_online_drift_retrains_total",             \
           "retrain cycles scheduled by a drift trigger", r.drift_retrains)   \
   COUNTER("windows_observed", "leaps_online_windows_observed_total",         \
@@ -163,7 +157,6 @@ class OnlineManager {
   /// registered before install(); its ContinualState (if any) seeds the
   /// accumulator's CFG.
   OnlineManager(serve::DetectionServer* server, OnlineOptions options);
-  ~OnlineManager();
 
   OnlineManager(const OnlineManager&) = delete;
   OnlineManager& operator=(const OnlineManager&) = delete;
@@ -172,11 +165,10 @@ class OnlineManager {
   /// under another profile. Must run before server->start().
   void install();
 
-  /// Spawns the manager thread. Call after server->start().
-  void start();
-
   /// Concludes an in-flight shadow (by its current evidence: promote only
-  /// on a kPromote decision), joins the manager thread. Idempotent.
+  /// on a kPromote decision) and writes the final checkpoint when durable.
+  /// The owner calls it once the manager is no longer stepped; nothing
+  /// calls it on destruction.
   void stop();
 
   /// One control-loop step, callable directly for deterministic drives
@@ -186,10 +178,10 @@ class OnlineManager {
   /// never lose admitted windows.
   void poll_once();
 
-  /// Applies a recovered durability state: restores the profile's
-  /// quarantine list and the server's accounting baseline, re-observes
-  /// the recovered pending windows through the accumulator (re-running
-  /// admission — replay is idempotent), then forces a checkpoint so a
+  /// Applies a recovered durability state: restores the server's
+  /// accounting baseline, re-observes the recovered pending windows
+  /// through the accumulator (re-running admission — replay is
+  /// idempotent), replays the drift state, then forces a checkpoint so a
   /// second crash recovers to this same state. Call after install(),
   /// before the server starts ingesting. The recovered incumbent
   /// detector must already be registered (it seeds this manager's
@@ -207,7 +199,6 @@ class OnlineManager {
   const OnlineOptions& options() const { return options_; }
 
  private:
-  void run();
   void maybe_retrain();                  // accumulating → shadowing
   void conclude_shadow(bool promote);    // shadowing → accumulating
   void do_checkpoint();                  // fold journal into a snapshot
@@ -257,12 +248,6 @@ class OnlineManager {
   std::string last_error_;                               // guarded by mu_
   std::uint64_t last_drift_trigger_lsn_ = 0;  // guarded by mu_
   std::uint64_t drift_retrains_ = 0;          // guarded by mu_
-
-  std::thread thread_;
-  std::mutex wake_mu_;
-  std::condition_variable wake_cv_;
-  bool stop_ = false;  // guarded by wake_mu_
-  std::atomic<bool> started_{false};
 };
 
 /// Helper for the tap closure: true for windows the accumulator should

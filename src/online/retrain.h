@@ -13,7 +13,7 @@
 // It is a function of the incumbent it is handed: the owner (OnlineManager,
 // which reads the incumbent from the server's registry, or an operator via
 // `leaps-rollover retrain`) decides when a cycle is due, drains the
-// accumulator and calls it on its own thread. A detector loaded from a
+// accumulator and calls it. A detector loaded from a
 // pre-v2 file carries no ContinualState — retrain() reports that, and the
 // caller must fall back to a cold offline retrain (tools/leaps-train).
 #pragma once

@@ -12,7 +12,7 @@
 //   undecided — fewer than min_windows compared (keep shadowing).
 //
 // The evaluator only *judges*; acting on the judgment (the registry swap
-// or quarantine) belongs to the owner. In particular record() runs under
+// or the rollback) belongs to the owner. In particular record() runs under
 // session mutexes, so the decision must be polled from another thread —
 // never acted on inside the sink (detaching shadows retakes those same
 // session mutexes).

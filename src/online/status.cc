@@ -72,9 +72,10 @@ std::string render_status_json(const StatusInputs& inputs) {
       for (const attrib::AttributionVerdict& v : s.verdicts) {
         if (!first) os << ",";
         first = false;
-        os << "{\"type\":\"AttributionVerdict\",\"session\":\""
-           << s.key.to_string() << "\",\"signature\":\"" << v.signature
-           << "\",\"score\":";
+        os << "{\"type\":\"AttributionVerdict\",\"session\":"
+           << obs::json_string(s.key.to_string())
+           << ",\"signature\":" << obs::json_string(v.signature)
+           << ",\"score\":";
         obs::append_json_number(os, v.score);
         os << ",\"nodes_matched\":" << v.nodes_matched
            << ",\"nodes_total\":" << v.nodes_total

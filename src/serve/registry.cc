@@ -77,41 +77,7 @@ bool DetectorRegistry::promote_shadow(const std::string& profile) {
 
 bool DetectorRegistry::rollback_shadow(const std::string& profile) {
   const std::unique_lock lock(mu_);
-  const auto it = shadows_.find(profile);
-  if (it == shadows_.end()) return false;
-  quarantined_[profile].push_back(std::move(it->second));
-  shadows_.erase(it);
-  return true;
-}
-
-std::size_t DetectorRegistry::quarantined_count(
-    const std::string& profile) const {
-  const std::shared_lock lock(mu_);
-  const auto it = quarantined_.find(profile);
-  return it == quarantined_.end() ? 0 : it->second.size();
-}
-
-std::shared_ptr<const core::Detector> DetectorRegistry::last_quarantined(
-    const std::string& profile) const {
-  const std::shared_lock lock(mu_);
-  const auto it = quarantined_.find(profile);
-  if (it == quarantined_.end() || it->second.empty()) return nullptr;
-  return it->second.back();
-}
-
-std::vector<std::shared_ptr<const core::Detector>>
-DetectorRegistry::quarantined_all(const std::string& profile) const {
-  const std::shared_lock lock(mu_);
-  const auto it = quarantined_.find(profile);
-  if (it == quarantined_.end()) return {};
-  return it->second;
-}
-
-void DetectorRegistry::restore_quarantined(
-    const std::string& profile,
-    std::shared_ptr<const core::Detector> candidate) {
-  const std::unique_lock lock(mu_);
-  quarantined_[profile].push_back(std::move(candidate));
+  return shadows_.erase(profile) > 0;
 }
 
 }  // namespace leaps::serve

@@ -43,9 +43,9 @@ class DetectorRegistry {
   // A candidate detector rides alongside the active one for `profile`
   // until the evaluation decides: promote_shadow() publishes it with the
   // same RCU snapshot swap as add() (live sessions keep their pinned
-  // detector; new sessions get the promoted one), rollback_shadow() moves
-  // it to the profile's quarantine list so operators can inspect what was
-  // rejected and why it never served.
+  // detector; new sessions get the promoted one), rollback_shadow() drops
+  // it. A rejected candidate never served and is not kept; the online
+  // manager counts rollbacks.
 
   /// Stages `candidate` as the shadow for `profile`. False (no-op) when
   /// the profile is absent or already has a shadow in flight.
@@ -56,29 +56,14 @@ class DetectorRegistry {
       const std::string& profile) const;
   /// Publishes the shadow as the active detector. False when none staged.
   bool promote_shadow(const std::string& profile);
-  /// Rejects the shadow, appending it to the quarantine list. False when
-  /// none staged.
+  /// Rejects and drops the shadow, freeing the slot. False when none
+  /// staged.
   bool rollback_shadow(const std::string& profile);
-  std::size_t quarantined_count(const std::string& profile) const;
-  /// Most recently quarantined candidate; nullptr when none.
-  std::shared_ptr<const core::Detector> last_quarantined(
-      const std::string& profile) const;
-  /// Full quarantine list, oldest first (durability checkpoints fold it
-  /// into the snapshot so rejected candidates survive restarts).
-  std::vector<std::shared_ptr<const core::Detector>> quarantined_all(
-      const std::string& profile) const;
-  /// Re-appends a quarantined candidate during warm-restart recovery
-  /// (same effect on staging as rollback_shadow, without needing a
-  /// shadow in flight).
-  void restore_quarantined(const std::string& profile,
-                           std::shared_ptr<const core::Detector> candidate);
 
  private:
   mutable std::shared_mutex mu_;
   std::map<std::string, std::shared_ptr<const core::Detector>> detectors_;
   std::map<std::string, std::shared_ptr<const core::Detector>> shadows_;
-  std::map<std::string, std::vector<std::shared_ptr<const core::Detector>>>
-      quarantined_;
 };
 
 }  // namespace leaps::serve

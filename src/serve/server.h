@@ -175,8 +175,8 @@ class DetectionServer {
   /// Concludes the rollover: detaches every shadow stream, then either
   /// promotes the candidate into the registry (the RCU snapshot swap —
   /// zero downtime, live sessions keep serving on their pinned detector)
-  /// or rolls it back into the profile's quarantine list. Returns false
-  /// when no shadow is in flight.
+  /// or rolls it back, dropping it. Returns false when no shadow is in
+  /// flight.
   bool end_shadow(const std::string& profile, bool promote);
 
   /// Whether a shadow rollover is in flight for `profile`.

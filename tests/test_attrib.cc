@@ -18,6 +18,7 @@
 #include "attrib/signature.h"
 #include "detector_fixture.h"
 #include "obs/registry.h"
+#include "online/status.h"
 #include "serve/audit.h"
 #include "serve/server.h"
 #include "sim/campaign.h"
@@ -424,6 +425,33 @@ std::string render(const std::vector<FleetAttributor::SessionAttribution>& s) {
     }
   }
   return os.str();
+}
+
+// --status-json writes both names through obs::json_string: the .sig
+// parser takes any whitespace-free token as a signature name, quote and
+// backslash included, and the session host is the client's.
+TEST(FleetAttributor, StatusJsonEscapesSessionAndSignatureNames) {
+  CampaignSignature sig = two_stage_sig();
+  sig.name = "evil\"sig\\";
+  std::istringstream sig_text(signature_to_string(sig));
+  const util::StatusOr<CampaignSignature> parsed = read_signature(sig_text);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().message();
+  ASSERT_EQ(parsed->name, sig.name);
+  SignatureLibrary lib;
+  lib.add(*parsed);
+
+  FleetAttributor attributor(&lib, /*min_score=*/0.0);
+  trace::PartitionedEvent event;
+  event.type = trace::EventType::kRegistryRead;
+  attributor.observe(serve::SessionKey{"host\"1", 7}, 0, -1, -0.5, &event,
+                     1);
+  const serve::DetectionServer server;
+  const std::string status =
+      online::render_status_json({&server, nullptr, nullptr, &attributor});
+  EXPECT_NE(
+      status.find(R"("session":"host\"1:7","signature":"evil\"sig\\")"),
+      std::string::npos)
+      << status;
 }
 
 const TrainedDetector& fixture_for_attrib() {

@@ -194,17 +194,35 @@ std::string fixed_drift_state() {
   return m.serialize();
 }
 
-/// One frame of every WalRecordType, in enum order, LSNs 1..6.
+std::string detector_bytes(const core::Detector& detector) {
+  std::ostringstream os;
+  core::save_detector(detector, os);
+  return os.str();
+}
+
+/// One frame of every WalRecordType, in enum order, LSNs 1..6. No store
+/// writes kQuarantine any more: its frame (an older writer's rolled-back
+/// candidate) goes in through a bare WalWriter between two stores.
 std::string fixed_journal(const std::string& dir) {
-  durable::DurableStore store(durable::DurableOptions{dir, 0});
-  EXPECT_TRUE(store.open().ok());
   const auto window = fixed_window();
   const core::Detector detector = tiny_detector();
+  {
+    durable::DurableStore store(durable::DurableOptions{dir, 0});
+    EXPECT_TRUE(store.open().ok());
+    EXPECT_TRUE(store.journal_window(window.data(), window.size()).ok());
+    EXPECT_TRUE(store.journal_retrain(1, true, 3, "ok").ok());
+    EXPECT_TRUE(store.journal_promotion(detector).ok());
+  }
+  {
+    durable::WalWriter wal;
+    EXPECT_TRUE(wal.open(dir + "/journal.wal", 4).ok());
+    EXPECT_TRUE(wal.append(durable::WalRecordType::kQuarantine,
+                           detector_bytes(detector))
+                    .ok());
+  }
+  durable::DurableStore store(durable::DurableOptions{dir, 0});
+  EXPECT_TRUE(store.open().ok());  // seeds the next LSN past the journal
   const durable::DriftSample samples[] = {{0.5, 1}, {-2.25, -1}};
-  EXPECT_TRUE(store.journal_window(window.data(), window.size()).ok());
-  EXPECT_TRUE(store.journal_retrain(1, true, 3, "ok").ok());
-  EXPECT_TRUE(store.journal_promotion(detector).ok());
-  EXPECT_TRUE(store.journal_quarantine(detector).ok());
   EXPECT_TRUE(store.journal_drift_batch(samples, 2).ok());
   EXPECT_TRUE(store.journal_drift_trigger(2, 0.001).ok());
   return slurp(store.journal_path());
@@ -220,6 +238,24 @@ std::string fixed_snapshot(const std::string& dir) {
                       .quarantined = 1};
   EXPECT_TRUE(store.checkpoint(state).ok());
   return slurp(store.snapshot_path());
+}
+
+/// `snapshot` (which says `QUARANTINED 0`) as an older writer that kept
+/// rolled-back candidates wrote it with `n` of them: the count line, then
+/// one framed CAND blob of tiny_detector()'s bytes per candidate.
+std::string with_candidates(const std::string& snapshot, std::size_t n) {
+  constexpr std::string_view kNone = "\nQUARANTINED 0\n";
+  const std::size_t at = snapshot.find(kNone);
+  EXPECT_NE(at, std::string::npos);
+  const std::string candidate = detector_bytes(tiny_detector());
+  std::ostringstream os;
+  os << snapshot.substr(0, at) << "\nQUARANTINED " << n << '\n';
+  for (std::size_t i = 0; i < n; ++i) {
+    util::write_framed(os, "CAND", candidate);
+    os << '\n';
+  }
+  os << snapshot.substr(at + kNone.size());
+  return os.str();
 }
 
 // --- Golden bytes ---------------------------------------------------------
@@ -310,9 +346,7 @@ TEST(GoldenBytes, EveryEncoderWritesThePinnedBytes) {
   const auto window = fixed_window();
   EXPECT_EQ(to_hex(durable::encode_window(window.data(), window.size())),
             kWindowHex);
-  std::ostringstream v3;
-  core::save_detector(tiny_detector(), v3);
-  EXPECT_EQ(to_hex(v3.str()), kDetectorHex);
+  EXPECT_EQ(to_hex(detector_bytes(tiny_detector())), kDetectorHex);
   EXPECT_EQ(to_hex(fixed_journal(fresh_dir("golden_journal"))), journal_hex());
   EXPECT_EQ(to_hex(fixed_snapshot(fresh_dir("golden_snapshot"))),
             snapshot_hex());
@@ -368,11 +402,9 @@ TEST(GoldenBytes, PinnedBytesDecodeToTheFixedValues) {
   // The retrain record (boundary LSN 1) consumed the snapshot window and
   // the journaled one.
   EXPECT_TRUE(recovered->pending_windows.empty());
-  ASSERT_EQ(recovered->quarantined.size(), 1u);
+  // The quarantine record (LSN 4) replays as a no-op, counted above.
   ASSERT_NE(recovered->detector, nullptr);
-  std::ostringstream promoted;
-  core::save_detector(*recovered->detector, promoted);
-  EXPECT_EQ(to_hex(promoted.str()), kDetectorHex);
+  EXPECT_EQ(to_hex(detector_bytes(*recovered->detector)), kDetectorHex);
   ASSERT_EQ(recovered->drift_ops.size(), 4u);
   EXPECT_EQ(recovered->drift_ops[0].kind,
             durable::DriftReplayOp::Kind::kRetrain);
@@ -381,6 +413,35 @@ TEST(GoldenBytes, PinnedBytesDecodeToTheFixedValues) {
   EXPECT_EQ(recovered->drift_ops[2].label, -1);
   EXPECT_EQ(recovered->drift_ops[3].kind,
             durable::DriftReplayOp::Kind::kTrigger);
+}
+
+// An older writer kept every rolled-back candidate in the snapshot, and
+// its reader refused more than 4096 of them. Recovery now checks each CAND
+// blob's framing and drops it: the count needs no cap, and the rest of the
+// snapshot recovers as written.
+TEST(GoldenBytes, OlderSnapshotWithManyCandidatesRecovers) {
+  const std::string dir = fresh_dir("golden_candidates");
+  spill(dir + "/snapshot.leaps",
+        with_candidates(from_hex(snapshot_hex()), 4097));
+  durable::DurableStore store(durable::DurableOptions{dir, 0});
+  const auto recovered = store.recover();
+  ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
+  EXPECT_TRUE(recovered->snapshot_found);
+  EXPECT_EQ(recovered->replayed, 0u);
+  EXPECT_EQ(recovered->accounting.ingested, 5u);
+  EXPECT_EQ(recovered->accounting.processed, 3u);
+  EXPECT_EQ(recovered->accounting.dropped, 1u);
+  EXPECT_EQ(recovered->accounting.quarantined, 1u);
+  ASSERT_EQ(recovered->pending_windows.size(), 1u);
+  EXPECT_EQ(recovered->pending_windows[0].events, fixed_window());
+  ASSERT_NE(recovered->detector, nullptr);
+  EXPECT_EQ(to_hex(detector_bytes(*recovered->detector)), kDetectorHex);
+
+  // A candidate blob whose bytes fail their CRC is still a typed error.
+  std::string bad = with_candidates(from_hex(snapshot_hex()), 2);
+  bad[bad.find('\n', bad.find("\nCAND ") + 1) + 1] ^= 1;
+  spill(dir + "/snapshot.leaps", bad);
+  EXPECT_EQ(store.recover().status().code(), util::StatusCode::kCorruptInput);
 }
 
 // --- Codec -----------------------------------------------------------------
@@ -595,7 +656,9 @@ std::vector<HostileRow> hostile_rows() {
                     return util::ok_status();
                   }});
 
-  const std::string snapshot = fixed_snapshot(fresh_dir("hostile_snap_src"));
+  // One CAND blob, so the mutations also reach the candidate skip path.
+  const std::string snapshot =
+      with_candidates(fixed_snapshot(fresh_dir("hostile_snap_src")), 1);
   const std::string snap_dir = fresh_dir("hostile_snap");
   rows.push_back({"DurableStore::recover",
                   snapshot,

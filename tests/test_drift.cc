@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -206,6 +207,21 @@ TEST(DriftMonitorTest, DeserializeRejectsGarbage) {
   EXPECT_FALSE(
       monitor.deserialize(std::string_view(good).substr(0, good.size() / 2))
           .ok());
+}
+
+TEST(DriftMonitorTest, ConstructorRejectsWindowsACheckpointCannotRestore) {
+  // deserialize() caps both windows at kMaxWindow, so a larger monitor
+  // would write a checkpoint no restore could load.
+  DriftOptions options = small_options();
+  options.reference_target = DriftOptions::kMaxWindow + 1;
+  EXPECT_THROW(DriftMonitor{options}, std::invalid_argument);
+  options = small_options();
+  options.live_window = DriftOptions::kMaxWindow + 1;
+  EXPECT_THROW(DriftMonitor{options}, std::invalid_argument);
+  // A disabled monitor is held to the same bound.
+  options.enabled = false;
+  EXPECT_THROW(DriftMonitor{options}, std::invalid_argument);
+  EXPECT_NO_THROW(DriftMonitor{small_options()});
 }
 
 TEST(DriftMonitorTest, StateIsAPureFunctionOfTheSequence) {

@@ -241,7 +241,6 @@ TEST(DurableStoreTest, CheckpointRecoverRoundTrip) {
   state.pending_windows.push_back(
       DurableWindow{{f.benign.events.begin() + 10,
                      f.benign.events.begin() + 25}});
-  state.quarantined.push_back(f.detector);
   state.accounting = {.ingested = 100, .processed = 90, .dropped = 6,
                       .quarantined = 4};
   ASSERT_TRUE(store.checkpoint(state).ok());
@@ -256,7 +255,6 @@ TEST(DurableStoreTest, CheckpointRecoverRoundTrip) {
   ASSERT_NE(recovered->detector->continual(), nullptr);
   ASSERT_EQ(recovered->pending_windows.size(), 2u);
   EXPECT_EQ(recovered->pending_windows[1].events.size(), 15u);
-  EXPECT_EQ(recovered->quarantined.size(), 1u);
   EXPECT_EQ(recovered->accounting.ingested, 100u);
   EXPECT_EQ(recovered->accounting.ingested,
             recovered->accounting.processed + recovered->accounting.dropped +
@@ -284,15 +282,13 @@ TEST(DurableStoreTest, JournalReplayAppliesWindowsRetrainsAndPromotions) {
   ASSERT_TRUE(store.journal_retrain(store.last_lsn(), true, 16, "").ok());
   ASSERT_TRUE(store.journal_promotion(*f.detector).ok());
   ASSERT_TRUE(store.journal_window(f.benign.events.data(), 5).ok());
-  ASSERT_TRUE(store.journal_quarantine(*f.detector).ok());
   auto r2 = store.recover();
   ASSERT_TRUE(r2.ok());
   ASSERT_NE(r2->detector, nullptr);
   EXPECT_EQ(r2->detector->scan(f.malicious).malicious_windows,
             f.detector->scan(f.malicious).malicious_windows);
   EXPECT_EQ(r2->pending_windows.size(), 1u);
-  EXPECT_EQ(r2->quarantined.size(), 1u);
-  EXPECT_EQ(r2->replayed, 6u);
+  EXPECT_EQ(r2->replayed, 5u);
 }
 
 TEST(DurableStoreTest, RetrainBoundaryKeepsWindowsJournaledDuringTraining) {
@@ -437,7 +433,7 @@ TEST(Wal, FailedAppendRollsBackInsteadOfStrandingLaterRecords) {
 }
 
 TEST(DurableStoreTest, ConcurrentJournalersAndCheckpointsStayWellFramed) {
-  // Worker taps journal from several threads while the manager thread
+  // Worker taps journal from several threads while a poller
   // checkpoints: every record is two write()s and a checkpoint ends in a
   // truncate, so without the store's serialization this interleaves into
   // checksum garbage. After the storm the journal must scan clean and

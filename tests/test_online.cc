@@ -1,6 +1,6 @@
 // Tests for the online-learning subsystem (src/online/): verdict diffing,
 // the CFG accumulator's fold/admit/evict behavior, warm-started SMO
-// retraining, registry shadow staging (RCU promote / quarantine), the
+// retraining, registry shadow staging (RCU promote / rollback), the
 // server-level shadow streams, and the OnlineManager control loop driven
 // deterministically via poll_once(). Runs under -DLEAPS_SANITIZE=thread
 // in CI (ctest -L online / -L concurrency).
@@ -10,10 +10,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <fstream>
 #include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -195,7 +198,7 @@ TEST(Accumulator, FoldsGrowTheGraphAndDrainResetsProgress) {
   const auto wins = windows_of(f.benign, window);
   ASSERT_GT(wins.size(), 4u);
   for (const auto& w : wins) acc.observe_window(w.data(), w.size());
-  acc.fold_now();
+  EXPECT_FALSE(acc.graph_snapshot().empty());  // folds the last batch
 
   const AccumulatorStats stats = acc.stats();
   EXPECT_EQ(stats.windows_observed, wins.size());
@@ -203,7 +206,6 @@ TEST(Accumulator, FoldsGrowTheGraphAndDrainResetsProgress) {
   EXPECT_EQ(stats.windows_rejected, 0u);
   EXPECT_GT(stats.edges_added, 0u);
   EXPECT_GT(stats.folds, 0u);
-  EXPECT_FALSE(acc.graph_snapshot().empty());
   EXPECT_EQ(acc.events_since_drain(), wins.size() * window);
 
   const std::vector<PendingWindow> drained = acc.drain_windows();
@@ -227,7 +229,7 @@ TEST(Accumulator, AdmissionFloorRejectsEverythingAboveOne) {
 
   const auto wins = windows_of(f.benign, window);
   for (const auto& w : wins) acc.observe_window(w.data(), w.size());
-  acc.fold_now();
+  (void)acc.graph_snapshot();  // folds the last batch
 
   const AccumulatorStats stats = acc.stats();
   EXPECT_EQ(stats.windows_observed, wins.size());
@@ -398,11 +400,15 @@ TEST(RegistryShadow, StagePromoteAndQuarantine) {
   EXPECT_FALSE(registry.promote_shadow("app")) << "nothing staged";
 
   auto bad = std::make_shared<const core::Detector>(*f.detector);
+  const std::weak_ptr<const core::Detector> bad_ref = bad;
   EXPECT_TRUE(registry.begin_shadow("app", bad));
+  bad.reset();
   EXPECT_TRUE(registry.rollback_shadow("app"));
   EXPECT_EQ(registry.find("app"), candidate) << "rollback keeps incumbent";
-  EXPECT_EQ(registry.quarantined_count("app"), 1u);
-  EXPECT_EQ(registry.last_quarantined("app"), bad);
+  EXPECT_EQ(registry.shadow_candidate("app"), nullptr);
+  EXPECT_TRUE(bad_ref.expired()) << "the registry keeps no rejected model";
+  EXPECT_FALSE(registry.rollback_shadow("app")) << "nothing staged";
+  EXPECT_TRUE(registry.begin_shadow("app", candidate)) << "the slot is free";
 }
 
 // --- Server-level shadow streams ------------------------------------------
@@ -489,9 +495,8 @@ TEST(ServerShadow, BrokenCandidateTripsTheGateAndQuarantines) {
   EXPECT_EQ(evaluator->decision(), RolloverDecision::kRollback);
   ASSERT_TRUE(server.end_shadow("app", /*promote=*/false));
   EXPECT_EQ(server.registry().find("app"), f.detector);
-  EXPECT_EQ(server.registry().quarantined_count("app"), 1u);
-  EXPECT_EQ(server.registry().last_quarantined("app"),
-            std::static_pointer_cast<const core::Detector>(broken));
+  EXPECT_EQ(server.registry().shadow_candidate("app"), nullptr);
+  EXPECT_FALSE(server.shadowing("app"));
   server.stop();
 }
 
@@ -698,20 +703,28 @@ TEST(OnlineManagerTest, StartStopWithLiveTrafficIsClean) {
   options.gates = {.max_disagreement = 1.0,
                    .max_latency_ratio = 1e9,
                    .min_windows = 1};
-  options.poll_interval = std::chrono::milliseconds(5);
   OnlineManager manager(&server, options);
   manager.install();
   server.start();
-  manager.start();
 
   auto session = server.open_session({"host", 1}, "default");
   ASSERT_NE(session, nullptr);
+  // The owner steps the manager from its own thread while traffic flows.
+  std::atomic<bool> done{false};
+  std::thread poller([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      manager.poll_once();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
   for (int round = 0; round < 3; ++round) {
     for (const trace::PartitionedEvent& e : f.benign.events) {
-      ASSERT_TRUE(server.submit(session, e));
+      EXPECT_TRUE(server.submit(session, e));
     }
     server.drain();
   }
+  done.store(true, std::memory_order_relaxed);
+  poller.join();
   manager.stop();  // concludes any in-flight shadow by its evidence
   EXPECT_FALSE(manager.shadowing());
   const OnlineReport report = manager.report();
@@ -720,7 +733,9 @@ TEST(OnlineManagerTest, StartStopWithLiveTrafficIsClean) {
   EXPECT_LE(report.promotions + report.rollbacks, report.retrain_cycles);
   EXPECT_EQ(server.metrics().snapshot().events_dropped, 0u);
   server.stop();
-  manager.stop();  // idempotent
+  manager.stop();  // a second stop concludes nothing more
+  EXPECT_EQ(manager.report().promotions + manager.report().rollbacks,
+            report.promotions + report.rollbacks);
 }
 
 TEST(OnlineManagerTest, LearnsOnlyFromItsOwnProfile) {
@@ -860,6 +875,69 @@ TEST(OnlineManagerTest, WarmRestartRestoresVerdictsAndAccounting) {
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(again->accounting.ingested, recovered->accounting.ingested);
   server.stop();
+}
+
+// A rollback throws the candidate away: the incumbent is untouched and the
+// retrain record already consumed the drained windows, so the rollback
+// journals nothing, and the next checkpoint carries no candidate.
+TEST(OnlineManagerTest, RollbackKeepsNoCandidateInJournalOrSnapshot) {
+  const TrainedDetector& f = fixture();
+  durable::DurableStore store = make_durable("online_rollback");
+  ASSERT_TRUE(store.open().ok());
+
+  serve::ServerOptions server_options;
+  server_options.workers = 2;
+  serve::DetectionServer server(server_options);
+  server.registry().add("default", f.detector);
+  OnlineOptions options;
+  options.accumulator.admit_floor = 0.0;
+  options.retrain.min_new_events = 1;
+  options.retrain.max_new_samples = 32;
+  // Any compared window exceeds a negative disagreement bound: the gate
+  // rolls back as soon as it has evidence.
+  options.gates = {.max_disagreement = -1.0,
+                   .max_latency_ratio = 1e9,
+                   .min_windows = 1};
+  options.durable = &store;
+  OnlineManager manager(&server, options);
+  manager.install();
+  server.start();
+
+  auto session = server.open_session({"host", 1}, "default");
+  ASSERT_NE(session, nullptr);
+  const auto replay = [&] {
+    for (const trace::PartitionedEvent& e : f.benign.events) {
+      ASSERT_TRUE(server.submit(session, e));
+    }
+    server.drain();
+  };
+  replay();
+  manager.poll_once();  // retrains and stages the candidate
+  ASSERT_TRUE(manager.shadowing()) << manager.report().last_error;
+  replay();
+  const std::uint64_t lsn = store.last_lsn();
+  manager.poll_once();  // the gate rolls the candidate back
+  const OnlineReport report = manager.report();
+  EXPECT_EQ(report.rollbacks, 1u);
+  EXPECT_EQ(report.promotions, 0u);
+  EXPECT_FALSE(manager.shadowing());
+  EXPECT_EQ(server.registry().find("default"), f.detector);
+  EXPECT_EQ(store.last_lsn(), lsn) << "a rollback journals nothing";
+  server.stop();
+  manager.stop();  // the final checkpoint
+
+  std::ifstream in(store.snapshot_path(), std::ios::binary);
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  const std::string snapshot = bytes.str();
+  EXPECT_NE(snapshot.find("\nQUARANTINED 0\nPENDING "), std::string::npos);
+  EXPECT_EQ(snapshot.find("\nCAND "), std::string::npos);
+  const auto recovered = store.recover();
+  ASSERT_TRUE(recovered.ok()) << recovered.status().to_string();
+  ASSERT_NE(recovered->detector, nullptr);
+  EXPECT_EQ(recovered->detector->scan(f.malicious).window_labels,
+            f.detector->scan(f.malicious).window_labels)
+      << "the incumbent survives the rollback and the restart";
 }
 
 // stop() racing direct poll_once callers must never lose admitted

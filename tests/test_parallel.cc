@@ -368,21 +368,6 @@ TEST(CrossValidation, TuneSvmByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(CrossValidation, CrossValidateByteIdenticalAcrossThreadCounts) {
-  util::Rng data_rng(555);
-  const ml::Dataset data = blob_dataset(20, data_rng);
-  ml::SvmParams params;
-  params.kernel.sigma2 = 4.0;
-  util::Parallel::set_threads(1);
-  util::Rng r1(11);
-  const double a1 = ml::cross_validate(data, params, 5, r1);
-  util::Parallel::set_threads(8);
-  util::Rng r8(11);
-  const double a8 = ml::cross_validate(data, params, 5, r8);
-  EXPECT_EQ(a1, a8);
-  EXPECT_GT(a1, 0.5);  // the blobs are separable; sanity only
-}
-
 // =============== end-to-end: SMO training across threads =================
 
 TEST(SvmTrainer, TrainedModelBitIdenticalAcrossThreadCounts) {

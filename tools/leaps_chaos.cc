@@ -404,7 +404,8 @@ void rollover_chaos(const Trained& trained, std::size_t sessions,
   check(report.promotions >= 1, "rollover: candidate was not promoted");
 
   // Rollback drill: an all-malicious candidate must fail the (now
-  // meaningful) disagreement gate on benign traffic and end quarantined.
+  // meaningful) disagreement gate on benign traffic, never serve, and
+  // leave the shadow slot free.
   auto broken = std::make_shared<core::Detector>(*trained.detector);
   broken->set_decision_threshold(1e18);
   online::ShadowEvaluator evaluator({/*max_disagreement=*/0.02,
@@ -423,8 +424,10 @@ void rollover_chaos(const Trained& trained, std::size_t sessions,
         "rollover: broken candidate was not voted down");
   check(server.end_shadow("default", false),
         "rollover: drill end_shadow refused");
-  check(server.registry().quarantined_count("default") == 1,
-        "rollover: broken candidate not quarantined");
+  check(server.registry().find("default") != broken,
+        "rollover: broken candidate became the active detector");
+  check(server.registry().shadow_candidate("default") == nullptr,
+        "rollover: shadow slot still held after the rollback");
 
   const serve::MetricsSnapshot m = server.metrics().snapshot();
   check_identity(m, "rollover");

@@ -316,7 +316,6 @@ int cmd_recover(const std::vector<std::string>& pos,
                          : "recovered")
                   : "none");
   std::printf("pending windows:    %zu\n", r.pending_windows.size());
-  std::printf("quarantined:        %zu\n", r.quarantined.size());
   std::printf("accounting:         ingested=%llu processed=%llu "
               "dropped=%llu quarantined=%llu\n",
               static_cast<unsigned long long>(r.accounting.ingested),

@@ -283,11 +283,10 @@ int main(int argc, char** argv) {
       recovered = *std::move(rec);
       std::fprintf(stderr,
                    "durable: recovered %s (incumbent=%s, %zu pending "
-                   "windows, %zu quarantined, replayed=%llu skipped=%llu%s)\n",
+                   "windows, replayed=%llu skipped=%llu%s)\n",
                    durable_dir.c_str(),
                    recovered->detector != nullptr ? "yes" : "no",
                    recovered->pending_windows.size(),
-                   recovered->quarantined.size(),
                    static_cast<unsigned long long>(recovered->replayed),
                    static_cast<unsigned long long>(recovered->skipped),
                    recovered->torn_tail ? ", torn tail truncated" : "");
@@ -350,8 +349,7 @@ int main(int argc, char** argv) {
     }
     // The online manager hooks the window tap, so it must exist before
     // start(). It is stepped deterministically between replay rounds
-    // (poll_once) instead of on its own thread — replay is a bounded
-    // drive, not an open-ended service.
+    // (poll_once).
     std::unique_ptr<online::OnlineManager> manager;
     obs::MetricRegistry::Registration online_registration;
     if (online) {
