@@ -1,6 +1,9 @@
-// google-benchmark micro-suite: throughput of every pipeline stage.
-// Not a paper artifact — harness health and regression tracking for the
-// substrates (simulator, parser, CFG inference, clustering, SMO).
+// google-benchmark micro-suite: the pipeline stages leapsbench does not
+// time per layer (simulator, log codecs, partitioning, weight assessment,
+// clustering, alignment, the comparison classifiers, sketches, spans,
+// interning). Not a paper artifact. Parsing, CFG inference, the SMO fit
+// and the SVM decision value are leapsbench's `trace.parse_ns_per_event`,
+// `cfg.infer_ms`, `ml.final_fit_ms` and `core.decision_value_us_per_window`.
 #include <benchmark/benchmark.h>
 
 #include <sstream>
@@ -15,10 +18,8 @@
 #include "ml/hcluster.h"
 #include "ml/hmm.h"
 #include "ml/logreg.h"
-#include "ml/svm.h"
 #include "obs/sketch.h"
 #include "obs/trace.h"
-#include "serve/session.h"
 #include "sim/scenario.h"
 #include "trace/binary_log.h"
 #include "trace/intern.h"
@@ -73,18 +74,6 @@ void BM_SerializeRawLog(benchmark::State& state) {
 }
 BENCHMARK(BM_SerializeRawLog);
 
-void BM_ParseRawLogText(benchmark::State& state) {
-  const auto& logs = cached_logs(2000);
-  const std::string text = trace::raw_log_to_string(logs.benign);
-  for (auto _ : state) {
-    std::istringstream is(text);
-    benchmark::DoNotOptimize(trace::read_raw_log_any(is));
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(text.size()));
-}
-BENCHMARK(BM_ParseRawLogText);
-
 void BM_StackPartition(benchmark::State& state) {
   const auto& logs = cached_logs(2000);
   const trace::ParsedTrace t = trace::RawLogParser().parse_raw(logs.mixed);
@@ -106,18 +95,6 @@ const trace::PartitionedLog& cached_partitioned(std::size_t events) {
   }
   return it->second;
 }
-
-void BM_CfgInference(benchmark::State& state) {
-  const auto& part = cached_partitioned(
-      static_cast<std::size_t>(state.range(0)));
-  const cfg::CfgInference inference;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(inference.infer(part));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(part.events.size()));
-}
-BENCHMARK(BM_CfgInference)->Arg(1000)->Arg(4000);
 
 void BM_WeightAssessment(benchmark::State& state) {
   const auto& logs = cached_logs(4000);
@@ -148,45 +125,6 @@ void BM_HierarchicalClustering(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HierarchicalClustering)->Arg(64)->Arg(256);
-
-void BM_SmoTrain(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  util::Rng rng(11);
-  ml::Dataset d;
-  for (std::size_t i = 0; i < n; ++i) {
-    const int label = i % 2 == 0 ? 1 : -1;
-    ml::FeatureVector x(30);
-    for (double& v : x) v = rng.next_gaussian() + 0.4 * label;
-    d.add(std::move(x), label, 0.1 + 0.9 * rng.next_double());
-  }
-  ml::SvmParams params;
-  params.lambda = 10.0;
-  params.kernel.sigma2 = 8.0;
-  const ml::SvmTrainer trainer(params);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(trainer.train(d));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_SmoTrain)->Arg(128)->Arg(384);
-
-void BM_SvmPredict(benchmark::State& state) {
-  util::Rng rng(13);
-  ml::Dataset d;
-  for (std::size_t i = 0; i < 256; ++i) {
-    const int label = i % 2 == 0 ? 1 : -1;
-    ml::FeatureVector x(30);
-    for (double& v : x) v = rng.next_gaussian() + 0.4 * label;
-    d.add(std::move(x), label);
-  }
-  const ml::SvmModel model = ml::SvmTrainer({}).train(d);
-  ml::FeatureVector probe(30, 0.1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(model.decision_value(probe));
-  }
-}
-BENCHMARK(BM_SvmPredict);
 
 void BM_PreprocessorFitAndWindows(benchmark::State& state) {
   const auto& part = cached_partitioned(2000);
@@ -404,29 +342,6 @@ void BM_DetectorPersistRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DetectorPersistRoundTrip);
-
-// The per-event fault-point detail on the worker path: rebuilding
-// "host:pid" per event (the old behavior) vs the cached key string the
-// session now carries. The gap is what caching buys every classified
-// event.
-void BM_SessionKeyToString(benchmark::State& state) {
-  const serve::SessionKey key{"fleet-host-042.prod.example", 48213};
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(key.to_string());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SessionKeyToString);
-
-void BM_SessionKeyCachedString(benchmark::State& state) {
-  const serve::SessionKey key{"fleet-host-042.prod.example", 48213};
-  const std::string cached = key.to_string();  // what Session{} does once
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(cached.data());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SessionKeyCachedString);
 
 // Interning one event at the ingest boundary (steady state: every lookup
 // hits). This is the submit()-side cost that buys string-free workers.

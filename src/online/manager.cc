@@ -37,17 +37,13 @@ OnlineManager::OnlineManager(serve::DetectionServer* server,
 
 void OnlineManager::install() {
   server_->add_window_tap(
-      [this](const serve::SessionKey& key, std::size_t /*window_index*/,
+      [this](const serve::Session& session, std::size_t /*window_index*/,
              int label, double decision_value,
              const trace::PartitionedEvent* events, std::size_t count) {
         // Another profile's windows are another model's verdicts: they
-        // belong in neither this profile's CFG nor its drift test. A
-        // window whose session has already closed is kept.
-        if (const std::shared_ptr<serve::Session> session =
-                server_->sessions().find(key);
-            session != nullptr && session->profile() != options_.profile) {
-          return;
-        }
+        // belong in neither this profile's CFG, its drift test nor its
+        // shadow comparison.
+        if (session.profile() != options_.profile) return;
         // Drift watches every verdict (the malicious tail is exactly what
         // a shifted distribution moves), so it runs before the learnable
         // filter. The fence keeps the observe and its buffered journal
@@ -59,6 +55,11 @@ void OnlineManager::install() {
             drift_buffer_.push_back(
                 durable::DriftSample{decision_value, label});
           }
+        }
+        // While a candidate is staged, it and the incumbent score the
+        // window the tap already holds.
+        if (const std::shared_ptr<ShadowEvaluator> evaluator = staged()) {
+          evaluator->score_window(events, count);
         }
         if (!learnable(label)) return;
         if (options_.durable == nullptr) {
@@ -86,12 +87,7 @@ void OnlineManager::stop() {
   const std::lock_guard<std::mutex> poll_lock(poll_mu_);
   // Conclude a shadow still in flight by its evidence so far: promotion
   // still requires an affirmative gate pass, anything else rolls back.
-  std::shared_ptr<ShadowEvaluator> evaluator;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    evaluator = evaluator_;
-  }
-  if (evaluator != nullptr) {
+  if (const std::shared_ptr<ShadowEvaluator> evaluator = staged()) {
     conclude_shadow(evaluator->decision() == RolloverDecision::kPromote);
   }
   // Clean shutdown leaves nothing for the journal replay to do.
@@ -102,12 +98,7 @@ void OnlineManager::poll_once() {
   const std::lock_guard<std::mutex> poll_lock(poll_mu_);
   if (options_.drift.enabled) poll_drift();
 
-  std::shared_ptr<ShadowEvaluator> evaluator;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    evaluator = evaluator_;
-  }
-  if (evaluator != nullptr) {
+  if (const std::shared_ptr<ShadowEvaluator> evaluator = staged()) {
     const RolloverDecision decision = evaluator->decision();
     if (decision != RolloverDecision::kUndecided) {
       conclude_shadow(decision == RolloverDecision::kPromote);
@@ -210,43 +201,55 @@ void OnlineManager::maybe_retrain() {
     }
     ++retrain_cycles_;
   }
-  auto evaluator = std::make_shared<ShadowEvaluator>(options_.gates);
-  serve::ShadowSink sink =
-      [evaluator](const serve::SessionKey& key, int active_label,
-                  int shadow_label, std::uint64_t active_ns,
-                  std::uint64_t shadow_ns) {
-        evaluator->record(key, active_label, shadow_label, active_ns,
-                          shadow_ns);
-      };
-  if (!server_->begin_shadow(options_.profile, result.candidate,
-                             std::move(sink))) {
+  if (!stage_locked(result.candidate, options_.gates)) {
     const std::lock_guard<std::mutex> lock(mu_);
     ++retrain_failures_;
-    last_error_ = "begin_shadow refused (profile gone or already shadowing)";
+    last_error_ = "stage refused (a candidate is already staged)";
     return;
   }
   const std::lock_guard<std::mutex> lock(mu_);
   warm_saved_ += result.iterations_saved;
   last_warm_ = result.warm_iterations;
   last_cold_ = result.cold_iterations;
+}
+
+bool OnlineManager::stage(std::shared_ptr<const core::Detector> candidate,
+                          const RolloverGates& gates) {
+  const std::lock_guard<std::mutex> poll_lock(poll_mu_);
+  return stage_locked(std::move(candidate), gates);
+}
+
+bool OnlineManager::stage_locked(
+    std::shared_ptr<const core::Detector> candidate,
+    const RolloverGates& gates) {
+  // The registry's active detector is the incumbent the candidate is
+  // judged against.
+  auto evaluator = std::make_shared<ShadowEvaluator>(
+      server_->registry().find(options_.profile), candidate, gates);
+  if (!server_->registry().begin_shadow(options_.profile,
+                                        std::move(candidate))) {
+    return false;
+  }
+  const std::lock_guard<std::mutex> lock(mu_);
   evaluator_ = std::move(evaluator);
+  return true;
+}
+
+std::shared_ptr<ShadowEvaluator> OnlineManager::staged() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return evaluator_;
 }
 
 void OnlineManager::conclude_shadow(bool promote) {
-  std::shared_ptr<ShadowEvaluator> evaluator;
-  {
-    const std::lock_guard<std::mutex> lock(mu_);
-    evaluator = evaluator_;
-  }
+  const std::shared_ptr<ShadowEvaluator> evaluator = staged();
   if (evaluator == nullptr) return;
-  // The candidate this evaluator judged: staged by maybe_retrain, and only
-  // a poll_mu_ holder ends the shadow.
-  const std::shared_ptr<const core::Detector> candidate =
-      server_->registry().shadow_candidate(options_.profile);
-  // end_shadow retakes every session mutex to detach — this is why the
-  // decision is acted on here (a poll step) and never in the sink. A
-  // rollback drops the candidate.
-  server_->end_shadow(options_.profile, promote);
+  // Only a poll_mu_ holder stages or concludes, so the slot holds the
+  // candidate this evaluator judged. A rollback drops it.
+  if (promote) {
+    server_->registry().promote_shadow(options_.profile);
+  } else {
+    server_->registry().rollback_shadow(options_.profile);
+  }
   // A promoted model has a new "normal": reset the drift reference so the
   // monitor re-learns the new generation's decision-value distribution.
   if (promote && options_.drift.enabled) drift_.advance_generation();
@@ -255,16 +258,17 @@ void OnlineManager::conclude_shadow(bool promote) {
   // checkpoint below never lands. A rollback journals nothing — the
   // incumbent is untouched and the retrain record already consumed the
   // drained windows, so recovery has nothing to rebuild.
-  if (promote && options_.durable != nullptr && candidate != nullptr) {
+  if (promote && options_.durable != nullptr) {
     const util::Status status =
-        options_.durable->journal_promotion(*candidate);
+        options_.durable->journal_promotion(*evaluator->candidate());
     if (!status.ok()) note_durable_failure(status);
   }
   {
-    // Read after end_shadow detached every sink, and folded in the step
-    // that drops the evaluator: report() never counts a pair twice.
-    const DiffStats final_stats = evaluator->stats();
+    // Folded in the step that unstages the evaluator: report() never
+    // counts a pair twice. A tap still scoring a window it took before
+    // this step records into the dropped evaluator, uncounted.
     const std::lock_guard<std::mutex> lock(mu_);
+    const DiffStats final_stats = evaluator->stats();
     last_shadow_ = final_stats;
     shadow_windows_ += final_stats.compared;
     shadow_disagreements_ += final_stats.disagreements;

@@ -7,14 +7,17 @@
 //        └──── promote (RCU swap)         ◀── gates ──┤
 //        └──── rollback (drop candidate)   ◀──────────┘
 //
-// install() hooks the server's WindowTap (classified-benign windows of
-// the manager's own profile feed the OnlineCfgAccumulator). The manager
-// has no thread of its own: its owner steps it with poll_once(), which
-// checks the retrain trigger and — crucially — the shadow decision. The
-// decision is never taken inside the ShadowSink: sinks run under session
-// mutexes on worker threads, and ending a shadow retakes every session's
-// mutex to detach, so acting in the sink would deadlock. poll_once() and
-// stop() are the only places promote/rollback happens.
+// install() hooks the server's window tap. The tap is handed the session
+// that scored each window and skips other profiles' sessions; for its own
+// profile it feeds the drift monitor, the classified-benign windows feed
+// the OnlineCfgAccumulator, and while a candidate is staged every window
+// goes to the ShadowEvaluator, which scores it with the incumbent and the
+// candidate. Staging, promotion and rollback go through the registry's
+// shadow slot (begin_shadow / promote_shadow / rollback_shadow); no
+// session holds any shadow state. The manager has no thread of its own:
+// its owner steps it with poll_once(), which checks the retrain trigger
+// and the shadow decision; poll_once() and stop() are the only places a
+// shadow concludes.
 //
 // Every count lives once, in the state report() reads; the metrics, the
 // --status-json "online" object and leaps-serve's `online:` lines all
@@ -161,9 +164,19 @@ class OnlineManager {
   OnlineManager(const OnlineManager&) = delete;
   OnlineManager& operator=(const OnlineManager&) = delete;
 
-  /// Hooks the server's window tap, which skips windows of sessions open
-  /// under another profile. Must run before server->start().
+  /// Hooks the server's window tap, which skips windows of sessions
+  /// opened under another profile. Must run before server->start().
   void install();
+
+  /// Stages `candidate` in the registry's shadow slot for the profile and
+  /// judges it against the current incumbent under `gates` on every window
+  /// of the profile from now on; a later poll_once() whose evidence
+  /// decides promotes or rolls it back. The candidate must score windows
+  /// of the incumbent's size. Returns false (stages nothing) when a
+  /// candidate is already staged. A retrain cycle stages its refit here
+  /// with options().gates; a rollback drill stages a broken model.
+  bool stage(std::shared_ptr<const core::Detector> candidate,
+             const RolloverGates& gates);
 
   /// Concludes an in-flight shadow (by its current evidence: promote only
   /// on a kPromote decision) and writes the final checkpoint when durable.
@@ -195,11 +208,17 @@ class OnlineManager {
   /// handle unregisters on destruction and must not outlive this object.
   [[nodiscard]] obs::MetricRegistry::Registration register_with(
       obs::MetricRegistry& registry) const;
-  bool shadowing() const { return server_->shadowing(options_.profile); }
+  /// Whether a candidate is staged in the registry's shadow slot.
+  bool shadowing() const {
+    return server_->registry().shadow_candidate(options_.profile) != nullptr;
+  }
   const OnlineOptions& options() const { return options_; }
 
  private:
   void maybe_retrain();                  // accumulating → shadowing
+  bool stage_locked(std::shared_ptr<const core::Detector> candidate,
+                    const RolloverGates& gates);  // requires poll_mu_ held
+  std::shared_ptr<ShadowEvaluator> staged() const;  // evaluator_ under mu_
   void conclude_shadow(bool promote);    // shadowing → accumulating
   void do_checkpoint();                  // fold journal into a snapshot
   void poll_drift();                     // flush, evaluate, journal trigger
@@ -231,8 +250,8 @@ class OnlineManager {
   std::mutex tap_mu_;
 
   mutable std::mutex mu_;
-  // The incumbent and the shadow candidate live in the server's registry
-  // (find, shadow_candidate); the manager keeps no copy of either.
+  // The incumbent and the staged candidate live in the server's registry
+  // (find, shadow_candidate); the evaluator holds both for one shadow.
   std::shared_ptr<ShadowEvaluator> evaluator_;           // guarded by mu_
   std::uint64_t retrain_cycles_ = 0;                     // guarded by mu_
   std::uint64_t retrain_failures_ = 0;                   // guarded by mu_

@@ -223,19 +223,13 @@ std::string AuditLog::format_record(
   return os.str();
 }
 
-WindowTap audit_tap(AuditLog* audit, const SessionManager* sessions) {
-  return [audit, sessions](const SessionKey& key, std::size_t window_index,
-                           int label, double decision_value,
-                           const trace::PartitionedEvent* events,
-                           std::size_t count) {
+SessionWindowTap audit_tap(AuditLog* audit) {
+  return [audit](const Session& session, std::size_t window_index, int label,
+                 double decision_value, const trace::PartitionedEvent* events,
+                 std::size_t count) {
     if (label != -1) return;
-    // Anomalous verdicts are the rare path; the session lookup (one
-    // shared-lock map find) buys the record the exact detector snapshot
-    // that scored the window.
-    if (const std::shared_ptr<Session> s = sessions->find(key)) {
-      audit->submit(key, s->profile(), window_index, label, decision_value,
-                    events, count, s->detector());
-    }
+    audit->submit(session.key(), session.profile(), window_index, label,
+                  decision_value, events, count, session.detector());
   };
 }
 

@@ -13,6 +13,10 @@
 //                         "contribution":-9.02},...],
 //    "cfg_terms":[{"address":"0x404f10","benignity":0.0},...]}
 //
+// Records come from audit_tap, which reads the profile and the detector
+// snapshot off the session that scored the window (never a lookup by key,
+// which misses a session closed while its events were queued).
+//
 // Backpressure is drop-not-block: submit() runs on worker threads under
 // the session mutex, so it only copies the window's events into a bounded
 // queue (capacity `queue_capacity`); a full queue drops the record and
@@ -123,10 +127,11 @@ class AuditLog {
 };
 
 /// The audit hook as a window tap: submits every anomalous (label −1)
-/// window to `audit` with the profile and the exact detector snapshot of
-/// the session that scored it. Register it with
-/// DetectionServer::add_window_tap; `audit` and `sessions` must outlive
-/// the server's workers, and the caller starts and stops the log.
-WindowTap audit_tap(AuditLog* audit, const SessionManager* sessions);
+/// window to `audit` with the key, profile and pinned detector of the
+/// session that scored it — the session the tap is handed, open or
+/// already closed. Register it with DetectionServer::add_window_tap;
+/// `audit` must outlive the server's workers, and the caller starts and
+/// stops the log.
+SessionWindowTap audit_tap(AuditLog* audit);
 
 }  // namespace leaps::serve

@@ -50,45 +50,23 @@ void DetectionServer::set_verdict_sink(VerdictSink sink) {
   sink_ = std::move(sink);
 }
 
-void DetectionServer::add_window_tap(WindowTap tap) {
+void DetectionServer::add_window_tap(SessionWindowTap tap) {
   const std::lock_guard<std::mutex> lock(lifecycle_mu_);
   LEAPS_CHECK_MSG(!started_, "add window taps before start()");
   LEAPS_CHECK_MSG(tap, "add_window_tap needs a callable tap");
   taps_.push_back(std::move(tap));
 }
 
-bool DetectionServer::begin_shadow(
-    const std::string& profile,
-    std::shared_ptr<const core::Detector> candidate, ShadowSink sink) {
-  LEAPS_CHECK_MSG(sink, "begin_shadow needs a sink");
-  auto shared_sink = std::make_shared<const ShadowSink>(std::move(sink));
-  {
-    // Stage candidate and sink atomically w.r.t. the open_session
-    // auto-attach: an opener that sees the candidate must find the sink.
-    const std::lock_guard<std::mutex> lock(shadow_mu_);
-    if (!registry_.begin_shadow(profile, candidate)) return false;
-    shadow_sinks_[profile] = shared_sink;
-  }
-  for (const auto& session : sessions_.sessions_for(profile)) {
-    session->attach_shadow(candidate, shared_sink);
-  }
-  return true;
-}
-
-bool DetectionServer::end_shadow(const std::string& profile, bool promote) {
-  {
-    const std::lock_guard<std::mutex> lock(shadow_mu_);
-    const bool ok = promote ? registry_.promote_shadow(profile)
-                            : registry_.rollback_shadow(profile);
-    if (!ok) return false;
-    shadow_sinks_.erase(profile);
-  }
-  // With the candidate gone from the registry no new session can attach,
-  // so this sweep leaves nothing shadowed behind it.
-  for (const auto& session : sessions_.sessions_for(profile)) {
-    session->detach_shadow();
-  }
-  return true;
+void DetectionServer::add_window_tap(WindowTap tap) {
+  LEAPS_CHECK_MSG(tap, "add_window_tap needs a callable tap");
+  add_window_tap(SessionWindowTap(
+      [tap = std::move(tap)](const Session& session, std::size_t window_index,
+                             int label, double decision_value,
+                             const trace::PartitionedEvent* events,
+                             std::size_t count) {
+        tap(session.key(), window_index, label, decision_value, events,
+            count);
+      }));
 }
 
 void DetectionServer::start() {
@@ -96,13 +74,13 @@ void DetectionServer::start() {
   if (started_) return;
   LEAPS_CHECK_MSG(!stopped_, "a stopped server cannot be restarted");
   if (!taps_.empty()) {
-    window_tap_ = [this](const SessionKey& key, std::size_t window_index,
+    window_tap_ = [this](const Session& session, std::size_t window_index,
                          int label, double decision_value,
                          const trace::PartitionedEvent* events,
                          std::size_t count) {
       const auto t0 = std::chrono::steady_clock::now();
-      for (const WindowTap& tap : taps_) {
-        tap(key, window_index, label, decision_value, events, count);
+      for (const SessionWindowTap& tap : taps_) {
+        tap(session, window_index, label, decision_value, events, count);
       }
       metrics_.window_tap.record(std::chrono::steady_clock::now() - t0);
     };
@@ -159,28 +137,7 @@ void DetectionServer::drain() {
 std::shared_ptr<Session> DetectionServer::open_session(
     const SessionKey& key, const std::string& profile) {
   std::shared_ptr<Session> session = sessions_.open(key, profile);
-  if (session != nullptr) {
-    metrics_.sessions_opened.fetch_add(1, kRelaxed);
-    // Auto-attach while a shadow rollover is in flight for the profile.
-    std::shared_ptr<const core::Detector> candidate =
-        registry_.shadow_candidate(profile);
-    if (candidate != nullptr) {
-      std::shared_ptr<const ShadowSink> sink;
-      {
-        const std::lock_guard<std::mutex> lock(shadow_mu_);
-        const auto it = shadow_sinks_.find(profile);
-        if (it != shadow_sinks_.end()) sink = it->second;
-      }
-      if (sink != nullptr) {
-        session->attach_shadow(candidate, sink);
-        // end_shadow may have swept between our lookup and the attach;
-        // never leave a stale shadow on a session it could not see.
-        if (registry_.shadow_candidate(profile) != candidate) {
-          session->detach_shadow();
-        }
-      }
-    }
-  }
+  if (session != nullptr) metrics_.sessions_opened.fetch_add(1, kRelaxed);
   return session;
 }
 

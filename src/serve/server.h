@@ -31,6 +31,12 @@
 // hands back its evictions and depth), and drain() waits on the
 // accounting identity below.
 //
+// Window consumers are taps (add_window_tap): each completed window goes,
+// with the Session that scored it, to every registered tap in order. The
+// online manager's rollover comparison (src/online/) is one of them;
+// the server itself runs one stream per session and keeps no candidate
+// state beyond the registry's staging slot.
+//
 // Sharding: every session is pinned to one shard queue by a hash of its
 // key, so one session's events are consumed by one worker in FIFO order —
 // per-session event order (which window semantics depend on) is preserved
@@ -78,7 +84,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -154,35 +159,17 @@ class DetectionServer {
   void set_verdict_sink(VerdictSink sink);
 
   /// Install before start(); `tap` observes every completed window on the
-  /// worker path with its raw events (see WindowTap). Taps run in
-  /// registration order. This is the one hook for window consumers: the
-  /// online learner (OnlineManager::install), the attribution matcher and
-  /// the audit log (audit_tap) all join the window stream through it.
-  /// Each tapped window's tap calls, together, are one sample of the
-  /// window_tap latency histogram.
+  /// worker path with its raw events and the session that scored it (see
+  /// SessionWindowTap). Taps run in registration order. This is the one
+  /// hook for window consumers: the online learner
+  /// (OnlineManager::install), the attribution matcher and the audit log
+  /// (audit_tap) all join the window stream through it. Each tapped
+  /// window's tap calls, together, are one sample of the window_tap
+  /// latency histogram.
+  void add_window_tap(SessionWindowTap tap);
+  /// The key-only form: adapted to a SessionWindowTap that passes the
+  /// session's key().
   void add_window_tap(WindowTap tap);
-
-  /// Stages `candidate` as the shadow for `profile` (see
-  /// DetectorRegistry::begin_shadow) and attaches a shadow stream to every
-  /// live session of the profile; sessions opened while the shadow is in
-  /// flight attach automatically. `sink` receives one (active, shadow)
-  /// verdict pair per aligned window. Returns false when the profile is
-  /// absent or already has a shadow in flight.
-  bool begin_shadow(const std::string& profile,
-                    std::shared_ptr<const core::Detector> candidate,
-                    ShadowSink sink);
-
-  /// Concludes the rollover: detaches every shadow stream, then either
-  /// promotes the candidate into the registry (the RCU snapshot swap —
-  /// zero downtime, live sessions keep serving on their pinned detector)
-  /// or rolls it back, dropping it. Returns false when no shadow is in
-  /// flight.
-  bool end_shadow(const std::string& profile, bool promote);
-
-  /// Whether a shadow rollover is in flight for `profile`.
-  bool shadowing(const std::string& profile) const {
-    return registry_.shadow_candidate(profile) != nullptr;
-  }
 
   /// Spawns the worker pool (and the idle sweeper when idle_ttl > 0).
   /// Events submitted before start() sit in the shard queues and are
@@ -261,15 +248,12 @@ class DetectionServer {
   SessionManager sessions_{&registry_, options_.session_shards,
                            metrics_.session_slabs};
   VerdictSink sink_;
-  std::vector<WindowTap> taps_;  // added before start(), then read-only
+  std::vector<SessionWindowTap> taps_;  // added before start(), read-only
   // taps_ as the one callable feed_run takes, built at start(): a fold
   // over all of them that records the call's latency in
   // metrics_.window_tap. Empty when no tap is added, so sessions skip
   // buffering window events nobody reads (and the clock is never read).
-  WindowTap window_tap_;
-  // Serializes begin/end shadow against the open_session auto-attach.
-  mutable std::mutex shadow_mu_;
-  std::map<std::string, std::shared_ptr<const ShadowSink>> shadow_sinks_;
+  SessionWindowTap window_tap_;
   std::vector<std::unique_ptr<WeightedQueue<EventBatch>>> shards_;
   std::vector<std::thread> workers_;
   std::thread sweeper_;

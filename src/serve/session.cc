@@ -41,7 +41,7 @@ Session::Session(SessionKey key, std::string profile,
 
 RunOutcome Session::feed_run(
     std::span<const trace::CompactEvent> events, std::vector<Verdict>& out,
-    std::size_t breaker_threshold, const WindowTap* tap,
+    std::size_t breaker_threshold, const SessionWindowTap* tap,
     std::vector<trace::PartitionedEvent>* tap_scratch) {
   LEAPS_CHECK_MSG(tap == nullptr || tap_scratch != nullptr,
                   "a tapped feed_run needs its scratch");
@@ -58,38 +58,7 @@ RunOutcome Session::feed_run(
     }
     try {
       LEAPS_FAULT_POINT_DETAIL("serve.worker.classify", key_string_);
-      std::optional<int> label;
-      std::optional<int> shadow_label;
-      if (shadow_ != nullptr) {
-        if (!shadow_->aligned && stream_.pending_events() == 0) {
-          shadow_->aligned = true;
-        }
-        if (shadow_->aligned) {
-          const auto a0 = std::chrono::steady_clock::now();
-          label = stream_.push(event, *table_);
-          const auto a1 = std::chrono::steady_clock::now();
-          shadow_->active_ns += static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(a1 - a0)
-                  .count());
-          try {
-            const auto s0 = std::chrono::steady_clock::now();
-            shadow_label = shadow_->stream.push(event, *table_);
-            const auto s1 = std::chrono::steady_clock::now();
-            shadow_->shadow_ns += static_cast<std::uint64_t>(
-                std::chrono::duration_cast<std::chrono::nanoseconds>(s1 - s0)
-                    .count());
-          } catch (...) {
-            // A candidate that chokes on live traffic disqualifies itself:
-            // drop the shadow, leave the session and active stream alone.
-            shadow_.reset();
-            shadow_label.reset();
-          }
-        } else {
-          label = stream_.push(event, *table_);
-        }
-      } else {
-        label = stream_.push(event, *table_);
-      }
+      const std::optional<int> label = stream_.push(event, *table_);
       consecutive_failures_ = 0;
       ++outcome.processed;
       if (tap != nullptr) tap_buf_.push_back(event);
@@ -97,12 +66,6 @@ RunOutcome Session::feed_run(
         const double decision = stream_.last_decision_value();
         const std::size_t window_index = stream_.tally().windows() - 1;
         out.push_back(Verdict{window_index, *label, decision});
-        if (shadow_ != nullptr && shadow_label.has_value()) {
-          (*shadow_->sink)(key_, *label, *shadow_label, shadow_->active_ns,
-                           shadow_->shadow_ns);
-          shadow_->active_ns = 0;
-          shadow_->shadow_ns = 0;
-        }
         if (tap != nullptr) {
           // Report only full windows: a buffer started mid-window is short
           // at its first verdict and merely resynchronizes here. Tapped
@@ -117,7 +80,7 @@ RunOutcome Session::feed_run(
             for (std::size_t k = 0; k < tap_buf_.size(); ++k) {
               table_->materialize_into(tap_buf_[k], (*tap_scratch)[k]);
             }
-            (*tap)(key_, window_index, *label, decision,
+            (*tap)(*this, window_index, *label, decision,
                    tap_scratch->data(), tap_scratch->size());
           }
           tap_buf_.clear();
@@ -138,24 +101,6 @@ RunOutcome Session::feed_run(
     }
   }
   return outcome;
-}
-
-bool Session::attach_shadow(std::shared_ptr<const core::Detector> candidate,
-                            std::shared_ptr<const ShadowSink> sink) {
-  LEAPS_CHECK_MSG(candidate != nullptr, "shadow needs a detector");
-  LEAPS_CHECK_MSG(sink != nullptr && *sink, "shadow needs a sink");
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (shadow_ != nullptr) return false;
-  shadow_ = std::make_unique<ShadowState>(std::move(candidate),
-                                          std::move(sink));
-  return true;
-}
-
-bool Session::detach_shadow() {
-  const std::lock_guard<std::mutex> lock(mu_);
-  if (shadow_ == nullptr) return false;
-  shadow_.reset();
-  return true;
 }
 
 SessionReport Session::report() const {
@@ -273,18 +218,6 @@ std::vector<SessionReport> SessionManager::reports() const {
   std::vector<SessionReport> out;
   out.reserve(live.size());
   for (const auto& s : live) out.push_back(s->report());
-  return out;
-}
-
-std::vector<std::shared_ptr<Session>> SessionManager::sessions_for(
-    const std::string& profile) const {
-  std::vector<std::shared_ptr<Session>> out;
-  for (const auto& shard : shards_) {
-    const std::shared_lock lock(shard->mu);
-    for (const auto& [_, s] : shard->sessions) {
-      if (s->profile() == profile) out.push_back(s);
-    }
-  }
   return out;
 }
 

@@ -9,8 +9,11 @@
 // Hot-path form: the worker path feeds trace::CompactEvent batches
 // (interned at the ingest boundary, see trace/intern.h); strings never
 // reach feed_run. Tapped windows are materialized — exactly — from the
-// TokenTable only when a WindowTap is installed, into scratch the calling
-// worker owns and reuses across every session it serves.
+// TokenTable only when a window tap is installed, into scratch the calling
+// worker owns and reuses across every session it serves. The tap is handed
+// the Session itself (key, profile and pinned detector in one place), so
+// a window queued before its session closed still reaches its consumers
+// with the right profile and model.
 //
 // Failure model: classification runs against adversarial event streams,
 // so feed_run guards every event. An event that throws (poison input, an
@@ -75,27 +78,34 @@ struct Verdict {
   double decision_value = 0.0;
 };
 
+class Session;
+
 /// Observes every *completed* window on the worker path, with the raw
-/// events that formed it — the feed of the online-learning accumulator
-/// and drift monitor (src/online/). Called under the session mutex from
+/// events that formed it — the feed of the online manager (src/online/),
+/// the audit log and the attribution matcher. `session` is the session
+/// that scored the window: its key(), profile() and pinned detector() are
+/// immutable and right whether or not the session is still open, so a tap
+/// never looks a session up by key. Called under the session mutex from
 /// worker threads: must be thread-safe, cheap, and must not throw or call
-/// back into the session. `events` points at `count` events materialized
-/// exactly from the interned form into the calling worker's scratch: they
-/// are valid only for the call (the worker overwrites them with its next
-/// tapped window, of any session), so a tap that keeps events copies them.
+/// anything that takes the session mutex (report(), feed_run()). `session`
+/// and `events` are valid only for the call: `events` points at `count`
+/// events materialized exactly from the interned form into the calling
+/// worker's scratch (the worker overwrites them with its next tapped
+/// window, of any session), so a tap that keeps events, or the session's
+/// fields, copies them.
+using SessionWindowTap =
+    std::function<void(const Session& session, std::size_t window_index,
+                       int label, double decision_value,
+                       const trace::PartitionedEvent* events,
+                       std::size_t count)>;
+
+/// The key-only form of a SessionWindowTap, for consumers that need no
+/// more than the session key; DetectionServer::add_window_tap adapts it.
 using WindowTap =
     std::function<void(const SessionKey& key, std::size_t window_index,
                        int label, double decision_value,
                        const trace::PartitionedEvent* events,
                        std::size_t count)>;
-
-/// Receives one (active, shadow) verdict pair per window while a candidate
-/// detector shadows a session, plus the accumulated per-window
-/// classification cost of each model in nanoseconds. Same calling
-/// constraints as WindowTap.
-using ShadowSink = std::function<void(
-    const SessionKey& key, int active_label, int shadow_label,
-    std::uint64_t active_ns, std::uint64_t shadow_ns)>;
 
 /// Per-event accounting for one guarded feed_run call.
 /// processed + failed + skipped always equals the run length.
@@ -130,35 +140,24 @@ class Session {
   /// guarded: one that throws is counted as failed, and
   /// `breaker_threshold` consecutive failures quarantine the session
   /// (0 disables the breaker — failures never quarantine).
-  /// `tap`, when non-null, observes every completed window (see WindowTap);
-  /// the session buffers the window's events only while a tap is passed.
+  /// `tap`, when non-null, observes every completed window (see
+  /// SessionWindowTap) and is handed this session; the session buffers the
+  /// window's events only while a tap is passed.
   /// A tapped call also passes `tap_scratch`, the caller's reusable buffer
   /// the window is materialized into (a worker passes the same one to
   /// every session it feeds, as it does `out`).
   RunOutcome feed_run(
       std::span<const trace::CompactEvent> events, std::vector<Verdict>& out,
-      std::size_t breaker_threshold, const WindowTap* tap = nullptr,
+      std::size_t breaker_threshold, const SessionWindowTap* tap = nullptr,
       std::vector<trace::PartitionedEvent>* tap_scratch = nullptr);
-
-  /// Attaches a candidate detector that classifies this session's traffic
-  /// in parallel with the active one (shadow deploy). The shadow stream
-  /// starts at the next window boundary so its verdicts stay
-  /// window-for-window comparable with the active stream's; from then on
-  /// every completed window reports an (active, shadow) verdict pair to
-  /// `sink`. Returns false when a shadow is already attached. An event
-  /// that makes the *shadow* throw detaches it (the active stream and the
-  /// session are unaffected — a bad candidate must never hurt serving).
-  bool attach_shadow(std::shared_ptr<const core::Detector> candidate,
-                     std::shared_ptr<const ShadowSink> sink);
-  /// Drops the shadow stream, if any. Returns true if one was attached.
-  bool detach_shadow();
 
   SessionReport report() const;
   const SessionKey& key() const { return key_; }
   const std::string& profile() const { return profile_; }
   /// The detector snapshot pinned at open time (never changes; see class
-  /// comment). The audit stream borrows it to explain this session's
-  /// verdicts against the exact model that produced them.
+  /// comment). Taps read it from the session they are handed: the audit
+  /// stream explains this session's verdicts against the exact model that
+  /// produced them.
   const std::shared_ptr<const core::Detector>& detector() const {
     return detector_;
   }
@@ -191,24 +190,6 @@ class Session {
   std::vector<trace::CompactEvent>& stage() { return stage_; }
 
  private:
-  // Shadow-deploy state (guarded by mu_). The candidate's stream exists
-  // from attach but only starts consuming events once `aligned` flips true
-  // — at the first event that begins a fresh active window — so both
-  // streams complete windows in lockstep.
-  struct ShadowState {
-    std::shared_ptr<const core::Detector> detector;
-    core::Detector::Stream stream;
-    std::shared_ptr<const ShadowSink> sink;
-    bool aligned = false;
-    std::uint64_t active_ns = 0;  // per-window classification cost
-    std::uint64_t shadow_ns = 0;  // accumulators, reset on each pair
-
-    ShadowState(std::shared_ptr<const core::Detector> d,
-                std::shared_ptr<const ShadowSink> s)
-        : detector(std::move(d)), stream(detector->stream()),
-          sink(std::move(s)) {}
-  };
-
   void touch() {
     last_active_.store(
         std::chrono::steady_clock::now().time_since_epoch().count(),
@@ -227,7 +208,6 @@ class Session {
   core::Detector::Stream stream_;      // guarded by mu_
   std::size_t consecutive_failures_ = 0;  // guarded by mu_
   std::size_t failed_events_ = 0;         // guarded by mu_
-  std::unique_ptr<ShadowState> shadow_;   // guarded by mu_
   // Window-event buffer for the tap; filled only on tapped feed_run calls,
   // and only with events since the last window boundary (guarded by mu_).
   std::vector<trace::CompactEvent> tap_buf_;
@@ -239,8 +219,8 @@ class Session {
 /// Owns the live sessions; thread-safe open/find/close. Sharded: the key
 /// space is hash-split across independently-locked shards, so session
 /// table operations scale with the worker count instead of serializing
-/// on one map mutex. Iterating calls (reports, evict_idle_sessions,
-/// sessions_for) lock one shard at a time.
+/// on one map mutex. Iterating calls (reports, evict_idle_sessions, all)
+/// lock one shard at a time.
 class SessionManager {
  public:
   /// Shards are rounded up to a power of two (default 64). The registry
@@ -274,11 +254,6 @@ class SessionManager {
   std::size_t active() const;
   /// Reports for every live session, in key order.
   std::vector<SessionReport> reports() const;
-
-  /// Snapshot of the live sessions serving `profile` (for shadow
-  /// attach/detach sweeps; the shared_ptrs keep them valid lock-free).
-  std::vector<std::shared_ptr<Session>> sessions_for(
-      const std::string& profile) const;
 
   /// Every live session (for the server's stage flush); unordered.
   std::vector<std::shared_ptr<Session>> all() const;

@@ -1,8 +1,9 @@
 // Tests for the online-learning subsystem (src/online/): verdict diffing,
-// the CFG accumulator's fold/admit/evict behavior, warm-started SMO
-// retraining, registry shadow staging (RCU promote / rollback), the
-// server-level shadow streams, and the OnlineManager control loop driven
-// deterministically via poll_once(). Runs under -DLEAPS_SANITIZE=thread
+// the rollover gates, the CFG accumulator's fold/admit/evict behavior,
+// warm-started SMO retraining, registry shadow staging (RCU promote /
+// rollback), shadow scoring on the window stream (online equals offline),
+// and the OnlineManager control loop driven deterministically via
+// poll_once(). Runs under -DLEAPS_SANITIZE=thread
 // in CI (ctest -L online / -L concurrency).
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -94,40 +95,54 @@ TEST(VerdictDiffTest, ConcurrentRecordsAllLand) {
   EXPECT_EQ(diff.stats().compared, 0u);
 }
 
-// --- ShadowEvaluator gates ------------------------------------------------
+// --- Rollover gates --------------------------------------------------------
 
 TEST(ShadowEvaluatorTest, UndecidedUntilMinWindows) {
-  ShadowEvaluator eval({.max_disagreement = 0.5,
-                        .max_latency_ratio = 10.0,
-                        .min_windows = 4});
-  const serve::SessionKey key{"s", 1};
-  for (int i = 0; i < 3; ++i) eval.record(key, 1, 1, 10, 10);
-  EXPECT_EQ(eval.decision(), RolloverDecision::kUndecided);
-  eval.record(key, 1, 1, 10, 10);
-  EXPECT_EQ(eval.decision(), RolloverDecision::kPromote);
+  const RolloverGates gates{.max_disagreement = 0.5,
+                            .max_latency_ratio = 10.0,
+                            .min_windows = 4};
+  VerdictDiff diff;
+  for (int i = 0; i < 3; ++i) diff.record(1, 1, 10, 10);
+  EXPECT_EQ(judge(diff.stats(), gates), RolloverDecision::kUndecided);
+  diff.record(1, 1, 10, 10);
+  EXPECT_EQ(judge(diff.stats(), gates), RolloverDecision::kPromote);
 }
 
 TEST(ShadowEvaluatorTest, DisagreementGateRollsBack) {
-  ShadowEvaluator eval({.max_disagreement = 0.25,
-                        .max_latency_ratio = 100.0,
-                        .min_windows = 4});
-  const serve::SessionKey key{"s", 1};
+  const RolloverGates gates{.max_disagreement = 0.25,
+                            .max_latency_ratio = 100.0,
+                            .min_windows = 4};
+  VerdictDiff diff;
   // 2 of 4 disagree: rate 0.5 > 0.25.
-  eval.record(key, 1, 1, 10, 10);
-  eval.record(key, 1, -1, 10, 10);
-  eval.record(key, 1, 1, 10, 10);
-  eval.record(key, -1, 1, 10, 10);
-  EXPECT_EQ(eval.decision(), RolloverDecision::kRollback);
+  diff.record(1, 1, 10, 10);
+  diff.record(1, -1, 10, 10);
+  diff.record(1, 1, 10, 10);
+  diff.record(-1, 1, 10, 10);
+  EXPECT_EQ(judge(diff.stats(), gates), RolloverDecision::kRollback);
 }
 
 TEST(ShadowEvaluatorTest, LatencyGateRollsBackDespiteAgreement) {
-  ShadowEvaluator eval({.max_disagreement = 1.0,
-                        .max_latency_ratio = 2.0,
-                        .min_windows = 2});
-  const serve::SessionKey key{"s", 1};
-  eval.record(key, 1, 1, 10, 100);  // shadow 10x slower
-  eval.record(key, 1, 1, 10, 100);
-  EXPECT_EQ(eval.decision(), RolloverDecision::kRollback);
+  const RolloverGates gates{.max_disagreement = 1.0,
+                            .max_latency_ratio = 2.0,
+                            .min_windows = 2};
+  VerdictDiff diff;
+  diff.record(1, 1, 10, 100);  // shadow 10x slower
+  diff.record(1, 1, 10, 100);
+  EXPECT_EQ(judge(diff.stats(), gates), RolloverDecision::kRollback);
+}
+
+TEST(ShadowEvaluatorTest, RefusesACandidateOfAnotherWindowSize) {
+  const TrainedDetector& f = fixture();
+  const core::Preprocessor& pre = f.detector->preprocessor();
+  core::PreprocessOptions options = pre.options();
+  options.window += 1;
+  const auto other = std::make_shared<const core::Detector>(
+      core::Preprocessor::from_state(options, pre.lib_clusterer(),
+                                     pre.func_clusterer()),
+      f.detector->scaler(), f.detector->model());
+  EXPECT_THROW(ShadowEvaluator(f.detector, other), std::logic_error);
+  const ShadowEvaluator same(f.detector, f.detector);
+  EXPECT_EQ(same.window(), pre.window());
 }
 
 // --- Warm-started SMO -----------------------------------------------------
@@ -411,36 +426,76 @@ TEST(RegistryShadow, StagePromoteAndQuarantine) {
   EXPECT_TRUE(registry.begin_shadow("app", candidate)) << "the slot is free";
 }
 
-// --- Server-level shadow streams ------------------------------------------
+// --- Shadow scoring on the window stream ----------------------------------
+
+/// The fixture's benign log followed by its malicious one: windows of both
+/// verdicts, so a shifted candidate disagrees on some of them.
+trace::PartitionedLog benign_then_malicious() {
+  const TrainedDetector& f = fixture();
+  trace::PartitionedLog log = f.benign;
+  log.events.insert(log.events.end(), f.malicious.events.begin(),
+                    f.malicious.events.end());
+  return log;
+}
+
+/// A copy of the fixture detector whose threshold sits at the median
+/// decision value of `log`'s windows: it flips the verdict of the windows
+/// between 0 and the median, and only those.
+std::shared_ptr<const core::Detector> median_threshold_candidate(
+    const trace::PartitionedLog& log) {
+  const TrainedDetector& f = fixture();
+  const core::WindowedData windows =
+      f.detector->preprocessor().make_windows(log);
+  std::vector<double> values;
+  for (const ml::FeatureVector& x : windows.X) {
+    values.push_back(f.detector->decision_value(x));
+  }
+  std::sort(values.begin(), values.end());
+  auto candidate = std::make_shared<core::Detector>(*f.detector);
+  candidate->set_decision_threshold(values[values.size() / 2]);
+  return candidate;
+}
+
+/// A candidate with the fixture's window size whose scaler expects one
+/// feature: it throws on every window it scores.
+std::shared_ptr<const core::Detector> throwing_candidate() {
+  const TrainedDetector& f = fixture();
+  ml::MinMaxScaler scaler;
+  scaler.fit({{0.0}, {1.0}});
+  return std::make_shared<const core::Detector>(
+      f.detector->preprocessor(), std::move(scaler), f.detector->model());
+}
+
+/// Gates that never decide: the comparison runs until the test reads it.
+constexpr RolloverGates kNeverDecide{.max_disagreement = 1.0,
+                                     .max_latency_ratio = 1e9,
+                                     .min_windows = 1u << 30};
 
 TEST(ServerShadow, IdenticalCandidateNeverDisagrees) {
   const TrainedDetector& f = fixture();
   serve::ServerOptions options;
   options.workers = 2;
   serve::DetectionServer server(options);
-  server.registry().add("app", f.detector);
+  server.registry().add("default", f.detector);
+  OnlineManager manager(&server, OnlineOptions{});
+  manager.install();
   server.start();
 
-  auto session = server.open_session({"host", 1}, "app");
+  auto session = server.open_session({"host", 1}, "default");
   ASSERT_NE(session, nullptr);
 
-  auto evaluator = std::make_shared<ShadowEvaluator>(
-      RolloverGates{.max_disagreement = 0.0,
-                    .max_latency_ratio = 1e9,
-                    .min_windows = 1});
   auto candidate = std::make_shared<const core::Detector>(*f.detector);
-  ASSERT_TRUE(server.begin_shadow(
-      "app", candidate,
-      [evaluator](const serve::SessionKey& key, int active, int shadow,
-                  std::uint64_t active_ns, std::uint64_t shadow_ns) {
-        evaluator->record(key, active, shadow, active_ns, shadow_ns);
-      }));
-  EXPECT_TRUE(server.shadowing("app"));
-  EXPECT_FALSE(server.begin_shadow("app", candidate, [](auto&&...) {}))
-      << "second shadow refused while one is in flight";
+  const RolloverGates gates{.max_disagreement = 0.0,
+                            .max_latency_ratio = 1e9,
+                            .min_windows = 1};
+  ASSERT_TRUE(manager.stage(candidate, gates));
+  EXPECT_TRUE(manager.shadowing());
+  EXPECT_EQ(server.registry().shadow_candidate("default"), candidate);
+  EXPECT_FALSE(manager.stage(candidate, gates))
+      << "second candidate refused while one is staged";
 
-  // Sessions opened mid-shadow auto-attach too.
-  auto late = server.open_session({"host", 2}, "app");
+  // A session opened mid-shadow is scored too: the scorer is a tap.
+  auto late = server.open_session({"host", 2}, "default");
   ASSERT_NE(late, nullptr);
 
   for (const trace::PartitionedEvent& e : f.benign.events) {
@@ -449,15 +504,16 @@ TEST(ServerShadow, IdenticalCandidateNeverDisagrees) {
   }
   server.drain();
 
-  const DiffStats stats = evaluator->stats();
+  const DiffStats stats = manager.report().shadow;
   EXPECT_GT(stats.compared, 0u);
   EXPECT_EQ(stats.disagreements, 0u)
       << "an identical candidate must agree window-for-window";
-  EXPECT_EQ(evaluator->decision(), RolloverDecision::kPromote);
+  EXPECT_EQ(judge(stats, gates), RolloverDecision::kPromote);
 
-  ASSERT_TRUE(server.end_shadow("app", /*promote=*/true));
-  EXPECT_EQ(server.registry().find("app"), candidate);
-  EXPECT_FALSE(server.shadowing("app"));
+  manager.poll_once();
+  EXPECT_EQ(manager.report().promotions, 1u);
+  EXPECT_EQ(server.registry().find("default"), candidate);
+  EXPECT_FALSE(manager.shadowing());
   EXPECT_EQ(server.metrics().snapshot().events_dropped, 0u);
   server.stop();
 }
@@ -467,36 +523,135 @@ TEST(ServerShadow, BrokenCandidateTripsTheGateAndQuarantines) {
   serve::ServerOptions options;
   options.workers = 2;
   serve::DetectionServer server(options);
-  server.registry().add("app", f.detector);
+  server.registry().add("default", f.detector);
+  OnlineManager manager(&server, OnlineOptions{});
+  manager.install();
   server.start();
-  auto session = server.open_session({"host", 1}, "app");
+  auto session = server.open_session({"host", 1}, "default");
   ASSERT_NE(session, nullptr);
 
   // All-malicious candidate: maximum disagreement on benign traffic.
   auto broken = std::make_shared<core::Detector>(*f.detector);
   broken->set_decision_threshold(1e18);
-  auto evaluator = std::make_shared<ShadowEvaluator>(
-      RolloverGates{.max_disagreement = 0.02,
-                    .max_latency_ratio = 1e9,
-                    .min_windows = 2});
-  ASSERT_TRUE(server.begin_shadow(
-      "app", broken,
-      [evaluator](const serve::SessionKey& key, int active, int shadow,
-                  std::uint64_t active_ns, std::uint64_t shadow_ns) {
-        evaluator->record(key, active, shadow, active_ns, shadow_ns);
-      }));
+  const std::weak_ptr<const core::Detector> broken_ref = broken;
+  ASSERT_TRUE(manager.stage(std::move(broken),
+                            {.max_disagreement = 0.02,
+                             .max_latency_ratio = 1e9,
+                             .min_windows = 2}));
 
   for (const trace::PartitionedEvent& e : f.benign.events) {
     ASSERT_TRUE(server.submit(session, e));
   }
   server.drain();
 
-  EXPECT_GT(evaluator->stats().disagreements, 0u);
-  EXPECT_EQ(evaluator->decision(), RolloverDecision::kRollback);
-  ASSERT_TRUE(server.end_shadow("app", /*promote=*/false));
-  EXPECT_EQ(server.registry().find("app"), f.detector);
-  EXPECT_EQ(server.registry().shadow_candidate("app"), nullptr);
-  EXPECT_FALSE(server.shadowing("app"));
+  EXPECT_GT(manager.report().shadow.disagreements, 0u);
+  manager.poll_once();
+  const OnlineReport report = manager.report();
+  EXPECT_EQ(report.rollbacks, 1u);
+  EXPECT_EQ(report.promotions, 0u);
+  EXPECT_EQ(server.registry().find("default"), f.detector);
+  EXPECT_EQ(server.registry().shadow_candidate("default"), nullptr);
+  EXPECT_FALSE(manager.shadowing());
+  EXPECT_TRUE(broken_ref.expired()) << "nothing keeps a rejected model";
+  server.stop();
+}
+
+TEST(ServerShadow, OnlineShadowEqualsTheOfflineShadow) {
+  const TrainedDetector& f = fixture();
+  const trace::PartitionedLog log = benign_then_malicious();
+  const std::shared_ptr<const core::Detector> candidate =
+      median_threshold_candidate(log);
+  // What `leaps-rollover shadow` computes on the same windows.
+  ShadowEvaluator offline(f.detector, candidate);
+  offline.score_log(log);
+  const DiffStats want = offline.stats();
+  ASSERT_GT(want.disagreements, 0u);
+  ASSERT_LT(want.disagreements, want.compared);
+
+  constexpr std::uint32_t kSessions = 3;
+  for (const std::size_t workers : {1, 4}) {
+    for (const std::size_t coalesce : {1, 8}) {
+      SCOPED_TRACE("workers " + std::to_string(workers) + ", coalesce " +
+                   std::to_string(coalesce));
+      serve::ServerOptions options;
+      options.workers = workers;
+      options.coalesce = coalesce;
+      serve::DetectionServer server(options);
+      server.registry().add("default", f.detector);
+      OnlineManager manager(&server, OnlineOptions{});
+      manager.install();
+      ASSERT_TRUE(manager.stage(candidate, kNeverDecide));
+      server.start();
+      std::vector<std::shared_ptr<serve::Session>> sessions;
+      for (std::uint32_t s = 0; s < kSessions; ++s) {
+        sessions.push_back(server.open_session({"shadow", s}, "default"));
+        ASSERT_NE(sessions.back(), nullptr);
+      }
+      // Interleaved, so the sessions' windows reach the tap interleaved.
+      for (const trace::PartitionedEvent& e : log.events) {
+        for (const auto& session : sessions) {
+          ASSERT_TRUE(server.submit(session, e));
+        }
+      }
+      server.drain();
+      const DiffStats got = manager.report().shadow;
+      EXPECT_EQ(got.compared, kSessions * want.compared);
+      EXPECT_EQ(got.disagreements, kSessions * want.disagreements);
+      server.stop();
+    }
+  }
+}
+
+TEST(ServerShadow, ThrowingCandidateDisagreesAndLeavesServingAlone) {
+  const TrainedDetector& f = fixture();
+  const trace::PartitionedLog log = benign_then_malicious();
+  const std::vector<int> want = f.detector->scan(log).window_labels;
+  ASSERT_FALSE(want.empty());
+
+  serve::ServerOptions options;
+  options.workers = 2;
+  serve::DetectionServer server(options);
+  server.registry().add("default", f.detector);
+  std::mutex mu;
+  std::vector<int> served;
+  server.set_verdict_sink([&](const serve::VerdictRecord& v) {
+    const std::lock_guard<std::mutex> lock(mu);
+    served.push_back(v.label);
+  });
+  OnlineManager manager(&server, OnlineOptions{});
+  manager.install();
+  ASSERT_TRUE(manager.stage(throwing_candidate(),
+                            {.max_disagreement = 0.02,
+                             .max_latency_ratio = 1e9,
+                             .min_windows = 1}));
+  server.start();
+  auto session = server.open_session({"host", 1}, "default");
+  ASSERT_NE(session, nullptr);
+  for (const trace::PartitionedEvent& e : log.events) {
+    ASSERT_TRUE(server.submit(session, e));
+  }
+  server.drain();
+
+  // Every window the candidate could not score is a disagreement...
+  const DiffStats stats = manager.report().shadow;
+  EXPECT_EQ(stats.compared, want.size());
+  EXPECT_EQ(stats.disagreements, want.size());
+  // ...and serving never noticed: the verdicts are the incumbent's, and
+  // the session has no failed event and is not quarantined.
+  {
+    const std::lock_guard<std::mutex> lock(mu);
+    EXPECT_EQ(served, want);
+  }
+  const serve::SessionReport report = session->report();
+  EXPECT_EQ(report.failed_events, 0u);
+  EXPECT_FALSE(report.quarantined);
+  const serve::MetricsSnapshot m = server.metrics().snapshot();
+  EXPECT_EQ(m.events_failed, 0u);
+  EXPECT_EQ(m.events_processed, log.events.size());
+
+  manager.poll_once();
+  EXPECT_EQ(manager.report().rollbacks, 1u);
+  EXPECT_EQ(server.registry().find("default"), f.detector);
   server.stop();
 }
 
@@ -773,6 +928,49 @@ TEST(OnlineManagerTest, LearnsOnlyFromItsOwnProfile) {
   EXPECT_GT(report.accumulator.windows_observed, 0u);
   EXPECT_GT(report.drift.observed, 0u);
   server.stop();
+}
+
+TEST(OnlineManagerTest, ClosedSessionsOfAnotherProfileAreNotLearned) {
+  // Events queued before their session closed are scored after the close:
+  // the tap must still know the session's profile.
+  const TrainedDetector& f = fixture();
+  const std::vector<int> labels = f.detector->scan(f.benign).window_labels;
+  const auto benign_windows = static_cast<std::uint64_t>(
+      std::count(labels.begin(), labels.end(), 1));
+  for (const std::size_t workers : {1, 4}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    serve::ServerOptions server_options;
+    server_options.workers = workers;
+    serve::DetectionServer server(server_options);
+    server.registry().add("default", f.detector);
+    server.registry().add("other", f.detector);
+    OnlineOptions options;
+    options.accumulator.admit_floor = 0.0;
+    options.drift.enabled = true;
+    OnlineManager manager(&server, options);
+    manager.install();
+
+    const serve::SessionKey mine{"host", 1};
+    const serve::SessionKey theirs{"host", 2};
+    const auto session_mine = server.open_session(mine, "default");
+    const auto session_theirs = server.open_session(theirs, "other");
+    ASSERT_NE(session_mine, nullptr);
+    ASSERT_NE(session_theirs, nullptr);
+    for (const trace::PartitionedEvent& e : f.benign.events) {
+      ASSERT_TRUE(server.submit(session_theirs, e));
+      ASSERT_TRUE(server.submit(session_mine, e));
+    }
+    ASSERT_TRUE(server.close_session(theirs).has_value());
+    ASSERT_TRUE(server.close_session(mine).has_value());
+    server.start();
+    server.drain();
+
+    const OnlineReport report = manager.report();
+    EXPECT_EQ(report.drift.observed, labels.size())
+        << "only the manager's own session's windows reach drift";
+    EXPECT_EQ(report.accumulator.windows_observed, benign_windows);
+    server.stop();
+  }
 }
 
 // --- durability (kill-restart behavior, minus the kill) -------------------

@@ -9,6 +9,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -609,6 +610,94 @@ TEST(AuditLog, WritesOneJsonLinePerAnomalousWindow) {
   }
   EXPECT_EQ(lines, 3u);
   std::remove(path.c_str());
+}
+
+/// The raw text of `"field":` in one audit record (strings unquoted).
+std::string record_field(const std::string& line, const std::string& field) {
+  const std::string tag = "\"" + field + "\":";
+  const std::size_t at = line.find(tag);
+  if (at == std::string::npos) return {};
+  std::size_t begin = at + tag.size();
+  std::size_t end = line.find_first_of(",}", begin);
+  if (line[begin] == '"') end = line.find('"', ++begin);
+  return line.substr(begin, end - begin);
+}
+
+TEST(AuditLog, ClosedSessionsAreAuditedWithTheirProfileAndDetector) {
+  // Events queued before their session closed are scored after the close:
+  // each anomalous window still gets one record, with the profile and the
+  // detector of the session that scored it.
+  const TrainedDetector& f = fixture();
+  auto flag_all = std::make_shared<core::Detector>(*f.detector);
+  flag_all->set_decision_threshold(1e18);
+  for (const std::size_t workers : {1, 4}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    char tmpl[] = "/tmp/leaps-audit-XXXXXX";
+    const int fd = mkstemp(tmpl);
+    ASSERT_GE(fd, 0);
+    close(fd);
+    const std::string path = tmpl;
+    const std::map<std::string, std::shared_ptr<const core::Detector>>
+        profiles = {{"a", f.detector}, {"b", flag_all}};
+    // host -> window indices flagged by the server.
+    std::map<std::string, std::vector<std::size_t>> flagged;
+    {
+      AuditLog audit(AuditOptions{path, /*queue_capacity=*/1 << 16,
+                                  /*top_k=*/1});
+      ASSERT_TRUE(audit.start().ok());
+      DetectionServer server({.workers = workers});
+      for (const auto& [name, detector] : profiles) {
+        server.registry().add(name, detector);
+      }
+      std::mutex mu;
+      server.set_verdict_sink([&](const VerdictRecord& v) {
+        if (v.label != -1) return;
+        const std::lock_guard<std::mutex> lock(mu);
+        flagged[v.key.host].push_back(v.window_index);
+      });
+      server.add_window_tap(audit_tap(&audit));
+      std::vector<SessionKey> keys;
+      for (const auto& [name, _] : profiles) {
+        keys.push_back({name, 7});
+        const auto session = server.open_session(keys.back(), name);
+        ASSERT_NE(session, nullptr);
+        for (const trace::PartitionedEvent& e : f.malicious.events) {
+          ASSERT_TRUE(server.submit(session, e));
+        }
+      }
+      for (const SessionKey& key : keys) {
+        ASSERT_TRUE(server.close_session(key).has_value());
+      }
+      server.start();
+      server.drain();
+      server.stop();
+      audit.stop();
+      EXPECT_EQ(audit.dropped(), 0u);
+    }
+    ASSERT_FALSE(flagged["a"].empty());
+    ASSERT_FALSE(flagged["b"].empty());
+
+    // host -> window indices audited.
+    std::map<std::string, std::vector<std::size_t>> audited;
+    std::ifstream in(path);
+    std::string line;
+    while (std::getline(in, line)) {
+      const std::string host = record_field(line, "host");
+      ASSERT_EQ(profiles.count(host), 1u) << line;
+      EXPECT_EQ(record_field(line, "profile"), host) << line;
+      EXPECT_EQ(std::stod(record_field(line, "threshold")),
+                profiles.at(host)->decision_threshold())
+          << line;
+      audited[host].push_back(
+          static_cast<std::size_t>(std::stoul(record_field(line, "window"))));
+    }
+    for (auto& [host, windows] : flagged) {
+      std::sort(windows.begin(), windows.end());
+      std::sort(audited[host].begin(), audited[host].end());
+      EXPECT_EQ(audited[host], windows) << "session " << host;
+    }
+    std::remove(path.c_str());
+  }
 }
 
 TEST(AuditLog, FullQueueDropsInsteadOfBlocking) {

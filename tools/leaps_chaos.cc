@@ -403,27 +403,26 @@ void rollover_chaos(const Trained& trained, std::size_t sessions,
   check(report.retrain_cycles >= 1, "rollover: no retrain cycle ran");
   check(report.promotions >= 1, "rollover: candidate was not promoted");
 
-  // Rollback drill: an all-malicious candidate must fail the (now
-  // meaningful) disagreement gate on benign traffic, never serve, and
-  // leave the shadow slot free.
+  // Rollback drill: an all-malicious candidate, staged through the
+  // manager's own path under a meaningful disagreement gate, must be
+  // voted down on benign traffic, never serve, and leave the shadow slot
+  // free.
   auto broken = std::make_shared<core::Detector>(*trained.detector);
   broken->set_decision_threshold(1e18);
-  online::ShadowEvaluator evaluator({/*max_disagreement=*/0.02,
-                                     /*max_latency_ratio=*/1e9,
-                                     /*min_windows=*/4});
-  check(server.begin_shadow(
-            "default", broken,
-            [&evaluator](const serve::SessionKey& key, int active,
-                         int shadow, std::uint64_t a_ns,
-                         std::uint64_t s_ns) {
-              evaluator.record(key, active, shadow, a_ns, s_ns);
-            }),
-        "rollover: drill begin_shadow refused");
+  const online::RolloverGates drill_gates{/*max_disagreement=*/0.02,
+                                          /*max_latency_ratio=*/1e9,
+                                          /*min_windows=*/4};
+  check(manager.stage(broken, drill_gates),
+        "rollover: drill candidate was not staged");
   replay_round();
-  check(evaluator.decision() == online::RolloverDecision::kRollback,
+  check(online::judge(manager.report().shadow, drill_gates) ==
+            online::RolloverDecision::kRollback,
         "rollover: broken candidate was not voted down");
-  check(server.end_shadow("default", false),
-        "rollover: drill end_shadow refused");
+  manager.poll_once();
+  const online::OnlineReport drilled = manager.report();
+  check(drilled.rollbacks == report.rollbacks + 1 &&
+            drilled.promotions == report.promotions,
+        "rollover: the poll did not roll the broken candidate back");
   check(server.registry().find("default") != broken,
         "rollover: broken candidate became the active detector");
   check(server.registry().shadow_candidate("default") == nullptr,

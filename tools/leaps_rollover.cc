@@ -7,9 +7,11 @@
 //       warm-started from the deployed model's dual solution, reports the
 //       iteration savings vs a cold fit, and saves the candidate.
 //   shadow <incumbent> <candidate> <traffic.log>
-//       Offline shadow evaluation: replays the traffic through both
-//       detectors window-aligned, diffs the verdicts, applies the
-//       rollover gates. Exit 0 = promote, 4 = rollback/undecided.
+//       Offline shadow evaluation: the online gate's ShadowEvaluator
+//       scores every window of the traffic with both detectors (timing
+//       each), then applies the rollover gates. A candidate whose window
+//       size differs from the incumbent's is refused (exit 1).
+//       Exit 0 = promote, 4 = rollback/undecided.
 //   drill <detector> <broken-out>
 //       Writes a deliberately broken candidate (verdict threshold pushed
 //       to +1e18, so every window classifies malicious) for rollback
@@ -22,9 +24,8 @@
 //       a restarting server would — torn journal tails are truncated, and
 //       records the snapshot already folded are skipped — then prints the
 //       recovered state. Optionally re-saves the recovered incumbent.
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -79,28 +80,6 @@ core::Detector load_detector(const std::string& path) {
     std::fprintf(stderr, "leaps-rollover: %s\n", e.what());
     std::exit(1);
   }
-}
-
-/// Replays the log through one detector, timing each window.
-struct Replayed {
-  std::vector<int> verdicts;
-  std::uint64_t total_ns = 0;
-};
-
-Replayed replay(const core::Detector& detector,
-                const trace::PartitionedLog& log) {
-  Replayed out;
-  core::Detector::Stream stream = detector.stream();
-  for (const trace::PartitionedEvent& event : log.events) {
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::optional<int> label = stream.push(event);
-    const auto t1 = std::chrono::steady_clock::now();
-    out.total_ns += static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
-            .count());
-    if (label.has_value()) out.verdicts.push_back(*label);
-  }
-  return out;
 }
 
 int cmd_retrain(const std::string& tool, const std::vector<std::string>& pos,
@@ -172,26 +151,22 @@ int cmd_retrain(const std::string& tool, const std::vector<std::string>& pos,
 
 int cmd_shadow(const std::string& tool, const std::vector<std::string>& pos,
                const online::RolloverGates& gates) {
-  const core::Detector incumbent = load_detector(pos[1]);
-  const core::Detector candidate = load_detector(pos[2]);
-  const trace::PartitionedLog log = cli::load_log_or_exit(tool, pos[3]);
-  const Replayed active = replay(incumbent, log);
-  const Replayed shadow = replay(candidate, log);
-
-  online::ShadowEvaluator evaluator(gates);
-  const serve::SessionKey key{"rollover", 0};
-  const std::size_t pairs =
-      std::min(active.verdicts.size(), shadow.verdicts.size());
-  // Window costs are aggregate/N — offline replay has no per-window
-  // interleaving to preserve.
-  const std::uint64_t active_per =
-      pairs > 0 ? active.total_ns / pairs : 0;
-  const std::uint64_t shadow_per =
-      pairs > 0 ? shadow.total_ns / pairs : 0;
-  for (std::size_t i = 0; i < pairs; ++i) {
-    evaluator.record(key, active.verdicts[i], shadow.verdicts[i],
-                     active_per, shadow_per);
+  const auto incumbent =
+      std::make_shared<const core::Detector>(load_detector(pos[1]));
+  const auto candidate =
+      std::make_shared<const core::Detector>(load_detector(pos[2]));
+  const std::size_t window = incumbent->preprocessor().window();
+  if (candidate->preprocessor().window() != window) {
+    std::fprintf(stderr,
+                 "leaps-rollover: %s scores %zu-event windows, the "
+                 "incumbent %zu: their verdicts are not comparable\n",
+                 pos[2].c_str(), candidate->preprocessor().window(), window);
+    return 1;
   }
+  const trace::PartitionedLog log = cli::load_log_or_exit(tool, pos[3]);
+  // The online gate's own scorer: each window scored and timed by both.
+  online::ShadowEvaluator evaluator(incumbent, candidate, gates);
+  evaluator.score_log(log);
   const online::DiffStats stats = evaluator.stats();
   std::printf("compared %llu windows: %llu disagreements (rate %.4f), "
               "latency ratio %.2f\n",
@@ -235,8 +210,8 @@ int cmd_diff(const std::string& tool, const std::vector<std::string>& pos) {
   const core::Detector b = load_detector(pos[2]);
   const trace::PartitionedLog log = cli::load_log_or_exit(tool, pos[3]);
   const online::SequenceDiff diff =
-      online::diff_sequences(replay(a, log).verdicts,
-                             replay(b, log).verdicts);
+      online::diff_sequences(a.scan(log).window_labels,
+                             b.scan(log).window_labels);
   std::printf("compared %zu windows: %zu disagreements (rate %.4f), "
               "length delta %zu\n",
               diff.compared, diff.disagreements, diff.disagreement_rate(),

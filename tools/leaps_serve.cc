@@ -364,7 +364,7 @@ int main(int argc, char** argv) {
       if (recovered.has_value()) manager->restore(*recovered);
     }
     if (audit != nullptr) {
-      server.add_window_tap(serve::audit_tap(audit.get(), &server.sessions()));
+      server.add_window_tap(serve::audit_tap(audit.get()));
     }
     server.start();
 
